@@ -204,8 +204,10 @@ def cmd_construct_ne(args) -> int:
 def _load_profile_arg(path, net):
     with open(path) as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "profile" in data:
-        data = data["profile"]
+    if isinstance(data, dict):
+        # a prior report: construct-ne and audit keep the profile under
+        # "profile", simulate under "final_profile"
+        data = data.get("profile", data.get("final_profile", data))
     return parse_profile(data, net)
 
 

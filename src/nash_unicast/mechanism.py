@@ -249,47 +249,56 @@ def balance_term_large_group(
     net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
 ) -> float:
     """Message-independent balance term for links shared by more than three
-    users; zeroes the link's tax sum at every feasible profile."""
+    users; zeroes the link's tax sum at every feasible profile.
+
+    The term is built from sums over ordered pairs and triples of distinct
+    peers. Each closes in O(1) from five peer power sums, so one call costs
+    O(n). Only peers enter the sums, so the user's own message is never read.
+    """
     group = net.group(link)
     n = len(group)
     if n <= 3:
         raise WrongGroupSize(f"link {link} has {n} users, need more than 3")
     if user not in group:
         raise UserNotOnLink(f"user {user} is not on link {link}")
-    others = [u for u in group if u != user]
     c = net.capacity(link)
     g = params.gamma
-    p = {u: profile[u].prices[link] for u in others}
-    x = {u: profile[u].rate for u in others}
-    exc = {u: (n - 1) * x[u] - c for u in others}
+    m = n - 1
+    p1 = p2 = x1 = px = p2x = 0.0
+    for u in group:
+        if u == user:
+            continue
+        p, x = profile[u].prices[link], profile[u].rate
+        p1 += p
+        p2 += p * p
+        x1 += x
+        px += p * x
+        p2x += p * p * x
+    # the peers' scaled excesses e = m*x - c, summed with weights 1, p and p^2
+    e1 = m * x1 - m * c
+    pe = m * px - c * p1
+    p2e = m * p2x - c * p2
 
-    mean_p = sum(p.values()) / (n - 1)
-    peer_excess = sum(x.values()) - c
+    # Distinct-index sums: over j != k, sum a_j*b_k = A*B - sum(ab); over
+    # distinct j, k, r, sum a_j*b_k*c_r =
+    # A*B*C - sum(ab)*C - sum(ac)*B - sum(bc)*A + 2*sum(abc).
+    quad = 2.0 * (p1 * p1 - p2) + (2.0 / g) * (px * p1 - p2x) - (x1 * p1 - px)
+    pair_coupling = 2.0 * (p1 * pe - p2e) - 2.0 * (x1 * p2 - p2x)
+    triple_coupling = 2.0 * (p1 * p1 * e1 - p2 * e1 - 2.0 * pe * p1 + 2.0 * p2e) - 2.0 * (
+        x1 * p1 * p1 - 2.0 * px * p1 - p2 * x1 + 2.0 * p2x
+    )
+    quad /= m * (m - 1)
+    pair_coupling /= g * m**2 * (m - 1)
+    triple_coupling /= g * m**2 * (m - 2)
 
-    quad = 0.0
-    pair_coupling = 0.0
-    triple_coupling = 0.0
-    for j in others:
-        for k in others:
-            if k == j:
-                continue
-            quad += 2.0 * p[j] * p[k] * (1.0 + x[j] / g) - x[j] * p[k]
-            pair_coupling += 2.0 * p[k] * (p[j] * exc[k] - x[j] * p[k])
-            for r in others:
-                if r == j or r == k:
-                    continue
-                triple_coupling += 2.0 * p[k] * (p[j] * exc[r] - x[j] * p[r])
-    quad /= (n - 1) * (n - 2)
-    pair_coupling /= g * (n - 1) ** 2 * (n - 2)
-    triple_coupling /= g * (n - 1) ** 2 * (n - 3)
-
+    mean_p = p1 / m
     return (
         quad
         + triple_coupling
         + pair_coupling
-        - sum(v * v for v in p.values()) / (n - 1)
+        - p2 / m
         - mean_p * mean_p
-        - 2.0 * peer_excess * mean_p * mean_p / g
+        - 2.0 * (x1 - c) * mean_p * mean_p / g
     )
 
 

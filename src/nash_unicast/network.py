@@ -6,6 +6,7 @@ Networks are immutable after construction and all operations here are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -102,6 +103,7 @@ def build_network(link_specs: Mapping, route_specs) -> Network:
 
     ``route_specs`` may be a mapping or an iterable of ``(user, route)`` pairs.
     Labels can be any printable values; ids are assigned in declaration order.
+    Capacities must be finite and positive.
     Repeated links inside one route collapse to the first occurrence (a route
     is an ordered set). Empty routes are rejected: a user with no links has no
     role in the mechanism.
@@ -110,7 +112,7 @@ def build_network(link_specs: Mapping, route_specs) -> Network:
     capacities = []
     for label, cap in link_specs.items():
         cap = float(cap)
-        if not cap > 0.0:
+        if not (math.isfinite(cap) and cap > 0.0):
             raise NonPositiveCapacity(f"link {label!r} has capacity {cap}")
         link_labels.append(str(label))
         capacities.append(cap)

@@ -229,6 +229,9 @@ def random_scenario(
     every link keeps its group below nine users, so all tax cases (single
     user, pair, trio, larger) occur across a modest batch of seeds.
     """
+    unknown = sorted(set(families) - {"log", "power", "quadcap"})
+    if unknown:
+        raise ValueError(f"random_scenario draws only log, power and quadcap users, not {unknown}")
     rng = random.Random(seed)
     n_users = rng.randint(*users_range)
     n_links = rng.randint(*links_range)

@@ -91,6 +91,32 @@ def test_simulate_from_construct_output(tmp_path, capsys):
     assert "converged" in out
 
 
+def test_audit_reads_final_profile_of_simulate_report(tmp_path, capsys):
+    ne_path, sim_path = tmp_path / "ne.json", tmp_path / "sim.json"
+    main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne_path)])
+    sim_args = ["--grid", "64", "--rounds", "5", "--out", str(sim_path)]
+    assert main(["simulate", "--scenario", GOLDEN, "--profile", str(ne_path), *sim_args]) == 0
+    capsys.readouterr()
+    audit_path = tmp_path / "audit.json"
+    code = main(
+        ["audit", "--scenario", GOLDEN, "--profile", str(sim_path), "--out", str(audit_path)]
+    )
+    assert code == 0, capsys.readouterr().err
+    final = json.loads(sim_path.read_text())["final_profile"]
+    assert json.loads(audit_path.read_text())["profile"] == final
+
+
+def test_solve_rejects_infinite_capacity(tmp_path, capsys):
+    scenario = json.loads(Path(GOLDEN).read_text())
+    scenario["links"]["A"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(scenario))  # written as the JSON token Infinity
+    assert main(["solve", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "'A'" in captured.err and "inf" in captured.err
+    assert "objective" not in captured.out
+
+
 def test_simulate_sigmoid_market(capsys):
     code = main(
         [

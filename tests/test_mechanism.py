@@ -27,6 +27,8 @@ from nash_unicast.mechanism import (
 )
 from nash_unicast.network import build_network
 
+from corpus import concave_suite
+
 PARAMS = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=100.0)
 
 
@@ -177,7 +179,82 @@ def test_large_group_balance_term_ignores_own_message():
         assert balance_term_large_group(net, tampered, 0, 2, PARAMS) == base
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def balance_term_large_group_reference(net, profile, link, user, params):
+    """The O(n^3)-per-user triple loop over peers that the power-sum kernel
+    replaced, kept as its oracle."""
+    group = net.group(link)
+    n = len(group)
+    if n <= 3:
+        raise WrongGroupSize(f"link {link} has {n} users, need more than 3")
+    if user not in group:
+        raise UserNotOnLink(f"user {user} is not on link {link}")
+    others = [u for u in group if u != user]
+    c = net.capacity(link)
+    g = params.gamma
+    p = {u: profile[u].prices[link] for u in others}
+    x = {u: profile[u].rate for u in others}
+    exc = {u: (n - 1) * x[u] - c for u in others}
+
+    mean_p = sum(p.values()) / (n - 1)
+    peer_excess = sum(x.values()) - c
+
+    quad = 0.0
+    pair_coupling = 0.0
+    triple_coupling = 0.0
+    for j in others:
+        for k in others:
+            if k == j:
+                continue
+            quad += 2.0 * p[j] * p[k] * (1.0 + x[j] / g) - x[j] * p[k]
+            pair_coupling += 2.0 * p[k] * (p[j] * exc[k] - x[j] * p[k])
+            for r in others:
+                if r == j or r == k:
+                    continue
+                triple_coupling += 2.0 * p[k] * (p[j] * exc[r] - x[j] * p[r])
+    quad /= (n - 1) * (n - 2)
+    pair_coupling /= g * (n - 1) ** 2 * (n - 2)
+    triple_coupling /= g * (n - 1) ** 2 * (n - 3)
+
+    return (
+        quad
+        + triple_coupling
+        + pair_coupling
+        - sum(v * v for v in p.values()) / (n - 1)
+        - mean_p * mean_p
+        - 2.0 * peer_excess * mean_p * mean_p / g
+    )
+
+
+def _assert_matches_reference(net, profile, link, params):
+    group = net.group(link)
+    for user in group:
+        peer_p2 = [profile[u].prices[link] ** 2 for u in group if u != user]
+        scale = sum(peer_p2) / len(peer_p2)  # mean squared peer price
+        ref = balance_term_large_group_reference(net, profile, link, user, params)
+        got = balance_term_large_group(net, profile, link, user, params)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), scale), (link, user, got, ref)
+
+
+@pytest.mark.parametrize("n, profiles", [(4, 20), (5, 20), (8, 20), (26, 3), (40, 1)])
+def test_large_group_balance_term_matches_triple_loop(n, profiles):
+    net = shared_link_net(n)
+    rng = random.Random(100 + n)
+    for k in range(profiles):
+        profile = random_profile(net, rng, feasible=k % 2 == 0)
+        _assert_matches_reference(net, profile, 0, PARAMS)
+
+
+def test_large_group_balance_term_matches_triple_loop_at_equilibria():
+    checked = 0
+    for s in concave_suite():
+        for link in s.net.links():
+            if len(s.net.group(link)) > 3:
+                _assert_matches_reference(s.net, s.profile, link, s.params)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 26, 100])
 def test_large_group_tax_components_offset_balance_terms(n):
     # the non-balance parts sum to exactly minus the balance parts, and that
     # sum is genuinely nonzero: the balance terms earn their keep

@@ -36,10 +36,9 @@ def test_unknown_link_rejected():
 
 
 def test_nonpositive_capacity_rejected():
-    with pytest.raises(NonPositiveCapacity):
-        build_network({"A": 0.0}, {1: ["A"]})
-    with pytest.raises(NonPositiveCapacity):
-        build_network({"A": -2.0}, {1: ["A"]})
+    for cap in (0.0, -2.0, float("inf"), float("nan")):
+        with pytest.raises(NonPositiveCapacity):
+            build_network({"A": cap}, {1: ["A"]})
 
 
 def test_duplicate_user_rejected():

@@ -95,6 +95,14 @@ def test_random_scenario_deterministic_and_valid():
     assert all(params.alpha > 0 for _ in [0])
 
 
+def test_random_scenario_rejects_unknown_family():
+    with pytest.raises(ValueError, match="sigmoid"):
+        random_scenario(7, families=("sigmoid",))
+    with pytest.raises(ValueError, match="cubic"):
+        random_scenario(7, families=("log", "cubic"))
+    assert {u.family for u in random_scenario(7, families=("power",)).utilities.values()} == {"power"}
+
+
 def test_random_scenarios_cover_group_sizes():
     sizes = set()
     for seed in range(40):
