@@ -82,9 +82,10 @@ def _emit(report: dict, out_path, lines) -> None:
     for line in lines:
         print(line)
     if out_path:
+        # strict JSON: a NaN or inf raises ValueError before the file is opened
+        text = json.dumps(report, indent=2, allow_nan=False)
         with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         print(f"report written to {out_path}")
 
 

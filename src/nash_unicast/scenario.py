@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional
 
 from .mechanism import MechanismParams, Message, MessageProfile
 from .network import Network, build_network, min_route_capacity, NetworkError
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverError
 from .utilities import UtilitySpec, demand, initial_slope, sigmoid_utility
 
 SCHEMA = "nash-unicast/scenario-v1"
@@ -98,11 +98,7 @@ class Scenario:
                 price_bound=params.price_bound,
                 rng_seed=params.rng_seed,
             )
-        solver_config = SolverConfig(
-            tolerance=self.solver.get("tolerance", 1e-8),
-            max_iterations=int(self.solver.get("max_iterations", 200000)),
-        )
-        return net, utilities, params, solver_config
+        return net, utilities, params, SolverConfig(**self.solver)
 
     def profile_messages(self, net: Network) -> Optional[MessageProfile]:
         if self.profile is None:
@@ -152,9 +148,19 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
     if unknown:
         raise ParseError(f"{source}: unknown fields {sorted(unknown)}")
     for block, allowed in (("mechanism", _MECHANISM_KEYS), ("solver", _SOLVER_KEYS)):
-        bad = set(data.get(block, {})) - allowed
+        fields = data.get(block, {})
+        if not isinstance(fields, Mapping):
+            raise ParseError(f"{source}: {block} must be a JSON object")
+        bad = set(fields) - allowed
         if bad:
             raise ParseError(f"{source}: unknown {block} fields {sorted(bad)}")
+    try:
+        SolverConfig(**data.get("solver", {}))
+    except SolverError as exc:
+        raise ValidationError(f"{source}: solver {exc}") from exc
+    seed = data.get("mechanism", {}).get("rng_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"{source}: mechanism rng_seed must be an integer, got {seed!r}")
     for key in ("links", "routes", "utilities"):
         if key not in data:
             raise ParseError(f"{source}: missing required field {key!r}")

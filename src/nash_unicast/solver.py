@@ -1,9 +1,9 @@
 """Centralized welfare maximization and its KKT certificate.
 
 Maximizes the sum of concave utilities subject to per-link capacities and
-non-negative rates. Solved in the dual: a diminishing-step subgradient pass
-on the link prices first, then cyclic per-link market clearing by bisection
-until every KKT residual (stationarity, feasibility both ways, and both
+non-negative rates. Solved in the dual by cyclic per-link market clearing, a
+Gauss-Seidel price update from zero prices that bisects each link's price in
+turn, until every KKT residual (stationarity, feasibility both ways, and both
 complementary-slackness families) sits below the configured tolerance. The
 multipliers double as the equilibrium link prices downstream.
 
@@ -41,15 +41,15 @@ class GridTooLarge(SolverError):
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-8
-    max_iterations: int = 200000
-    step_a: float | None = None  # default 1 / (largest link group)
-    step_b: float = 10.0
+    max_iterations: int = 400  # clearing rounds
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise SolverError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise SolverError("max_iterations must be at least 1")
+        tol, rounds = self.tolerance, self.max_iterations
+        number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+        if not (number and math.isfinite(tol) and tol > 0.0):
+            raise SolverError(f"tolerance must be a finite positive number, got {tol!r}")
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
+            raise SolverError(f"max_iterations must be a positive integer, got {rounds!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def kkt_residuals(
     nus: Mapping[int, float],
 ) -> KktResiduals:
     """Largest absolute violation of each optimality condition for a candidate
-    (rates, link multipliers, non-negativity multipliers) triple."""
+    (rates, link multipliers, non-negativity multipliers) triple. A non-finite
+    value reads as an inf violation, so such a triple never certifies."""
     stationarity = 0.0
     primal = 0.0
     dual = 0.0
@@ -102,16 +103,24 @@ def kkt_residuals(
     for i in net.users():
         x = rates[i]
         price = sum(lambdas[l] for l in net.route(i))
-        stationarity = max(stationarity, abs(float(derivative(utilities[i], max(x, 0.0))) - price + nus[i]))
-        primal = max(primal, -x)
-        dual = max(dual, -nus[i])
-        slack_users = max(slack_users, abs(nus[i] * x))
+        grad = float(derivative(utilities[i], max(x, 0.0)))
+        stationarity = _worse(stationarity, abs(grad - price + nus[i]), x)
+        primal = _worse(primal, -x)
+        dual = _worse(dual, -nus[i])
+        slack_users = _worse(slack_users, abs(nus[i] * x))
     for l in net.links():
         load = sum(rates[u] for u in net.group(l))
-        primal = max(primal, load - net.capacity(l))
-        dual = max(dual, -lambdas[l])
-        slack_links = max(slack_links, abs(lambdas[l] * (load - net.capacity(l))))
-    return KktResiduals(stationarity, max(primal, 0.0), max(dual, 0.0), slack_links, slack_users)
+        primal = _worse(primal, load - net.capacity(l))
+        dual = _worse(dual, -lambdas[l])
+        slack_links = _worse(slack_links, abs(lambdas[l] * (load - net.capacity(l))))
+    return KktResiduals(stationarity, primal, dual, slack_links, slack_users)
+
+
+def _worse(worst: float, violation: float, *inputs: float) -> float:
+    """Running maximum that reads non-finite values as inf (max() drops NaN)."""
+    if math.isfinite(violation) and all(math.isfinite(v) for v in inputs):
+        return max(worst, violation)
+    return math.inf
 
 
 def _recover_nus(net, utilities, rates, prices) -> Dict[int, float]:
@@ -135,8 +144,8 @@ def solve_centralized(
     """Solve the capacity-constrained welfare problem to KKT tolerance.
 
     Raises NonConcaveUtility for sigmoid users and NotConverged if the
-    residual target is still unmet when the iteration budget runs out.
-    Bit-for-bit deterministic for a fixed configuration.
+    residual target is still unmet after ``config.max_iterations`` clearing
+    rounds. Bit-for-bit deterministic for a fixed configuration.
     """
     config = config or SolverConfig()
     for i in net.users():
@@ -146,59 +155,19 @@ def solve_centralized(
     users = list(net.users())
     links = list(net.links())
     caps = {i: min_route_capacity(net, i) for i in users}
-    # Loose boxes for the clearing phase: a capped demand hides the price at
-    # which a lone binding user's first-order condition actually holds.
+    # Loose boxes for clearing: a capped demand hides the price at which a
+    # lone binding user's first-order condition actually holds.
     big_caps = {i: 10.0 * caps[i] + 10.0 for i in users}
     lam = {l: 0.0 for l in links}
-    max_degree = max((len(net.group(l)) for l in links), default=1)
-    step_a = config.step_a if config.step_a is not None else 1.0 / max(max_degree, 1)
-
-    def primal_at(lam_map, boxes):
-        rates = {}
-        prices = {}
-        for i in users:
-            prices[i] = sum(lam_map[l] for l in net.route(i))
-            rates[i] = demand(utilities[i], prices[i], boxes[i])
-        return rates, prices
-
     # Allocations feed the tax machinery, whose overload indicators trip at
     # the feasibility boundary; capacity violations must clear a far tighter
     # bar than the other residuals or constructed equilibria get penalized.
     primal_target = min(config.tolerance, 0.5 * BOUNDARY_TOL)
 
-    def certified(lam_map, iterations):
-        rates, prices = primal_at(lam_map, caps)
-        nus = _recover_nus(net, utilities, rates, prices)
-        rep = kkt_residuals(net, utilities, rates, lam_map, nus)
-        if rep.max_violation <= config.tolerance and rep.primal <= primal_target:
-            return SolveResult(
-                rates=rates,
-                lambdas=dict(lam_map),
-                nus=nus,
-                objective=welfare(utilities, rates),
-                kkt_residual=rep.max_violation,
-                iterations=iterations,
-            )
-        return rep
-
-    iterations = 0
     best = math.inf
-    phase1 = min(300, config.max_iterations)
-    for k in range(phase1):
-        iterations += 1
-        out = certified(lam, iterations)
-        if isinstance(out, SolveResult):
-            return out
-        best = min(best, out.max_violation)
-        rates, _ = primal_at(lam, caps)
-        for l in links:
-            load = sum(rates[u] for u in net.group(l))
-            lam[l] = max(0.0, lam[l] + step_a / (config.step_b + k) * (load - net.capacity(l)))
-
     # Cyclic clearing: for each link in turn, bisect its price so the group
     # demand meets capacity exactly (or drop the price to zero if slack).
-    rounds = min(400, max(0, config.max_iterations - phase1))
-    for _ in range(rounds):
+    for iterations in range(1, config.max_iterations + 1):
         for l in links:
             group = net.group(l)
             if not group:
@@ -228,15 +197,24 @@ def solve_centralized(
                 else:
                     hi = mid
             lam[l] = hi
-        iterations += 1
-        out = certified(lam, iterations)
-        if isinstance(out, SolveResult):
-            return out
-        best = min(best, out.max_violation)
+        prices = {i: sum(lam[l] for l in net.route(i)) for i in users}
+        rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
+        nus = _recover_nus(net, utilities, rates, prices)
+        rep = kkt_residuals(net, utilities, rates, lam, nus)
+        if rep.max_violation <= config.tolerance and rep.primal <= primal_target:
+            return SolveResult(
+                rates=rates,
+                lambdas=dict(lam),
+                nus=nus,
+                objective=welfare(utilities, rates),
+                kkt_residual=rep.max_violation,
+                iterations=iterations,
+            )
+        best = min(best, rep.max_violation)
 
     raise NotConverged(
         f"KKT residual {best:.3e} still above tolerance {config.tolerance:.1e} "
-        f"after {iterations} iterations"
+        f"after {config.max_iterations} iterations"
     )
 
 

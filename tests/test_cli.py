@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from nash_unicast.cli import main
+from nash_unicast.cli import _emit, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "two_users_one_link.json")
@@ -115,6 +115,20 @@ def test_solve_rejects_infinite_capacity(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'A'" in captured.err and "inf" in captured.err
     assert "objective" not in captured.out
+
+
+def test_solve_rejects_infinite_tolerance_override(capsys):
+    assert main(["solve", "--scenario", GOLDEN, "--tolerance", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and "inf" in captured.err
+    assert "objective" not in captured.out
+
+
+def test_emit_rejects_nan_without_writing(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _emit({"objective": float("nan")}, str(path), [])
+    assert not path.exists()
 
 
 def test_simulate_sigmoid_market(capsys):

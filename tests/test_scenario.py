@@ -77,6 +77,28 @@ def test_unknown_fields_named():
         parse_scenario(data)
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("solver", "tolerance", "1e-8"),
+        ("solver", "tolerance", float("inf")),
+        ("solver", "tolerance", float("nan")),
+        ("solver", "tolerance", 0.0),
+        ("solver", "tolerance", True),
+        ("solver", "max_iterations", 2.7),
+        ("solver", "max_iterations", 0),
+        ("solver", "max_iterations", True),
+        ("mechanism", "rng_seed", 1.5),
+        ("mechanism", "rng_seed", "7"),
+    ],
+)
+def test_malformed_solver_and_seed_fields_rejected(block, key, value):
+    data = json.load(open(GOLDEN))
+    data.setdefault(block, {})[key] = value
+    with pytest.raises(ValidationError, match=key):
+        parse_scenario(data)
+
+
 def test_save_load_round_trip(tmp_path):
     s = random_scenario(99)
     path = tmp_path / "s.json"
