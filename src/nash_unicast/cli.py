@@ -381,6 +381,9 @@ def main(argv=None) -> int:
     level = os.environ.get("NASH_UNICAST_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
+    if args.grid < 2:  # the same floor as DynamicsConfig.br_grid
+        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
+        return 1
     try:
         return HANDLERS[args.command](args)
     except ScenarioError as exc:

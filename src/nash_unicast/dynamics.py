@@ -17,7 +17,6 @@ from .mechanism import (
     MechanismParams,
     Message,
     MessageProfile,
-    SubsidyAssignment,
     assign_subsidies,
     validate_profile,
 )
@@ -71,17 +70,13 @@ def best_response(
     profile: MessageProfile,
     user: int,
     params: MechanismParams,
-    subsidies: SubsidyAssignment,
     br_grid: int,
 ) -> Message:
     """The user's grid-best message against the fixed profile of everyone else.
 
-    Subsidy transfers are accepted in the signature for symmetry with the
-    outcome map but cannot matter: a recipient's transfer never depends on
-    its own message. Deterministic; ties break toward the smallest rate and
-    then the lexicographically smallest prices.
+    Deterministic; ties break toward the smallest rate and then the
+    lexicographically smallest prices.
     """
-    del subsidies
     message, _, _ = best_deviation(net, utilities, profile, user, params, br_grid)
     return message
 

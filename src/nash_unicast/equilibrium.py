@@ -6,9 +6,12 @@ user requests its optimal rate and posts the link multipliers as prices.
 judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, an exhaustive grid best-response gap,
 individual rationality, budget balance, and agreement of the taxes with their
-equilibrium closed forms. ``check_walrasian`` grid-checks that every user's
-rate maximizes its payoff at the posted prices over the rates the others
-leave available.
+equilibrium closed forms. Its best-response search (``best_deviation``)
+rests on a link tax separating into a rate part, a price part and a
+rate-times-price coupling, so a user's whole rate-by-price lattice is the
+outer sum of three per-route vectors, filled in place in one buffer.
+``check_walrasian`` grid-checks that every user's rate maximizes its payoff
+at the posted prices over the rates the others leave available.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .mechanism import (
     _cyclic_peers,
     eval_own_tax,
     outcome,
+    own_tax_axes,
     own_tax_terms,
     validate_profile,
 )
@@ -158,6 +162,13 @@ def best_deviation(
     do not depend on the user's own message. Ties break toward the smallest
     rate, then the lexicographically smallest price vector.
 
+    Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``), so the
+    route's tax is fixed by three vectors summed over the route once: the
+    lattice is their outer sum, built in one G-by-G buffer, and the sweeps
+    are the same vectors with the other axis held at the current message.
+    The current payoff and the analytic candidate are evaluated exactly with
+    ``eval_own_tax``.
+
     Returns (best message, best payoff, current payoff).
     """
     route = net.route(user)
@@ -165,16 +176,27 @@ def best_deviation(
     u = utilities[user]
     cur = profile[user]
     cur_tax = {l: float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in tables}
-    cur_pay = float(value(u, cur.rate)) - sum(cur_tax.values())
+    v_cur = float(value(u, cur.rate))
+    cur_pay = v_cur - sum(cur_tax.values())
+    cur_prices = tuple(cur.prices[m] for m in route)
 
     cap = min_route_capacity(net, user)
     xs = np.linspace(0.0, cap, br_grid)
     ps = np.linspace(0.0, params.price_bound, br_grid)
+    vs = np.asarray(value(u, xs), dtype=float)
 
-    total_tax = np.zeros((br_grid, br_grid))
-    for _, t in tables:
-        total_tax = total_tax + eval_own_tax(t, xs[:, None], ps[None, :])
-    lattice = np.asarray(value(u, xs), dtype=float)[:, None] - total_tax
+    # per link: (f(xs), g(ps), h(ps)) on the grid and (f, g, h) at the
+    # current (rate, price); the route sums of each
+    on_grid = [own_tax_axes(t, xs, ps) for _, t in tables]
+    at_cur = [own_tax_axes(t, cur.rate, cur.prices[l]) for l, t in tables]
+    f_sum, g_sum, h_sum = (np.sum(rows, axis=0) for rows in zip(*on_grid))
+    _, g_cur, h_cur = (sum(map(float, vals)) for vals in zip(*at_cur))
+
+    # lattice[i, j] = (V(x_i) - f_sum(x_i)) - (x_i * h_sum(p_j) + g_sum(p_j))
+    lattice = np.empty((br_grid, br_grid))
+    np.multiply.outer(xs, h_sum, out=lattice)
+    lattice += g_sum
+    np.subtract((vs - f_sum)[:, None], lattice, out=lattice)
     flat = int(np.argmax(lattice))  # first max in row-major order: smallest rate, then price
     i0, j0 = divmod(flat, br_grid)
     cands: List[_Candidate] = [
@@ -186,20 +208,10 @@ def best_deviation(
         )
     ]
 
-    rate_sweep_tax = np.zeros(br_grid)
-    for l, t in tables:
-        rate_sweep_tax = rate_sweep_tax + eval_own_tax(
-            t, xs, np.full_like(xs, cur.prices[l])
-        )
-    rate_pays = np.asarray(value(u, xs), dtype=float) - rate_sweep_tax
+    rate_pays = vs - (f_sum + g_cur + xs * h_cur)
     i1 = int(np.argmax(rate_pays))
     cands.append(
-        _Candidate(
-            float(rate_pays[i1]),
-            float(xs[i1]),
-            tuple(cur.prices[m] for m in route),
-            cur.with_rate(float(xs[i1])),
-        )
+        _Candidate(float(rate_pays[i1]), float(xs[i1]), cur_prices, cur.with_rate(float(xs[i1])))
     )
 
     # Analytic rate response at current prices: marginal own cost per unit of
@@ -216,20 +228,13 @@ def best_deviation(
     x_best = demand(u, max(slope, 0.0), room)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
     cands.append(
-        _Candidate(
-            float(value(u, x_best)) - best_tax,
-            x_best,
-            tuple(cur.prices[m] for m in route),
-            cur.with_rate(x_best),
-        )
+        _Candidate(float(value(u, x_best)) - best_tax, x_best, cur_prices, cur.with_rate(x_best))
     )
 
-    for l, t in tables:
-        sweep = np.asarray(
-            eval_own_tax(t, np.full_like(ps, cur.rate), ps), dtype=float
-        )
+    for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
+        sweep = f_at + g + cur.rate * h
         other = sum(v for m, v in cur_tax.items() if m != l)
-        pays = float(value(u, cur.rate)) - other - sweep
+        pays = v_cur - other - sweep
         j = int(np.argmax(pays))
         msg = cur.with_price(l, float(ps[j]))
         cands.append(
@@ -241,7 +246,7 @@ def best_deviation(
             )
         )
 
-    cands.append(_Candidate(cur_pay, cur.rate, tuple(cur.prices[m] for m in route), cur))
+    cands.append(_Candidate(cur_pay, cur.rate, cur_prices, cur))
 
     best = cands[0]
     for c in cands[1:]:

@@ -22,6 +22,7 @@ subsidy-recipient draw.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping
@@ -78,14 +79,14 @@ class MechanismParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise MechanismError(f"alpha must be positive, got {self.alpha}")
-        if not self.gamma > 0.0:
-            raise MechanismError(f"gamma must be positive, got {self.gamma}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise MechanismError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
-        if not self.price_bound > 0.0:
-            raise MechanismError(f"price_bound must be positive, got {self.price_bound}")
+        for name in ("alpha", "gamma", "price_bound"):
+            v = getattr(self, name)
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and math.isfinite(v) and v > 0.0):
+                raise MechanismError(f"{name} must be a finite positive number, got {v!r}")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < 0.5:
+            raise MechanismError(f"epsilon must lie in (0, 0.5), got {eps!r}")
 
     @staticmethod
     def defaults(
@@ -402,6 +403,29 @@ def eval_own_tax(terms: OwnTaxTerms, x, p):
     )
     firing = (xa > BOUNDARY_TOL) & (terms.peer_excess + xa > BOUNDARY_TOL)
     return (tax + np.where(firing, terms.penalty_both, 0.0))[()]
+
+
+def own_tax_axes(terms: OwnTaxTerms, x, p):
+    """The link tax split along the own rate ``x`` and own price ``p``.
+
+    Returns ``(f, g, h)`` with f a function of ``x`` alone (price part and
+    overload penalties), g and h functions of ``p`` alone (quadratic,
+    coupling and balance parts; h is the coefficient of the rate), such that
+    ``eval_own_tax(terms, x, p) == f + g + x * h`` up to rounding. So a tax
+    over a rate-by-price lattice is an outer sum of three vectors.
+    """
+    xa = np.asarray(x, dtype=float)
+    pa = np.asarray(p, dtype=float)
+    if terms.group_size == 1:
+        f = np.where(xa > terms.capacity + BOUNDARY_TOL, terms.penalty_single, 0.0)
+        zero = np.zeros_like(pa)
+        return f[()], zero[()], zero[()]
+    dev = pa - terms.peer_price_mean
+    h = -(2.0 / terms.gamma) * terms.peer_price_mean * dev
+    g = terms.quad_weight * dev * dev + h * terms.peer_excess + terms.balance_const
+    firing = (xa > BOUNDARY_TOL) & (terms.peer_excess + xa > BOUNDARY_TOL)
+    f = (terms.peer_price_mean + terms.price_adjust) * xa + np.where(firing, terms.penalty_both, 0.0)
+    return f[()], g[()], h[()]
 
 
 def _own_tax_parts(terms: OwnTaxTerms, x: float, p: float):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional
 
-from .mechanism import MechanismParams, Message, MessageProfile
+from .mechanism import MechanismError, MechanismParams, Message, MessageProfile
 from .network import Network, build_network, min_route_capacity, NetworkError
 from .solver import SolverConfig, SolverError
 from .utilities import UtilitySpec, demand, initial_slope, sigmoid_utility
@@ -82,22 +82,19 @@ class Scenario:
         for label in self.utilities:
             if label not in self.routes:
                 raise ValidationError(f"user {label!r} has a utility but no route")
-        params = MechanismParams.defaults(
-            net,
-            utilities,
-            price_bound=self.mechanism.get("price_bound"),
-            epsilon=self.mechanism.get("epsilon", 1e-6),
-            rng_seed=int(self.mechanism.get("rng_seed", 0)),
-        )
-        overrides = {k: v for k, v in self.mechanism.items() if k in ("alpha", "gamma")}
-        if overrides:
-            params = MechanismParams(
-                alpha=overrides.get("alpha", params.alpha),
-                gamma=overrides.get("gamma", params.gamma),
-                epsilon=params.epsilon,
-                price_bound=params.price_bound,
-                rng_seed=params.rng_seed,
+        try:
+            params = MechanismParams.defaults(
+                net,
+                utilities,
+                price_bound=self.mechanism.get("price_bound"),
+                epsilon=self.mechanism.get("epsilon", 1e-6),
+                rng_seed=int(self.mechanism.get("rng_seed", 0)),
             )
+            overrides = {k: v for k, v in self.mechanism.items() if k in ("alpha", "gamma")}
+            if overrides:
+                params = replace(params, **overrides)
+        except MechanismError as exc:
+            raise ValidationError(f"mechanism {exc}") from exc
         return net, utilities, params, SolverConfig(**self.solver)
 
     def profile_messages(self, net: Network) -> Optional[MessageProfile]:
@@ -158,6 +155,12 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
         SolverConfig(**data.get("solver", {}))
     except SolverError as exc:
         raise ValidationError(f"{source}: solver {exc}") from exc
+    try:
+        # alpha and gamma default to the scenario's scale, known only after a
+        # build; placeholders let the fields that are given be checked now
+        MechanismParams(**{"alpha": 1.0, "gamma": 1.0, **data.get("mechanism", {})})
+    except MechanismError as exc:
+        raise ValidationError(f"{source}: mechanism {exc}") from exc
     seed = data.get("mechanism", {}).get("rng_seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValidationError(f"{source}: mechanism rng_seed must be an integer, got {seed!r}")

@@ -124,6 +124,19 @@ def test_solve_rejects_infinite_tolerance_override(capsys):
     assert "objective" not in captured.out
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_grid_below_two_rejected(tmp_path, capsys, grid):
+    ne = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne)]) == 0
+    capsys.readouterr()
+    for command in ("construct-ne", "audit", "simulate"):
+        argv = [command, "--scenario", GOLDEN, "--grid", str(grid)]
+        if command != "construct-ne":
+            argv += ["--profile", str(ne)]
+        assert main(argv) == 1, command
+        assert "--grid" in capsys.readouterr().err, command
+
+
 def test_emit_rejects_nan_without_writing(tmp_path, capsys):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError):

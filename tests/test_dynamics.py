@@ -42,11 +42,10 @@ def test_solo_user_walks_to_its_capacity():
 
 
 def test_best_response_deterministic(golden_net, golden_utilities, golden_params, golden_ne):
-    subs = assign_subsidies(golden_net, golden_params.rng_seed)
     messy = dict(golden_ne)
     messy[0] = Message(0.1, {0: 0.2})
-    m1 = best_response(golden_net, golden_utilities, messy, 0, golden_params, subs, 64)
-    m2 = best_response(golden_net, golden_utilities, messy, 0, golden_params, subs, 64)
+    m1 = best_response(golden_net, golden_utilities, messy, 0, golden_params, 64)
+    m2 = best_response(golden_net, golden_utilities, messy, 0, golden_params, 64)
     assert m1 == m2
 
 

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nash_unicast.equilibrium import (
@@ -18,12 +20,25 @@ from nash_unicast.mechanism import (
     Message,
     WrongGroupSize,
     assign_subsidies,
+    eval_own_tax,
     outcome,
+    own_tax_axes,
+    own_tax_terms,
     tax_link,
 )
-from nash_unicast.network import build_network
+from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
+from nash_unicast.scenario import random_feasible_profile
 from nash_unicast.solver import solve_centralized
-from nash_unicast.utilities import log_utility, payoff, power_utility, quad_cap_utility
+from nash_unicast.utilities import (
+    demand,
+    log_utility,
+    payoff,
+    power_utility,
+    quad_cap_utility,
+    value,
+)
+
+from corpus import concave_suite, sigmoid_suite, topology_corpus
 
 
 @pytest.fixture
@@ -232,3 +247,214 @@ def test_walrasian_requires_uniform_prices(golden):
     tampered[0] = profile[0].with_price(0, profile[0].prices[0] + 0.1)
     with pytest.raises(NonUniformPrices):
         check_walrasian(net, uts, tampered, 1e-3)
+
+
+# --- the separable deviation search against the full-grid search ---------------
+
+
+def best_deviation_reference(net, utilities, profile, user, params, br_grid):
+    """The deviation search that evaluates ``eval_own_tax`` on the whole
+    rate-by-price grid of every route link, kept as the oracle of the
+    separable lattice in ``best_deviation``. Same candidates, same order,
+    same tie rule; candidates are (pay, rate, prices, message)."""
+    route = net.route(user)
+    tables = [(l, own_tax_terms(net, profile, l, user, params)) for l in route]
+    u = utilities[user]
+    cur = profile[user]
+    cur_tax = {l: float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in tables}
+    cur_pay = float(value(u, cur.rate)) - sum(cur_tax.values())
+
+    cap = min_route_capacity(net, user)
+    xs = np.linspace(0.0, cap, br_grid)
+    ps = np.linspace(0.0, params.price_bound, br_grid)
+
+    total_tax = np.zeros((br_grid, br_grid))
+    for _, t in tables:
+        total_tax = total_tax + eval_own_tax(t, xs[:, None], ps[None, :])
+    lattice = np.asarray(value(u, xs), dtype=float)[:, None] - total_tax
+    flat = int(np.argmax(lattice))
+    i0, j0 = divmod(flat, br_grid)
+    cands = [
+        (
+            float(lattice[i0, j0]),
+            float(xs[i0]),
+            tuple(float(ps[j0]) for _ in route),
+            Message(rate=float(xs[i0]), prices={l: float(ps[j0]) for l in route}),
+        )
+    ]
+
+    rate_sweep_tax = np.zeros(br_grid)
+    for l, t in tables:
+        rate_sweep_tax = rate_sweep_tax + eval_own_tax(t, xs, np.full_like(xs, cur.prices[l]))
+    rate_pays = np.asarray(value(u, xs), dtype=float) - rate_sweep_tax
+    i1 = int(np.argmax(rate_pays))
+    cands.append(
+        (
+            float(rate_pays[i1]),
+            float(xs[i1]),
+            tuple(cur.prices[m] for m in route),
+            cur.with_rate(float(xs[i1])),
+        )
+    )
+
+    slope = 0.0
+    room = cap
+    for l, t in tables:
+        if t.group_size == 1:
+            continue
+        slope += (t.peer_price_mean + t.price_adjust) - (
+            2.0 / t.gamma
+        ) * t.peer_price_mean * (cur.prices[l] - t.peer_price_mean)
+        room = min(room, max(-t.peer_excess, 0.0))
+    x_best = demand(u, max(slope, 0.0), room)
+    best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
+    cands.append(
+        (
+            float(value(u, x_best)) - best_tax,
+            x_best,
+            tuple(cur.prices[m] for m in route),
+            cur.with_rate(x_best),
+        )
+    )
+
+    for l, t in tables:
+        sweep = np.asarray(eval_own_tax(t, np.full_like(ps, cur.rate), ps), dtype=float)
+        other = sum(v for m, v in cur_tax.items() if m != l)
+        pays = float(value(u, cur.rate)) - other - sweep
+        j = int(np.argmax(pays))
+        msg = cur.with_price(l, float(ps[j]))
+        cands.append((float(pays[j]), cur.rate, tuple(msg.prices[m] for m in route), msg))
+
+    cands.append((cur_pay, cur.rate, tuple(cur.prices[m] for m in route), cur))
+
+    best = cands[0]
+    for c in cands[1:]:
+        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
+            best = c
+    return best[3], best[0], cur_pay
+
+
+def _message_payoff(net, utilities, profile, user, params, message):
+    """The user's payoff at ``message`` (subsidies aside), every link tax
+    evaluated pointwise by ``eval_own_tax``."""
+    tax = sum(
+        float(eval_own_tax(own_tax_terms(net, profile, l, user, params), message.rate, message.prices[l]))
+        for l in net.route(user)
+    )
+    return float(value(utilities[user], message.rate)) - tax
+
+
+def _assert_deviation_matches_reference(net, utilities, profile, params, br_grid):
+    sizes = set()
+    for user in net.users():
+        msg, best, cur = best_deviation(net, utilities, profile, user, params, br_grid)
+        _, ref_best, ref_cur = best_deviation_reference(net, utilities, profile, user, params, br_grid)
+        bound = 1e-12 * max(1.0, abs(ref_best))
+        assert cur == ref_cur, (user, cur, ref_cur)
+        assert abs(best - ref_best) <= bound, (user, best, ref_best)
+        assert set(msg.prices) == set(net.route(user))
+        attained = _message_payoff(net, utilities, profile, user, params, msg)
+        assert abs(attained - ref_best) <= bound, (user, attained, ref_best)
+        sizes.update(len(net.group(l)) for l in net.route(user))
+    return sizes
+
+
+@pytest.mark.parametrize("br_grid", [7, 64, 200])
+def test_best_deviation_matches_full_grid_search_golden(golden, br_grid):
+    net, uts, params, subs, res, profile = golden
+    rng = random.Random(br_grid)
+    profiles = [profile] + [
+        {u: Message(rng.uniform(0, 0.5), {l: rng.uniform(0, 2.0) for l in net.route(u)}) for u in net.users()}
+        for _ in range(5)
+    ]
+    for p in profiles:
+        _assert_deviation_matches_reference(net, uts, p, params, br_grid)
+
+
+@pytest.mark.parametrize("br_grid", [7, 64, 200])
+def test_best_deviation_matches_full_grid_search_at_equilibria(br_grid):
+    sizes = set()
+    for s in concave_suite():
+        sizes |= _assert_deviation_matches_reference(s.net, s.utilities, s.profile, s.params, br_grid)
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
+
+
+@pytest.mark.parametrize("br_grid", [7, 64, 200])
+def test_best_deviation_matches_full_grid_search_off_equilibrium(br_grid):
+    sizes = set()
+    for b in topology_corpus():
+        for k in range(2):
+            profile = random_feasible_profile(b.net, b.params, seed=b.seed * 7919 + k)
+            sizes |= _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
+
+
+@pytest.mark.parametrize("br_grid", [7, 64, 200])
+def test_best_deviation_matches_full_grid_search_sigmoid(br_grid):
+    for b, clearing in sigmoid_suite():
+        assert not all(u.is_concave for u in b.utilities.values())
+        _assert_deviation_matches_reference(b.net, b.utilities, clearing, b.params, br_grid)
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
+        _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
+
+
+def _group_net(n):
+    """n users on link L0, the first of them also on L1, and a bystander on
+    L1 and L2; so L0 has n users, L1 two and L2 one."""
+    routes = {f"u{i}": ["L0"] for i in range(n)}
+    routes["u0"] = ["L0", "L1"]
+    routes["v"] = ["L1", "L2"]
+    return build_network({"L0": 1.5, "L1": 2.0, "L2": 1.0}, routes)
+
+
+def _assert_axes_identity(terms, x, p):
+    f, g, h = own_tax_axes(terms, x, p)
+    direct = np.asarray(eval_own_tax(terms, x, p), dtype=float)
+    split = np.asarray(f + g + np.asarray(x) * h, dtype=float)
+    scale = np.abs(f) + np.abs(g) + np.abs(np.asarray(x) * h)
+    assert np.all(np.abs(split - direct) <= 1e-12 * np.maximum(1.0, scale)), (x, p, split, direct)
+    return direct
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_own_tax_axes_split_eval_own_tax(n):
+    net = _group_net(n)
+    params = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=50.0)
+    rng = random.Random(40 + n)
+    profile = {
+        u: Message(rng.uniform(0.0, 0.2), {l: rng.uniform(0.0, 5.0) for l in net.route(u)})
+        for u in net.users()
+    }
+    link = 0 if n > 1 else 2  # L2 is the singleton link
+    user = 0 if n > 1 else net.num_users - 1
+    terms = own_tax_terms(net, profile, link, user, params)
+    assert terms.group_size == n
+
+    # random points, as scalars and as broadcast arrays
+    xs = np.array([rng.uniform(0.0, 3.0) for _ in range(50)])
+    ps = np.array([rng.uniform(0.0, params.price_bound) for _ in range(50)])
+    for x, p in zip(xs, ps):
+        _assert_axes_identity(terms, float(x), float(p))
+    _assert_axes_identity(terms, xs[:, None], ps[None, :])
+
+    # both sides of every penalty wall; where the penalty switches on, the
+    # two sides differ by it
+    d = 0.25 * BOUNDARY_TOL
+    if n == 1:
+        walls = [(terms, terms.capacity + BOUNDARY_TOL, terms.penalty_single)]
+    else:
+        assert terms.peer_excess < 0.0  # feasible peers: the wall lies above x = 0
+        overloaded = replace(terms, peer_excess=0.5)
+        walls = [
+            (terms, BOUNDARY_TOL, None),  # the peers leave room: nothing fires
+            (terms, BOUNDARY_TOL - terms.peer_excess, terms.penalty_both),
+            (overloaded, BOUNDARY_TOL, terms.penalty_both),
+        ]
+    for t, wall, jump in walls:
+        for p in (0.0, float(ps[0]), params.price_bound):
+            below = _assert_axes_identity(t, wall - d, p)
+            above = _assert_axes_identity(t, wall + d, p)
+            if jump is not None:
+                assert float(above - below) == pytest.approx(jump, rel=1e-9)
+            else:
+                assert abs(float(above - below)) < 1e-6

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from nash_unicast.cli import main
 from nash_unicast.mechanism import validate_profile
 from nash_unicast.network import is_feasible, link_load
 from nash_unicast.scenario import (
@@ -97,6 +98,36 @@ def test_malformed_solver_and_seed_fields_rejected(block, key, value):
     data.setdefault(block, {})[key] = value
     with pytest.raises(ValidationError, match=key):
         parse_scenario(data)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("price_bound", float("inf")),
+        ("price_bound", float("nan")),
+        ("price_bound", "5"),
+        ("price_bound", True),
+        ("gamma", float("inf")),
+        ("gamma", "1e4"),
+        ("alpha", float("inf")),
+        ("alpha", -1.0),
+        ("alpha", True),
+        ("epsilon", "1e-6"),
+    ],
+)
+def test_malformed_mechanism_numbers_rejected(tmp_path, capsys, key, value):
+    data = json.load(open(GOLDEN))
+    data.setdefault("mechanism", {})[key] = value
+    with pytest.raises(ValidationError, match=key):
+        parse_scenario(data)
+    scenario = load_scenario(GOLDEN)
+    scenario.mechanism[key] = value
+    with pytest.raises(ValidationError, match=key):
+        scenario.build()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes Infinity and NaN as JSON extensions
+    assert main(["construct-ne", "--scenario", str(path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_save_load_round_trip(tmp_path):

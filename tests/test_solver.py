@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from nash_unicast.network import build_network
-from nash_unicast.scenario import load_scenario
+from nash_unicast.network import BOUNDARY_TOL, build_network
+from nash_unicast.scenario import load_scenario, random_scenario
 from nash_unicast.solver import (
     GridTooLarge,
     KktResiduals,
     NonConcaveUtility,
+    NotConverged,
     SolverConfig,
     brute_force_centralized,
     kkt_residuals,
@@ -105,6 +106,22 @@ def test_not_converged_when_budget_too_small():
     # the message shape the benchmark parses; the budget counts clearing rounds
     assert re.search(r"still above tolerance .* after \d+ iterations", str(info.value))
     assert "after 2 iterations" in str(info.value)
+
+
+def test_not_converged_names_the_unmet_criterion():
+    # the KKT residual meets its tolerance here; only the tighter capacity
+    # target is missed, and the message must say so
+    net, uts, _, config = random_scenario(191029, users_range=(8, 8), links_range=(6, 6)).build()
+    with pytest.raises(NotConverged) as info:
+        solve_centralized(net, uts, config)
+    msg = str(info.value)
+    assert re.search(r"still above tolerance .* after \d+ iterations", msg)
+    unmet = re.findall(r"(\w+) residual (\S+) still above tolerance (\S+)", msg)
+    assert unmet, msg
+    for _, value, bar in unmet:
+        assert float(value) > float(bar), msg
+    assert [name for name, _, _ in unmet] == ["capacity"], msg
+    assert f"{0.5 * BOUNDARY_TOL:.1e}" in msg and f"{config.tolerance:.1e}" in msg
 
 
 def test_shared_backbone_certifies_within_clearing_budget():
