@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 # Absolute slack used for every boundary comparison on rates and capacities,
@@ -87,15 +88,23 @@ class Network:
 
     def link_id(self, label) -> int:
         try:
-            return self.link_labels.index(str(label))
-        except ValueError:
+            return self._link_ids[str(label)]
+        except KeyError:
             raise UnknownLink(f"no link labelled {label!r}") from None
 
     def user_id(self, label) -> int:
         try:
-            return self.user_labels.index(str(label))
-        except ValueError:
+            return self._user_ids[str(label)]
+        except KeyError:
             raise UnknownUser(f"no user labelled {label!r}") from None
+
+    @cached_property
+    def _link_ids(self) -> dict:
+        return {label: i for i, label in enumerate(self.link_labels)}
+
+    @cached_property
+    def _user_ids(self) -> dict:
+        return {label: i for i, label in enumerate(self.user_labels)}
 
 
 def build_network(link_specs: Mapping, route_specs) -> Network:
@@ -122,11 +131,13 @@ def build_network(link_specs: Mapping, route_specs) -> Network:
 
     items: Iterable = route_specs.items() if hasattr(route_specs, "items") else route_specs
     user_labels: list[str] = []
+    declared: set[str] = set()
     routes: list[tuple[int, ...]] = []
     for label, route in items:
         label = str(label)
-        if label in user_labels:
+        if label in declared:
             raise DuplicateUser(f"user {label!r} declared twice")
+        declared.add(label)
         seen: list[int] = []
         for link_label in route:
             key = str(link_label)
@@ -140,14 +151,15 @@ def build_network(link_specs: Mapping, route_specs) -> Network:
         user_labels.append(label)
         routes.append(tuple(seen))
 
-    groups = tuple(
-        tuple(sorted(u for u, r in enumerate(routes) if l in r))
-        for l in range(len(link_labels))
-    )
+    # users are visited in ascending order, so every group comes out sorted
+    groups: list[list[int]] = [[] for _ in link_labels]
+    for user, route in enumerate(routes):
+        for link in route:
+            groups[link].append(user)
     return Network(
         capacities=tuple(capacities),
         routes=tuple(routes),
-        groups=groups,
+        groups=tuple(map(tuple, groups)),
         link_labels=tuple(link_labels),
         user_labels=tuple(user_labels),
     )

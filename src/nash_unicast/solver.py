@@ -2,10 +2,13 @@
 
 Maximizes the sum of concave utilities subject to per-link capacities and
 non-negative rates. Solved in the dual by cyclic per-link market clearing, a
-Gauss-Seidel price update from zero prices that bisects each link's price in
-turn, until every KKT residual (stationarity, feasibility both ways, and both
-complementary-slackness families) sits below the configured tolerance. The
-multipliers double as the equilibrium link prices downstream.
+Gauss-Seidel price update from zero prices that sets each link in turn to the
+least float price at which its group's demand fits its capacity, until every
+KKT residual (stationarity, feasibility both ways, and both
+complementary-slackness families) sits below the configured tolerance. That
+price is found by a bracketed secant (Illinois) step, warm-started at the
+link's price from the previous round. The multipliers double as the
+equilibrium link prices downstream.
 
 Also provides an independent brute-force grid oracle for small instances.
 """
@@ -136,6 +139,85 @@ def _recover_nus(net, utilities, rates, prices) -> Dict[int, float]:
     return nus
 
 
+# Bounds on one clearing: the doubling steps, the narrowing steps (the most
+# any tested clearing took is about 200), and the run of steps that move the
+# same end of the bracket before a midpoint step.
+_MAX_DOUBLINGS = 200
+_MAX_NARROWINGS = 1000
+_MAX_STREAK = 8
+
+
+def _clear_link(load_at, cap: float, previous: float) -> float:
+    """The least float price at which ``load_at(price) <= cap``, or 0.0 when
+    the load at price 0 already fits.
+
+    ``load_at`` is non-increasing: each concave demand is, and float rounding
+    is monotone. So that price is unique, whatever path finds it. The bracket
+    starts at ``previous``, the link's price from the last round, and its other
+    end is found by doubling. Illinois steps (the modified regula falsi of
+    Dowell & Jarratt, 1971) then narrow it until no float lies strictly between
+    its ends: a secant point, with the kept end's residual halved when the same
+    end is kept twice in a row. Two safeguards keep every step strictly inside
+    and the bracket shrinking:
+
+    - A secant point that is not strictly inside (it sits on ``hi`` whenever
+      the load there equals the capacity exactly) becomes the point 1, 2, 4,
+      ... floats in from that end, or the midpoint if that is nearer.
+    - After ``_MAX_STREAK`` steps in a row that moved the same end, the next
+      step is the midpoint. Residuals of very different sizes at the two ends
+      (a capacity of 1e-9 against a load of 20 at price 0) stall the secant
+      there.
+    """
+    lo = hi = None
+    if previous > 0.0:
+        r = load_at(previous) - cap
+        if r > 0.0:
+            lo, r_lo = previous, r
+        else:
+            hi, r_hi = previous, r
+    if lo is None:
+        r_lo = load_at(0.0) - cap
+        if r_lo <= 0.0:
+            return 0.0
+        lo = 0.0
+    if hi is None:
+        hi = max(2.0 * lo, 1.0)
+        for _ in range(_MAX_DOUBLINGS):
+            r_hi = load_at(hi) - cap
+            if r_hi <= 0.0:
+                break
+            lo, r_lo, hi = hi, r_hi, 2.0 * hi
+        else:
+            return hi
+    streak = 0  # +k after k steps in a row that moved lo, -k for hi
+    nudge = 1.0
+    for _ in range(_MAX_NARROWINGS):
+        if math.nextafter(lo, math.inf) >= hi:
+            break
+        mid = 0.5 * (lo + hi)
+        x = hi - r_hi * (hi - lo) / (r_hi - r_lo)
+        if abs(streak) >= _MAX_STREAK:
+            x, streak = mid, 0
+        elif lo < x < hi:
+            nudge = 1.0
+        else:
+            if x >= hi:
+                x = max(hi - nudge * math.ulp(hi), mid)
+            else:
+                x = min(lo + nudge * math.ulp(lo), mid)
+            nudge *= 2.0
+        r = load_at(x) - cap
+        if r > 0.0:
+            if streak > 0:
+                r_hi *= 0.5
+            lo, r_lo, streak = x, r, max(streak, 0) + 1
+        else:
+            if streak < 0:
+                r_lo *= 0.5
+            hi, r_hi, streak = x, r, min(streak, 0) - 1
+    return hi
+
+
 def solve_centralized(
     net: Network,
     utilities: Mapping[int, UtilitySpec],
@@ -167,38 +249,20 @@ def solve_centralized(
     # the round closest to certifying: (worse of the two residual-to-bar
     # ratios, KKT residual, capacity residual)
     best = (math.inf, math.inf, math.inf)
-    # Cyclic clearing: for each link in turn, bisect its price so the group
-    # demand meets capacity exactly (or drop the price to zero if slack).
+    # Cyclic clearing: each link in turn gets the least price at which its
+    # group's demand fits its capacity (zero if it fits at price zero).
     for iterations in range(1, config.max_iterations + 1):
         for l in links:
             group = net.group(l)
             if not group:
                 lam[l] = 0.0
                 continue
-            cap_l = net.capacity(l)
             base = {i: sum(lam[m] for m in net.route(i) if m != l) for i in group}
 
             def load_at(v):
                 return sum(demand(utilities[i], base[i] + v, big_caps[i]) for i in group)
 
-            if load_at(0.0) <= cap_l:
-                lam[l] = 0.0
-                continue
-            hi = max(2.0 * lam[l], 1.0)
-            for _ in range(200):
-                if load_at(hi) <= cap_l:
-                    break
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(200):
-                if hi - lo <= 1e-16 * (1.0 + hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                if load_at(mid) > cap_l:
-                    lo = mid
-                else:
-                    hi = mid
-            lam[l] = hi
+            lam[l] = _clear_link(load_at, net.capacity(l), lam[l])
         prices = {i: sum(lam[l] for l in net.route(i)) for i in users}
         rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
         nus = _recover_nus(net, utilities, rates, prices)

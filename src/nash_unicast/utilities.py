@@ -172,9 +172,10 @@ def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
     def f(x):
         return u.a * x * x / (u.b + x * x) - price * x
 
-    # Coarse scan locates the best bracket; golden-section refines it.
+    # Coarse scan locates the best bracket; golden-section refines it. The
+    # scan is f on the whole grid, in f's own order of operations.
     grid = np.linspace(0.0, cap, 65)
-    vals = [f(x) for x in grid]
+    vals = u.a * grid * grid / (u.b + grid * grid) - price * grid
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]

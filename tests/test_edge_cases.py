@@ -1,18 +1,26 @@
 """Corners that random scenarios rarely reach: degenerate topologies, extreme
 parameters, and box-boundary messages."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from nash_unicast.equilibrium import audit, check_walrasian, construct_ne
+from nash_unicast.cli import main
+from nash_unicast.equilibrium import PriceBoundExceeded, audit, check_walrasian, construct_ne
 from nash_unicast.mechanism import (
     MechanismParams,
     Message,
+    NoEligibleRecipient,
     assign_subsidies,
     outcome,
 )
 from nash_unicast.network import build_network
-from nash_unicast.solver import solve_centralized
+from nash_unicast.scenario import load_scenario
+from nash_unicast.solver import NotConverged, solve_centralized
 from nash_unicast.utilities import log_utility, power_utility, quad_cap_utility
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_single_user_network_end_to_end():
@@ -120,3 +128,73 @@ def test_box_corner_overload_charges_penalty_and_price():
     assert alloc.taxes[0] == pytest.approx(params.price_bound + pen, rel=1e-12)
     # the bystander absorbs the pair's non-penalty taxes as a subsidy
     assert alloc.taxes[2] == pytest.approx(-2 * params.price_bound, rel=1e-12)
+
+
+def _scenario_file(tmp_path, links, routes, utilities, mechanism=None):
+    data = {
+        "schema": "nash-unicast/scenario-v1",
+        "name": "degenerate",
+        "links": links,
+        "routes": routes,
+        "utilities": {u: {"family": "log", "params": {"a": a}} for u, a in utilities.items()},
+    }
+    if mechanism is not None:
+        data["mechanism"] = mechanism
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_two_user_only_network_has_no_subsidy_recipient(tmp_path, capsys):
+    path = _scenario_file(tmp_path, {"A": 1.0}, {"u1": ["A"], "u2": ["A"]}, {"u1": 1.0, "u2": 2.0})
+    net, uts, params, config = load_scenario(path).build()
+    assert solve_centralized(net, uts, config).kkt_residual <= config.tolerance
+    with pytest.raises(NoEligibleRecipient):
+        assign_subsidies(net, params.rng_seed)
+    assert main(["construct-ne", "--scenario", str(path)]) == 1
+    assert "nobody else exists to receive its subsidy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [(1e-9, 1e-9, 1e-9), (1e6, 1e6, 1e6), (1e-9, 1e6, 1e6), (1e6, 1e-9, 1e6), (1e6, 1e6, 1e-9)],
+)
+def test_extreme_capacities_certify_or_raise_a_named_error(caps):
+    # the shared_backbone routes and utilities with other capacities
+    scenario = load_scenario(SCENARIO_DIR / "shared_backbone.json")
+    _, uts, _, config = scenario.build()
+    net = build_network(dict(zip(scenario.links, caps)), scenario.routes)
+    try:
+        res = solve_centralized(net, uts, config)
+    except NotConverged:
+        return
+    assert res.kkt_residual <= config.tolerance
+    for l in net.links():
+        assert sum(res.rates[u] for u in net.group(l)) <= net.capacity(l) + 0.5e-12
+
+
+def test_link_whose_zero_price_load_equals_its_capacity():
+    # both quadcap users peak at a / 2b = 0.75, and the link carries 1.5
+    net = build_network({"A": 1.5, "B": 1.0}, {1: ["A"], 2: ["A"], 3: ["B"]})
+    uts = {0: quad_cap_utility(1.5, 1.0), 1: quad_cap_utility(3.0, 2.0), 2: log_utility(1.0)}
+    res = solve_centralized(net, uts)
+    assert res.kkt_residual <= 1e-8
+    assert res.lambdas[0] == 0.0
+    assert res.rates[0] == 0.75 and res.rates[1] == 0.75
+
+
+def test_price_bound_below_the_multipliers(tmp_path, capsys):
+    path = _scenario_file(
+        tmp_path,
+        {"A": 1.0, "B": 1.0},
+        {"u1": ["A"], "u2": ["A"], "u3": ["B"]},
+        {"u1": 5.0, "u2": 5.0, "u3": 1.0},
+        mechanism={"price_bound": 1.0},
+    )
+    net, uts, params, config = load_scenario(path).build()
+    res = solve_centralized(net, uts, config)
+    assert res.lambdas[0] > params.price_bound
+    with pytest.raises(PriceBoundExceeded):
+        construct_ne(net, uts, params, solve_result=res)
+    assert main(["construct-ne", "--scenario", str(path)]) == 1
+    assert "exceeds the price bound 1.0" in capsys.readouterr().err

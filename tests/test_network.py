@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nash_unicast.network import (
@@ -121,3 +123,35 @@ def test_min_route_capacity_defends_against_empty_route():
     )
     with pytest.raises(EmptyRoute):
         min_route_capacity(net, 0)
+
+
+def test_large_network_builds_and_resolves_every_label():
+    rng = random.Random(20)
+    links = {f"L{j}": 1.0 + j for j in range(40)}
+    routes = [(f"u{i}", rng.sample(sorted(links), rng.randint(1, 3))) for i in range(20000)]
+    net = build_network(links, routes)
+    assert net.num_users == 20000
+    for i, (label, route) in enumerate(routes):
+        assert net.user_id(label) == i
+        assert net.route(i) == tuple(net.link_id(l) for l in route)
+    for j, label in enumerate(links):
+        assert net.link_id(label) == j
+        group = net.group(j)
+        assert list(group) == sorted(set(group))
+        assert group == tuple(i for i, (_, route) in enumerate(routes) if label in route)
+    with pytest.raises(UnknownUser):
+        net.user_id("u20000")
+    with pytest.raises(UnknownLink):
+        net.link_id("L40")
+
+
+def test_label_lookups_keep_their_errors():
+    net = build_network({"A": 1.0, 7: 2.0}, {"x": ["A"], 3: [7]})
+    assert net.link_id(7) == 1 and net.link_id("7") == 1
+    assert net.user_id(3) == 1 and net.user_id("x") == 0
+    with pytest.raises(UnknownLink, match="no link labelled 'B'"):
+        net.link_id("B")
+    with pytest.raises(UnknownUser, match="no user labelled 4"):
+        net.user_id(4)
+    with pytest.raises(DuplicateUser, match="user 'x' declared twice"):
+        build_network({"A": 1.0}, [("x", ["A"]), ("y", ["A"]), ("x", ["A"])])

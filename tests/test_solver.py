@@ -1,24 +1,30 @@
 import math
 import random
 import re
+import struct
 from pathlib import Path
 
 import pytest
 
-from nash_unicast.network import BOUNDARY_TOL, build_network
+import nash_unicast.solver as solver
+from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
 from nash_unicast.scenario import load_scenario, random_scenario
 from nash_unicast.solver import (
     GridTooLarge,
     KktResiduals,
     NonConcaveUtility,
     NotConverged,
+    SolveResult,
     SolverConfig,
+    _clear_link,
+    _recover_nus,
     brute_force_centralized,
     kkt_residuals,
     solve_centralized,
     welfare,
 )
 from nash_unicast.utilities import (
+    demand,
     derivative,
     log_utility,
     power_utility,
@@ -210,3 +216,244 @@ def test_brute_force_grid_guard():
 def test_residual_report_shape():
     rep = KktResiduals(1.0, 0.5, 0.0, 0.2, 0.1)
     assert rep.max_violation == 1.0
+
+
+def solve_centralized_reference(net, utilities, config=None):
+    """The clearing solver with its former per-link step, expand-then-bisect
+    on the price, kept as the oracle for the fast path."""
+    config = config or SolverConfig()
+    for i in net.users():
+        if not utilities[i].is_concave:
+            raise NonConcaveUtility(f"user {i} has a non-concave ({utilities[i].family}) utility")
+    users = list(net.users())
+    links = list(net.links())
+    caps = {i: min_route_capacity(net, i) for i in users}
+    big_caps = {i: 10.0 * caps[i] + 10.0 for i in users}
+    lam = {l: 0.0 for l in links}
+    primal_target = min(config.tolerance, 0.5 * BOUNDARY_TOL)
+    for iterations in range(1, config.max_iterations + 1):
+        for l in links:
+            group = net.group(l)
+            if not group:
+                lam[l] = 0.0
+                continue
+            cap_l = net.capacity(l)
+            base = {i: sum(lam[m] for m in net.route(i) if m != l) for i in group}
+
+            def load_at(v):
+                return sum(demand(utilities[i], base[i] + v, big_caps[i]) for i in group)
+
+            if load_at(0.0) <= cap_l:
+                lam[l] = 0.0
+                continue
+            hi = max(2.0 * lam[l], 1.0)
+            for _ in range(200):
+                if load_at(hi) <= cap_l:
+                    break
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                if hi - lo <= 1e-16 * (1.0 + hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                if load_at(mid) > cap_l:
+                    lo = mid
+                else:
+                    hi = mid
+            lam[l] = hi
+        prices = {i: sum(lam[l] for l in net.route(i)) for i in users}
+        rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
+        nus = _recover_nus(net, utilities, rates, prices)
+        rep = kkt_residuals(net, utilities, rates, lam, nus)
+        if rep.max_violation <= config.tolerance and rep.primal <= primal_target:
+            return SolveResult(
+                rates=rates,
+                lambdas=dict(lam),
+                nus=nus,
+                objective=welfare(utilities, rates),
+                kkt_residual=rep.max_violation,
+                iterations=iterations,
+            )
+    raise NotConverged(f"no certificate after {config.max_iterations} iterations")
+
+
+def least_fitting_price(load_at, cap):
+    """Float-ordering bisection: the least float price whose load fits.
+
+    Non-negative floats order like their int64 bit patterns, so bisecting the
+    bit patterns ends on two adjacent floats in at most 64 steps."""
+    if load_at(0.0) <= cap:
+        return 0.0
+    hi = 1.0
+    while load_at(hi) > cap:
+        hi *= 2.0
+    lo_bits, hi_bits = 0, _bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if load_at(_float(mid)) > cap:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    return _float(hi_bits)
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def link_loads(net, uts, lam):
+    """(link, load_at, capacity) for every used link at the prices ``lam``,
+    each load built as the solver builds it."""
+    big_caps = {i: 10.0 * min_route_capacity(net, i) + 10.0 for i in net.users()}
+    for l in net.links():
+        group = net.group(l)
+        if not group:
+            continue
+        base = {i: sum(lam[m] for m in net.route(i) if m != l) for i in group}
+
+        def load_at(v, group=group, base=base):
+            return sum(demand(uts[i], base[i] + v, big_caps[i]) for i in group)
+
+        yield l, load_at, net.capacity(l)
+
+
+def assert_clears_like_the_oracle(load_at, cap, extra_previous=()):
+    want = least_fitting_price(load_at, cap)
+    for previous in (0.0, want, 0.5 * want, 2.0 * want, 10.0 * want, *extra_previous):
+        got = _clear_link(load_at, cap, previous)
+        assert got == want, (previous, got, want)
+    return want
+
+
+ORACLE_SEEDS = range(1000, 1300)
+CROWDED_LINK = dict(users_range=(26, 26), links_range=(1, 1))
+
+
+@pytest.fixture(scope="module")
+def fast_and_reference_solves():
+    """(built scenario, fast result, reference result) over the random seeds
+    and a 26-user single link; a result is None where NotConverged."""
+    cases = [random_scenario(seed) for seed in ORACLE_SEEDS]
+    cases.append(random_scenario(26, **CROWDED_LINK))
+    out = []
+    for scenario in cases:
+        net, uts, _, config = scenario.build()
+        pair = []
+        for solve in (solve_centralized, solve_centralized_reference):
+            try:
+                pair.append(solve(net, uts, config))
+            except NotConverged:
+                pair.append(None)
+        out.append(((net, uts), *pair))
+    return out
+
+
+def test_solver_matches_expand_then_bisect_reference(fast_and_reference_solves):
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-12)
+
+    not_converged = []
+    for seed, (_, fast, ref) in zip([*ORACLE_SEEDS, "crowded"], fast_and_reference_solves):
+        assert (fast is None) == (ref is None), seed
+        if fast is None:
+            not_converged.append(seed)
+            continue
+        assert fast.iterations == ref.iterations, seed
+        assert close(fast.objective, ref.objective), seed
+        for name in ("rates", "lambdas", "nus"):
+            mine, theirs = getattr(fast, name), getattr(ref, name)
+            assert mine.keys() == theirs.keys()
+            assert all(close(mine[k], theirs[k]) for k in mine), (seed, name)
+    assert not_converged == [1046, 1121, 1204]
+
+
+def test_clear_link_returns_the_least_fitting_float(fast_and_reference_solves):
+    cleared = 0
+    for (net, uts), fast, _ in fast_and_reference_solves:
+        states = [{l: 0.0 for l in net.links()}]
+        if fast is not None:
+            states.append(fast.lambdas)
+        for lam in states:
+            for l, load_at, cap in link_loads(net, uts, lam):
+                assert_clears_like_the_oracle(load_at, cap, extra_previous=(lam[l],))
+                cleared += 1
+    assert cleared > 1000
+
+
+def test_clear_link_zero_price_load_equal_to_capacity():
+    # each quadcap user peaks at a / 2b = 0.75: the load at price 0 is 1.5
+    net = build_network({"A": 1.5}, {1: ["A"], 2: ["A"]})
+    uts = {0: quad_cap_utility(1.5, 1.0), 1: quad_cap_utility(3.0, 2.0)}
+    [(_, load_at, cap)] = link_loads(net, uts, {0: 0.0})
+    assert load_at(0.0) == cap
+    assert assert_clears_like_the_oracle(load_at, cap, extra_previous=(0.5, 1.0, 4.0)) == 0.0
+
+
+def test_clear_link_with_users_at_their_box():
+    # u0 is pinned to 0.01 by link B, so its box on A is 10 * 0.01 + 10; at
+    # every price near A's clearing price it asks for far more than that
+    net = build_network({"A": 50.0, "B": 0.01}, {0: ["A", "B"], 1: ["A"], 2: ["A"]})
+    uts = {0: log_utility(1000.0), 1: log_utility(1.0), 2: power_utility(0.5, 0.5)}
+    [(_, load_at, cap), _] = link_loads(net, uts, {0: 0.0, 1: 0.0})
+    price = assert_clears_like_the_oracle(load_at, cap)
+    assert price > 0.0
+    assert demand(uts[0], price, 10.1) == 10.1
+    assert demand(uts[0], math.nextafter(price, 0.0), 10.1) == 10.1
+
+
+def backbone_with_capacities(caps):
+    scenario = load_scenario(SCENARIO_DIR / "shared_backbone.json")
+    _, uts, _, config = scenario.build()
+    return build_network(dict(zip(scenario.links, caps)), scenario.routes), uts, config
+
+
+EXTREME_CAPACITIES = [(1e-9, 1e-9, 1e-9), (1e6, 1e6, 1e6), (1e-9, 1e6, 1e6), (1e6, 1e-9, 1e-9)]
+
+
+@pytest.mark.parametrize("case", [*EXTREME_CAPACITIES, 1000, 1001, 1002, "crowded"])
+def test_every_clearing_of_a_solve_matches_the_oracle(monkeypatch, case):
+    if case == "crowded":
+        net, uts, _, config = random_scenario(26, **CROWDED_LINK).build()
+    elif isinstance(case, int):
+        net, uts, _, config = random_scenario(case).build()
+    else:
+        # shared_backbone with other capacities; a 1e-9 link against loads
+        # near 20 at price 0 stalls a plain Illinois step
+        net, uts, config = backbone_with_capacities(case)
+    seen = []
+
+    def checked(load_at, cap, previous):
+        got = _clear_link(load_at, cap, previous)
+        assert got == least_fitting_price(load_at, cap), (previous, got)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(solver, "_clear_link", checked)
+    assert solve_centralized(net, uts, config).kkt_residual <= config.tolerance
+    assert seen
+
+
+def test_solve_calls_demand_at_most_half_as_often_as_bisection(monkeypatch):
+    # the expand-then-bisect step made 1352 calls on shared_backbone, 5330 on
+    # the 26-user link and 1996 on shared_backbone with 1e-9 capacities; the
+    # warm-started secant step makes 330, 416 and 968
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return demand(*args)
+
+    monkeypatch.setattr(solver, "demand", counted)
+    cases = (
+        (load_scenario(SCENARIO_DIR / "shared_backbone.json").build(), 1352),
+        (random_scenario(26, **CROWDED_LINK).build(), 5330),
+        (backbone_with_capacities((1e-9, 1e-9, 1e-9)), 1996),
+    )
+    for (net, uts, *_, config), bisection_calls in cases:
+        calls[0] = 0
+        assert solve_centralized(net, uts, config).kkt_residual <= 1e-8
+        assert calls[0] <= bisection_calls // 2, (bisection_calls, calls[0])

@@ -151,6 +151,46 @@ def test_sigmoid_demand_against_grid():
         assert float(value(u, d)) - p * d >= best - 1e-6
 
 
+def sigmoid_demand_reference(u, price, cap):
+    """The sigmoid demand with its former coarse scan, one call of the
+    closure per grid point; the oracle for the array scan."""
+    if price == 0.0:
+        return cap
+
+    def f(x):
+        return u.a * x * x / (u.b + x * x) - price * x
+
+    grid = np.linspace(0.0, cap, 65)
+    vals = [f(x) for x in grid]
+    k = int(np.argmax(vals))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-10:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    best = 0.5 * (lo + hi)
+    return min([0.0, cap, best], key=lambda x: (-f(x), x))
+
+
+def test_sigmoid_demand_matches_closure_scan_exactly():
+    rng = random.Random(29)
+    for _ in range(2000):
+        u = sigmoid_utility(rng.uniform(0.2, 5.0), rng.uniform(0.05, 4.0))
+        price = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 3.0)])
+        cap = rng.choice([rng.uniform(1e-6, 0.1), rng.uniform(0.1, 10.0)])
+        assert demand(u, price, cap) == sigmoid_demand_reference(u, price, cap), (u, price, cap)
+
+
 def test_payoff():
     assert payoff(log_utility(1.0), 0.0, 0.0) == 0.0
     assert payoff(log_utility(1.0), math.e - 1.0, 0.4) == pytest.approx(0.6, abs=1e-12)
