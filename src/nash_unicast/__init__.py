@@ -8,7 +8,7 @@ problem, constructs equilibria from its multipliers, audits arbitrary message
 profiles, and runs exploratory best-response dynamics.
 """
 
-from .dynamics import DynamicsConfig, Trajectory, best_response, run_dynamics
+from .dynamics import DynamicsConfig, Trajectory, run_dynamics
 from .equilibrium import (
     NeAuditReport,
     WalrasianCheck,
@@ -22,7 +22,6 @@ from .equilibrium import (
 from .mechanism import (
     Allocation,
     LinkTax,
-    LinkTerms,
     MechanismParams,
     Message,
     MessageProfile,
@@ -33,7 +32,6 @@ from .mechanism import (
     balance_term_three_user,
     indicator,
     link_subsidy,
-    link_terms,
     outcome,
     penalty,
     tax_link,

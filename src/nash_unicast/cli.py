@@ -122,8 +122,8 @@ def cmd_solve(args) -> int:
 
 
 def _audit_and_checks(net, utilities, profile, params, subsidies, grid):
-    rep = audit(net, utilities, profile, params, subsidies, br_grid=grid)
     alloc = outcome(net, profile, params, subsidies)
+    rep = audit(net, utilities, profile, params, alloc, br_grid=grid)
     tax_scale = sum(abs(t) for t in alloc.taxes.values())
     checks = _evaluate_checks(rep, tax_scale)
     return rep, alloc, checks
@@ -177,7 +177,7 @@ def cmd_construct_ne(args) -> int:
     profile = construct_ne(net, utilities, params, solve_result=res)
     subsidies = assign_subsidies(net, params.rng_seed)
     rep, alloc, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
-    opt_ok, opt_gap = check_optimality(net, utilities, profile, res, params, subsidies)
+    opt_ok, opt_gap = check_optimality(utilities, alloc, res)
     checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
     report = {
         "schema": "nash-unicast/report-v1",
@@ -226,7 +226,7 @@ def cmd_audit(args) -> int:
     rep, alloc, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
     try:
         res = solve_centralized(net, utilities, solver_config)
-        opt_ok, opt_gap = check_optimality(net, utilities, profile, res, params, subsidies)
+        opt_ok, opt_gap = check_optimality(utilities, alloc, res)
         checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
     except NonConcaveUtility:
         log.info("optimality check skipped: non-concave utilities")

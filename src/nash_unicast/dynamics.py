@@ -64,23 +64,6 @@ class Trajectory:
     rounds: int = 0
 
 
-def best_response(
-    net: Network,
-    utilities: Mapping[int, UtilitySpec],
-    profile: MessageProfile,
-    user: int,
-    params: MechanismParams,
-    br_grid: int,
-) -> Message:
-    """The user's grid-best message against the fixed profile of everyone else.
-
-    Deterministic; ties break toward the smallest rate and then the
-    lexicographically smallest prices.
-    """
-    message, _, _ = best_deviation(net, utilities, profile, user, params, br_grid)
-    return message
-
-
 def _quantized(profile: MessageProfile):
     # 1e-9 quantization so float drift cannot hide a genuine revisit
     return tuple(

@@ -23,21 +23,21 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .mechanism import (
+    Allocation,
     MechanismError,
     MechanismParams,
     Message,
     MessageProfile,
-    SubsidyAssignment,
     WrongGroupSize,
-    balance_term_large_group,
-    balance_term_three_user,
     _cyclic_peers,
     eval_own_tax,
-    outcome,
     own_tax_axes,
     own_tax_terms,
     validate_profile,
 )
+
+# Not called here: bench/spans.py wraps these names on this module.
+from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, solve_centralized, welfare
 from .utilities import UtilitySpec, demand, payoff, value
@@ -87,7 +87,8 @@ def construct_ne(
     for l, lam in res.lambdas.items():
         if lam > params.price_bound + 1e-12:
             raise PriceBoundExceeded(
-                f"multiplier {lam} on link {l} exceeds the price bound {params.price_bound}"
+                f"multiplier {lam} on link {net.link_labels[l]!r} exceeds the price bound"
+                f" {params.price_bound}"
             )
     profile = {
         i: Message(rate=res.rates[i], prices={l: res.lambdas[l] for l in net.route(i)})
@@ -162,12 +163,14 @@ def best_deviation(
     do not depend on the user's own message. Ties break toward the smallest
     rate, then the lexicographically smallest price vector.
 
-    Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``), so the
-    route's tax is fixed by three vectors summed over the route once: the
-    lattice is their outer sum, built in one G-by-G buffer, and the sweeps
-    are the same vectors with the other axis held at the current message.
-    The current payoff and the analytic candidate are evaluated exactly with
-    ``eval_own_tax``.
+    Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``, built
+    from the tax kernel ``own_tax_parts``), so the route's tax is fixed by
+    three vectors summed over the route once: the lattice is their outer
+    sum, built in one G-by-G buffer, and the sweeps are the same vectors with
+    the other axis held at the current message. The analytic candidate's
+    marginal cost is each link's price coefficient plus its h at the current
+    price. The current payoff and the analytic candidate are evaluated
+    exactly with ``eval_own_tax``.
 
     Returns (best message, best payoff, current payoff).
     """
@@ -188,9 +191,9 @@ def best_deviation(
     # per link: (f(xs), g(ps), h(ps)) on the grid and (f, g, h) at the
     # current (rate, price); the route sums of each
     on_grid = [own_tax_axes(t, xs, ps) for _, t in tables]
-    at_cur = [own_tax_axes(t, cur.rate, cur.prices[l]) for l, t in tables]
+    at_cur = [tuple(map(float, own_tax_axes(t, cur.rate, cur.prices[l]))) for l, t in tables]
     f_sum, g_sum, h_sum = (np.sum(rows, axis=0) for rows in zip(*on_grid))
-    _, g_cur, h_cur = (sum(map(float, vals)) for vals in zip(*at_cur))
+    _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
 
     # lattice[i, j] = (V(x_i) - f_sum(x_i)) - (x_i * h_sum(p_j) + g_sum(p_j))
     lattice = np.empty((br_grid, br_grid))
@@ -218,12 +221,10 @@ def best_deviation(
     # rate, and the rate beyond which some link's overload penalty fires.
     slope = 0.0
     room = cap
-    for l, t in tables:
+    for (_, t), (_, _, h) in zip(tables, at_cur):
         if t.group_size == 1:
             continue
-        slope += (t.peer_price_mean + t.price_adjust) - (
-            2.0 / t.gamma
-        ) * t.peer_price_mean * (cur.prices[l] - t.peer_price_mean)
+        slope += (t.peer_price_mean + t.price_adjust) + h
         room = min(room, max(-t.peer_excess, 0.0))
     x_best = demand(u, max(slope, 0.0), room)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
@@ -260,13 +261,17 @@ def audit(
     utilities: Mapping[int, UtilitySpec],
     profile: MessageProfile,
     params: MechanismParams,
-    subsidies: SubsidyAssignment,
+    alloc: Allocation,
     br_grid: int = 200,
 ) -> NeAuditReport:
     """Measure every equilibrium diagnostic of a valid profile. Reports only;
-    callers decide what counts as passing."""
+    callers decide what counts as passing.
+
+    ``alloc`` is the profile's ``outcome`` under the scenario's subsidy
+    assignment; its rates, taxes and per-link breakdown feed the
+    feasibility, individual-rationality, budget and closed-form checks.
+    """
     validate_profile(net, profile, params)
-    alloc = outcome(net, profile, params, subsidies)
     rates = alloc.rates
 
     uniformity = 0.0
@@ -325,22 +330,19 @@ def audit(
 
 
 def check_optimality(
-    net: Network,
     utilities: Mapping[int, UtilitySpec],
-    profile: MessageProfile,
+    alloc: Allocation,
     solve_result: SolveResult,
-    params: MechanismParams,
-    subsidies: SubsidyAssignment,
     tol: float = 1e-6,
 ) -> Tuple[bool, float]:
-    """Does the profile's allocation attain the centralized optimum?
+    """Does a profile's allocation ``alloc`` (its ``outcome``) attain the
+    centralized optimum?
 
     True iff the welfare gap against the certified solver objective is within
     ``tol`` (relative) and the taxes net out to zero within ``tol``.
     """
-    w = welfare(utilities, {i: profile[i].rate for i in net.users()})
+    w = welfare(utilities, alloc.rates)
     gap = abs(w - solve_result.objective) / max(1.0, abs(solve_result.objective))
-    alloc = outcome(net, profile, params, subsidies)
     balanced = abs(sum(alloc.taxes.values())) <= tol
     return (gap <= tol and balanced), gap
 
@@ -355,24 +357,15 @@ def zero_tax_deviation_price(
     groups the zero-rate tax is a quadratic in the own price whose larger
     root is returned; it is always non-negative.
     """
-    group = net.group(link)
-    n = len(group)
-    if n == 1:
+    if len(net.group(link)) == 1:
         raise WrongGroupSize(f"link {link} has a single user; no deviation price is defined")
-    if user not in group:
-        raise MechanismError(f"user {user} is not on link {link}")
-    others = [u for u in group if u != user]
-    pstar = sum(profile[u].prices[link] for u in others) / len(others)
-    if n == 2:
+    t = own_tax_terms(net, profile, link, user, params)
+    pstar, excess = t.peer_price_mean, t.peer_excess
+    if t.group_size == 2:
         return pstar
-    if n == 3:
-        d3 = balance_term_three_user(net, profile, link, user, params)
-    else:
-        d3 = balance_term_large_group(net, profile, link, user, params)
-    excess = sum(profile[u].rate for u in others) - net.capacity(link)
     g = params.gamma
     half_b = -pstar * (1.0 + excess / g)
-    c0 = pstar * pstar * (1.0 + 2.0 * excess / g) + d3
+    c0 = pstar * pstar * (1.0 + 2.0 * excess / g) + t.balance_const
     disc = half_b * half_b - c0
     if disc < 0.0:
         raise MechanismError(

@@ -16,7 +16,11 @@ request verbatim and charges per-link taxes built from four ingredients:
   restores the overall budget without distorting anyone's incentives.
 
 Taxes sum to zero across all users at every feasible rate profile, on or off
-equilibrium. All functions are pure; the only randomness is the seeded
+equilibrium. The per-link formula is written out once: ``own_tax_terms``
+gathers the peer statistics of one user on one link, and ``own_tax_parts``
+turns them into the tax's parts at any own rate and price. ``tax_link``,
+``link_subsidy``, ``eval_own_tax`` and ``own_tax_axes`` all assemble those
+parts. All functions are pure; the only randomness is the seeded
 subsidy-recipient draw.
 """
 
@@ -26,8 +30,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping
-
-import numpy as np
 
 from .network import BOUNDARY_TOL, Network, min_route_capacity
 from .utilities import UtilitySpec, initial_slope
@@ -129,16 +131,6 @@ SubsidyAssignment = Dict[int, int]
 
 
 @dataclass(frozen=True)
-class LinkTerms:
-    """Per (user, link) externality statistics driving the tax."""
-
-    peer_price_mean: float
-    peer_excess: float
-    own_excess: float
-    group_size: int
-
-
-@dataclass(frozen=True)
 class LinkTax:
     """One user's tax on one link, split into its components.
 
@@ -182,21 +174,6 @@ def penalty(a: bool, b: bool, eps: float) -> float:
     """
     q = indicator(a, eps) * indicator(b, eps)
     return q / (1.0 - q)
-
-
-def link_terms(net: Network, profile: MessageProfile, link: int, user: int) -> LinkTerms:
-    """Externality statistics for one user on one link: the peers' mean price,
-    the peers' total rate minus capacity, and the user's own scaled excess."""
-    group = net.group(link)
-    if user not in group:
-        raise UserNotOnLink(f"user {user} is not on link {link}")
-    n = len(group)
-    c = net.capacity(link)
-    others = [u for u in group if u != user]
-    mean_p = sum(profile[u].prices[link] for u in others) / (n - 1) if others else 0.0
-    peer_excess = sum(profile[u].rate for u in others) - c
-    own_excess = (n - 1) * profile[user].rate - c
-    return LinkTerms(mean_p, peer_excess, own_excess, n)
 
 
 def _cyclic_peers(group, user):
@@ -307,9 +284,10 @@ def balance_term_large_group(
 class OwnTaxTerms:
     """Coefficients fixing one user's link tax as a function of its own message.
 
-    Everything here depends only on the peers' messages and the parameters,
-    so a user's tax at any own (rate, price) evaluates in closed form. Used
-    both by the outcome function and by deviation searches.
+    Everything here depends only on the peers' messages and the parameters:
+    the peers' mean price, their total rate minus the capacity, and the
+    balance part. ``own_tax_parts`` turns them into the tax at any own
+    (rate, price), for the outcome function and deviation searches alike.
     """
 
     group_size: int
@@ -317,7 +295,7 @@ class OwnTaxTerms:
     gamma: float
     peer_price_mean: float
     price_adjust: float  # per-unit surcharge from peers' prices (three-user links only)
-    quad_weight: float  # 1/alpha on two-user links, 1 on larger ones
+    quad_weight: float  # 0 on singleton links, 1/alpha on two-user links, 1 on larger ones
     peer_excess: float
     balance_const: float
     penalty_both: float  # overload penalty when requesting a positive rate
@@ -327,62 +305,55 @@ class OwnTaxTerms:
 def own_tax_terms(
     net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
 ) -> OwnTaxTerms:
+    """The peer statistics of one user's tax on one link; the user's own
+    message is never read."""
     group = net.group(link)
     if user not in group:
         raise UserNotOnLink(f"user {user} is not on link {link}")
     n = len(group)
     c = net.capacity(link)
-    eps = params.epsilon
-    pen_both = penalty(True, True, eps)
-    pen_single = indicator(True, eps) / (1.0 - indicator(True, eps))
-    if n == 1:
-        return OwnTaxTerms(
-            group_size=1,
-            capacity=c,
-            gamma=params.gamma,
-            peer_price_mean=0.0,
-            price_adjust=0.0,
-            quad_weight=0.0,
-            peer_excess=-c,
-            balance_const=0.0,
-            penalty_both=pen_both,
-            penalty_single=pen_single,
-        )
-    if n == 2:
-        (j,) = (u for u in group if u != user)
-        return OwnTaxTerms(
-            group_size=2,
-            capacity=c,
-            gamma=params.gamma,
-            peer_price_mean=profile[j].prices[link],
-            price_adjust=0.0,
-            quad_weight=1.0 / params.alpha,
-            peer_excess=profile[j].rate - c,
-            balance_const=0.0,
-            penalty_both=pen_both,
-            penalty_single=pen_single,
-        )
-    terms = link_terms(net, profile, link, user)
+    others = [u for u in group if u != user]
+    mean_p = sum(profile[u].prices[link] for u in others) / (n - 1) if others else 0.0
+    adjust = balance = 0.0
     if n == 3:
         j, k = _cyclic_peers(group, user)
         pj, pk = profile[j].prices[link], profile[k].prices[link]
         adjust = pk * (pj - pk) / params.gamma
         balance = balance_term_three_user(net, profile, link, user, params)
-    else:
-        adjust = 0.0
+    elif n > 3:
         balance = balance_term_large_group(net, profile, link, user, params)
+    eps = params.epsilon
     return OwnTaxTerms(
         group_size=n,
         capacity=c,
         gamma=params.gamma,
-        peer_price_mean=terms.peer_price_mean,
+        peer_price_mean=mean_p,
         price_adjust=adjust,
-        quad_weight=1.0,
-        peer_excess=terms.peer_excess,
+        quad_weight={1: 0.0, 2: 1.0 / params.alpha}.get(n, 1.0),
+        peer_excess=sum(profile[u].rate for u in others) - c,
         balance_const=balance,
-        penalty_both=pen_both,
-        penalty_single=pen_single,
+        penalty_both=penalty(True, True, eps),
+        penalty_single=indicator(True, eps) / (1.0 - indicator(True, eps)),
     )
+
+
+def own_tax_parts(terms: OwnTaxTerms, x, p):
+    """One user's link tax at own rate ``x`` and own price ``p``, in parts.
+
+    Returns ``(price, penalty, quad, h)``: the price part and the overload
+    penalty depend on ``x`` alone, the quadratic charge and the coupling
+    coefficient ``h`` on ``p`` alone, and the tax is
+    ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
+    Takes floats or broadcasting numpy arrays. This is the one place the tax
+    formula is written out.
+    """
+    dev = p - terms.peer_price_mean
+    quad = terms.quad_weight * dev * dev
+    h = -(2.0 / terms.gamma) * terms.peer_price_mean * dev
+    if terms.group_size == 1:
+        return 0.0, terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL), quad, h
+    firing = (x > BOUNDARY_TOL) & (terms.peer_excess + x > BOUNDARY_TOL)
+    return (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing, quad, h
 
 
 def eval_own_tax(terms: OwnTaxTerms, x, p):
@@ -391,58 +362,21 @@ def eval_own_tax(terms: OwnTaxTerms, x, p):
     Broadcasts over numpy arrays, which is what makes exhaustive deviation
     searches cheap.
     """
-    xa = np.asarray(x, dtype=float)
-    if terms.group_size == 1:
-        return np.where(xa > terms.capacity + BOUNDARY_TOL, terms.penalty_single, 0.0)[()]
-    dev = np.asarray(p, dtype=float) - terms.peer_price_mean
-    tax = (
-        (terms.peer_price_mean + terms.price_adjust) * xa
-        + terms.quad_weight * dev * dev
-        - (2.0 / terms.gamma) * terms.peer_price_mean * dev * (terms.peer_excess + xa)
-        + terms.balance_const
-    )
-    firing = (xa > BOUNDARY_TOL) & (terms.peer_excess + xa > BOUNDARY_TOL)
-    return (tax + np.where(firing, terms.penalty_both, 0.0))[()]
+    price, pen, quad, h = own_tax_parts(terms, x, p)
+    return price + quad + h * (terms.peer_excess + x) + terms.balance_const + pen
 
 
 def own_tax_axes(terms: OwnTaxTerms, x, p):
     """The link tax split along the own rate ``x`` and own price ``p``.
 
     Returns ``(f, g, h)`` with f a function of ``x`` alone (price part and
-    overload penalties), g and h functions of ``p`` alone (quadratic,
-    coupling and balance parts; h is the coefficient of the rate), such that
+    overload penalty), g and h functions of ``p`` alone (quadratic, coupling
+    and balance parts; h is the coefficient of the rate), such that
     ``eval_own_tax(terms, x, p) == f + g + x * h`` up to rounding. So a tax
     over a rate-by-price lattice is an outer sum of three vectors.
     """
-    xa = np.asarray(x, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    if terms.group_size == 1:
-        f = np.where(xa > terms.capacity + BOUNDARY_TOL, terms.penalty_single, 0.0)
-        zero = np.zeros_like(pa)
-        return f[()], zero[()], zero[()]
-    dev = pa - terms.peer_price_mean
-    h = -(2.0 / terms.gamma) * terms.peer_price_mean * dev
-    g = terms.quad_weight * dev * dev + h * terms.peer_excess + terms.balance_const
-    firing = (xa > BOUNDARY_TOL) & (terms.peer_excess + xa > BOUNDARY_TOL)
-    f = (terms.peer_price_mean + terms.price_adjust) * xa + np.where(firing, terms.penalty_both, 0.0)
-    return f[()], g[()], h[()]
-
-
-def _own_tax_parts(terms: OwnTaxTerms, x: float, p: float):
-    """(price, quadratic, coupling, penalty) parts of one user's link tax."""
-    if terms.group_size == 1:
-        pen = terms.penalty_single if x > terms.capacity + BOUNDARY_TOL else 0.0
-        return 0.0, 0.0, 0.0, pen
-    dev = p - terms.peer_price_mean
-    price_part = (terms.peer_price_mean + terms.price_adjust) * x
-    quad = terms.quad_weight * dev * dev
-    coupling = -(2.0 / terms.gamma) * terms.peer_price_mean * dev * (terms.peer_excess + x)
-    pen = (
-        terms.penalty_both
-        if (x > BOUNDARY_TOL and terms.peer_excess + x > BOUNDARY_TOL)
-        else 0.0
-    )
-    return price_part, quad, coupling, pen
+    price, pen, quad, h = own_tax_parts(terms, x, p)
+    return price + pen, quad + h * terms.peer_excess + terms.balance_const, h
 
 
 def tax_link(
@@ -453,10 +387,10 @@ def tax_link(
     for user in net.group(link):
         terms = own_tax_terms(net, profile, link, user, params)
         m = profile[user]
-        price_part, quad, coupling, pen = _own_tax_parts(terms, m.rate, m.prices[link])
+        price, pen, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
         out[user] = LinkTax(
-            price_part=price_part,
-            incentive_part=quad + coupling + pen,
+            price_part=price,
+            incentive_part=quad + h * (terms.peer_excess + m.rate) + pen,
             balance_part=terms.balance_const,
             penalty=pen,
         )
@@ -480,8 +414,8 @@ def link_subsidy(
     for user in group:
         terms = own_tax_terms(net, profile, link, user, params)
         m = profile[user]
-        price_part, quad, coupling, _ = _own_tax_parts(terms, m.rate, m.prices[link])
-        total += price_part + (quad + coupling)
+        price, _, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
+        total += price + (quad + h * (terms.peer_excess + m.rate))
     return -total
 
 
@@ -498,7 +432,8 @@ def assign_subsidies(net: Network, rng_seed: int) -> SubsidyAssignment:
         eligible = [u for u in net.users() if u not in group]
         if not eligible:
             raise NoEligibleRecipient(
-                f"link {link} is shared by two users and nobody else exists to receive its subsidy"
+                f"link {net.link_labels[link]!r} is shared by two users and nobody else"
+                " exists to receive its subsidy"
             )
         assignment[link] = eligible[rng.randrange(len(eligible))]
     return assignment

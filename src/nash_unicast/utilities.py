@@ -20,6 +20,7 @@ import numpy as np
 
 CONCAVE_FAMILIES = ("log", "power", "quadcap")
 FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
+_PARAM_NAMES = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
 
 
 class UtilityError(ValueError):
@@ -39,6 +40,9 @@ class UtilitySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UtilityError(f"unknown utility family {self.family!r}")
+        for name, v in zip(_PARAM_NAMES[self.family], (self.a, self.b)):
+            if not math.isfinite(v):
+                raise UtilityError(f"{self.family}: parameter {name} must be finite, got {v}")
         if not self.a > 0.0:
             raise UtilityError(f"{self.family}: parameter a must be positive, got {self.a}")
         if self.family == "power" and not 0.0 < self.b < 1.0:
@@ -51,8 +55,7 @@ class UtilitySpec:
         return self.family in CONCAVE_FAMILIES
 
     def to_dict(self) -> dict:
-        names = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
-        params = dict(zip(names[self.family], (self.a, self.b)))
+        params = dict(zip(_PARAM_NAMES[self.family], (self.a, self.b)))
         return {"family": self.family, "params": params}
 
     @staticmethod

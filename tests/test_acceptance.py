@@ -138,7 +138,8 @@ def _audit_fields(suite, br_grid=200):
         "corollary": 0.0,
     }
     for s in suite:
-        rep = audit(s.net, s.utilities, s.profile, s.params, s.subsidies, br_grid=br_grid)
+        alloc = outcome(s.net, s.profile, s.params, s.subsidies)
+        rep = audit(s.net, s.utilities, s.profile, s.params, alloc, br_grid=br_grid)
         assert rep.feasibility, s.name
         fields["uniformity"] = max(fields["uniformity"], rep.price_uniformity)
         fields["slackness"] = max(fields["slackness"], rep.complementary_slackness)
@@ -181,7 +182,8 @@ def test_criterion_03_ne_construction():
     for s in concave_suite():
         res = solve_centralized(s.net, s.utilities, s.solver_config)
         profile = construct_ne(s.net, s.utilities, s.params, solve_result=res)
-        rep = audit(s.net, s.utilities, profile, s.params, s.subsidies, br_grid=200)
+        alloc = outcome(s.net, profile, s.params, s.subsidies)
+        rep = audit(s.net, s.utilities, profile, s.params, alloc, br_grid=200)
         fields.setdefault("uniformity", []).append(rep.price_uniformity)
         fields.setdefault("slackness", []).append(rep.complementary_slackness)
         fields.setdefault("derivative", []).append(rep.tax_derivative_gap)
@@ -207,9 +209,8 @@ def test_criterion_04_nash_implementation():
     suite = concave_suite()
     worst_rel = 0.0
     for s in suite:
-        ok, gap = check_optimality(
-            s.net, s.utilities, s.profile, s.result, s.params, s.subsidies, tol=1e-6
-        )
+        alloc = outcome(s.net, s.profile, s.params, s.subsidies)
+        ok, gap = check_optimality(s.utilities, alloc, s.result, tol=1e-6)
         assert ok, s.name
         worst_rel = max(worst_rel, gap)
 
@@ -287,7 +288,8 @@ def test_criterion_07_walrasian():
             config = DynamicsConfig(max_rounds=12, br_grid=120, stop_tolerance=1e-7)
             traj = run_dynamics(b.net, b.utilities, start, config, b.params)
             subs = assign_subsidies(b.net, b.params.rng_seed)
-            rep = audit(b.net, b.utilities, traj.final_profile, b.params, subs, br_grid=200)
+            alloc = outcome(b.net, traj.final_profile, b.params, subs)
+            rep = audit(b.net, b.utilities, traj.final_profile, b.params, alloc, br_grid=200)
             # the competitive check tolerates 1e-6 in payoffs, so only
             # endpoints equilibrated to that resolution qualify; a 1e-4-level
             # approximate equilibrium can sit far outside the 1e-3 rate grid
@@ -346,7 +348,7 @@ def test_criterion_09_parameter_robustness():
                     worst_corr, abs(lt.total - ne_tax_closed_form(s.net, s.profile, l, user, s.params))
                 )
         opt_ok = all(
-            check_optimality(s.net, s.utilities, s.profile, s.result, s.params, s.subsidies)[0]
+            check_optimality(s.utilities, outcome(s.net, s.profile, s.params, s.subsidies), s.result)[0]
             for s in swept
         )
         ok = (

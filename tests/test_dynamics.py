@@ -1,8 +1,8 @@
 import pytest
 
-from nash_unicast.dynamics import DynamicsConfig, DynamicsError, best_response, run_dynamics, _quantized
-from nash_unicast.equilibrium import audit, construct_ne
-from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies
+from nash_unicast.dynamics import DynamicsConfig, DynamicsError, run_dynamics, _quantized
+from nash_unicast.equilibrium import audit, best_deviation, construct_ne
+from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies, outcome
 from nash_unicast.network import build_network
 from nash_unicast.utilities import log_utility
 
@@ -44,8 +44,8 @@ def test_solo_user_walks_to_its_capacity():
 def test_best_response_deterministic(golden_net, golden_utilities, golden_params, golden_ne):
     messy = dict(golden_ne)
     messy[0] = Message(0.1, {0: 0.2})
-    m1 = best_response(golden_net, golden_utilities, messy, 0, golden_params, 64)
-    m2 = best_response(golden_net, golden_utilities, messy, 0, golden_params, 64)
+    m1, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, 64)
+    m2, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, 64)
     assert m1 == m2
 
 
@@ -95,8 +95,9 @@ def test_converged_endpoint_passes_grid_audit(golden_net, golden_utilities, gold
     traj = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
     if traj.verdict == "converged":
         subs = assign_subsidies(golden_net, golden_params.rng_seed)
+        alloc = outcome(golden_net, traj.final_profile, golden_params, subs)
         rep = audit(
-            golden_net, golden_utilities, traj.final_profile, golden_params, subs,
+            golden_net, golden_utilities, traj.final_profile, golden_params, alloc,
             br_grid=config.br_grid,
         )
         assert rep.best_response_gap <= config.stop_tolerance

@@ -33,7 +33,7 @@ def test_single_user_network_end_to_end():
     profile = construct_ne(net, uts, params, solve_result=res)
     subs = assign_subsidies(net, params.rng_seed)
     assert subs == {}
-    rep = audit(net, uts, profile, params, subs, br_grid=50)
+    rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=50)
     assert rep.budget_gap == 0.0 and rep.best_response_gap <= 1e-9
     assert all(c.ok for c in check_walrasian(net, uts, profile, 1e-3).values())
 
@@ -46,7 +46,8 @@ def test_unused_link_is_free_and_absent_from_messages():
     assert res.lambdas[1] == 0.0
     profile = construct_ne(net, uts, params, solve_result=res)
     assert all(1 not in m.prices for m in profile.values())
-    rep = audit(net, uts, profile, params, assign_subsidies(net, 0), br_grid=50)
+    alloc = outcome(net, profile, params, assign_subsidies(net, 0))
+    rep = audit(net, uts, profile, params, alloc, br_grid=50)
     assert rep.feasibility and rep.budget_gap <= 1e-12
 
 
@@ -75,7 +76,8 @@ def test_wildly_asymmetric_capacities():
     assert res.kkt_residual <= 1e-8
     assert res.rates[0] == pytest.approx(0.01, abs=1e-9)  # pinched by the tiny link
     profile = construct_ne(net, uts, params, solve_result=res)
-    rep = audit(net, uts, profile, params, assign_subsidies(net, 0), br_grid=100)
+    alloc = outcome(net, profile, params, assign_subsidies(net, 0))
+    rep = audit(net, uts, profile, params, alloc, br_grid=100)
     assert rep.feasibility
     assert rep.best_response_gap <= 1e-4
     assert rep.corollary_tax_gap <= 1e-9
@@ -104,7 +106,8 @@ def test_triangle_topology_full_stack():
     res = solve_centralized(net, uts)
     assert res.kkt_residual <= 1e-8
     profile = construct_ne(net, uts, params, solve_result=res)
-    rep = audit(net, uts, profile, params, assign_subsidies(net, 1), br_grid=100)
+    alloc = outcome(net, profile, params, assign_subsidies(net, 1))
+    rep = audit(net, uts, profile, params, alloc, br_grid=100)
     assert rep.feasibility
     assert rep.price_uniformity == 0.0
     assert rep.best_response_gap <= 1e-4
@@ -152,7 +155,8 @@ def test_two_user_only_network_has_no_subsidy_recipient(tmp_path, capsys):
     with pytest.raises(NoEligibleRecipient):
         assign_subsidies(net, params.rng_seed)
     assert main(["construct-ne", "--scenario", str(path)]) == 1
-    assert "nobody else exists to receive its subsidy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "link 'A' is shared by two users and nobody else exists to receive its subsidy" in err
 
 
 @pytest.mark.parametrize(
@@ -197,4 +201,4 @@ def test_price_bound_below_the_multipliers(tmp_path, capsys):
     with pytest.raises(PriceBoundExceeded):
         construct_ne(net, uts, params, solve_result=res)
     assert main(["construct-ne", "--scenario", str(path)]) == 1
-    assert "exceeds the price bound 1.0" in capsys.readouterr().err
+    assert "on link 'A' exceeds the price bound 1.0" in capsys.readouterr().err

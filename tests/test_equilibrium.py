@@ -109,7 +109,7 @@ def test_construct_ne_price_bound_guard(golden_net, golden_utilities):
 
 def test_audit_golden_ne(golden):
     net, uts, params, subs, res, profile = golden
-    rep = audit(net, uts, profile, params, subs, br_grid=200)
+    rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=200)
     assert rep.feasibility
     assert rep.price_uniformity == 0.0
     assert rep.complementary_slackness <= 1e-8
@@ -129,9 +129,9 @@ def test_audit_flags_unilateral_over_request(golden):
     }
     tampered = dict(profile)
     tampered[0] = profile[0].with_rate(1.0)  # joint request now exceeds the unit link
-    rep = audit(net, uts, tampered, params, subs, br_grid=50)
-    assert not rep.feasibility
     alloc = outcome(net, tampered, params, subs)
+    rep = audit(net, uts, tampered, params, alloc, br_grid=50)
+    assert not rep.feasibility
     assert payoff(uts[0], 1.0, alloc.taxes[0]) < ne_payoffs[0]  # the penalty dominates
 
 
@@ -139,7 +139,7 @@ def test_audit_flags_price_disagreement(golden):
     net, uts, params, subs, res, profile = golden
     tampered = dict(profile)
     tampered[0] = profile[0].with_price(0, profile[0].prices[0] + 0.25)
-    rep = audit(net, uts, tampered, params, subs, br_grid=50)
+    rep = audit(net, uts, tampered, params, outcome(net, tampered, params, subs), br_grid=50)
     assert rep.price_uniformity == pytest.approx(0.25, abs=1e-12)
     assert rep.best_response_gap > 0.0
 
@@ -160,13 +160,13 @@ def test_best_response_gap_nonnegative_even_off_equilibrium(golden):
 
 def test_check_optimality(golden):
     net, uts, params, subs, res, profile = golden
-    ok, gap = check_optimality(net, uts, profile, res, params, subs)
+    ok, gap = check_optimality(uts, outcome(net, profile, params, subs), res)
     assert ok and gap <= 1e-6
     zeros = {
         u: Message(0.0, {l: profile[u].prices[l] for l in net.route(u)})
         for u in net.users()
     }
-    ok0, gap0 = check_optimality(net, uts, zeros, res, params, subs)
+    ok0, gap0 = check_optimality(uts, outcome(net, zeros, params, subs), res)
     assert not ok0 and gap0 > 0.1
 
 
@@ -407,9 +407,28 @@ def _group_net(n):
     return build_network({"L0": 1.5, "L1": 2.0, "L2": 1.0}, routes)
 
 
+def eval_own_tax_reference(terms, x, p):
+    """The link tax written out directly from the terms, independent of the
+    kernel ``own_tax_parts``; the oracle of ``eval_own_tax``."""
+    xa = np.asarray(x, dtype=float)
+    if terms.group_size == 1:
+        return np.where(xa > terms.capacity + BOUNDARY_TOL, terms.penalty_single, 0.0)[()]
+    dev = np.asarray(p, dtype=float) - terms.peer_price_mean
+    tax = (
+        (terms.peer_price_mean + terms.price_adjust) * xa
+        + terms.quad_weight * dev * dev
+        - (2.0 / terms.gamma) * terms.peer_price_mean * dev * (terms.peer_excess + xa)
+        + terms.balance_const
+    )
+    firing = (xa > BOUNDARY_TOL) & (terms.peer_excess + xa > BOUNDARY_TOL)
+    return (tax + np.where(firing, terms.penalty_both, 0.0))[()]
+
+
 def _assert_axes_identity(terms, x, p):
     f, g, h = own_tax_axes(terms, x, p)
     direct = np.asarray(eval_own_tax(terms, x, p), dtype=float)
+    # the kernel-built tax equals the directly written one exactly
+    assert np.all(direct == eval_own_tax_reference(terms, x, p)), (x, p)
     split = np.asarray(f + g + np.asarray(x) * h, dtype=float)
     scale = np.abs(f) + np.abs(g) + np.abs(np.asarray(x) * h)
     assert np.all(np.abs(split - direct) <= 1e-12 * np.maximum(1.0, scale)), (x, p, split, direct)

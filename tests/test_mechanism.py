@@ -19,8 +19,8 @@ from nash_unicast.mechanism import (
     balance_term_three_user,
     indicator,
     link_subsidy,
-    link_terms,
     outcome,
+    own_tax_terms,
     penalty,
     tax_link,
     validate_profile,
@@ -87,7 +87,7 @@ def test_link_terms_two_users():
         1: Message(3.0, {0: 4.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    t = link_terms(net, profile, 0, 0)
+    t = own_tax_terms(net, profile, 0, 0, PARAMS)
     assert t.peer_price_mean == 4.0
     assert t.peer_excess == 3.0 - 10.0
     assert t.group_size == 2
@@ -101,16 +101,20 @@ def test_link_terms_mean_and_own_excess():
         2: Message(0.5, {0: 2.0}),
         3: Message(0.5, {0: 3.0}),
     }
-    t = link_terms(net, profile, 0, 0)
+    t = own_tax_terms(net, profile, 0, 0, PARAMS)
     assert t.peer_price_mean == pytest.approx(2.0)
-    assert t.own_excess == pytest.approx(3 * 3.0 - 10.0)
+    assert t.peer_excess == pytest.approx(3 * 0.5 - 10.0)
+    # the own excess (n-1)*x - c never enters: the own message is not read
+    moved = dict(profile)
+    moved[0] = Message(0.25, {0: 7.0})
+    assert own_tax_terms(net, moved, 0, 0, PARAMS) == t
 
 
 def test_link_terms_user_not_on_link():
     net = shared_link_net(2)
     profile = random_profile(net, random.Random(0))
     with pytest.raises(UserNotOnLink):
-        link_terms(net, profile, 0, 2)
+        own_tax_terms(net, profile, 0, 2, PARAMS)
 
 
 # --- balance terms ----------------------------------------------------------

@@ -130,6 +130,29 @@ def test_malformed_mechanism_numbers_rejected(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, params, field",
+    [
+        ("log", {"a": float("inf")}, "a"),
+        ("power", {"a": float("inf"), "theta": 0.5}, "a"),
+        ("quadcap", {"a": float("inf"), "b": 1.0}, "a"),
+        ("quadcap", {"a": 2.0, "b": float("inf")}, "b"),
+        ("sigmoid", {"a": float("inf"), "s": 1.0}, "a"),
+        ("sigmoid", {"a": 2.0, "s": float("inf")}, "s"),
+    ],
+)
+def test_infinite_utility_parameters_rejected(tmp_path, capsys, family, params, field):
+    data = json.load(open(GOLDEN))
+    data["utilities"]["u1"] = {"family": family, "params": params}
+    with pytest.raises(ParseError, match=f"user 'u1': {family}: parameter {field} must be finite"):
+        parse_scenario(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes Infinity as a JSON extension
+    assert main(["solve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"user 'u1': {family}: parameter {field} must be finite, got inf" in err
+
+
 def test_save_load_round_trip(tmp_path):
     s = random_scenario(99)
     path = tmp_path / "s.json"
