@@ -4,6 +4,12 @@ A stationary profile of the process is a grid-level equilibrium, which is the
 only claim made: play may just as well cycle or run out of rounds, and the
 verdict vocabulary keeps the three outcomes explicit. Trajectories are fully
 reproducible from the start profile, the config, and the seeds.
+
+A user's best deviation depends only on the static game, its own message and
+the messages of the users sharing one of its links. So a user whose last
+evaluation found no improvement above ``stop_tolerance`` is settled, and is
+skipped until a move unsettles every user sharing a link with the mover, the
+mover included: re-evaluating it before then would find the same non-move.
 """
 
 from __future__ import annotations
@@ -88,11 +94,16 @@ def run_dynamics(
     rng = random.Random(config.seed)
     seen = {_quantized(profile)}
     steps: List[Step] = []
+    # users sharing a link with each user, the user included
+    neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in users}
+    settled = set()
 
     for rnd in range(1, config.max_rounds + 1):
         order = rng.sample(users, len(users)) if config.schedule == "random" else users
         worst_delta = 0.0
         for user in order:
+            if user in settled:
+                continue
             message, best_pay, cur_pay = best_deviation(
                 net, utilities, profile, user, params, config.br_grid
             )
@@ -101,6 +112,9 @@ def run_dynamics(
                 steps.append(Step(rnd, user, profile[user], message, delta))
                 profile[user] = message
                 worst_delta = max(worst_delta, delta)
+                settled -= neighbours[user]
+            else:
+                settled.add(user)
         if worst_delta <= config.stop_tolerance:
             return Trajectory(steps=steps, verdict="converged", final_profile=profile, rounds=rnd)
         key = _quantized(profile)

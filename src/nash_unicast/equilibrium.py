@@ -9,7 +9,10 @@ individual rationality, budget balance, and agreement of the taxes with their
 equilibrium closed forms. Its best-response search (``best_deviation``)
 rests on a link tax separating into a rate part, a price part and a
 rate-times-price coupling, so a user's whole rate-by-price lattice is the
-outer sum of three per-route vectors, filled in place in one buffer.
+outer sum of three per-route vectors. Each price column has a bound that no
+float entry of it can exceed (its coupling is least at rate 0 or at the top
+rate, and rounding is monotone), so only the columns whose bound reaches the
+best column's max are evaluated; the result is the full lattice's, bit for bit.
 ``check_walrasian`` grid-checks that every user's rate maximizes its payoff
 at the posted prices over the rates the others leave available.
 """
@@ -133,6 +136,23 @@ def ne_tax_closed_form(
     return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
 
 
+def _lattice_argmax(
+    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
+) -> Tuple[int, int, float]:
+    """First max in row-major order (smallest rate, then price) of the lattice
+    ``a[i] - (xs[i] * h_sum[j] + g_sum[j])`` over ascending rates ``xs >= 0``,
+    as (i, j, value). Only the columns whose bound is not below the
+    best-bounded column's max are filled; ties and NaN keep a column."""
+    low_x = np.where(h_sum < 0.0, xs[-1], 0.0)
+    bound = a.max() - (low_x * h_sum + g_sum)
+    top = int(np.argmax(bound))
+    floor = np.max(a - (xs * h_sum[top] + g_sum[top]))
+    keep = np.flatnonzero(~(bound < floor))
+    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
+    i, k = divmod(int(np.argmax(block)), len(keep))
+    return i, int(keep[k]), float(block[i, k])
+
+
 @dataclass(frozen=True)
 class _Candidate:
     pay: float
@@ -166,8 +186,15 @@ def best_deviation(
     Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``, built
     from the tax kernel ``own_tax_parts``), so the route's tax is fixed by
     three vectors summed over the route once: the lattice is their outer
-    sum, built in one G-by-G buffer, and the sweeps are the same vectors with
-    the other axis held at the current message. The analytic candidate's
+    sum, and the sweeps are the same vectors with the other axis held at the
+    current message. The lattice is searched by price column
+    (``_lattice_argmax``). No entry of column j exceeds the same float
+    operations at ``max(V - f)`` and at the rate where x*h(p_j) is least: 0
+    if h >= 0, else the top rate, as rates are non-negative and ascending
+    and rounding is monotone. Columns whose bound falls short of the
+    best-bounded column's max are never filled, and the kept ones are filled
+    with the lattice's own operations, so the argmax and its value are those
+    of the full G-by-G lattice, bit for bit. The analytic candidate's
     marginal cost is each link's price coefficient plus its h at the current
     price. The current payoff and the analytic candidate are evaluated
     exactly with ``eval_own_tax``.
@@ -195,16 +222,10 @@ def best_deviation(
     f_sum, g_sum, h_sum = (np.sum(rows, axis=0) for rows in zip(*on_grid))
     _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
 
-    # lattice[i, j] = (V(x_i) - f_sum(x_i)) - (x_i * h_sum(p_j) + g_sum(p_j))
-    lattice = np.empty((br_grid, br_grid))
-    np.multiply.outer(xs, h_sum, out=lattice)
-    lattice += g_sum
-    np.subtract((vs - f_sum)[:, None], lattice, out=lattice)
-    flat = int(np.argmax(lattice))  # first max in row-major order: smallest rate, then price
-    i0, j0 = divmod(flat, br_grid)
+    i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
     cands: List[_Candidate] = [
         _Candidate(
-            float(lattice[i0, j0]),
+            lattice_pay,
             float(xs[i0]),
             tuple(float(ps[j0]) for _ in route),
             Message(rate=float(xs[i0]), prices={l: float(ps[j0]) for l in route}),
@@ -358,7 +379,9 @@ def zero_tax_deviation_price(
     root is returned; it is always non-negative.
     """
     if len(net.group(link)) == 1:
-        raise WrongGroupSize(f"link {link} has a single user; no deviation price is defined")
+        raise WrongGroupSize(
+            f"link {net.link_labels[link]!r} has a single user; no deviation price is defined"
+        )
     t = own_tax_terms(net, profile, link, user, params)
     pstar, excess = t.peer_price_mean, t.peer_excess
     if t.group_size == 2:
@@ -369,7 +392,8 @@ def zero_tax_deviation_price(
     disc = half_b * half_b - c0
     if disc < 0.0:
         raise MechanismError(
-            f"zero-rate tax never crosses zero on link {link} for user {user}"
+            f"zero-rate tax never crosses zero on link {net.link_labels[link]!r}"
+            f" for user {net.user_labels[user]!r}"
         )
     return max(-half_b + math.sqrt(disc), 0.0)
 
@@ -395,7 +419,9 @@ def check_walrasian(
             continue
         prices = [profile[u].prices[l] for u in group]
         if max(prices) - min(prices) > 1e-9:
-            raise NonUniformPrices(f"link {l} prices spread {max(prices) - min(prices)}")
+            raise NonUniformPrices(
+                f"link {net.link_labels[l]!r} prices spread {max(prices) - min(prices)}"
+            )
         link_price[l] = prices[0]
 
     out: Dict[int, WalrasianCheck] = {}

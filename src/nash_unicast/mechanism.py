@@ -443,25 +443,29 @@ def validate_profile(net: Network, profile: MessageProfile, params: MechanismPar
     """Check every message against its box: price keys equal the route, the
     rate fits below the route's narrowest link, prices fit below the bound.
     Boundaries are closed (with BOUNDARY_TOL slack for arithmetic noise)."""
-    missing = [u for u in net.users() if u not in profile]
+    missing = [net.user_labels[u] for u in net.users() if u not in profile]
     extra = [u for u in profile if not 0 <= u < net.num_users]
     if missing or extra:
-        raise RouteMismatch(f"profile users mismatch: missing {missing}, unknown {extra}")
+        raise RouteMismatch(f"profile users mismatch: missing {missing}, unknown ids {extra}")
     for user in net.users():
         m = profile[user]
+        name = net.user_labels[user]
         route = set(net.route(user))
         keys = set(m.prices)
         if keys != route:
+            named = [net.link_labels[l] if 0 <= l < net.num_links else l for l in sorted(keys)]
             raise RouteMismatch(
-                f"user {user}: price links {sorted(keys)} do not match route {sorted(route)}"
+                f"user {name!r}: price links {named} do not match route"
+                f" {[net.link_labels[l] for l in sorted(route)]}"
             )
         cap = min_route_capacity(net, user)
         if not -BOUNDARY_TOL <= m.rate <= cap + BOUNDARY_TOL:
-            raise RateOutOfBounds(f"user {user}: rate {m.rate} outside [0, {cap}]")
+            raise RateOutOfBounds(f"user {name!r}: rate {m.rate} outside [0, {cap}]")
         for link, price in m.prices.items():
             if not -BOUNDARY_TOL <= price <= params.price_bound + BOUNDARY_TOL:
                 raise PriceOutOfBounds(
-                    f"user {user}: price {price} on link {link} outside [0, {params.price_bound}]"
+                    f"user {name!r}: price {price} on link {net.link_labels[link]!r}"
+                    f" outside [0, {params.price_bound}]"
                 )
 
 

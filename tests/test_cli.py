@@ -204,3 +204,33 @@ def test_seed_override_changes_recipient(tmp_path, capsys):
         )
         recipients.add(json.loads(out.read_text())["subsidies"]["A"])
     assert len(recipients) > 1
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+@pytest.mark.parametrize(
+    "user, field, value, expected",
+    [
+        ("u5", "rate", 99.0, "user 'u5': rate 99.0 outside [0, 1.5]"),
+        ("u5", "rate", float("nan"), "user 'u5': rate nan outside"),
+        ("u1", "rate", float("inf"), "user 'u1': rate inf outside"),
+        ("u3", "core", float("nan"), "user 'u3': price nan on link 'core' outside"),
+        ("u2", "west", float("-inf"), "user 'u2': price -inf on link 'west' outside"),
+        ("u4", "east", 1e9, "user 'u4': price 1000000000.0 on link 'east' outside"),
+    ],
+)
+def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, field, value, expected):
+    scenario = str(SCENARIO_DIR / "shared_backbone.json")
+    ne_path = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", scenario, "--out", str(ne_path)]) == 0
+    profile = json.loads(ne_path.read_text())["profile"]
+    if field == "rate":
+        profile[user]["rate"] = value
+    else:
+        profile[user]["prices"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(profile))  # NaN and Infinity as JSON tokens
+    capsys.readouterr()
+    code = main([command, "--scenario", scenario, "--profile", str(bad), "--grid", "16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert expected in captured.err, captured.err
+    assert "certified" not in captured.out and "converged" not in captured.out

@@ -1,10 +1,23 @@
+import random
+
 import pytest
 
-from nash_unicast.dynamics import DynamicsConfig, DynamicsError, run_dynamics, _quantized
+from nash_unicast import dynamics
+from nash_unicast.dynamics import (
+    DynamicsConfig,
+    DynamicsError,
+    Step,
+    Trajectory,
+    run_dynamics,
+    _quantized,
+)
 from nash_unicast.equilibrium import audit, best_deviation, construct_ne
-from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies, outcome
+from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies, outcome, validate_profile
 from nash_unicast.network import build_network
+from nash_unicast.scenario import random_feasible_profile
 from nash_unicast.utilities import log_utility
+
+from corpus import sigmoid_suite, topology_corpus
 
 
 @pytest.fixture
@@ -103,7 +116,7 @@ def test_converged_endpoint_passes_grid_audit(golden_net, golden_utilities, gold
         assert rep.best_response_gap <= config.stop_tolerance
 
 
-def test_cycled_verdict_on_contested_coarse_grid():
+def _cycled_instance():
     # frozen instance: two eager users leapfrog on a very coarse grid and
     # revisit an earlier quantized profile instead of settling
     net = build_network({"A": 1.0, "B": 2.0}, {1: ["A"], 2: ["A"], 3: ["B"]})
@@ -121,6 +134,11 @@ def test_cycled_verdict_on_contested_coarse_grid():
         2: Message(0.5, {1: 0.3}),
     }
     config = DynamicsConfig(max_rounds=30, br_grid=7, stop_tolerance=1e-12)
+    return net, uts, start, config, params
+
+
+def test_cycled_verdict_on_contested_coarse_grid():
+    net, uts, start, config, params = _cycled_instance()
     traj = run_dynamics(net, uts, start, config, params)
     assert traj.verdict == "cycled"
     assert traj.rounds < 30  # detected well before exhaustion
@@ -132,3 +150,106 @@ def test_quantization_hides_float_dust():
     c = {0: Message(0.5 + 1e-3, {0: 0.25})}
     assert _quantized(a) == _quantized(b)
     assert _quantized(a) != _quantized(c)
+
+
+# --- skipping settled users against evaluating every user each round ----------
+
+
+def run_dynamics_reference(net, utilities, start, config, params, best_response=best_deviation):
+    """The dynamics loop that evaluates every user in every round, kept as the
+    oracle of ``run_dynamics``, which skips users whose neighbourhood has not
+    moved since they last found no improvement."""
+    validate_profile(net, start, params)
+    assign_subsidies(net, params.rng_seed)
+    profile = dict(start)
+    users = list(net.users())
+    rng = random.Random(config.seed)
+    seen = {_quantized(profile)}
+    steps = []
+    for rnd in range(1, config.max_rounds + 1):
+        order = rng.sample(users, len(users)) if config.schedule == "random" else users
+        worst_delta = 0.0
+        for user in order:
+            message, best_pay, cur_pay = best_response(
+                net, utilities, profile, user, params, config.br_grid
+            )
+            delta = best_pay - cur_pay
+            if delta > config.stop_tolerance:
+                steps.append(Step(rnd, user, profile[user], message, delta))
+                profile[user] = message
+                worst_delta = max(worst_delta, delta)
+        if worst_delta <= config.stop_tolerance:
+            return Trajectory(steps=steps, verdict="converged", final_profile=profile, rounds=rnd)
+        key = _quantized(profile)
+        if key in seen:
+            return Trajectory(steps=steps, verdict="cycled", final_profile=profile, rounds=rnd)
+        seen.add(key)
+    return Trajectory(
+        steps=steps, verdict="exhausted", final_profile=profile, rounds=config.max_rounds
+    )
+
+
+def _golden_dynamics_cases(golden_net, golden_utilities, golden_params):
+    silence = {
+        0: Message(0.0, {0: 0.0}),
+        1: Message(0.0, {0: 0.0}),
+        2: Message(0.0, {1: 0.0}),
+    }
+    ne = construct_ne(golden_net, golden_utilities, golden_params)
+    rng = random.Random(17)
+    cases = [(golden_net, golden_utilities, p, golden_params) for p in (silence, ne)]
+    for _ in range(3):
+        start = {
+            u: Message(rng.uniform(0, 0.5), {l: rng.uniform(0, 2.0) for l in golden_net.route(u)})
+            for u in golden_net.users()
+        }
+        cases.append((golden_net, golden_utilities, start, golden_params))
+    return cases
+
+
+def test_settled_users_keep_trajectories_identical(
+    monkeypatch, golden_net, golden_utilities, golden_params
+):
+    calls = {"skipping": 0, "reference": 0}
+
+    def counted(key):
+        def wrapped(*args):
+            calls[key] += 1
+            return best_deviation(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "best_deviation", counted("skipping"))
+
+    cases = _golden_dynamics_cases(golden_net, golden_utilities, golden_params)
+    for b in topology_corpus()[:6]:
+        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
+    for b, clearing in sigmoid_suite()[:4]:
+        cases.append((b.net, b.utilities, clearing, b.params))
+        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
+
+    drops = 0
+    verdicts = set()
+    for net, uts, start, params in cases:
+        for schedule in ("round_robin", "random"):
+            for br_grid, max_rounds in ((7, 8), (31, 8), (64, 3)):
+                config = DynamicsConfig(
+                    schedule=schedule, seed=3, max_rounds=max_rounds, br_grid=br_grid
+                )
+                before = dict(calls)
+                traj = run_dynamics(net, uts, start, config, params)
+                ref = run_dynamics_reference(
+                    net, uts, start, config, params, best_response=counted("reference")
+                )
+                assert traj == ref, (net.user_labels, schedule, br_grid)
+                used = calls["skipping"] - before["skipping"]
+                assert used <= calls["reference"] - before["reference"]
+                drops += used < calls["reference"] - before["reference"]
+                verdicts.add(traj.verdict)
+    assert drops > 0
+    assert {"converged", "exhausted"} <= verdicts
+
+    net, uts, start, config, params = _cycled_instance()
+    traj = run_dynamics(net, uts, start, config, params)
+    assert traj.verdict == "cycled"
+    assert traj == run_dynamics_reference(net, uts, start, config, params)

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nash_unicast import equilibrium
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
+    _lattice_argmax,
     audit,
     best_deviation,
     check_optimality,
@@ -396,6 +398,89 @@ def test_best_deviation_matches_full_grid_search_sigmoid(br_grid):
         _assert_deviation_matches_reference(b.net, b.utilities, clearing, b.params, br_grid)
         profile = random_feasible_profile(b.net, b.params, seed=b.seed)
         _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
+
+
+# --- the column-bounded lattice search against the full G-by-G fill -------------
+
+
+def lattice_argmax_reference(xs, a, h_sum, g_sum):
+    """The full rate-by-price lattice, filled in place in one G-by-G buffer,
+    kept as the oracle of the column-pruned ``_lattice_argmax``."""
+    lattice = np.empty((len(xs), len(h_sum)))
+    np.multiply.outer(xs, h_sum, out=lattice)
+    lattice += g_sum
+    np.subtract(a[:, None], lattice, out=lattice)
+    i, j = divmod(int(np.argmax(lattice)), len(h_sum))
+    return i, j, float(lattice[i, j])
+
+
+def _assert_lattice_matches_reference(xs, a, h_sum, g_sum):
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite inputs
+        i, j, got = _lattice_argmax(xs, a, h_sum, g_sum)
+        ri, rj, ref = lattice_argmax_reference(xs, a, h_sum, g_sum)
+    assert (i, j) == (ri, rj), (i, j, ri, rj)
+    # bit for bit, so NaN matches NaN and -0.0 does not match 0.0
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (got, ref)
+
+
+@pytest.mark.parametrize("br_grid", [7, 64, 200])
+def test_lattice_argmax_matches_full_fill_on_corpora(monkeypatch, br_grid):
+    # record the vectors best_deviation hands the lattice search
+    seen = []
+
+    def recording(xs, a, h_sum, g_sum):
+        seen.append((xs.copy(), a.copy(), h_sum.copy(), g_sum.copy()))
+        return _lattice_argmax(xs, a, h_sum, g_sum)
+
+    monkeypatch.setattr(equilibrium, "_lattice_argmax", recording)
+    cases = [(s.net, s.utilities, s.profile, s.params) for s in concave_suite()]
+    for b in topology_corpus():
+        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
+    for b, clearing in sigmoid_suite():
+        cases.append((b.net, b.utilities, clearing, b.params))
+        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
+    for net, uts, profile, params in cases:
+        for user in net.users():
+            best_deviation(net, uts, profile, user, params, br_grid)
+    assert len(seen) > 400
+    assert any(np.any(h < 0) for _, _, h, _ in seen) and any(np.any(h > 0) for _, _, h, _ in seen)
+    for xs, a, h_sum, g_sum in seen:
+        _assert_lattice_matches_reference(xs, a, h_sum, g_sum)
+
+
+@pytest.mark.parametrize("G", [2, 7, 64, 200])
+def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
+    rng = np.random.default_rng(G)
+    xs = np.linspace(0.0, 1.5, G)
+    zeros = np.zeros(G)
+    # every column tied, as on a singleton link: the first column wins
+    _assert_lattice_matches_reference(xs, rng.normal(size=G), zeros, zeros)
+    _assert_lattice_matches_reference(np.zeros(G), rng.normal(size=G), rng.normal(size=G), rng.normal(size=G))
+    # the best entry sits at the top rate of a column with negative h, whose
+    # value at x = 0 is far below another column's
+    h = np.zeros(G)
+    g = np.zeros(G)
+    g[0], h[-1] = -1.0, -3.0
+    _assert_lattice_matches_reference(xs, zeros, h, g)
+    for trial in range(200):
+        a = rng.normal(size=G)
+        h = rng.normal(size=G) * rng.choice([1e-3, 1.0, 1e3])
+        g = rng.normal(size=G)
+        if trial % 4 == 1:  # h of one sign only
+            h = np.abs(h) * rng.choice([-1.0, 1.0])
+        if trial % 4 == 2:  # duplicate columns, so the max ties across columns
+            src = rng.integers(G, size=G)
+            h, g = h[src], g[src]
+        if trial % 4 == 3:  # small integers: exact ties within and across columns
+            a = rng.integers(-2, 3, size=G).astype(float)
+            h = rng.integers(-2, 3, size=G).astype(float)
+            g = rng.integers(-2, 3, size=G).astype(float)
+        if trial >= 100:  # non-finite entries in one of the three vectors
+            target = (a, h, g)[trial % 3]
+            target[rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
+            if trial % 5 == 0:
+                (a, h, g)[trial % 2][rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
+        _assert_lattice_matches_reference(xs, a, h, g)
 
 
 def _group_net(n):
