@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from functools import partial
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -153,14 +154,6 @@ def _lattice_argmax(
     return i, int(keep[k]), float(block[i, k])
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    pay: float
-    rate: float
-    prices: Tuple[float, ...]
-    message: Message
-
-
 def best_deviation(
     net: Network,
     utilities: Mapping[int, UtilitySpec],
@@ -219,24 +212,28 @@ def best_deviation(
     # current (rate, price); the route sums of each
     on_grid = [own_tax_axes(t, xs, ps) for _, t in tables]
     at_cur = [tuple(map(float, own_tax_axes(t, cur.rate, cur.prices[l]))) for l, t in tables]
-    f_sum, g_sum, h_sum = (np.sum(rows, axis=0) for rows in zip(*on_grid))
+    # builtin sum adds the rows in order, starting from 0 as np.sum over a
+    # stacked axis does, so the bits are the same without the stacking
+    f_sum, g_sum, h_sum = (sum(rows) for rows in zip(*on_grid))
     _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
 
+    # (payoff, rate, route prices, message maker): only the winner's message
+    # is built
     i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
-    cands: List[_Candidate] = [
-        _Candidate(
+    x0, p0 = float(xs[i0]), float(ps[j0])
+    cands = [
+        (
             lattice_pay,
-            float(xs[i0]),
-            tuple(float(ps[j0]) for _ in route),
-            Message(rate=float(xs[i0]), prices={l: float(ps[j0]) for l in route}),
+            x0,
+            tuple(p0 for _ in route),
+            lambda: Message(rate=x0, prices={l: p0 for l in route}),
         )
     ]
 
     rate_pays = vs - (f_sum + g_cur + xs * h_cur)
     i1 = int(np.argmax(rate_pays))
-    cands.append(
-        _Candidate(float(rate_pays[i1]), float(xs[i1]), cur_prices, cur.with_rate(float(xs[i1])))
-    )
+    x1 = float(xs[i1])
+    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(cur.with_rate, x1)))
 
     # Analytic rate response at current prices: marginal own cost per unit of
     # rate, and the rate beyond which some link's overload penalty fires.
@@ -250,7 +247,7 @@ def best_deviation(
     x_best = demand(u, max(slope, 0.0), room)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
     cands.append(
-        _Candidate(float(value(u, x_best)) - best_tax, x_best, cur_prices, cur.with_rate(x_best))
+        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(cur.with_rate, x_best))
     )
 
     for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
@@ -258,23 +255,17 @@ def best_deviation(
         other = sum(v for m, v in cur_tax.items() if m != l)
         pays = v_cur - other - sweep
         j = int(np.argmax(pays))
-        msg = cur.with_price(l, float(ps[j]))
-        cands.append(
-            _Candidate(
-                float(pays[j]),
-                cur.rate,
-                tuple(msg.prices[m] for m in route),
-                msg,
-            )
-        )
+        p = float(ps[j])
+        prices = tuple(p if m == l else cur.prices[m] for m in route)
+        cands.append((float(pays[j]), cur.rate, prices, partial(cur.with_price, l, p)))
 
-    cands.append(_Candidate(cur_pay, cur.rate, cur_prices, cur))
+    cands.append((cur_pay, cur.rate, cur_prices, lambda: cur))
 
     best = cands[0]
     for c in cands[1:]:
-        if c.pay > best.pay or (c.pay == best.pay and (c.rate, c.prices) < (best.rate, best.prices)):
+        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
             best = c
-    return best.message, best.pay, cur_pay
+    return best[3](), best[0], cur_pay
 
 
 def audit(

@@ -176,6 +176,16 @@ def penalty(a: bool, b: bool, eps: float) -> float:
     return q / (1.0 - q)
 
 
+def _not_on_link(net: Network, user, link: int) -> UserNotOnLink:
+    name = net.user_labels[user] if user in net.users() else user
+    return UserNotOnLink(f"user {name!r} is not on link {net.link_labels[link]!r}")
+
+
+def _link_names(net: Network, links) -> list:
+    """Link labels for messages; an id outside the network stays an id."""
+    return [net.link_labels[l] if l in net.links() else l for l in links]
+
+
 def _cyclic_peers(group, user):
     """The two other users of a three-user link, in ascending-id cyclic order."""
     order = list(group)
@@ -194,9 +204,9 @@ def balance_term_three_user(
     """
     group = net.group(link)
     if len(group) != 3:
-        raise WrongGroupSize(f"link {link} has {len(group)} users, need 3")
+        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {len(group)} users, need 3")
     if user not in group:
-        raise UserNotOnLink(f"user {user} is not on link {link}")
+        raise _not_on_link(net, user, link)
     j, k = _cyclic_peers(group, user)
     pj, xj = profile[j].prices[link], profile[j].rate
     pk, xk = profile[k].prices[link], profile[k].rate
@@ -236,9 +246,9 @@ def balance_term_large_group(
     group = net.group(link)
     n = len(group)
     if n <= 3:
-        raise WrongGroupSize(f"link {link} has {n} users, need more than 3")
+        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {n} users, need more than 3")
     if user not in group:
-        raise UserNotOnLink(f"user {user} is not on link {link}")
+        raise _not_on_link(net, user, link)
     c = net.capacity(link)
     g = params.gamma
     m = n - 1
@@ -309,7 +319,7 @@ def own_tax_terms(
     message is never read."""
     group = net.group(link)
     if user not in group:
-        raise UserNotOnLink(f"user {user} is not on link {link}")
+        raise _not_on_link(net, user, link)
     n = len(group)
     c = net.capacity(link)
     others = [u for u in group if u != user]
@@ -409,7 +419,7 @@ def link_subsidy(
     """
     group = net.group(link)
     if len(group) != 2:
-        raise WrongGroupSize(f"link {link} has {len(group)} users, need 2")
+        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {len(group)} users, need 2")
     total = 0.0
     for user in group:
         terms = own_tax_terms(net, profile, link, user, params)
@@ -453,9 +463,8 @@ def validate_profile(net: Network, profile: MessageProfile, params: MechanismPar
         route = set(net.route(user))
         keys = set(m.prices)
         if keys != route:
-            named = [net.link_labels[l] if 0 <= l < net.num_links else l for l in sorted(keys)]
             raise RouteMismatch(
-                f"user {name!r}: price links {named} do not match route"
+                f"user {name!r}: price links {_link_names(net, sorted(keys))} do not match route"
                 f" {[net.link_labels[l] for l in sorted(route)]}"
             )
         cap = min_route_capacity(net, user)
@@ -484,11 +493,15 @@ def outcome(
     two_user_links = {l for l in net.links() if len(net.group(l)) == 2}
     if set(subsidies) != two_user_links:
         raise MechanismError(
-            f"subsidy assignment covers links {sorted(subsidies)}, expected {sorted(two_user_links)}"
+            f"subsidy assignment covers links {_link_names(net, sorted(subsidies))},"
+            f" expected {_link_names(net, sorted(two_user_links))}"
         )
     for link, recipient in subsidies.items():
         if recipient in net.group(link):
-            raise MechanismError(f"subsidy recipient {recipient} sits on its own link {link}")
+            raise MechanismError(
+                f"subsidy recipient {net.user_labels[recipient]!r} sits on its own link"
+                f" {net.link_labels[link]!r}"
+            )
 
     link_taxes: Dict[tuple, LinkTax] = {}
     totals: Dict[int, float] = {u: 0.0 for u in net.users()}

@@ -103,27 +103,30 @@ def kkt_residuals(
     dual = 0.0
     slack_links = 0.0
     slack_users = 0.0
-    for i in net.users():
+    for i, route in enumerate(net.routes):
         x = rates[i]
-        price = sum(lambdas[l] for l in net.route(i))
-        grad = float(derivative(utilities[i], max(x, 0.0)))
-        stationarity = _worse(stationarity, abs(grad - price + nus[i]), x)
+        nu = nus[i]
+        if math.isfinite(x):
+            price = sum(lambdas[l] for l in route)
+            grad = derivative(utilities[i], max(x, 0.0))
+            stationarity = _worse(stationarity, abs(grad - price + nu))
+        else:
+            stationarity = math.inf
         primal = _worse(primal, -x)
-        dual = _worse(dual, -nus[i])
-        slack_users = _worse(slack_users, abs(nus[i] * x))
-    for l in net.links():
-        load = sum(rates[u] for u in net.group(l))
-        primal = _worse(primal, load - net.capacity(l))
-        dual = _worse(dual, -lambdas[l])
-        slack_links = _worse(slack_links, abs(lambdas[l] * (load - net.capacity(l))))
+        dual = _worse(dual, -nu)
+        slack_users = _worse(slack_users, abs(nu * x))
+    for l, (group, cap) in enumerate(zip(net.groups, net.capacities)):
+        lam = lambdas[l]
+        excess = sum(rates[u] for u in group) - cap
+        primal = _worse(primal, excess)
+        dual = _worse(dual, -lam)
+        slack_links = _worse(slack_links, abs(lam * excess))
     return KktResiduals(stationarity, primal, dual, slack_links, slack_users)
 
 
-def _worse(worst: float, violation: float, *inputs: float) -> float:
-    """Running maximum that reads non-finite values as inf (max() drops NaN)."""
-    if math.isfinite(violation) and all(math.isfinite(v) for v in inputs):
-        return max(worst, violation)
-    return math.inf
+def _worse(worst: float, violation: float) -> float:
+    """Running maximum that reads a non-finite violation as inf (max() drops NaN)."""
+    return max(worst, violation) if math.isfinite(violation) else math.inf
 
 
 def _recover_nus(net, utilities, rates, prices) -> Dict[int, float]:
@@ -131,7 +134,7 @@ def _recover_nus(net, utilities, rates, prices) -> Dict[int, float]:
     nus = {}
     for i in net.users():
         if rates[i] <= 1e-12:
-            slope = float(derivative(utilities[i], 0.0))
+            slope = derivative(utilities[i], 0.0)
             gap = prices[i] - slope if math.isfinite(slope) else 0.0
             nus[i] = max(0.0, gap)
         else:
@@ -235,12 +238,11 @@ def solve_centralized(
             raise NonConcaveUtility(f"user {i} has a non-concave ({utilities[i].family}) utility")
 
     users = list(net.users())
-    links = list(net.links())
     caps = {i: min_route_capacity(net, i) for i in users}
     # Loose boxes for clearing: a capped demand hides the price at which a
     # lone binding user's first-order condition actually holds.
     big_caps = {i: 10.0 * caps[i] + 10.0 for i in users}
-    lam = {l: 0.0 for l in links}
+    lam = {l: 0.0 for l in net.links()}
     # Allocations feed the tax machinery, whose overload indicators trip at
     # the feasibility boundary; capacity violations must clear a far tighter
     # bar than the other residuals or constructed equilibria get penalized.
@@ -251,19 +253,19 @@ def solve_centralized(
     best = (math.inf, math.inf, math.inf)
     # Cyclic clearing: each link in turn gets the least price at which its
     # group's demand fits its capacity (zero if it fits at price zero).
+    routes = net.routes
     for iterations in range(1, config.max_iterations + 1):
-        for l in links:
-            group = net.group(l)
+        for l, (group, cap) in enumerate(zip(net.groups, net.capacities)):
             if not group:
                 lam[l] = 0.0
                 continue
-            base = {i: sum(lam[m] for m in net.route(i) if m != l) for i in group}
+            base = {i: sum(lam[m] for m in routes[i] if m != l) for i in group}
 
             def load_at(v):
                 return sum(demand(utilities[i], base[i] + v, big_caps[i]) for i in group)
 
-            lam[l] = _clear_link(load_at, net.capacity(l), lam[l])
-        prices = {i: sum(lam[l] for l in net.route(i)) for i in users}
+            lam[l] = _clear_link(load_at, cap, lam[l])
+        prices = {i: sum(lam[l] for l in routes[i]) for i in users}
         rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
         nus = _recover_nus(net, utilities, rates, prices)
         rep = kkt_residuals(net, utilities, rates, lam, nus)

@@ -1,13 +1,16 @@
 """The benchmark traces the library by wrapping names on its modules; those
-names must keep resolving. ``bench/spans.py`` is only imported here, never
-changed."""
+names must keep resolving, and the library must keep calling through them,
+or a per-layer metric reads zero. ``bench/spans.py`` is only imported here,
+never changed."""
 
 import importlib.util
 from pathlib import Path
 
-from nash_unicast import mechanism
+from nash_unicast import equilibrium, mechanism, solver
+from nash_unicast.scenario import load_scenario
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -28,3 +31,22 @@ def test_traced_names_resolve():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, missing
+
+
+def test_traced_layers_see_calls():
+    net, uts, params, config = load_scenario(ROOT / "scenarios" / "shared_backbone.json").build()
+    res = solver.solve_centralized(net, uts, config)
+    profile = equilibrium.construct_ne(net, uts, params, solve_result=res)
+    alloc = mechanism.outcome(net, profile, params, mechanism.assign_subsidies(net, params.rng_seed))
+
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        solver.solve_centralized(net, uts, config)
+    assert tracer.counts["utilities.derivative"] > 0
+    assert tracer.counts["utilities.demand"] > 0
+
+    with tracer.installed():
+        equilibrium.audit(net, uts, profile, params, alloc, br_grid=16)
+    calls, _, _ = tracer.summarize()
+    assert calls["mechanism.own_tax_terms"] > 0
+    assert calls["mechanism.eval_own_tax"] > 0

@@ -113,7 +113,7 @@ def test_link_terms_mean_and_own_excess():
 def test_link_terms_user_not_on_link():
     net = shared_link_net(2)
     profile = random_profile(net, random.Random(0))
-    with pytest.raises(UserNotOnLink):
+    with pytest.raises(UserNotOnLink, match="user 'u2' is not on link 'L0'"):
         own_tax_terms(net, profile, 0, 2, PARAMS)
 
 
@@ -168,8 +168,11 @@ def test_three_user_equal_price_closed_form():
 def test_three_user_balance_term_wrong_size():
     net = shared_link_net(4)
     profile = random_profile(net, random.Random(4))
-    with pytest.raises(WrongGroupSize):
+    with pytest.raises(WrongGroupSize, match="link 'L0' has 4 users, need 3"):
         balance_term_three_user(net, profile, 0, 0, PARAMS)
+    net = shared_link_net(3)
+    with pytest.raises(UserNotOnLink, match="user 'u3' is not on link 'L0'"):
+        balance_term_three_user(net, random_profile(net, random.Random(4)), 0, 3, PARAMS)
 
 
 def test_large_group_balance_term_ignores_own_message():
@@ -293,8 +296,11 @@ def test_large_group_equal_prices_closed_form():
 def test_large_group_balance_term_wrong_size():
     net = shared_link_net(3)
     profile = random_profile(net, random.Random(6))
-    with pytest.raises(WrongGroupSize):
+    with pytest.raises(WrongGroupSize, match="link 'L0' has 3 users, need more than 3"):
         balance_term_large_group(net, profile, 0, 0, PARAMS)
+    net = shared_link_net(4)
+    with pytest.raises(UserNotOnLink, match="user 'u4' is not on link 'L0'"):
+        balance_term_large_group(net, random_profile(net, random.Random(6)), 0, 4, PARAMS)
 
 
 # --- per-link taxes ----------------------------------------------------------
@@ -412,7 +418,7 @@ def test_link_subsidy_zero_rates_closed_form():
 def test_link_subsidy_wrong_group_size():
     net = shared_link_net(3)
     profile = random_profile(net, random.Random(23))
-    with pytest.raises(WrongGroupSize):
+    with pytest.raises(WrongGroupSize, match="link 'L0' has 3 users, need 2"):
         link_subsidy(net, profile, 0, PARAMS)
 
 
@@ -530,8 +536,10 @@ def test_outcome_requires_complete_subsidies(golden_net, golden_params):
         1: Message(0.2, {0: 1.0}),
         2: Message(0.2, {1: 1.0}),
     }
-    with pytest.raises(MechanismError):
+    with pytest.raises(MechanismError, match=r"covers links \[\], expected \['A'\]"):
         outcome(golden_net, profile, golden_params, {})
+    with pytest.raises(MechanismError, match="recipient 'u2' sits on its own link 'A'"):
+        outcome(golden_net, profile, golden_params, {0: 1})
 
 
 def test_infeasible_profile_still_allocates(golden_net, golden_params, golden_subsidies):

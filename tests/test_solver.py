@@ -4,6 +4,7 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nash_unicast.solver as solver
@@ -177,6 +178,87 @@ def test_kkt_residuals_random_triples_are_violated():
         nu = {i: rng.uniform(0.01, 1.0) for i in net.users()}
         rep = kkt_residuals(net, uts, rates, lam, nu)
         assert rep.max_violation > 0.0
+
+
+def kkt_residuals_reference(net, utilities, rates, lambdas, nus):
+    """The certificate as it was before it walked the network's tuples: a
+    gradient at every rate, by the array path of ``derivative``, and a
+    running maximum that also checks the rate. The oracle for
+    ``kkt_residuals``."""
+
+    def worse(worst, violation, *inputs):
+        if math.isfinite(violation) and all(math.isfinite(v) for v in inputs):
+            return max(worst, violation)
+        return math.inf
+
+    stationarity = primal = dual = slack_links = slack_users = 0.0
+    for i in net.users():
+        x = rates[i]
+        price = sum(lambdas[l] for l in net.route(i))
+        # derivative rejects a NaN rate; the NaN it once returned read as inf
+        at = max(x, 0.0)
+        grad = math.nan if math.isnan(at) else float(derivative(utilities[i], np.asarray(at)))
+        stationarity = worse(stationarity, abs(grad - price + nus[i]), x)
+        primal = worse(primal, -x)
+        dual = worse(dual, -nus[i])
+        slack_users = worse(slack_users, abs(nus[i] * x))
+    for l in net.links():
+        load = sum(rates[u] for u in net.group(l))
+        primal = worse(primal, load - net.capacity(l))
+        dual = worse(dual, -lambdas[l])
+        slack_links = worse(slack_links, abs(lambdas[l] * (load - net.capacity(l))))
+    return KktResiduals(stationarity, primal, dual, slack_links, slack_users)
+
+
+def assert_same_residuals(net, uts, rates, lam, nus):
+    got = kkt_residuals(net, uts, rates, lam, nus)
+    want = kkt_residuals_reference(net, uts, rates, lam, nus)
+    for name in KktResiduals.__dataclass_fields__:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert type(mine) is float, name
+        assert struct.pack("<d", mine) == struct.pack("<d", theirs), (name, mine, theirs)
+
+
+def test_kkt_residuals_match_reference_on_random_triples():
+    rng = random.Random(31)
+    net = build_network(
+        {"A": 1.0, "B": 2.0, "C": 0.5},
+        {1: ["A"], 2: ["A", "B"], 3: ["B", "C"], 4: ["C", "A"]},
+    )
+    uts = {0: log_utility(1.0), 1: power_utility(1.3, 0.4), 2: quad_cap_utility(2.0, 1.5), 3: log_utility(0.2)}
+    specials = (0.0, -0.0, 1e-300, math.nan, math.inf, -math.inf)
+
+    def draw(lo, hi):
+        roll = rng.random()
+        if roll < 0.15:
+            return rng.choice(specials)
+        if roll < 0.25:
+            return -rng.uniform(0.0, 1.0)
+        return rng.uniform(lo, hi)
+
+    for _ in range(3000):
+        rates = {i: draw(0.0, 1.5) for i in net.users()}
+        lam = {l: draw(0.0, 3.0) for l in net.links()}
+        nus = {i: draw(0.0, 1.0) for i in net.users()}
+        assert_same_residuals(net, uts, rates, lam, nus)
+
+
+def test_kkt_residuals_match_reference_on_every_round(monkeypatch):
+    checked = [0]
+
+    def recorded(net, uts, rates, lam, nus):
+        assert_same_residuals(net, uts, dict(rates), dict(lam), dict(nus))
+        checked[0] += 1
+        return kkt_residuals(net, uts, rates, lam, nus)
+
+    monkeypatch.setattr(solver, "kkt_residuals", recorded)
+    for seed in range(1000, 1050):
+        net, uts, _, config = random_scenario(seed).build()
+        try:
+            solve_centralized(net, uts, config)
+        except NotConverged:
+            assert seed == 1046
+    assert checked[0] > 1000
 
 
 def test_brute_force_single_user():

@@ -47,6 +47,35 @@ def test_negative_rate_rejected():
     for fn in (value, derivative):
         with pytest.raises(NegativeRate):
             fn(log_utility(1.0), -0.5)
+    # NaN is no rate either, as a float, a numpy scalar or inside an array
+    for rate in (math.nan, np.float64(math.nan), np.array([0.5, math.nan])):
+        for u in FAMILY_POOL:
+            for fn in (value, derivative):
+                with pytest.raises(NegativeRate):
+                    fn(u, rate)
+
+
+def float_path_rates(u, rng):
+    """Zero, the least subnormal, a tiny rate, the quadcap peak with a float
+    either side, and 1,000 random rates over six decades."""
+    rates = [0.0, 5e-324, 1e-300]
+    if u.family == "quadcap":
+        peak = u.a / (2.0 * u.b)
+        rates += [math.nextafter(peak, 0.0), peak, math.nextafter(peak, math.inf)]
+    rates += [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(1000)]
+    return rates
+
+
+def test_float_path_matches_array_path_bit_for_bit():
+    rng = random.Random(17)
+    for u in FAMILY_POOL:
+        rates = float_path_rates(u, rng)
+        for fn in (value, derivative):
+            on_array = fn(u, np.array(rates))
+            for x, want in zip(rates, on_array):
+                got = fn(u, x)
+                assert type(got) is float, (u, fn.__name__, x)
+                assert np.float64(got).tobytes() == want.tobytes(), (u, fn.__name__, x, got, want)
 
 
 def test_parameter_validation():
