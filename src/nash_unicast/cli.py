@@ -5,11 +5,16 @@ numbers at 12 significant digits, and optionally writes the same report as
 JSON (full float precision, so profiles round-trip bit-exactly). Exit codes:
 0 when every check passes, 2 when any check fails, 1 on errors. Set
 NASH_UNICAST_LOG=debug|info|warning for logging.
+
+``main`` can be called many times in one process: the argument parser is
+built on the first call and reused, and each command hashes its scenario
+once, after the command-line overrides.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -104,13 +109,14 @@ def cmd_solve(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     net, utilities, params, solver_config = scenario.build()
     res = solve_centralized(net, utilities, solver_config)
+    digest = scenario.digest()
     report = {
         "schema": "nash-unicast/report-v1",
         "command": "solve",
-        "scenario": {"name": scenario.name, "digest": scenario.digest()},
+        "scenario": {"name": scenario.name, "digest": digest},
         "solve": _solve_block(net, res),
     }
-    lines = [f"scenario {scenario.name} (digest {scenario.digest()})"]
+    lines = [f"scenario {scenario.name} (digest {digest})"]
     for u, v in sorted(res.rates.items()):
         lines.append(f"  rate  {net.user_labels[u]:>8}: {_fmt(v)}")
     for l, v in sorted(res.lambdas.items()):
@@ -149,8 +155,8 @@ def _breakdown_block(net, alloc) -> dict:
     }
 
 
-def _report_lines(scenario, net, alloc, checks, extra=()):
-    lines = [f"scenario {scenario.name} (digest {scenario.digest()})"]
+def _report_lines(scenario, digest, net, alloc, checks, extra=()):
+    lines = [f"scenario {scenario.name} (digest {digest})"]
     lines.extend(extra)
     lines.append("  taxes (price + incentive + balance = total per link):")
     for (u, l), lt in sorted(alloc.breakdown.link_taxes.items()):
@@ -179,10 +185,11 @@ def cmd_construct_ne(args) -> int:
     rep, alloc, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
     opt_ok, opt_gap = check_optimality(utilities, alloc, res)
     checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
+    digest = scenario.digest()
     report = {
         "schema": "nash-unicast/report-v1",
         "command": "construct-ne",
-        "scenario": {"name": scenario.name, "digest": scenario.digest()},
+        "scenario": {"name": scenario.name, "digest": digest},
         "solve": _solve_block(net, res),
         "profile": profile_to_labels(profile, net),
         "subsidies": {net.link_labels[l]: net.user_labels[u] for l, u in sorted(subsidies.items())},
@@ -198,7 +205,7 @@ def cmd_construct_ne(args) -> int:
             for u, m in sorted(profile.items())
         ),
     ]
-    _emit(report, args.out, _report_lines(scenario, net, alloc, checks, extra))
+    _emit(report, args.out, _report_lines(scenario, digest, net, alloc, checks, extra))
     return 0 if all(c["pass"] for c in checks) else 2
 
 
@@ -230,16 +237,17 @@ def cmd_audit(args) -> int:
         checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
     except NonConcaveUtility:
         log.info("optimality check skipped: non-concave utilities")
+    digest = scenario.digest()
     report = {
         "schema": "nash-unicast/report-v1",
         "command": "audit",
-        "scenario": {"name": scenario.name, "digest": scenario.digest()},
+        "scenario": {"name": scenario.name, "digest": digest},
         "profile": profile_to_labels(profile, net),
         "audit": {k: getattr(rep, k) for k, _ in AUDIT_CHECKS},
         "tax_breakdown": _breakdown_block(net, alloc),
         "checks": checks,
     }
-    _emit(report, args.out, _report_lines(scenario, net, alloc, checks))
+    _emit(report, args.out, _report_lines(scenario, digest, net, alloc, checks))
     if not all(c["pass"] for c in checks):
         failing = ", ".join(c["name"] for c in checks if not c["pass"])
         print(f"failed checks: {failing}", file=sys.stderr)
@@ -265,10 +273,11 @@ def cmd_simulate(args) -> int:
         stop_tolerance=args.stop_tolerance,
     )
     traj = run_dynamics(net, utilities, start, config, params)
+    digest = scenario.digest()
     report = {
         "schema": "nash-unicast/report-v1",
         "command": "simulate",
-        "scenario": {"name": scenario.name, "digest": scenario.digest()},
+        "scenario": {"name": scenario.name, "digest": digest},
         "verdict": traj.verdict,
         "rounds": traj.rounds,
         "moves": [
@@ -283,7 +292,7 @@ def cmd_simulate(args) -> int:
         "final_profile": profile_to_labels(traj.final_profile, net),
     }
     lines = [
-        f"scenario {scenario.name} (digest {scenario.digest()})",
+        f"scenario {scenario.name} (digest {digest})",
         f"  verdict: {traj.verdict} after {traj.rounds} rounds, {len(traj.steps)} moves",
     ]
     for s in traj.steps[:20]:
@@ -368,6 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import; parse_args keeps no
+    # state between calls
+    return build_parser()
+
+
 HANDLERS = {
     "solve": cmd_solve,
     "construct-ne": cmd_construct_ne,
@@ -380,7 +396,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     level = os.environ.get("NASH_UNICAST_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.grid < 2:  # the same floor as DynamicsConfig.br_grid
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return 1

@@ -10,6 +10,8 @@ the messages of the users sharing one of its links. So a user whose last
 evaluation found no improvement above ``stop_tolerance`` is settled, and is
 skipped until a move unsettles every user sharing a link with the mover, the
 mover included: re-evaluating it before then would find the same non-move.
+The deviation search's axes depend on the static game alone, so one
+``deviation_grid`` serves the whole run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Mapping
 
-from .equilibrium import best_deviation
+from .equilibrium import best_deviation, deviation_grid
 from .mechanism import (
     MechanismParams,
     Message,
@@ -97,6 +99,7 @@ def run_dynamics(
     # users sharing a link with each user, the user included
     neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in users}
     settled = set()
+    grid = deviation_grid(net, utilities, params, config.br_grid)
 
     for rnd in range(1, config.max_rounds + 1):
         order = rng.sample(users, len(users)) if config.schedule == "random" else users
@@ -104,9 +107,7 @@ def run_dynamics(
         for user in order:
             if user in settled:
                 continue
-            message, best_pay, cur_pay = best_deviation(
-                net, utilities, profile, user, params, config.br_grid
-            )
+            message, best_pay, cur_pay = best_deviation(net, utilities, profile, user, params, grid)
             delta = best_pay - cur_pay
             if delta > config.stop_tolerance:
                 steps.append(Step(rnd, user, profile[user], message, delta))

@@ -7,12 +7,14 @@ judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, an exhaustive grid best-response gap,
 individual rationality, budget balance, and agreement of the taxes with their
 equilibrium closed forms. Its best-response search (``best_deviation``)
-rests on a link tax separating into a rate part, a price part and a
-rate-times-price coupling, so a user's whole rate-by-price lattice is the
-outer sum of three per-route vectors. Each price column has a bound that no
-float entry of it can exceed (its coupling is least at rate 0 or at the top
-rate, and rounding is monotone), so only the columns whose bound reaches the
-best column's max are evaluated; the result is the full lattice's, bit for bit.
+runs on axes that depend only on the static game (a ``DeviationGrid``, built
+once per ``audit`` and per dynamics run by ``deviation_grid``). It rests on a
+link tax separating into a rate part, a price part and a rate-times-price
+coupling, so a user's whole rate-by-price lattice is the outer sum of three
+per-route vectors. Each price column has a bound that no float entry of it
+can exceed (its coupling is least at rate 0 or at the top rate, and rounding
+is monotone), so only the columns whose bound reaches the best column's max
+are evaluated; the result is the full lattice's, bit for bit.
 ``check_walrasian`` grid-checks that every user's rate maximizes its payoff
 at the posted prices over the rates the others leave available.
 """
@@ -68,6 +70,38 @@ class NeAuditReport:
     ir_min_payoff: float
     budget_gap: float
     corollary_tax_gap: float
+
+
+@dataclass(frozen=True)
+class DeviationGrid:
+    """The search axes of ``best_deviation``, fixed by the static game: the
+    price axis all users share, and per user id its rate axis over its route
+    capacity and the utility on that axis. The arrays are read-only."""
+
+    prices: np.ndarray
+    rates: Tuple[np.ndarray, ...]
+    values: Tuple[np.ndarray, ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def deviation_grid(
+    net: Network, utilities: Mapping[int, UtilitySpec], params: MechanismParams, br_grid: int
+) -> DeviationGrid:
+    """``br_grid`` points per axis: prices over [0, price_bound], each user's
+    rates over [0, its route capacity], and V at those rates."""
+    rates = [_read_only(np.linspace(0.0, min_route_capacity(net, u), br_grid)) for u in net.users()]
+    return DeviationGrid(
+        prices=_read_only(np.linspace(0.0, params.price_bound, br_grid)),
+        rates=tuple(rates),
+        values=tuple(
+            _read_only(np.asarray(value(utilities[u], xs), dtype=float))
+            for u, xs in zip(net.users(), rates)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -160,9 +194,13 @@ def best_deviation(
     profile: MessageProfile,
     user: int,
     params: MechanismParams,
-    br_grid: int,
+    grid: DeviationGrid,
 ) -> Tuple[Message, float, float]:
     """Grid-argmax of one user's payoff over its own message box.
+
+    ``grid`` is ``deviation_grid`` of the same network, utilities and params;
+    it does not depend on the profile, so one grid serves every call of an
+    audit or a dynamics run.
 
     Candidates: a rate-by-uniform-price lattice spanning the whole box, a
     rate sweep holding the current prices (the price box is huge, so the
@@ -204,9 +242,7 @@ def best_deviation(
     cur_prices = tuple(cur.prices[m] for m in route)
 
     cap = min_route_capacity(net, user)
-    xs = np.linspace(0.0, cap, br_grid)
-    ps = np.linspace(0.0, params.price_bound, br_grid)
-    vs = np.asarray(value(u, xs), dtype=float)
+    xs, vs, ps = grid.rates[user], grid.values[user], grid.prices
 
     # per link: (f(xs), g(ps), h(ps)) on the grid and (f, g, h) at the
     # current (rate, price); the route sums of each
@@ -317,8 +353,9 @@ def audit(
             deriv_gap = max(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
+    grid = deviation_grid(net, utilities, params, br_grid)
     for user in net.users():
-        _, best_pay, cur_pay = best_deviation(net, utilities, profile, user, params, br_grid)
+        _, best_pay, cur_pay = best_deviation(net, utilities, profile, user, params, grid)
         br_gap = max(br_gap, best_pay - cur_pay)
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())

@@ -174,7 +174,7 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
     Closed form for the concave families; plateau ties (quadcap at price 0)
     resolve to the smallest maximizer. The sigmoid objective can be bimodal,
     so it is solved by a coarse scan plus golden-section refinement and an
-    endpoint comparison.
+    endpoint comparison. Returns a Python float for every family.
     """
     if cap < 0:
         raise UtilityError(f"cap must be non-negative, got {cap}")
@@ -189,8 +189,8 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
     if u.family == "power":
         if price == 0.0:
             return cap
-        ratio = u.a * u.b / price
-        if math.log(ratio) / (1.0 - u.b) > 700.0:  # would overflow; far beyond any cap
+        ratio = u.a * u.b / price  # 0.0 once a*b/price underflows: demand 0
+        if ratio > 0.0 and math.log(ratio) / (1.0 - u.b) > 700.0:  # would overflow; far beyond any cap
             return cap
         return min(ratio ** (1.0 / (1.0 - u.b)), cap)
     if u.family == "quadcap":
@@ -208,12 +208,14 @@ def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
         return u.a * x * x / (u.b + x * x) - price * x
 
     # Coarse scan locates the best bracket; golden-section refines it. The
-    # scan is f on the whole grid, in f's own order of operations.
+    # scan is f on the whole grid, in f's own order of operations; the
+    # refinement runs on Python floats, the same IEEE operations as on numpy
+    # scalars at a fraction of the cost.
     grid = np.linspace(0.0, cap, 65)
     vals = u.a * grid * grid / (u.b + grid * grid) - price * grid
     k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)

@@ -2,11 +2,13 @@
 
 Builds, once per session, the random topology corpus with its feasible
 message profiles, the solved concave scenario suite, and the sigmoid market
-suite. Everything is seeded and deterministic.
+suite; ``mixed_market`` builds one market of concave and sigmoid users.
+Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -21,7 +23,7 @@ from nash_unicast.scenario import (
     sigmoid_clearing_scenario,
 )
 from nash_unicast.solver import SolveResult, SolverConfig, solve_centralized
-from nash_unicast.utilities import UtilitySpec
+from nash_unicast.utilities import UtilitySpec, sigmoid_utility
 
 TOPOLOGY_SEEDS = tuple(range(1000, 1020))
 CONCAVE_SEEDS = tuple(range(2000, 2050))
@@ -115,3 +117,15 @@ def with_params(s: SolvedScenario, alpha_scale: float = 1.0, gamma_scale: float 
     return SolvedScenario(
         s.name, s.net, s.utilities, params, s.solver_config, s.result, s.profile, s.subsidies
     )
+
+
+def mixed_market(seed: int, users_range=(4, 8), links_range=(3, 5)):
+    """A random topology where about half the users get sigmoid utilities;
+    returns (net, utilities, params)."""
+    scenario = random_scenario(seed, users_range=users_range, links_range=links_range)
+    rng = random.Random(seed)
+    labels = sorted(scenario.utilities)
+    for label in rng.sample(labels, len(labels) // 2):
+        scenario.utilities[label] = sigmoid_utility(rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0))
+    net, utilities, params, _ = scenario.build()
+    return net, utilities, params

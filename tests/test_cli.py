@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from nash_unicast import cli
 from nash_unicast.cli import _emit, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -234,3 +235,29 @@ def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, fi
     assert code == 1
     assert expected in captured.err, captured.err
     assert "certified" not in captured.out and "converged" not in captured.out
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    a, b, fresh = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "fresh.json"
+    argv = ["construct-ne", "--scenario", GOLDEN, "--seed", "3", "--tolerance", "1e-9", "--grid", "50"]
+    assert main(argv + ["--out", str(a)]) == 0
+    with pytest.raises(SystemExit):
+        main(["construct-ne", "--scenario", GOLDEN, "--no-such-flag"])
+    assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(b)]) == 0
+    assert len(built) == 1
+
+    cli._parser.cache_clear()
+    assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(fresh)]) == 0
+    assert len(built) == 2
+    assert b.read_bytes() == fresh.read_bytes()
+    assert a.read_bytes() != b.read_bytes()  # the first call's flags were in effect
+    cli._parser.cache_clear()

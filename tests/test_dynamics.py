@@ -11,13 +11,14 @@ from nash_unicast.dynamics import (
     run_dynamics,
     _quantized,
 )
-from nash_unicast.equilibrium import audit, best_deviation, construct_ne
+from nash_unicast.equilibrium import audit, best_deviation, construct_ne, deviation_grid
 from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies, outcome, validate_profile
 from nash_unicast.network import build_network
 from nash_unicast.scenario import random_feasible_profile
 from nash_unicast.utilities import log_utility
 
-from corpus import sigmoid_suite, topology_corpus
+from corpus import mixed_market, sigmoid_suite, topology_corpus
+from oracles import best_deviation_reference
 
 
 @pytest.fixture
@@ -57,8 +58,9 @@ def test_solo_user_walks_to_its_capacity():
 def test_best_response_deterministic(golden_net, golden_utilities, golden_params, golden_ne):
     messy = dict(golden_ne)
     messy[0] = Message(0.1, {0: 0.2})
-    m1, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, 64)
-    m2, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, 64)
+    grid = deviation_grid(golden_net, golden_utilities, golden_params, 64)
+    m1, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, grid)
+    m2, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, grid)
     assert m1 == m2
 
 
@@ -155,10 +157,13 @@ def test_quantization_hides_float_dust():
 # --- skipping settled users against evaluating every user each round ----------
 
 
-def run_dynamics_reference(net, utilities, start, config, params, best_response=best_deviation):
-    """The dynamics loop that evaluates every user in every round, kept as the
-    oracle of ``run_dynamics``, which skips users whose neighbourhood has not
-    moved since they last found no improvement."""
+def run_dynamics_reference(
+    net, utilities, start, config, params, best_response=best_deviation_reference
+):
+    """The dynamics loop that evaluates every user in every round with a
+    deviation grid built in every call, kept as the oracle of
+    ``run_dynamics``, which skips users whose neighbourhood has not moved
+    since they last found no improvement and builds one grid per run."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)
     profile = dict(start)
@@ -212,14 +217,14 @@ def test_settled_users_keep_trajectories_identical(
 ):
     calls = {"skipping": 0, "reference": 0}
 
-    def counted(key):
+    def counted(key, search):
         def wrapped(*args):
             calls[key] += 1
-            return best_deviation(*args)
+            return search(*args)
 
         return wrapped
 
-    monkeypatch.setattr(dynamics, "best_deviation", counted("skipping"))
+    monkeypatch.setattr(dynamics, "best_deviation", counted("skipping", best_deviation))
 
     cases = _golden_dynamics_cases(golden_net, golden_utilities, golden_params)
     for b in topology_corpus()[:6]:
@@ -227,6 +232,9 @@ def test_settled_users_keep_trajectories_identical(
     for b, clearing in sigmoid_suite()[:4]:
         cases.append((b.net, b.utilities, clearing, b.params))
         cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
+    for seed in range(4100, 4103):
+        net, uts, params = mixed_market(seed)
+        cases.append((net, uts, random_feasible_profile(net, params, seed=seed), params))
 
     drops = 0
     verdicts = set()
@@ -239,7 +247,8 @@ def test_settled_users_keep_trajectories_identical(
                 before = dict(calls)
                 traj = run_dynamics(net, uts, start, config, params)
                 ref = run_dynamics_reference(
-                    net, uts, start, config, params, best_response=counted("reference")
+                    net, uts, start, config, params,
+                    best_response=counted("reference", best_deviation_reference),
                 )
                 assert traj == ref, (net.user_labels, schedule, br_grid)
                 used = calls["skipping"] - before["skipping"]

@@ -14,6 +14,7 @@ from nash_unicast.equilibrium import (
     check_optimality,
     check_walrasian,
     construct_ne,
+    deviation_grid,
     ne_tax_closed_form,
     zero_tax_deviation_price,
 )
@@ -40,7 +41,8 @@ from nash_unicast.utilities import (
     value,
 )
 
-from corpus import concave_suite, sigmoid_suite, topology_corpus
+from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
+from oracles import best_deviation_reference
 
 
 @pytest.fixture
@@ -156,7 +158,7 @@ def test_best_response_gap_nonnegative_even_off_equilibrium(golden):
             )
             for u in net.users()
         }
-        _, best, cur = best_deviation(net, uts, messy, 0, params, br_grid=40)
+        _, best, cur = best_deviation(net, uts, messy, 0, params, deviation_grid(net, uts, params, 40))
         assert best - cur >= 0.0
 
 
@@ -254,7 +256,7 @@ def test_walrasian_requires_uniform_prices(golden):
 # --- the separable deviation search against the full-grid search ---------------
 
 
-def best_deviation_reference(net, utilities, profile, user, params, br_grid):
+def best_deviation_full_grid(net, utilities, profile, user, params, br_grid):
     """The deviation search that evaluates ``eval_own_tax`` on the whole
     rate-by-price grid of every route link, kept as the oracle of the
     separable lattice in ``best_deviation``. Same candidates, same order,
@@ -348,9 +350,10 @@ def _message_payoff(net, utilities, profile, user, params, message):
 
 def _assert_deviation_matches_reference(net, utilities, profile, params, br_grid):
     sizes = set()
+    grid = deviation_grid(net, utilities, params, br_grid)
     for user in net.users():
-        msg, best, cur = best_deviation(net, utilities, profile, user, params, br_grid)
-        _, ref_best, ref_cur = best_deviation_reference(net, utilities, profile, user, params, br_grid)
+        msg, best, cur = best_deviation(net, utilities, profile, user, params, grid)
+        _, ref_best, ref_cur = best_deviation_full_grid(net, utilities, profile, user, params, br_grid)
         bound = 1e-12 * max(1.0, abs(ref_best))
         assert cur == ref_cur, (user, cur, ref_cur)
         assert abs(best - ref_best) <= bound, (user, best, ref_best)
@@ -400,6 +403,65 @@ def test_best_deviation_matches_full_grid_search_sigmoid(br_grid):
         _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
 
 
+# --- one deviation grid per audit against a grid built in every call -----------
+
+
+def _bits(found):
+    msg, best, cur = found
+    prices = sorted((l, float.hex(p)) for l, p in msg.prices.items())
+    return float.hex(msg.rate), prices, float.hex(best), float.hex(cur)
+
+
+def _assert_grid_matches_per_call_grid(net, utilities, profile, params, br_grid):
+    """Returns how many users' best deviation posts a nonzero grid price."""
+    grid = deviation_grid(net, utilities, params, br_grid)
+    on_price_axis = 0
+    for user in net.users():
+        got = best_deviation(net, utilities, profile, user, params, grid)
+        ref = best_deviation_reference(net, utilities, profile, user, params, br_grid)
+        # bit for bit: float.hex tells -0.0 from 0.0 and NaN from a number
+        assert _bits(got) == _bits(ref), (user, got, ref)
+        on_price_axis += any(p > 0.0 and p in grid.prices for p in got[0].prices.values())
+    return on_price_axis
+
+
+@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
+def test_deviation_grid_matches_per_call_grid_on_mixed_markets(br_grid):
+    families = set()
+    on_price_axis = 0
+    for seed in range(4000, 4012):
+        net, uts, params = mixed_market(seed)
+        families |= {u.family for u in uts.values()}
+        # under the default bound the grid prices are too coarse to win; a
+        # tight bound lets the lattice and the price sweeps win
+        for bounded in (params, replace(params, price_bound=3.0)):
+            for k in range(3):
+                profile = random_feasible_profile(net, bounded, seed=seed * 31 + k)
+                on_price_axis += _assert_grid_matches_per_call_grid(net, uts, profile, bounded, br_grid)
+    assert "sigmoid" in families and len(families) >= 3, families
+    assert on_price_axis > 0
+
+
+@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
+def test_deviation_grid_matches_per_call_grid_at_equilibria(br_grid):
+    for s in concave_suite()[:20]:
+        _assert_grid_matches_per_call_grid(s.net, s.utilities, s.profile, s.params, br_grid)
+    for b, clearing in sigmoid_suite():
+        _assert_grid_matches_per_call_grid(b.net, b.utilities, clearing, b.params, br_grid)
+
+
+def test_deviation_grid_arrays_are_read_only(golden):
+    net, uts, params, *_ = golden
+    grid = deviation_grid(net, uts, params, 9)
+    assert len(grid.rates) == len(grid.values) == net.num_users
+    for arr in (grid.prices, *grid.rates, *grid.values):
+        assert arr.shape == (9,)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+
+
 # --- the column-bounded lattice search against the full G-by-G fill -------------
 
 
@@ -440,8 +502,9 @@ def test_lattice_argmax_matches_full_fill_on_corpora(monkeypatch, br_grid):
         cases.append((b.net, b.utilities, clearing, b.params))
         cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
     for net, uts, profile, params in cases:
+        grid = deviation_grid(net, uts, params, br_grid)
         for user in net.users():
-            best_deviation(net, uts, profile, user, params, br_grid)
+            best_deviation(net, uts, profile, user, params, grid)
     assert len(seen) > 400
     assert any(np.any(h < 0) for _, _, h, _ in seen) and any(np.any(h > 0) for _, _, h, _ in seen)
     for xs, a, h_sum, g_sum in seen:

@@ -1,14 +1,19 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nash_unicast.cli import main
-from nash_unicast.mechanism import validate_profile
+from nash_unicast.mechanism import MechanismError, validate_profile
 from nash_unicast.network import is_feasible, link_load
 from nash_unicast.scenario import (
+    SCHEMA,
     ParseError,
     Scenario,
+    ScenarioError,
     ValidationError,
     load_scenario,
     parse_scenario,
@@ -17,6 +22,7 @@ from nash_unicast.scenario import (
     save_scenario,
     sigmoid_clearing_scenario,
 )
+from nash_unicast.solver import NonConcaveUtility, NotConverged, solve_centralized
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = SCENARIO_DIR / "two_users_one_link.json"
@@ -219,3 +225,39 @@ def test_profile_round_trip_through_labels():
 
     again = profile_to_labels(profile, net)
     assert again == scenario.profile
+
+
+# --- property: an accepted scenario solves or fails by name --------------------
+
+PARAMETER = st.floats(min_value=1e-300, max_value=1e300)
+# power's theta is accepted only below 1; draw there half of the time
+THETA = st.one_of(PARAMETER, st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+FAMILY_PARAMETERS = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
+
+
+@st.composite
+def scenario_dicts(draw):
+    links = {f"L{j}": draw(st.floats(min_value=1e-9, max_value=1e6)) for j in range(draw(st.integers(1, 4)))}
+    labels = sorted(links)
+    routes, utilities = {}, {}
+    for i in range(draw(st.integers(2, 6))):
+        routes[f"u{i}"] = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels), unique=True))
+        family = draw(st.sampled_from(sorted(FAMILY_PARAMETERS)))
+        params = {k: draw(THETA if k == "theta" else PARAMETER) for k in FAMILY_PARAMETERS[family]}
+        utilities[f"u{i}"] = {"family": family, "params": params}
+    return {"schema": SCHEMA, "name": "drawn", "links": links, "routes": routes, "utilities": utilities}
+
+
+@given(scenario_dicts())
+@settings(max_examples=50, deadline=None)
+def test_accepted_scenario_solves_or_raises_a_named_error(data):
+    try:
+        scenario = parse_scenario(data)
+    except ScenarioError:
+        return
+    try:
+        net, utilities, _, solver_config = scenario.build()
+        res = solve_centralized(net, utilities, solver_config)
+    except (ScenarioError, NonConcaveUtility, NotConverged, MechanismError):
+        return
+    assert math.isfinite(res.objective) and math.isfinite(res.kkt_residual), res

@@ -20,6 +20,8 @@ from nash_unicast.utilities import (
     value,
 )
 
+from oracles import sigmoid_demand_numpy
+
 FAMILY_POOL = [
     log_utility(1.0),
     log_utility(2.5),
@@ -218,6 +220,58 @@ def test_sigmoid_demand_matches_closure_scan_exactly():
         price = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 3.0)])
         cap = rng.choice([rng.uniform(1e-6, 0.1), rng.uniform(0.1, 10.0)])
         assert demand(u, price, cap) == sigmoid_demand_reference(u, price, cap), (u, price, cap)
+
+
+def _sigmoid_cases():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(1200):
+        u = sigmoid_utility(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3))
+        price = rng.choice([0.0, 10 ** rng.uniform(-6, 3), rng.uniform(0.0, 3.0)])
+        cap = rng.choice([0.0, 5e-324, 1e-300, 10 ** rng.uniform(-9, 6), rng.uniform(0.1, 10.0)])
+        cases.append((u, price, cap))
+    for a, s in ((1e300, 1e-300), (1e-300, 1e300), (1e300, 1e300), (1e-300, 1e-300)):
+        for price in (0.0, 1e-300, 1.0, 1e300):
+            for cap in (0.0, 5e-324, 1e-300, 1.0, 1e6, 1e300):
+                cases.append((sigmoid_utility(a, s), price, cap))
+    return cases
+
+
+def _scan_argmax(u, price, cap):
+    grid = np.linspace(0.0, cap, 65)
+    return int(np.argmax(u.a * grid * grid / (u.b + grid * grid) - price * grid))
+
+
+def test_sigmoid_demand_float_refinement_matches_numpy_scalars_bit_for_bit():
+    cases = _sigmoid_cases()
+    # the coarse scan peaking at either end of its grid
+    first_point = (sigmoid_utility(1.0, 1.0), 5.0, 2.0)
+    last_point = (sigmoid_utility(2.0, 1.0), 0.01, 0.3)
+    assert _scan_argmax(*first_point) == 0 and _scan_argmax(*last_point) == 64
+    cases += [first_point, last_point]
+    ends = set()
+    with np.errstate(all="ignore"):  # overflowing scans, alike on both sides
+        for u, price, cap in cases:
+            got, ref = demand(u, price, cap), sigmoid_demand_numpy(u, price, cap)
+            assert type(got) is float, (u, price, cap, type(got))
+            assert float.hex(got) == float.hex(ref), (u, price, cap, got, ref)
+            if price > 0.0 and cap > 0.0:
+                ends.add(_scan_argmax(u, price, cap))
+    assert {0, 64} <= ends
+
+
+def test_power_demand_is_zero_when_its_ratio_underflows():
+    # a*theta/price rounds to 0.0, whose log is undefined
+    u = power_utility(1e-38, 1e-300)
+    assert u.a * u.b / 1.0 == 0.0
+    assert demand(u, 1.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("u", FAMILY_POOL, ids=lambda u: f"{u.family}-{u.a}-{u.b}")
+def test_demand_returns_a_python_float(u):
+    for price in (0.0, 0.05, 0.7, 2.5, 40.0):
+        for cap in (0.0, 1e-300, 0.3, 3.0):
+            assert type(demand(u, price, cap)) is float, (u, price, cap)
 
 
 def test_payoff():
