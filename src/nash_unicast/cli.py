@@ -7,8 +7,10 @@ JSON (full float precision, so profiles round-trip bit-exactly). Exit codes:
 NASH_UNICAST_LOG=debug|info|warning for logging.
 
 ``main`` can be called many times in one process: the argument parser is
-built on the first call and reused, and each command hashes its scenario
-once, after the command-line overrides.
+built on the first call and reused, each command hashes its scenario once,
+after the command-line overrides, and log lines go to ``sys.stderr`` as it
+is when they are logged, so a caller that redirects stderr per call gets
+each call's own lines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import DynamicsConfig, run_dynamics
@@ -34,6 +37,7 @@ from .scenario import (
 from .solver import NonConcaveUtility, solve_centralized
 
 log = logging.getLogger("nash_unicast")
+_JSON_DEFAULT = json.JSONEncoder().default  # raises json's TypeError for other types
 
 AUDIT_CHECKS = (
     # (name, kind) where kind describes the comparison in _evaluate_checks
@@ -83,12 +87,72 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def report_json(report) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
+
+    ``indent`` makes ``json.dumps`` run its pure-Python encoder. Here Python
+    walks only the containers that hold containers; every other container
+    goes to json's C encoder whole, with the newline and indent of its depth
+    as the item separator. Without the C encoder, and wherever the fast path
+    raises (a NaN or inf, or a non-string key beside a container), the text
+    comes from ``json.dumps`` itself, which raises the same error.
+    """
+    if c_make_encoder is None:
+        return json.dumps(report, indent=2, allow_nan=False)
+    encoders = {}
+    chunks = []
+    try:
+        _encode(report, 0, chunks, encoders)
+    except (ValueError, TypeError):
+        return json.dumps(report, indent=2, allow_nan=False)
+    return "".join(chunks)
+
+
+def _encode(o, level: int, out: list, encoders: dict) -> None:
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(o, dict):
+        opening, closing, items = "{", "}", o.values()
+    elif isinstance(o, (list, tuple)):
+        opening, closing, items = "[", "]", o
+    else:
+        items = None
+    if not items or not any(isinstance(v, _CONTAINERS) for v in items):
+        encode = encoders.get(level)
+        if encode is None:
+            encode = encoders[level] = c_make_encoder(
+                None, _JSON_DEFAULT, encode_basestring_ascii, None, ": ", "," + inner, False, False, False
+            )
+        text = "".join(encode(o, 0))
+        if items:  # a non-empty container: open it onto its own lines
+            text = text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+        out.append(text)
+        return
+    out.append(opening)
+    sep = inner
+    if closing == "}":
+        for key, v in o.items():
+            if not isinstance(key, str):
+                raise TypeError("non-string key beside a container")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(v, level + 1, out, encoders)
+            sep = "," + inner
+    else:
+        for v in o:
+            out.append(sep)
+            _encode(v, level + 1, out, encoders)
+            sep = "," + inner
+    out.append(inner[:-2] + closing)
+
+
 def _emit(report: dict, out_path, lines) -> None:
     for line in lines:
         print(line)
     if out_path:
         # strict JSON: a NaN or inf raises ValueError before the file is opened
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = report_json(report)
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
         print(f"report written to {out_path}")
@@ -393,9 +457,33 @@ HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record, in ``logging.basicConfig``'s format, to the
+    ``sys.stderr`` of the moment it is logged."""
+
+    def __init__(self):
+        super().__init__()
+        self.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+def _configure_logging() -> None:
     level = os.environ.get("NASH_UNICAST_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        log.addHandler(_StderrHandler())
+        log.propagate = False
+
+
+def main(argv=None) -> int:
+    _configure_logging()
     args = _parser().parse_args(argv)
     if args.grid < 2:  # the same floor as DynamicsConfig.br_grid
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)

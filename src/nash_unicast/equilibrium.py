@@ -6,15 +6,21 @@ user requests its optimal rate and posts the link multipliers as prices.
 judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, an exhaustive grid best-response gap,
 individual rationality, budget balance, and agreement of the taxes with their
-equilibrium closed forms. Its best-response search (``best_deviation``)
-runs on axes that depend only on the static game (a ``DeviationGrid``, built
-once per ``audit`` and per dynamics run by ``deviation_grid``). It rests on a
-link tax separating into a rate part, a price part and a rate-times-price
-coupling, so a user's whole rate-by-price lattice is the outer sum of three
-per-route vectors. Each price column has a bound that no float entry of it
-can exceed (its coupling is least at rate 0 or at the top rate, and rounding
-is monotone), so only the columns whose bound reaches the best column's max
-are evaluated; the result is the full lattice's, bit for bit.
+equilibrium closed forms.
+
+The best-response search runs on axes that depend only on the static game (a
+``DeviationGrid``, built once per ``audit`` and per dynamics run by
+``deviation_grid``, one row per user). It rests on a link tax separating
+into a rate part, a price part and a rate-times-price coupling, so a user's
+whole rate-by-price lattice is the outer sum of three per-route vectors.
+Each price column has a bound that no float entry of it can exceed (its
+coupling is least at rate 0 or at the top rate, and rounding is monotone),
+so only the columns whose bound reaches the best column's max are
+evaluated; the result is the full lattice's, bit for bit. The search comes
+in two shapes with the same result, bit for bit: ``best_deviation`` answers
+for one user, as dynamics needs it (play is sequential, so each answer sees
+the previous move), and ``best_deviations`` answers for every user of one
+fixed profile in one array pass, as the audit needs it.
 ``check_walrasian`` grid-checks that every user's rate maximizes its payoff
 at the posted prices over the rates the others leave available.
 """
@@ -24,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Mapping, Tuple
+from operator import attrgetter
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .mechanism import (
     MechanismParams,
     Message,
     MessageProfile,
+    OwnTaxTerms,
     WrongGroupSize,
     _cyclic_peers,
     eval_own_tax,
@@ -74,13 +82,24 @@ class NeAuditReport:
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """The search axes of ``best_deviation``, fixed by the static game: the
-    price axis all users share, and per user id its rate axis over its route
-    capacity and the utility on that axis. The arrays are read-only."""
+    """The search axes of the deviation searches, fixed by the static game:
+    the price axis all users share, and one row per user id of its rate axis
+    over its route capacity (``rates[u]``) and of the utility on that axis
+    (``values[u]``). The arrays are read-only."""
 
     prices: np.ndarray
-    rates: Tuple[np.ndarray, ...]
-    values: Tuple[np.ndarray, ...]
+    rates: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class _FamilyRows:
+    """One utility family with its parameters as columns, one row per user,
+    so that ``value`` evaluates the rows of all those users in one call."""
+
+    family: str
+    a: np.ndarray
+    b: np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -92,15 +111,32 @@ def deviation_grid(
     net: Network, utilities: Mapping[int, UtilitySpec], params: MechanismParams, br_grid: int
 ) -> DeviationGrid:
     """``br_grid`` points per axis: prices over [0, price_bound], each user's
-    rates over [0, its route capacity], and V at those rates."""
-    rates = [_read_only(np.linspace(0.0, min_route_capacity(net, u), br_grid)) for u in net.users()]
+    rates over [0, its route capacity], and V at those rates.
+
+    Each row holds the bits of ``np.linspace(0.0, cap, br_grid)`` and of
+    ``value`` on it, built in one call for all rows and one per utility
+    family. Once any row's step underflows to 0, numpy's linspace takes its
+    denormal path for every row it is given, so then the other rows are
+    built again in a call of their own.
+    """
+    users = net.users()
+    caps = np.array([min_route_capacity(net, u) for u in users], dtype=float)
+    rates = np.linspace(0.0, caps, br_grid, axis=1)
+    tiny = caps / (br_grid - 1) == 0.0
+    if tiny.any():
+        rates[~tiny] = np.linspace(0.0, caps[~tiny], br_grid, axis=1)
+    by_family: Dict[str, List[int]] = {}
+    for u in users:
+        by_family.setdefault(utilities[u].family, []).append(u)
+    values = np.empty_like(rates)
+    for family, rows in by_family.items():
+        a = np.array([[utilities[u].a] for u in rows])
+        b = np.array([[utilities[u].b] for u in rows])
+        values[rows] = value(_FamilyRows(family, a, b), rates[rows])
     return DeviationGrid(
         prices=_read_only(np.linspace(0.0, params.price_bound, br_grid)),
-        rates=tuple(rates),
-        values=tuple(
-            _read_only(np.asarray(value(utilities[u], xs), dtype=float))
-            for u, xs in zip(net.users(), rates)
-        ),
+        rates=_read_only(rates),
+        values=_read_only(values),
     )
 
 
@@ -171,6 +207,16 @@ def ne_tax_closed_form(
     return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
 
 
+def _fill_columns(
+    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray, keep: np.ndarray
+) -> Tuple[int, int, float]:
+    """First max in row-major order of the lattice columns ``keep``, as
+    (rate index, price index, value)."""
+    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
+    i, k = divmod(int(np.argmax(block)), len(keep))
+    return i, int(keep[k]), float(block[i, k])
+
+
 def _lattice_argmax(
     xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
 ) -> Tuple[int, int, float]:
@@ -182,10 +228,48 @@ def _lattice_argmax(
     bound = a.max() - (low_x * h_sum + g_sum)
     top = int(np.argmax(bound))
     floor = np.max(a - (xs * h_sum[top] + g_sum[top]))
-    keep = np.flatnonzero(~(bound < floor))
-    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
-    i, k = divmod(int(np.argmax(block)), len(keep))
-    return i, int(keep[k]), float(block[i, k])
+    return _fill_columns(xs, a, h_sum, g_sum, np.flatnonzero(~(bound < floor)))
+
+
+def _lattice_argmaxes(
+    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_lattice_argmax`` of every row of the matrices at once, as arrays
+    (i, j, value). The bounds, the best-bounded column and its floor are
+    computed for all rows together. Where the best-bounded column is the
+    only one kept, its floor column is the whole search; any other row fills
+    its kept columns as ``_lattice_argmax`` does."""
+    rows = np.arange(len(xs))
+    low_x = np.where(h_sum < 0.0, xs[:, -1:], 0.0)
+    bound = a.max(axis=1, keepdims=True) - (low_x * h_sum + g_sum)
+    top = np.argmax(bound, axis=1)
+    column = a - (xs * h_sum[rows, top][:, None] + g_sum[rows, top][:, None])
+    keep = ~(bound < column.max(axis=1, keepdims=True))
+    i = np.argmax(column, axis=1)
+    pay = column[rows, i]
+    j = top
+    for r in np.flatnonzero((np.count_nonzero(keep, axis=1) != 1) | ~keep[rows, top]):
+        i[r], j[r], pay[r] = _fill_columns(xs[r], a[r], h_sum[r], g_sum[r], np.flatnonzero(keep[r]))
+    return i, j, pay
+
+
+def _uniform_message(rate: float, price: float, route) -> Message:
+    return Message(rate=rate, prices={l: price for l in route})
+
+
+def _same(message: Message) -> Message:
+    return message
+
+
+def _first_best(cands):
+    """The highest-paying candidate (payoff, rate, route prices, message
+    maker); ties break toward the smallest rate, then the lexicographically
+    smallest price vector."""
+    best = cands[0]
+    for c in cands[1:]:
+        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
+            best = c
+    return best
 
 
 def best_deviation(
@@ -199,8 +283,10 @@ def best_deviation(
     """Grid-argmax of one user's payoff over its own message box.
 
     ``grid`` is ``deviation_grid`` of the same network, utilities and params;
-    it does not depend on the profile, so one grid serves every call of an
-    audit or a dynamics run.
+    it does not depend on the profile, so one grid serves every call of a
+    dynamics run. Dynamics calls this one user at a time, because each move
+    changes what the next user faces; ``best_deviations`` returns the same
+    for every user of one fixed profile in one array pass.
 
     Candidates: a rate-by-uniform-price lattice spanning the whole box, a
     rate sweep holding the current prices (the price box is huge, so the
@@ -257,19 +343,12 @@ def best_deviation(
     # is built
     i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
     x0, p0 = float(xs[i0]), float(ps[j0])
-    cands = [
-        (
-            lattice_pay,
-            x0,
-            tuple(p0 for _ in route),
-            lambda: Message(rate=x0, prices={l: p0 for l in route}),
-        )
-    ]
+    cands = [(lattice_pay, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route))]
 
     rate_pays = vs - (f_sum + g_cur + xs * h_cur)
     i1 = int(np.argmax(rate_pays))
     x1 = float(xs[i1])
-    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(cur.with_rate, x1)))
+    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(Message, x1, cur.prices)))
 
     # Analytic rate response at current prices: marginal own cost per unit of
     # rate, and the rate beyond which some link's overload penalty fires.
@@ -283,7 +362,7 @@ def best_deviation(
     x_best = demand(u, max(slope, 0.0), room)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
     cands.append(
-        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(cur.with_rate, x_best))
+        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(Message, x_best, cur.prices))
     )
 
     for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
@@ -295,13 +374,194 @@ def best_deviation(
         prices = tuple(p if m == l else cur.prices[m] for m in route)
         cands.append((float(pays[j]), cur.rate, prices, partial(cur.with_price, l, p)))
 
-    cands.append((cur_pay, cur.rate, cur_prices, lambda: cur))
+    cands.append((cur_pay, cur.rate, cur_prices, partial(_same, cur)))
 
-    best = cands[0]
-    for c in cands[1:]:
-        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
-            best = c
+    best = _first_best(cands)
     return best[3](), best[0], cur_pay
+
+
+_TERM_FIELDS = (
+    "capacity",
+    "gamma",
+    "peer_price_mean",
+    "price_adjust",
+    "quad_weight",
+    "peer_excess",
+    "balance_const",
+    "penalty_both",
+    "penalty_single",
+)
+_term_row = attrgetter(*_TERM_FIELDS)
+
+
+def best_deviations(
+    net: Network,
+    utilities: Mapping[int, UtilitySpec],
+    profile: MessageProfile,
+    params: MechanismParams,
+    grid: DeviationGrid,
+    terms: Mapping[Tuple[int, int], OwnTaxTerms] | None = None,
+) -> Dict[int, Tuple[Message, float, float]]:
+    """``best_deviation`` of every user, as {user: (best message, best
+    payoff, current payoff)}, bit for bit, computed for all users at once.
+
+    ``terms`` maps (user, link) to ``own_tax_terms`` of that user on each of
+    its route links, as ``audit`` builds it once; it is built here when
+    omitted. The candidates, the order of every float operation and the tie
+    rule are those of ``best_deviation``:
+
+    * One row per (user, route link) pair, in a flat layout, carries f on
+      the user's rate axis and g and h on the price axis, and the same at
+      the current message. All pairs on singleton links go through the tax
+      kernel in one call, and all pairs on shared links in another, with
+      their terms as columns.
+    * Each user's route sums of grid rows add one route slot at a time, in
+      route order, starting from 0, as builtin ``sum`` does; numpy's
+      pairwise reductions would round differently. Route sums of floats
+      are builtin ``sum`` itself.
+    * The price sweeps run as (pairs x grid) arrays, and the rate sweeps and
+      the lattice search as (users x grid) arrays (``_lattice_argmaxes``).
+      Each (pairs x grid) array is freed once its route sums are taken.
+    * Python runs per user only for the analytic ``demand`` candidate, V at
+      the current and the analytic rate, and the tie-break.
+    """
+    if terms is None:
+        terms = {
+            (u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)
+        }
+    ps, xs, vs = grid.prices, grid.rates, grid.values
+    users = net.users()  # ids 0..n-1, so a user id is its row of the grid
+    routes = [net.route(u) for u in users]
+    cur = [profile[u] for u in users]
+
+    # The flat pair layout, slot-major: the first links of every route, then
+    # the second links of the routes that have one, and so on, users
+    # ascending within a slot; ``pairs[u]`` lists user u's pairs in route
+    # order.
+    owner, pair_terms, p_list = [], [], []
+    pairs = [[] for _ in users]
+    slot_users = []
+    for s in range(max(map(len, routes))):
+        rows = [u for u in users if len(routes[u]) > s]
+        for u in rows:
+            pairs[u].append(len(owner))
+            owner.append(u)
+            pair_terms.append(terms[(u, routes[u][s])])
+            p_list.append(cur[u].prices[routes[u][s]])
+        slot_users.append(np.array(rows))
+    bounds = np.cumsum([0] + [len(rows) for rows in slot_users])
+    owner = np.array(owner)
+    p_cur = np.array(p_list, dtype=float)[:, None]
+    x_cur = np.array([m.rate for m in cur], dtype=float)[owner][:, None]
+
+    def route_sums(a):
+        # one slot at a time from 0, as builtin sum adds a route's arrays;
+        # slot 0 holds every user in order
+        total = 0.0 + a[: len(users)]
+        for s in range(1, len(slot_users)):
+            total[slot_users[s]] += a[bounds[s] : bounds[s + 1]]
+        return total
+
+    # The pairs on singleton links and those on shared ones each go through
+    # the tax kernel in one call, with their terms as (pairs x 1) columns;
+    # group_size only picks the kernel's singleton branch.
+    single = np.array([t.group_size == 1 for t in pair_terms], dtype=bool)
+    table = np.array([_term_row(t) for t in pair_terms], dtype=float)
+    kinds = []
+    for one in (True, False):
+        part = np.flatnonzero(single == one)
+        if part.size:
+            cols = dict(zip(_TERM_FIELDS, table[part].T[:, :, None]))
+            kinds.append((part, OwnTaxTerms(group_size=1 if one else 2, **cols)))
+
+    def per_pair(fn, x, p):
+        """``fn(terms, x, p)`` of every pair, as a tuple of arrays with one
+        row per pair; ``x`` and ``p`` have one row per pair or one for all."""
+        if len(kinds) == 1:
+            return fn(kinds[0][1], x, p)
+        out = None
+        for part, t in kinds:
+            got = fn(t, *(a[part] if len(a) == len(owner) else a for a in (x, p)))
+            if out is None:
+                out = tuple(np.empty((len(owner),) + a.shape[1:]) for a in got)
+            for o, a in zip(out, got):
+                o[part] = a
+        return out
+
+    def taxes(t, x, p):
+        return (eval_own_tax(t, x, p),)
+
+    # f on the rate axis, with g and h at the current price
+    f, g_cur, h_cur = per_pair(own_tax_axes, xs[owner], p_cur)
+    f_sum = route_sums(f)
+    del f
+    g_cur, h_cur = g_cur[:, 0].tolist(), h_cur[:, 0].tolist()
+
+    # Analytic rate response at the current prices, as in best_deviation;
+    # the top of a rate axis is the route capacity.
+    x_best = []
+    for u, room in zip(users, xs[:, -1].tolist()):
+        slope = 0.0
+        for k in pairs[u]:
+            t = pair_terms[k]
+            if t.group_size == 1:
+                continue
+            slope += (t.peer_price_mean + t.price_adjust) + h_cur[k]
+            room = min(room, max(-t.peer_excess, 0.0))
+        x_best.append(demand(utilities[u], max(slope, 0.0), room))
+
+    # the tax of every pair at the current and at the analytic rate, and
+    # the route sums of floats, by builtin sum as in best_deviation
+    x_both = np.hstack((x_cur, np.array(x_best, dtype=float)[owner][:, None]))
+    (both,) = per_pair(taxes, x_both, p_cur)
+    cur_tax, best_tax = both.T.tolist()
+    v_cur = [float(value(utilities[u], cur[u].rate)) for u in users]
+    cur_pay = [v_cur[u] - sum(cur_tax[k] for k in pairs[u]) for u in users]
+    analytic = [float(value(utilities[u], x_best[u])) - sum(best_tax[k] for k in pairs[u]) for u in users]
+    g_at = np.array([sum(g_cur[k] for k in ks) for ks in pairs])[:, None]
+    h_at = np.array([sum(h_cur[k] for k in ks) for ks in pairs])[:, None]
+    # each pair's payoff before its own link's tax: V less the other links'
+    base = [0.0] * len(owner)
+    for u in users:
+        for k in pairs[u]:
+            base[k] = v_cur[u] - sum(cur_tax[j] for j in pairs[u] if j != k)
+
+    rate_pays = vs - ((f_sum + g_at) + xs * h_at)
+    i1 = np.argmax(rate_pays, axis=1)
+    rate_pay = rate_pays[users, i1]
+    del rate_pays
+
+    # f at the current rate with g and h on the price axis: each pair's
+    # price sweep off the current message, and the route sums of g and h
+    f_cur, g, h = per_pair(own_tax_axes, x_cur, ps[None, :])
+    pays = np.array(base)[:, None] - ((f_cur + g) + x_cur * h)
+    sweep_j = np.argmax(pays, axis=1)
+    sweep_pay = pays[np.arange(len(owner)), sweep_j].tolist()
+    del pays
+    g_sum, h_sum = route_sums(g), route_sums(h)
+    del g, h
+    i0, j0, lattice_pay = _lattice_argmaxes(xs, np.subtract(vs, f_sum, out=f_sum), h_sum, g_sum)
+    del f_sum, g_sum, h_sum
+
+    lattice = zip(lattice_pay.tolist(), xs[users, i0].tolist(), ps[j0].tolist())
+    sweep = zip(rate_pay.tolist(), xs[users, i1].tolist())
+    sweep_p = ps[sweep_j].tolist()
+    found = {}
+    for u, route, m, (pay0, x0, p0), (pay1, x1) in zip(users, routes, cur, lattice, sweep):
+        cur_prices = tuple(m.prices[l] for l in route)
+        cands = [
+            (pay0, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route)),
+            (pay1, x1, cur_prices, partial(Message, x1, m.prices)),
+            (analytic[u], x_best[u], cur_prices, partial(Message, x_best[u], m.prices)),
+        ]
+        for k, l in zip(pairs[u], route):
+            p = sweep_p[k]
+            prices = tuple(p if n == l else m.prices[n] for n in route)
+            cands.append((sweep_pay[k], m.rate, prices, partial(m.with_price, l, p)))
+        cands.append((cur_pay[u], m.rate, cur_prices, partial(_same, m)))
+        best = _first_best(cands)
+        found[u] = (best[3](), best[0], cur_pay[u])
+    return found
 
 
 def audit(
@@ -321,6 +581,7 @@ def audit(
     """
     validate_profile(net, profile, params)
     rates = alloc.rates
+    terms = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
 
     uniformity = 0.0
     comp_slack = 0.0
@@ -345,17 +606,16 @@ def audit(
             if x <= 1e-12:
                 continue  # no room for a left-sided step
             h = min(1e-6 * (1.0 + x), x)
-            terms = own_tax_terms(net, profile, l, user, params)
+            t = terms[(user, l)]
             p_own = profile[user].prices[l]
-            fd = (
-                float(eval_own_tax(terms, x, p_own)) - float(eval_own_tax(terms, x - h, p_own))
-            ) / h
+            fd = (float(eval_own_tax(t, x, p_own)) - float(eval_own_tax(t, x - h, p_own))) / h
             deriv_gap = max(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
     grid = deviation_grid(net, utilities, params, br_grid)
+    found = best_deviations(net, utilities, profile, params, grid, terms)
     for user in net.users():
-        _, best_pay, cur_pay = best_deviation(net, utilities, profile, user, params, grid)
+        _, best_pay, cur_pay = found[user]
         br_gap = max(br_gap, best_pay - cur_pay)
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())

@@ -354,8 +354,10 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
     ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
-    Takes floats or broadcasting numpy arrays. This is the one place the tax
-    formula is written out.
+    Takes floats or broadcasting numpy arrays, for ``x`` and ``p`` and for
+    the numeric fields of ``terms`` too (one row per (user, link) pair, all
+    on singleton links or all on shared ones). This is the one place the
+    tax formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev

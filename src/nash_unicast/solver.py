@@ -235,7 +235,9 @@ def solve_centralized(
     config = config or SolverConfig()
     for i in net.users():
         if not utilities[i].is_concave:
-            raise NonConcaveUtility(f"user {i} has a non-concave ({utilities[i].family}) utility")
+            raise NonConcaveUtility(
+                f"user {net.user_labels[i]!r} has a non-concave ({utilities[i].family}) utility"
+            )
 
     users = list(net.users())
     caps = {i: min_route_capacity(net, i) for i in users}

@@ -159,12 +159,18 @@ def initial_slope(u: UtilitySpec, fallback_rate: float = 1e-3) -> float:
 
     At zero for the concave families, except that power utilities (infinite
     slope at 0) report the slope at ``fallback_rate``. Sigmoid marginals peak
-    at the inflection point sqrt(s/3) rather than at zero.
+    at the inflection point sqrt(s/3) rather than at zero, at
+    (3*sqrt(3)/8)*a/sqrt(s); that closed form serves where s is so small
+    that (s + x**2)**2 underflows to 0 and the slope formula would read 0/0.
     """
     if u.family == "power":
         return float(derivative(u, fallback_rate))
     if u.family == "sigmoid":
-        return float(derivative(u, math.sqrt(u.b / 3.0)))
+        x = math.sqrt(u.b / 3.0)
+        den = u.b + x * x
+        if den * den > 0.0:
+            return float(derivative(u, x))
+        return 3.0 * math.sqrt(3.0) / 8.0 * u.a / math.sqrt(u.b)
     return float(derivative(u, 0.0))
 
 

@@ -261,3 +261,143 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     assert b.read_bytes() == fresh.read_bytes()
     assert a.read_bytes() != b.read_bytes()  # the first call's flags were in effect
     cli._parser.cache_clear()
+
+
+# --- the report writer against json.dumps ---------------------------------------
+
+import numpy as np  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from nash_unicast.cli import report_json  # noqa: E402
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.5e-308]),
+    st.text(max_size=12),
+    st.sampled_from(["é", "ü ", "日本", "\x00\n\t\"\\", "😀", " "]),
+)
+_KEYS = st.one_of(st.text(max_size=8), st.sampled_from(["", "é", "naïve key", "日本", "\"q\"", "u1"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_KEYS, inner, max_size=5),
+        st.lists(st.dictionaries(_KEYS, inner, max_size=4), max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _reference_text(report) -> str:
+    return json.dumps(report, indent=2, allow_nan=False)
+
+
+@given(_JSON)
+@settings(max_examples=300, deadline=None)
+def test_report_json_equals_json_dumps(value):
+    assert report_json(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}},
+        {"a": [[]]},
+        [{}],
+        ({"t": (1, 2.5)},),
+        {1: 2.0, None: True},
+        "x",
+        5e-324,
+        {"numpy": [np.float64(0.1), np.float64(-0.0)]},
+    ],
+)
+def test_report_json_equals_json_dumps_on_edge_shapes(value):
+    assert report_json(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_raises_as_json_dumps_does(bad):
+    for report in ({"a": {"b": [1.0, bad]}}, {"x": bad}, [bad]):
+        with pytest.raises(ValueError) as got:
+            report_json(report)
+        with pytest.raises(ValueError) as ref:
+            _reference_text(report)
+        assert str(got.value) == str(ref.value)
+
+
+def test_report_json_falls_back_without_the_c_encoder(monkeypatch):
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    report = {"é": [{"a": -0.0}, 1e308], "b": {}}
+    assert report_json(report) == _reference_text(report)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_report_files_equal_json_dumps(tmp_path, capsys, path):
+    ne, audit, sim = (tmp_path / f"{name}.json" for name in ("ne", "audit", "sim"))
+    main(["construct-ne", "--scenario", str(path), "--out", str(ne), "--grid", "24"])
+    profile = ne if ne.exists() else None
+    if profile is None:  # non-concave: the scenario embeds its profile
+        main(["audit", "--scenario", str(path), "--out", str(audit), "--grid", "24"])
+    else:
+        main(["audit", "--scenario", str(path), "--profile", str(ne), "--out", str(audit), "--grid", "24"])
+    main(["simulate", "--scenario", str(path), "--rounds", "3", "--grid", "24", "--out", str(sim)]
+         + (["--profile", str(ne)] if profile else []))
+    written = [p for p in (ne, audit, sim) if p.exists()]
+    assert audit in written and sim in written
+    for p in written:
+        text = p.read_text()
+        assert text == _reference_text(json.loads(text)) + "\n", p.name
+
+
+# --- log lines follow the caller's stderr ---------------------------------------
+
+
+def test_log_lines_go_to_the_stderr_of_each_call(monkeypatch):
+    import contextlib
+    import io
+
+    monkeypatch.setenv("NASH_UNICAST_LOG", "info")
+    scenario = str(SCENARIO_DIR / "sigmoid_market.json")
+    buffers = []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["audit", "--scenario", scenario, "--grid", "16"]) == 0
+        buffers.append(err.getvalue())
+    monkeypatch.setenv("NASH_UNICAST_LOG", "warning")
+    quiet = io.StringIO()
+    with contextlib.redirect_stderr(quiet), contextlib.redirect_stdout(io.StringIO()):
+        main(["audit", "--scenario", scenario, "--grid", "16"])
+    line = "INFO:nash_unicast:optimality check skipped: non-concave utilities\n"
+    assert buffers == [line, line]
+    assert quiet.getvalue() == ""
+
+
+# --- errors name users by label -------------------------------------------------
+
+
+def test_non_concave_error_names_the_user_by_label(tmp_path, capsys):
+    scenario = tmp_path / "tiny_s.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "schema": "nash-unicast/scenario-v1",
+                "name": "tiny_s",
+                "links": {"L0": 1},
+                "routes": {"bob": ["L0"], "amy": ["L0"]},
+                "utilities": {
+                    "bob": {"family": "sigmoid", "params": {"a": 1, "s": 1e-300}},
+                    "amy": {"family": "log", "params": {"a": 1}},
+                },
+            }
+        )
+    )
+    assert main(["solve", "--scenario", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: user 'bob' has a non-concave (sigmoid) utility\n", err

@@ -9,8 +9,10 @@ from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
     _lattice_argmax,
+    _lattice_argmaxes,
     audit,
     best_deviation,
+    best_deviations,
     check_optimality,
     check_walrasian,
     construct_ne,
@@ -38,6 +40,7 @@ from nash_unicast.utilities import (
     payoff,
     power_utility,
     quad_cap_utility,
+    sigmoid_utility,
     value,
 )
 
@@ -462,6 +465,145 @@ def test_deviation_grid_arrays_are_read_only(golden):
             arr += 1.0
 
 
+def test_stacked_grid_matches_per_user_axes_bit_for_bit():
+    # capacities from the smallest float up: a step that underflows to 0
+    # sends numpy's linspace down its denormal path for every row it gets
+    caps = [5e-324, 1e-320, 2.5e-308, 1e-300, 0.37, 1.0, 3.3, 1e6, 7.5e300]
+    links = {f"L{i}": c for i, c in enumerate(caps)}
+    families = [
+        log_utility(1.3),
+        power_utility(0.7, 0.35),
+        quad_cap_utility(2.0, 0.6),
+        sigmoid_utility(1.5, 0.8),
+    ]
+    rng = random.Random(5)
+    routes, uts = {}, {}
+    for i in range(len(caps) * len(families)):
+        routes[f"u{i}"] = [f"L{i % len(caps)}"] + rng.sample(sorted(links), rng.randrange(3))
+        uts[i] = families[i % len(families)]
+    net = build_network(links, routes)
+    params = MechanismParams(alpha=1e4, gamma=1e4, price_bound=50.0)
+    for br_grid in (2, 7, 64, 200, 201):
+        grid = deviation_grid(net, uts, params, br_grid)
+        assert grid.rates.shape == grid.values.shape == (net.num_users, br_grid)
+        for user in net.users():
+            xs = np.linspace(0.0, min_route_capacity(net, user), br_grid)
+            vs = np.asarray(value(uts[user], xs), dtype=float)
+            assert grid.rates[user].tobytes() == xs.tobytes(), (br_grid, user)
+            assert grid.values[user].tobytes() == vs.tobytes(), (br_grid, user)
+        assert grid.prices.tobytes() == np.linspace(0.0, 50.0, br_grid).tobytes()
+        for arr in (grid.prices, grid.rates, grid.values, grid.rates[0], grid.values[-1]):
+            with pytest.raises(ValueError):
+                arr[..., 0] = 1.0
+
+
+# --- all users' deviations in one array pass against one user at a time ---------
+
+
+def _assert_batch_matches_per_user(net, utilities, profile, params, br_grid):
+    """``best_deviations`` against ``best_deviation`` for every user, by
+    float.hex and message equality; returns how many users' best message
+    posts a nonzero grid price."""
+    grid = deviation_grid(net, utilities, params, br_grid)
+    found = best_deviations(net, utilities, profile, params, grid)
+    assert sorted(found) == list(net.users())
+    on_price_axis = 0
+    for user in net.users():
+        ref = best_deviation(net, utilities, profile, user, params, grid)
+        assert _bits(found[user]) == _bits(ref), (user, found[user], ref)
+        assert found[user][0] == ref[0]
+        on_price_axis += any(p > 0.0 and p in grid.prices for p in ref[0].prices.values())
+    return on_price_axis
+
+
+@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
+def test_best_deviations_match_best_deviation_on_markets(br_grid):
+    on_price_axis = 0
+    for seed in range(4000, 4012):
+        net, uts, params = mixed_market(seed)
+        for bounded in (params, replace(params, price_bound=3.0)):
+            for k in range(2):
+                profile = random_feasible_profile(net, bounded, seed=seed * 31 + k)
+                on_price_axis += _assert_batch_matches_per_user(net, uts, profile, bounded, br_grid)
+    for b, clearing in sigmoid_suite():
+        _assert_batch_matches_per_user(b.net, b.utilities, clearing, b.params, br_grid)
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
+        _assert_batch_matches_per_user(b.net, b.utilities, profile, b.params, br_grid)
+    assert on_price_axis > 0
+
+
+@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
+def test_best_deviations_match_best_deviation_on_topologies(br_grid):
+    sizes = set()
+    for b in topology_corpus():
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed * 13)
+        _assert_batch_matches_per_user(b.net, b.utilities, profile, b.params, br_grid)
+        sizes |= {len(b.net.group(l)) for l in b.net.links()}
+    for s in concave_suite()[:25]:
+        _assert_batch_matches_per_user(s.net, s.utilities, s.profile, s.params, br_grid)
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
+
+
+@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
+def test_best_deviations_match_best_deviation_on_a_crowded_link(br_grid):
+    net = build_network({"L0": 2.0}, {f"u{i}": ["L0"] for i in range(26)})
+    rng = random.Random(26)
+    uts = {}
+    for i in net.users():
+        a = rng.uniform(0.5, 2.0)
+        uts[i] = (log_utility(a), power_utility(a, 0.4), quad_cap_utility(a, 0.5))[i % 3]
+    params = MechanismParams.defaults(net, uts)
+    equilibrium_profile = construct_ne(net, uts, params)
+    _assert_batch_matches_per_user(net, uts, equilibrium_profile, params, br_grid)
+    for k in range(2):
+        profile = random_feasible_profile(net, params, seed=k)
+        _assert_batch_matches_per_user(net, uts, profile, params, br_grid)
+
+
+def test_best_deviations_match_best_deviation_on_routes_of_one_to_six_links():
+    # every route length from 1 to 6 links, over links shared by 1 to 5
+    # users and more; tight price bounds let grid prices win
+    links = {f"L{i}": 0.5 + 0.25 * i for i in range(10)}
+    rng = random.Random(16)
+    sizes, lengths = set(), set()
+    for trial in range(6):
+        routes = {f"u{i}": rng.sample(sorted(links)[:7], 1 + i % 6) for i in range(12)}
+        # a singleton, a two-user and a three-user link in every trial
+        routes.update(w=["L7"], p1=["L8"], p2=["L8", "L0"], t1=["L9"], t2=["L9"], t3=["L1", "L9"])
+        net = build_network(links, routes)
+        pool = [log_utility(1.2), power_utility(0.9, 0.5), quad_cap_utility(1.5, 0.7), sigmoid_utility(2.0, 1.0)]
+        uts = {u: pool[(u + trial) % 4] for u in net.users()}
+        lengths |= {len(net.route(u)) for u in net.users()}
+        sizes |= {len(net.group(l)) for l in net.links()}
+        for bound in (2.0, 1e3):
+            params = MechanismParams(alpha=1e4, gamma=1e4, price_bound=bound)
+            profile = random_feasible_profile(net, params, seed=trial)
+            # and w over its singleton link's capacity, where that link's
+            # own penalty fires
+            over = dict(profile)
+            w = net.user_id("w")
+            over[w] = profile[w].with_rate(3.0 * net.capacity(net.link_id("L7")))
+            for br_grid in (2, 7, 64):
+                _assert_batch_matches_per_user(net, uts, profile, params, br_grid)
+                _assert_batch_matches_per_user(net, uts, over, params, br_grid)
+    assert lengths == set(range(1, 7)), lengths
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
+
+
+def test_audit_matches_per_user_search():
+    # the audit's best-response gap is the per-user search's, bit for bit
+    for b in topology_corpus()[:6]:
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
+        alloc = outcome(b.net, profile, b.params, assign_subsidies(b.net, b.params.rng_seed))
+        rep = audit(b.net, b.utilities, profile, b.params, alloc, br_grid=32)
+        grid = deviation_grid(b.net, b.utilities, b.params, 32)
+        gap = 0.0
+        for user in b.net.users():
+            _, best, cur = best_deviation(b.net, b.utilities, profile, user, b.params, grid)
+            gap = max(gap, best - cur)
+        assert float.hex(rep.best_response_gap) == float.hex(gap)
+
+
 # --- the column-bounded lattice search against the full G-by-G fill -------------
 
 
@@ -544,6 +686,50 @@ def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
             if trial % 5 == 0:
                 (a, h, g)[trial % 2][rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
         _assert_lattice_matches_reference(xs, a, h, g)
+
+
+def _assert_lattice_rows_match(xs, a, h_sum, g_sum):
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite inputs
+        i, j, got = _lattice_argmaxes(xs, a, h_sum, g_sum)
+        for r in range(len(xs)):
+            ri, rj, ref = _lattice_argmax(xs[r], a[r], h_sum[r], g_sum[r])
+            assert (int(i[r]), int(j[r])) == (ri, rj), (r, i[r], j[r], ri, rj)
+            assert np.float64(got[r]).tobytes() == np.float64(ref).tobytes(), (r, got[r], ref)
+
+
+@pytest.mark.parametrize("G", [2, 7, 64, 200])
+def test_lattice_argmaxes_match_one_row_at_a_time(G):
+    rng = np.random.default_rng(100 + G)
+    rows = 24
+    xs = np.linspace(0.0, rng.uniform(0.1, 3.0, size=rows), G, axis=1)
+    several_kept = 0
+    for trial in range(60):
+        a = rng.normal(size=(rows, G))
+        h = rng.normal(size=(rows, G)) * rng.choice([1e-3, 1.0, 1e3])
+        g = rng.normal(size=(rows, G))
+        if trial % 4 == 1:  # duplicate columns: the max ties across columns
+            src = rng.integers(G, size=G)
+            h, g = h[:, src], g[:, src]
+        if trial % 4 == 2:  # small integers: exact ties, and signed zeros
+            a, h, g = (rng.integers(-2, 3, size=(rows, G)).astype(float) for _ in range(3))
+            h[rng.random(size=h.shape) < 0.3] = -0.0
+            g[rng.random(size=g.shape) < 0.3] = -0.0
+        if trial % 4 == 3:  # flat columns: h = 0 keeps every column level
+            h = np.where(rng.random(size=h.shape) < 0.5, 0.0, -0.0)
+            g = np.zeros_like(g)
+        if trial >= 30:  # non-finite entries
+            for target in (a, h, g):
+                mask = rng.random(size=target.shape) < 0.02
+                target[mask] = rng.choice([np.inf, -np.inf, np.nan], size=int(mask.sum()))
+        low_x = np.where(h < 0.0, xs[:, -1:], 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            bound = a.max(axis=1, keepdims=True) - (low_x * h + g)
+            top = np.argmax(bound, axis=1)
+            h_top, g_top = h[np.arange(rows), top][:, None], g[np.arange(rows), top][:, None]
+            floor = np.max(a - (xs * h_top + g_top), axis=1, keepdims=True)
+            several_kept += int(np.sum(np.count_nonzero(~(bound < floor), axis=1) > 1))
+        _assert_lattice_rows_match(xs, a, h, g)
+    assert several_kept > 0
 
 
 def _group_net(n):

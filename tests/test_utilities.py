@@ -12,6 +12,7 @@ from nash_unicast.utilities import (
     UtilitySpec,
     demand,
     derivative,
+    initial_slope,
     log_utility,
     payoff,
     power_utility,
@@ -297,3 +298,32 @@ def test_strict_monotonicity_off_plateau():
 def test_serialization_round_trip():
     for u in FAMILY_POOL:
         assert UtilitySpec.from_dict(u.to_dict()) == u
+
+
+def test_sigmoid_peak_slope_keeps_its_bits_where_finite():
+    rng = random.Random(17)
+    cases = [(1.0, 1.0), (2.0, 0.5), (1e300, 1e-100), (1e-300, 1e300)]
+    cases += [(10 ** rng.uniform(-300, 300), 10 ** rng.uniform(-150, 300)) for _ in range(500)]
+    for a, s in cases:
+        u = sigmoid_utility(a, s)
+        with np.errstate(all="ignore"):
+            peak = float(derivative(u, math.sqrt(s / 3.0)))
+        if math.isfinite(peak):
+            assert float.hex(initial_slope(u)) == float.hex(peak), (a, s)
+
+
+@pytest.mark.parametrize("s", [1e-300, 5e-324, 1e-170])
+def test_sigmoid_peak_slope_of_a_tiny_s_is_its_closed_form(s):
+    import warnings
+
+    from nash_unicast.mechanism import MechanismParams
+    from nash_unicast.network import build_network
+
+    u = sigmoid_utility(1.0, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = initial_slope(u)
+        net = build_network({"L0": 1.0}, {"bob": ["L0"], "amy": ["L0"]})
+        params = MechanismParams.defaults(net, {0: u, 1: log_utility(1.0)})
+    assert slope == pytest.approx(3.0 * math.sqrt(3.0) / 8.0 / math.sqrt(s), rel=1e-15)
+    assert math.isfinite(params.price_bound) and params.price_bound == 1e3 * slope

@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -55,10 +54,6 @@ class Runner:
         out.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            # main's logging handler keeps the stream it was made with
-            for handler in logging.getLogger().handlers:
-                if isinstance(handler, logging.StreamHandler):
-                    handler.setStream(sys.stderr)
             try:
                 rc = cli.main([*argv, "--out", str(out)])
             except SystemExit as exc:
