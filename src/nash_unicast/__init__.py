@@ -17,7 +17,6 @@ from .equilibrium import (
     check_walrasian,
     construct_ne,
     ne_tax_closed_form,
-    zero_tax_deviation_price,
 )
 from .mechanism import (
     Allocation,
@@ -50,7 +49,6 @@ from .solver import (
     KktResiduals,
     SolveResult,
     SolverConfig,
-    brute_force_centralized,
     kkt_residuals,
     solve_centralized,
     welfare,

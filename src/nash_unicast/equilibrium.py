@@ -6,7 +6,7 @@ user requests its optimal rate and posts the link multipliers as prices.
 judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, an exhaustive grid best-response gap,
 individual rationality, budget balance, and agreement of the taxes with their
-equilibrium closed forms.
+equilibrium closed forms. Each link's posted price is computed once per audit.
 
 The best-response search runs on axes that depend only on the static game (a
 ``DeviationGrid``, built once per ``audit`` and per dynamics run by
@@ -20,7 +20,9 @@ evaluated; the result is the full lattice's, bit for bit. The search comes
 in two shapes with the same result, bit for bit: ``best_deviation`` answers
 for one user, as dynamics needs it (play is sequential, so each answer sees
 the previous move), and ``best_deviations`` answers for every user of one
-fixed profile in one array pass, as the audit needs it.
+fixed profile in one array pass, as the audit needs it. Both share the
+analytic rate candidate (``_analytic_rate``) and the candidate list with its
+tie-break (``_best_candidate``).
 ``check_walrasian`` grid-checks that every user's rate maximizes its payoff
 at the posted prices over the rates the others leave available.
 """
@@ -42,7 +44,6 @@ from .mechanism import (
     Message,
     MessageProfile,
     OwnTaxTerms,
-    WrongGroupSize,
     _cyclic_peers,
     eval_own_tax,
     own_tax_axes,
@@ -190,11 +191,15 @@ def ne_tax_closed_form(
     plus an order-1/gamma skew between the two peers, the exact residue of
     the three-user balance term.
     """
+    return _closed_form(net, profile, link, user, params, posted_link_price(net, profile, link))
+
+
+def _closed_form(net, profile, link, user, params, p) -> float:
+    """``ne_tax_closed_form`` at the link's posted price ``p``."""
     group = net.group(link)
     n = len(group)
     if n == 1:
         return 0.0
-    p = posted_link_price(net, profile, link)
     x = profile[user].rate
     if n == 2:
         return p * x
@@ -261,15 +266,43 @@ def _same(message: Message) -> Message:
     return message
 
 
-def _first_best(cands):
-    """The highest-paying candidate (payoff, rate, route prices, message
-    maker); ties break toward the smallest rate, then the lexicographically
-    smallest price vector."""
-    best = cands[0]
-    for c in cands[1:]:
+def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
+    """The exact rate response at the current prices, given each route link's
+    terms and h at its current price: the tax is linear in the own rate up to
+    the overload wall, so the maximizer is a ``demand`` evaluation at the
+    marginal own cost (each shared link's price coefficient plus its h) below
+    the rate beyond which some link's overload penalty fires."""
+    slope = 0.0
+    for t, h in zip(terms, hs):
+        if t.group_size == 1:
+            continue
+        slope += (t.peer_price_mean + t.price_adjust) + h
+        room = min(room, max(-t.peer_excess, 0.0))
+    return demand(u, max(slope, 0.0), room)
+
+
+def _best_candidate(route, cur: Message, cur_pay: float, lattice, at_cur_prices, sweeps):
+    """The best of one user's candidates, as (message, payoff, ``cur_pay``).
+
+    ``lattice`` is the (payoff, rate, price) of the uniform-price lattice,
+    ``at_cur_prices`` the (payoff, rate) pairs found holding the current
+    prices, and ``sweeps`` the (payoff, price) of each route link's price
+    sweep, in route order; the current message comes last. Ties break toward
+    the smallest rate, then the lexicographically smallest price vector. Only
+    the winner's message is built.
+    """
+    cur_prices = tuple(cur.prices[l] for l in route)
+    pay0, x0, p0 = lattice
+    best = (pay0, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route))
+    cands = [(pay, x, cur_prices, partial(Message, x, cur.prices)) for pay, x in at_cur_prices]
+    for l, (pay, p) in zip(route, sweeps):
+        prices = tuple(p if m == l else cur.prices[m] for m in route)
+        cands.append((pay, cur.rate, prices, partial(cur.with_price, l, p)))
+    cands.append((cur_pay, cur.rate, cur_prices, partial(_same, cur)))
+    for c in cands:
         if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
             best = c
-    return best
+    return best[3](), best[0], cur_pay
 
 
 def best_deviation(
@@ -291,14 +324,14 @@ def best_deviation(
     Candidates: a rate-by-uniform-price lattice spanning the whole box, a
     rate sweep holding the current prices (the price box is huge, so the
     uniform-price axis alone is too coarse to represent "ask for more at the
-    going rate"), the analytic rate response at the current prices (the tax
-    is linear in the own rate up to the overload wall, so the exact
-    maximizer is a demand evaluation; a uniform grid cannot be trusted to
-    straddle it), one single-link price sweep per route link off the current
-    message, and the current message itself (so the reported best never
-    loses to staying put). Subsidies received are omitted throughout; they
-    do not depend on the user's own message. Ties break toward the smallest
-    rate, then the lexicographically smallest price vector.
+    going rate"), the analytic rate response at the current prices
+    (``_analytic_rate``; a uniform grid cannot be trusted to straddle the
+    exact maximizer), one single-link price sweep per route link off the
+    current message, and the current message itself (so the reported best
+    never loses to staying put). Subsidies received are omitted throughout;
+    they do not depend on the user's own message. Ties break toward the
+    smallest rate, then the lexicographically smallest price vector
+    (``_best_candidate``, which both searches share).
 
     Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``, built
     from the tax kernel ``own_tax_parts``), so the route's tax is fixed by
@@ -311,10 +344,8 @@ def best_deviation(
     and rounding is monotone. Columns whose bound falls short of the
     best-bounded column's max are never filled, and the kept ones are filled
     with the lattice's own operations, so the argmax and its value are those
-    of the full G-by-G lattice, bit for bit. The analytic candidate's
-    marginal cost is each link's price coefficient plus its h at the current
-    price. The current payoff and the analytic candidate are evaluated
-    exactly with ``eval_own_tax``.
+    of the full G-by-G lattice, bit for bit. The current payoff and the
+    analytic candidate are evaluated exactly with ``eval_own_tax``.
 
     Returns (best message, best payoff, current payoff).
     """
@@ -325,9 +356,7 @@ def best_deviation(
     cur_tax = {l: float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in tables}
     v_cur = float(value(u, cur.rate))
     cur_pay = v_cur - sum(cur_tax.values())
-    cur_prices = tuple(cur.prices[m] for m in route)
 
-    cap = min_route_capacity(net, user)
     xs, vs, ps = grid.rates[user], grid.values[user], grid.prices
 
     # per link: (f(xs), g(ps), h(ps)) on the grid and (f, g, h) at the
@@ -339,45 +368,24 @@ def best_deviation(
     f_sum, g_sum, h_sum = (sum(rows) for rows in zip(*on_grid))
     _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
 
-    # (payoff, rate, route prices, message maker): only the winner's message
-    # is built
     i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
-    x0, p0 = float(xs[i0]), float(ps[j0])
-    cands = [(lattice_pay, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route))]
-
     rate_pays = vs - (f_sum + g_cur + xs * h_cur)
     i1 = int(np.argmax(rate_pays))
-    x1 = float(xs[i1])
-    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(Message, x1, cur.prices)))
-
-    # Analytic rate response at current prices: marginal own cost per unit of
-    # rate, and the rate beyond which some link's overload penalty fires.
-    slope = 0.0
-    room = cap
-    for (_, t), (_, _, h) in zip(tables, at_cur):
-        if t.group_size == 1:
-            continue
-        slope += (t.peer_price_mean + t.price_adjust) + h
-        room = min(room, max(-t.peer_excess, 0.0))
-    x_best = demand(u, max(slope, 0.0), room)
+    cap = min_route_capacity(net, user)
+    x_best = _analytic_rate(u, [t for _, t in tables], [h for _, _, h in at_cur], cap)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
-    cands.append(
-        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(Message, x_best, cur.prices))
-    )
+    at_cur_prices = [(float(rate_pays[i1]), float(xs[i1])), (float(value(u, x_best)) - best_tax, x_best)]
 
+    sweeps = []
     for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
         sweep = f_at + g + cur.rate * h
         other = sum(v for m, v in cur_tax.items() if m != l)
         pays = v_cur - other - sweep
         j = int(np.argmax(pays))
-        p = float(ps[j])
-        prices = tuple(p if m == l else cur.prices[m] for m in route)
-        cands.append((float(pays[j]), cur.rate, prices, partial(cur.with_price, l, p)))
+        sweeps.append((float(pays[j]), float(ps[j])))
 
-    cands.append((cur_pay, cur.rate, cur_prices, partial(_same, cur)))
-
-    best = _first_best(cands)
-    return best[3](), best[0], cur_pay
+    lattice = (lattice_pay, float(xs[i0]), float(ps[j0]))
+    return _best_candidate(route, cur, cur_pay, lattice, at_cur_prices, sweeps)
 
 
 _TERM_FIELDS = (
@@ -497,18 +505,11 @@ def best_deviations(
     del f
     g_cur, h_cur = g_cur[:, 0].tolist(), h_cur[:, 0].tolist()
 
-    # Analytic rate response at the current prices, as in best_deviation;
-    # the top of a rate axis is the route capacity.
-    x_best = []
-    for u, room in zip(users, xs[:, -1].tolist()):
-        slope = 0.0
-        for k in pairs[u]:
-            t = pair_terms[k]
-            if t.group_size == 1:
-                continue
-            slope += (t.peer_price_mean + t.price_adjust) + h_cur[k]
-            room = min(room, max(-t.peer_excess, 0.0))
-        x_best.append(demand(utilities[u], max(slope, 0.0), room))
+    # the analytic rate response; the top of a rate axis is the route capacity
+    x_best = [
+        _analytic_rate(utilities[u], [pair_terms[k] for k in ks], [h_cur[k] for k in ks], room)
+        for u, ks, room in zip(users, pairs, xs[:, -1].tolist())
+    ]
 
     # the tax of every pair at the current and at the analytic rate, and
     # the route sums of floats, by builtin sum as in best_deviation
@@ -517,7 +518,9 @@ def best_deviations(
     cur_tax, best_tax = both.T.tolist()
     v_cur = [float(value(utilities[u], cur[u].rate)) for u in users]
     cur_pay = [v_cur[u] - sum(cur_tax[k] for k in pairs[u]) for u in users]
-    analytic = [float(value(utilities[u], x_best[u])) - sum(best_tax[k] for k in pairs[u]) for u in users]
+    analytic = [
+        (float(value(utilities[u], x)) - sum(best_tax[k] for k in pairs[u]), x) for u, x in zip(users, x_best)
+    ]
     g_at = np.array([sum(g_cur[k] for k in ks) for ks in pairs])[:, None]
     h_at = np.array([sum(h_cur[k] for k in ks) for ks in pairs])[:, None]
     # each pair's payoff before its own link's tax: V less the other links'
@@ -544,24 +547,12 @@ def best_deviations(
     del f_sum, g_sum, h_sum
 
     lattice = zip(lattice_pay.tolist(), xs[users, i0].tolist(), ps[j0].tolist())
-    sweep = zip(rate_pay.tolist(), xs[users, i1].tolist())
-    sweep_p = ps[sweep_j].tolist()
-    found = {}
-    for u, route, m, (pay0, x0, p0), (pay1, x1) in zip(users, routes, cur, lattice, sweep):
-        cur_prices = tuple(m.prices[l] for l in route)
-        cands = [
-            (pay0, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route)),
-            (pay1, x1, cur_prices, partial(Message, x1, m.prices)),
-            (analytic[u], x_best[u], cur_prices, partial(Message, x_best[u], m.prices)),
-        ]
-        for k, l in zip(pairs[u], route):
-            p = sweep_p[k]
-            prices = tuple(p if n == l else m.prices[n] for n in route)
-            cands.append((sweep_pay[k], m.rate, prices, partial(m.with_price, l, p)))
-        cands.append((cur_pay[u], m.rate, cur_prices, partial(_same, m)))
-        best = _first_best(cands)
-        found[u] = (best[3](), best[0], cur_pay[u])
-    return found
+    rate_sweep = zip(rate_pay.tolist(), xs[users, i1].tolist())
+    sweeps = list(zip(sweep_pay, ps[sweep_j].tolist()))
+    return {
+        u: _best_candidate(route, m, cur_pay[u], lat, [rate, analytic[u]], [sweeps[k] for k in pairs[u]])
+        for u, route, m, lat, rate in zip(users, routes, cur, lattice, rate_sweep)
+    }
 
 
 def audit(
@@ -583,24 +574,19 @@ def audit(
     rates = alloc.rates
     terms = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
 
-    uniformity = 0.0
-    comp_slack = 0.0
+    posted = {}
+    uniformity = comp_slack = deriv_gap = 0.0
     for l in net.links():
         group = net.group(l)
         if not group:
             continue
-        prices = [profile[u].prices[l] for u in group]
-        if len(group) >= 2:
-            uniformity = max(uniformity, max(prices) - min(prices))
+        p_link = posted[l] = posted_link_price(net, profile, l)
         excess = link_load(net, rates, l) - net.capacity(l)
-        comp_slack = max(comp_slack, posted_link_price(net, profile, l) * abs(excess) / params.gamma)
-
-    deriv_gap = 0.0
-    for l in net.links():
-        group = net.group(l)
+        comp_slack = max(comp_slack, p_link * abs(excess) / params.gamma)
         if len(group) < 2:
             continue
-        p_link = posted_link_price(net, profile, l)
+        prices = [profile[u].prices[l] for u in group]
+        uniformity = max(uniformity, max(prices) - min(prices))
         for user in group:
             x = profile[user].rate
             if x <= 1e-12:
@@ -623,7 +609,7 @@ def audit(
 
     corr_gap = 0.0
     for (user, l), lt in alloc.breakdown.link_taxes.items():
-        expected = ne_tax_closed_form(net, profile, l, user, params)
+        expected = _closed_form(net, profile, l, user, params, posted[l])
         corr_gap = max(corr_gap, abs(lt.total - expected))
 
     return NeAuditReport(
@@ -642,48 +628,17 @@ def check_optimality(
     utilities: Mapping[int, UtilitySpec],
     alloc: Allocation,
     solve_result: SolveResult,
-    tol: float = 1e-6,
 ) -> Tuple[bool, float]:
     """Does a profile's allocation ``alloc`` (its ``outcome``) attain the
     centralized optimum?
 
     True iff the welfare gap against the certified solver objective is within
-    ``tol`` (relative) and the taxes net out to zero within ``tol``.
+    1e-6 (relative) and the taxes net out to zero within 1e-6.
     """
     w = welfare(utilities, alloc.rates)
     gap = abs(w - solve_result.objective) / max(1.0, abs(solve_result.objective))
-    balanced = abs(sum(alloc.taxes.values())) <= tol
-    return (gap <= tol and balanced), gap
-
-
-def zero_tax_deviation_price(
-    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
-) -> float:
-    """The own link price at which requesting a zero rate costs exactly nothing,
-    with everyone else fixed at a uniform-price profile.
-
-    For a two-user link that price is simply the peer's price. For larger
-    groups the zero-rate tax is a quadratic in the own price whose larger
-    root is returned; it is always non-negative.
-    """
-    if len(net.group(link)) == 1:
-        raise WrongGroupSize(
-            f"link {net.link_labels[link]!r} has a single user; no deviation price is defined"
-        )
-    t = own_tax_terms(net, profile, link, user, params)
-    pstar, excess = t.peer_price_mean, t.peer_excess
-    if t.group_size == 2:
-        return pstar
-    g = params.gamma
-    half_b = -pstar * (1.0 + excess / g)
-    c0 = pstar * pstar * (1.0 + 2.0 * excess / g) + t.balance_const
-    disc = half_b * half_b - c0
-    if disc < 0.0:
-        raise MechanismError(
-            f"zero-rate tax never crosses zero on link {net.link_labels[link]!r}"
-            f" for user {net.user_labels[user]!r}"
-        )
-    return max(-half_b + math.sqrt(disc), 0.0)
+    balanced = abs(sum(alloc.taxes.values())) <= 1e-6
+    return (gap <= 1e-6 and balanced), gap
 
 
 def check_walrasian(

@@ -17,11 +17,11 @@ request verbatim and charges per-link taxes built from four ingredients:
 
 Taxes sum to zero across all users at every feasible rate profile, on or off
 equilibrium. The per-link formula is written out once: ``own_tax_terms``
-gathers the peer statistics of one user on one link, and ``own_tax_parts``
-turns them into the tax's parts at any own rate and price. ``tax_link``,
-``link_subsidy``, ``eval_own_tax`` and ``own_tax_axes`` all assemble those
-parts. All functions are pure; the only randomness is the seeded
-subsidy-recipient draw.
+gathers the peer statistics of one user on one link in one walk over the
+link's group, and ``own_tax_parts`` turns them into the tax's parts at any
+own rate and price. ``tax_link``, ``link_subsidy``, ``eval_own_tax`` and
+``own_tax_axes`` all assemble those parts. All functions are pure; the only
+randomness is the seeded subsidy-recipient draw.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class MechanismParams:
     @staticmethod
     def defaults(
         net: Network,
-        utilities: Mapping[int, UtilitySpec] | None = None,
+        utilities: Mapping[int, UtilitySpec],
         price_bound: float | None = None,
         epsilon: float = 1e-6,
         rng_seed: int = 0,
@@ -102,8 +102,6 @@ class MechanismParams:
         price bound of 1e3 times the steepest initial marginal utility."""
         scale = 1e4 * max(net.capacities) ** 2
         if price_bound is None:
-            if utilities is None:
-                raise MechanismError("price_bound is required when utilities are unknown")
             price_bound = 1e3 * max(initial_slope(u) for u in utilities.values())
         return MechanismParams(
             alpha=scale, gamma=scale, epsilon=epsilon, price_bound=price_bound, rng_seed=rng_seed
@@ -116,9 +114,6 @@ class Message:
 
     rate: float
     prices: Dict[int, float]
-
-    def with_rate(self, rate: float) -> "Message":
-        return replace(self, rate=rate)
 
     def with_price(self, link: int, price: float) -> "Message":
         prices = dict(self.prices)
@@ -193,28 +188,13 @@ def _cyclic_peers(group, user):
     return order[(pos + 1) % 3], order[(pos + 2) % 3]
 
 
-def balance_term_three_user(
-    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
-) -> float:
-    """Message-independent balance term for a user on a three-user link.
-
-    Built entirely from the two peers' messages, so the user cannot influence
-    it. Together with the matching per-unit price adjustment in the tax it
-    makes the three link taxes sum to zero at every feasible profile.
-    """
-    group = net.group(link)
-    if len(group) != 3:
-        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {len(group)} users, need 3")
-    if user not in group:
-        raise _not_on_link(net, user, link)
-    j, k = _cyclic_peers(group, user)
-    pj, xj = profile[j].prices[link], profile[j].rate
-    pk, xk = profile[k].prices[link], profile[k].rate
-    c = net.capacity(link)
-    g = params.gamma
+def _three_user_balance(pj, xj, pk, xk, c, g) -> float:
+    """The balance part on a three-user link, from the two peers' prices and
+    rates in cyclic order (``_cyclic_peers``). Together with the matching
+    per-unit price adjustment in the tax it makes the three link taxes sum
+    to zero at every feasible profile."""
     mean_p = 0.5 * (pj + pk)
     peer_excess = xj + xk - c
-
     pairs = ((pj, xj, pk, xk), (pk, xk, pj, xj))
     quad_pairs = sum(2.0 * pr * ps * (1.0 + xr / g) - xr * ps for pr, xr, ps, _ in pairs) / 2.0
     coupling_pairs = sum(
@@ -233,35 +213,13 @@ def balance_term_three_user(
     )
 
 
-def balance_term_large_group(
-    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
-) -> float:
-    """Message-independent balance term for links shared by more than three
-    users; zeroes the link's tax sum at every feasible profile.
+def _large_group_balance(m, p1, p2, x1, px, p2x, c, g) -> float:
+    """The balance part on a link of ``m + 1 > 3`` users, from the peers'
+    power sums of price p and rate x: p, p^2, x, p*x and p^2*x.
 
     The term is built from sums over ordered pairs and triples of distinct
-    peers. Each closes in O(1) from five peer power sums, so one call costs
-    O(n). Only peers enter the sums, so the user's own message is never read.
+    peers, and each closes in O(1) from those five sums.
     """
-    group = net.group(link)
-    n = len(group)
-    if n <= 3:
-        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {n} users, need more than 3")
-    if user not in group:
-        raise _not_on_link(net, user, link)
-    c = net.capacity(link)
-    g = params.gamma
-    m = n - 1
-    p1 = p2 = x1 = px = p2x = 0.0
-    for u in group:
-        if u == user:
-            continue
-        p, x = profile[u].prices[link], profile[u].rate
-        p1 += p
-        p2 += p * p
-        x1 += x
-        px += p * x
-        p2x += p * p * x
     # the peers' scaled excesses e = m*x - c, summed with weights 1, p and p^2
     e1 = m * x1 - m * c
     pe = m * px - c * p1
@@ -290,6 +248,29 @@ def balance_term_large_group(
     )
 
 
+def balance_term_three_user(
+    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
+) -> float:
+    """Message-independent balance term for a user on a three-user link: the
+    ``balance_const`` of its ``own_tax_terms``."""
+    n = len(net.group(link))
+    if n != 3:
+        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {n} users, need 3")
+    return own_tax_terms(net, profile, link, user, params).balance_const
+
+
+def balance_term_large_group(
+    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
+) -> float:
+    """Message-independent balance term for links shared by more than three
+    users, which zeroes the link's tax sum at every feasible profile: the
+    ``balance_const`` of the user's ``own_tax_terms``, O(n) per call."""
+    n = len(net.group(link))
+    if n <= 3:
+        raise WrongGroupSize(f"link {net.link_labels[link]!r} has {n} users, need more than 3")
+    return own_tax_terms(net, profile, link, user, params).balance_const
+
+
 @dataclass(frozen=True)
 class OwnTaxTerms:
     """Coefficients fixing one user's link tax as a function of its own message.
@@ -316,31 +297,45 @@ def own_tax_terms(
     net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
 ) -> OwnTaxTerms:
     """The peer statistics of one user's tax on one link; the user's own
-    message is never read."""
+    message is never read. One walk over the group adds up the peers' p and
+    x, and on groups of four or more p^2, p*x and p^2*x, each from 0.0 in
+    group order (the bits of builtin ``sum`` on CPython 3.11)."""
     group = net.group(link)
     if user not in group:
         raise _not_on_link(net, user, link)
     n = len(group)
     c = net.capacity(link)
-    others = [u for u in group if u != user]
-    mean_p = sum(profile[u].prices[link] for u in others) / (n - 1) if others else 0.0
+    g = params.gamma
+    large = n > 3
+    p1 = x1 = p2 = px = p2x = 0.0
+    for u in group:
+        if u == user:
+            continue
+        m = profile[u]
+        p, x = m.prices[link], m.rate
+        p1 += p
+        x1 += x
+        if large:
+            p2 += p * p
+            px += p * x
+            p2x += p * p * x
     adjust = balance = 0.0
     if n == 3:
-        j, k = _cyclic_peers(group, user)
-        pj, pk = profile[j].prices[link], profile[k].prices[link]
-        adjust = pk * (pj - pk) / params.gamma
-        balance = balance_term_three_user(net, profile, link, user, params)
-    elif n > 3:
-        balance = balance_term_large_group(net, profile, link, user, params)
+        j, k = (profile[v] for v in _cyclic_peers(group, user))
+        pj, pk = j.prices[link], k.prices[link]
+        adjust = pk * (pj - pk) / g
+        balance = _three_user_balance(pj, j.rate, pk, k.rate, c, g)
+    elif large:
+        balance = _large_group_balance(n - 1, p1, p2, x1, px, p2x, c, g)
     eps = params.epsilon
     return OwnTaxTerms(
         group_size=n,
         capacity=c,
-        gamma=params.gamma,
-        peer_price_mean=mean_p,
+        gamma=g,
+        peer_price_mean=p1 / (n - 1) if n > 1 else 0.0,
         price_adjust=adjust,
-        quad_weight={1: 0.0, 2: 1.0 / params.alpha}.get(n, 1.0),
-        peer_excess=sum(profile[u].rate for u in others) - c,
+        quad_weight=0.0 if n == 1 else 1.0 / params.alpha if n == 2 else 1.0,
+        peer_excess=x1 - c,
         balance_const=balance,
         penalty_both=penalty(True, True, eps),
         penalty_single=indicator(True, eps) / (1.0 - indicator(True, eps)),
@@ -391,20 +386,24 @@ def own_tax_axes(terms: OwnTaxTerms, x, p):
     return price + pen, quad + h * terms.peer_excess + terms.balance_const, h
 
 
+def _message_tax(net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams):
+    """One user's link tax at its own message, as (terms, price part,
+    incentive part less the penalty, penalty)."""
+    terms = own_tax_terms(net, profile, link, user, params)
+    m = profile[user]
+    price, pen, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
+    return terms, price, quad + h * (terms.peer_excess + m.rate), pen
+
+
 def tax_link(
     net: Network, profile: MessageProfile, link: int, params: MechanismParams
 ) -> Dict[int, LinkTax]:
     """Per-user link taxes with their component breakdown."""
     out: Dict[int, LinkTax] = {}
     for user in net.group(link):
-        terms = own_tax_terms(net, profile, link, user, params)
-        m = profile[user]
-        price, pen, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
+        terms, price, incentive, pen = _message_tax(net, profile, link, user, params)
         out[user] = LinkTax(
-            price_part=price,
-            incentive_part=quad + h * (terms.peer_excess + m.rate) + pen,
-            balance_part=terms.balance_const,
-            penalty=pen,
+            price_part=price, incentive_part=incentive + pen, balance_part=terms.balance_const, penalty=pen
         )
     return out
 
@@ -424,10 +423,8 @@ def link_subsidy(
         raise WrongGroupSize(f"link {net.link_labels[link]!r} has {len(group)} users, need 2")
     total = 0.0
     for user in group:
-        terms = own_tax_terms(net, profile, link, user, params)
-        m = profile[user]
-        price, _, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
-        total += price + (quad + h * (terms.peer_excess + m.rate))
+        _, price, incentive, _ = _message_tax(net, profile, link, user, params)
+        total += price + incentive
     return -total
 
 

@@ -9,8 +9,6 @@ complementary-slackness families) sits below the configured tolerance. That
 price is found by a bracketed secant (Illinois) step, warm-started at the
 link's price from the previous round. The multipliers double as the
 equilibrium link prices downstream.
-
-Also provides an independent brute-force grid oracle for small instances.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
-
-import numpy as np
 
 from .network import BOUNDARY_TOL, Network, min_route_capacity
 from .utilities import UtilitySpec, demand, derivative, value
@@ -34,10 +30,6 @@ class NotConverged(SolverError):
 
 
 class NonConcaveUtility(SolverError):
-    pass
-
-
-class GridTooLarge(SolverError):
     pass
 
 
@@ -292,92 +284,3 @@ def solve_centralized(
     raise NotConverged(
         " and ".join(unmet) + f" after {config.max_iterations} iterations" + "".join(met)
     )
-
-
-def brute_force_centralized(
-    net: Network,
-    utilities: Mapping[int, UtilitySpec],
-    grid_step: float,
-) -> Dict[int, float]:
-    """Exhaustive grid search over feasible rate vectors; the independent
-    oracle for the dual solver.
-
-    Every user's axis is {0, h, 2h, ...} up to its route cap. The last user
-    is closed in O(1) per point via running maxima of its utility, so the
-    enumerated work is the product of the remaining axes; that product is
-    guarded at 1e8 combinations.
-    """
-    if not grid_step > 0.0:
-        raise SolverError(f"grid_step must be positive, got {grid_step}")
-    users = list(net.users())
-    h = grid_step
-    axes = []
-    for i in users:
-        npts = int(math.floor(min_route_capacity(net, i) / h + 1e-9)) + 1
-        axes.append(np.arange(npts) * h)
-    work = 1
-    for ax in axes[:-1]:
-        work *= len(ax)
-    if work > 1e8:
-        raise GridTooLarge(f"{work:.2e} grid combinations exceed the 1e8 guard")
-
-    last = users[-1]
-    u_last = np.asarray(value(utilities[last], axes[-1]), dtype=float)
-    prefix_best = np.maximum.accumulate(u_last)
-    shifted = np.concatenate(([-np.inf], prefix_best[:-1]))
-    prefix_arg = np.maximum.accumulate(np.where(u_last > shifted, np.arange(len(u_last)), -1))
-
-    best_val = -math.inf
-    best_rates: Dict[int, float] = {}
-    capacities = [net.capacity(l) for l in net.links()]
-    on_link = [set(net.group(l)) for l in net.links()]
-
-    def close_last_two(depth_user_idx, acc_val, fixed, remaining):
-        nonlocal best_val, best_rates
-        s = users[depth_user_idx]
-        xs = axes[depth_user_idx]
-        ok = np.ones(len(xs), dtype=bool)
-        for l in net.route(s):
-            ok &= xs <= remaining[l] + 1e-9
-        cap_last = np.full(len(xs), math.inf)
-        for l in net.route(last):
-            room = remaining[l] - (xs if s in on_link[l] else 0.0)
-            cap_last = np.minimum(cap_last, room)
-        idx = np.floor((cap_last + 1e-9) / h).astype(int)
-        ok &= idx >= 0
-        if not ok.any():
-            return
-        idx = np.clip(idx, 0, len(u_last) - 1)
-        totals = np.where(
-            ok,
-            acc_val + np.asarray(value(utilities[s], xs), dtype=float) + prefix_best[idx],
-            -math.inf,
-        )
-        j = int(np.argmax(totals))
-        if totals[j] > best_val:
-            best_val = float(totals[j])
-            rates = dict(fixed)
-            rates[s] = float(xs[j])
-            rates[last] = float(axes[-1][prefix_arg[idx[j]]])
-            best_rates = rates
-
-    def recurse(depth, acc_val, fixed, remaining):
-        if depth == len(users) - 2:
-            close_last_two(depth, acc_val, fixed, remaining)
-            return
-        i = users[depth]
-        for x in axes[depth]:
-            if any(x > remaining[l] + 1e-9 for l in net.route(i)):
-                break  # axes ascend, nothing larger fits either
-            nxt = list(remaining)
-            for l in net.route(i):
-                nxt[l] -= x
-            fixed[i] = float(x)
-            recurse(depth + 1, acc_val + float(value(utilities[i], x)), fixed, nxt)
-        fixed.pop(users[depth], None)
-
-    if len(users) == 1:
-        j = int(np.argmax(u_last))
-        return {last: float(axes[-1][j])}
-    recurse(0, 0.0, {}, capacities)
-    return best_rates

@@ -154,17 +154,17 @@ def derivative(u: UtilitySpec, x):
     return (2.0 * u.a * u.b * xa / np.square(u.b + xa * xa))[()]
 
 
-def initial_slope(u: UtilitySpec, fallback_rate: float = 1e-3) -> float:
+def initial_slope(u: UtilitySpec) -> float:
     """Steepest marginal utility, the natural price scale of a user.
 
     At zero for the concave families, except that power utilities (infinite
-    slope at 0) report the slope at ``fallback_rate``. Sigmoid marginals peak
+    slope at 0) report the slope at rate 1e-3. Sigmoid marginals peak
     at the inflection point sqrt(s/3) rather than at zero, at
     (3*sqrt(3)/8)*a/sqrt(s); that closed form serves where s is so small
     that (s + x**2)**2 underflows to 0 and the slope formula would read 0/0.
     """
     if u.family == "power":
-        return float(derivative(u, fallback_rate))
+        return float(derivative(u, 1e-3))
     if u.family == "sigmoid":
         x = math.sqrt(u.b / 3.0)
         den = u.b + x * x

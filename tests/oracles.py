@@ -1,24 +1,53 @@
 """Former implementations kept as oracles for the tests that pin their
-replacements bit for bit.
+replacements bit for bit, and functions only the tests use.
 
 ``best_deviation_reference`` builds its rate and price axes and V on the rate
 axis inside every call, as ``best_deviation`` did before it took them from a
 ``DeviationGrid``. ``sigmoid_demand_numpy`` runs the golden-section refinement
 of the sigmoid demand on numpy scalars, as ``demand`` did before it refined on
-Python floats.
+Python floats. ``own_tax_terms_reference`` walks a link's group once per peer
+statistic and once more for the large-group balance term, as
+``own_tax_terms`` did before it walked the group once.
+
+``zero_tax_deviation_price`` (the exact exit deviation of the
+individual-rationality checks), ``brute_force_centralized`` (the grid oracle
+for the dual solver) and ``with_rate`` serve the tests only.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from nash_unicast.equilibrium import _lattice_argmax
-from nash_unicast.mechanism import Message, eval_own_tax, own_tax_axes, own_tax_terms
+from nash_unicast.mechanism import (
+    MechanismError,
+    Message,
+    OwnTaxTerms,
+    WrongGroupSize,
+    _cyclic_peers,
+    _not_on_link,
+    eval_own_tax,
+    indicator,
+    own_tax_axes,
+    own_tax_terms,
+    penalty,
+)
 from nash_unicast.network import min_route_capacity
+from nash_unicast.solver import SolverError
 from nash_unicast.utilities import demand, value
+
+
+class GridTooLarge(SolverError):
+    pass
+
+
+def with_rate(message, rate):
+    """``message`` with its rate request replaced."""
+    return replace(message, rate=rate)
 
 
 def best_deviation_reference(net, utilities, profile, user, params, br_grid):
@@ -56,7 +85,7 @@ def best_deviation_reference(net, utilities, profile, user, params, br_grid):
     rate_pays = vs - (f_sum + g_cur + xs * h_cur)
     i1 = int(np.argmax(rate_pays))
     x1 = float(xs[i1])
-    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(cur.with_rate, x1)))
+    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(with_rate, cur, x1)))
 
     slope = 0.0
     room = cap
@@ -68,7 +97,7 @@ def best_deviation_reference(net, utilities, profile, user, params, br_grid):
     x_best = demand(u, max(slope, 0.0), room)
     best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
     cands.append(
-        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(cur.with_rate, x_best))
+        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(with_rate, cur, x_best))
     )
 
     for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
@@ -118,3 +147,211 @@ def sigmoid_demand_numpy(u, price, cap):
     best = 0.5 * (lo + hi)
     candidates = [0.0, cap, best]
     return min(candidates, key=lambda x: (-f(x), x))
+
+
+def own_tax_terms_reference(net, profile, link, user, params):
+    """``own_tax_terms`` as it walked the group once for the peers' list,
+    once per builtin ``sum`` of their prices and rates, and once more in the
+    large-group balance term's own loop."""
+    group = net.group(link)
+    if user not in group:
+        raise _not_on_link(net, user, link)
+    n = len(group)
+    c = net.capacity(link)
+    others = [u for u in group if u != user]
+    mean_p = sum(profile[u].prices[link] for u in others) / (n - 1) if others else 0.0
+    adjust = balance = 0.0
+    if n == 3:
+        j, k = _cyclic_peers(group, user)
+        pj, pk = profile[j].prices[link], profile[k].prices[link]
+        adjust = pk * (pj - pk) / params.gamma
+        balance = _three_user_balance_reference(profile, link, j, k, c, params.gamma)
+    elif n > 3:
+        balance = _large_group_balance_reference(net, profile, link, user, params)
+    eps = params.epsilon
+    return OwnTaxTerms(
+        group_size=n,
+        capacity=c,
+        gamma=params.gamma,
+        peer_price_mean=mean_p,
+        price_adjust=adjust,
+        quad_weight={1: 0.0, 2: 1.0 / params.alpha}.get(n, 1.0),
+        peer_excess=sum(profile[u].rate for u in others) - c,
+        balance_const=balance,
+        penalty_both=penalty(True, True, eps),
+        penalty_single=indicator(True, eps) / (1.0 - indicator(True, eps)),
+    )
+
+
+def _three_user_balance_reference(profile, link, j, k, c, g):
+    pj, xj = profile[j].prices[link], profile[j].rate
+    pk, xk = profile[k].prices[link], profile[k].rate
+    mean_p = 0.5 * (pj + pk)
+    peer_excess = xj + xk - c
+
+    pairs = ((pj, xj, pk, xk), (pk, xk, pj, xj))
+    quad_pairs = sum(2.0 * pr * ps * (1.0 + xr / g) - xr * ps for pr, xr, ps, _ in pairs) / 2.0
+    coupling_pairs = sum(
+        2.0 * ps * (pr * (2.0 * xs - c) - xr * ps) for pr, xr, ps, xs in pairs
+    ) / (4.0 * g)
+    lead = (pj * pj * xk - c * pj * pk) / g
+    return (
+        lead
+        + quad_pairs
+        + coupling_pairs
+        - 0.5 * (pj * pj + pk * pk)
+        - mean_p * mean_p
+        - 2.0 * peer_excess * mean_p * mean_p / g
+    )
+
+
+def _large_group_balance_reference(net, profile, link, user, params):
+    group = net.group(link)
+    c = net.capacity(link)
+    g = params.gamma
+    m = len(group) - 1
+    p1 = p2 = x1 = px = p2x = 0.0
+    for u in group:
+        if u == user:
+            continue
+        p, x = profile[u].prices[link], profile[u].rate
+        p1 += p
+        p2 += p * p
+        x1 += x
+        px += p * x
+        p2x += p * p * x
+    e1 = m * x1 - m * c
+    pe = m * px - c * p1
+    p2e = m * p2x - c * p2
+
+    quad = 2.0 * (p1 * p1 - p2) + (2.0 / g) * (px * p1 - p2x) - (x1 * p1 - px)
+    pair_coupling = 2.0 * (p1 * pe - p2e) - 2.0 * (x1 * p2 - p2x)
+    triple_coupling = 2.0 * (p1 * p1 * e1 - p2 * e1 - 2.0 * pe * p1 + 2.0 * p2e) - 2.0 * (
+        x1 * p1 * p1 - 2.0 * px * p1 - p2 * x1 + 2.0 * p2x
+    )
+    quad /= m * (m - 1)
+    pair_coupling /= g * m**2 * (m - 1)
+    triple_coupling /= g * m**2 * (m - 2)
+
+    mean_p = p1 / m
+    return (
+        quad
+        + triple_coupling
+        + pair_coupling
+        - p2 / m
+        - mean_p * mean_p
+        - 2.0 * (x1 - c) * mean_p * mean_p / g
+    )
+
+
+def zero_tax_deviation_price(net, profile, link, user, params):
+    """The own link price at which requesting a zero rate costs exactly nothing,
+    with everyone else fixed at a uniform-price profile.
+
+    For a two-user link that price is simply the peer's price. For larger
+    groups the zero-rate tax is a quadratic in the own price whose larger
+    root is returned; it is always non-negative.
+    """
+    if len(net.group(link)) == 1:
+        raise WrongGroupSize(
+            f"link {net.link_labels[link]!r} has a single user; no deviation price is defined"
+        )
+    t = own_tax_terms(net, profile, link, user, params)
+    pstar, excess = t.peer_price_mean, t.peer_excess
+    if t.group_size == 2:
+        return pstar
+    g = params.gamma
+    half_b = -pstar * (1.0 + excess / g)
+    c0 = pstar * pstar * (1.0 + 2.0 * excess / g) + t.balance_const
+    disc = half_b * half_b - c0
+    if disc < 0.0:
+        raise MechanismError(
+            f"zero-rate tax never crosses zero on link {net.link_labels[link]!r}"
+            f" for user {net.user_labels[user]!r}"
+        )
+    return max(-half_b + math.sqrt(disc), 0.0)
+
+
+def brute_force_centralized(net, utilities, grid_step):
+    """Exhaustive grid search over feasible rate vectors; the independent
+    oracle for the dual solver.
+
+    Every user's axis is {0, h, 2h, ...} up to its route cap. The last user
+    is closed in O(1) per point via running maxima of its utility, so the
+    enumerated work is the product of the remaining axes; that product is
+    guarded at 1e8 combinations.
+    """
+    if not grid_step > 0.0:
+        raise SolverError(f"grid_step must be positive, got {grid_step}")
+    users = list(net.users())
+    h = grid_step
+    axes = []
+    for i in users:
+        npts = int(math.floor(min_route_capacity(net, i) / h + 1e-9)) + 1
+        axes.append(np.arange(npts) * h)
+    work = 1
+    for ax in axes[:-1]:
+        work *= len(ax)
+    if work > 1e8:
+        raise GridTooLarge(f"{work:.2e} grid combinations exceed the 1e8 guard")
+
+    last = users[-1]
+    u_last = np.asarray(value(utilities[last], axes[-1]), dtype=float)
+    prefix_best = np.maximum.accumulate(u_last)
+    shifted = np.concatenate(([-np.inf], prefix_best[:-1]))
+    prefix_arg = np.maximum.accumulate(np.where(u_last > shifted, np.arange(len(u_last)), -1))
+
+    best_val = -math.inf
+    best_rates = {}
+    capacities = [net.capacity(l) for l in net.links()]
+    on_link = [set(net.group(l)) for l in net.links()]
+
+    def close_last_two(depth_user_idx, acc_val, fixed, remaining):
+        nonlocal best_val, best_rates
+        s = users[depth_user_idx]
+        xs = axes[depth_user_idx]
+        ok = np.ones(len(xs), dtype=bool)
+        for l in net.route(s):
+            ok &= xs <= remaining[l] + 1e-9
+        cap_last = np.full(len(xs), math.inf)
+        for l in net.route(last):
+            room = remaining[l] - (xs if s in on_link[l] else 0.0)
+            cap_last = np.minimum(cap_last, room)
+        idx = np.floor((cap_last + 1e-9) / h).astype(int)
+        ok &= idx >= 0
+        if not ok.any():
+            return
+        idx = np.clip(idx, 0, len(u_last) - 1)
+        totals = np.where(
+            ok,
+            acc_val + np.asarray(value(utilities[s], xs), dtype=float) + prefix_best[idx],
+            -math.inf,
+        )
+        j = int(np.argmax(totals))
+        if totals[j] > best_val:
+            best_val = float(totals[j])
+            rates = dict(fixed)
+            rates[s] = float(xs[j])
+            rates[last] = float(axes[-1][prefix_arg[idx[j]]])
+            best_rates = rates
+
+    def recurse(depth, acc_val, fixed, remaining):
+        if depth == len(users) - 2:
+            close_last_two(depth, acc_val, fixed, remaining)
+            return
+        i = users[depth]
+        for x in axes[depth]:
+            if any(x > remaining[l] + 1e-9 for l in net.route(i)):
+                break  # axes ascend, nothing larger fits either
+            nxt = list(remaining)
+            for l in net.route(i):
+                nxt[l] -= x
+            fixed[i] = float(x)
+            recurse(depth + 1, acc_val + float(value(utilities[i], x)), fixed, nxt)
+        fixed.pop(users[depth], None)
+
+    if len(users) == 1:
+        j = int(np.argmax(u_last))
+        return {last: float(axes[-1][j])}
+    recurse(0, 0.0, {}, capacities)
+    return best_rates

@@ -23,7 +23,6 @@ from nash_unicast.equilibrium import (
     check_walrasian,
     construct_ne,
     ne_tax_closed_form,
-    zero_tax_deviation_price,
 )
 from nash_unicast.mechanism import (
     assign_subsidies,
@@ -33,8 +32,9 @@ from nash_unicast.mechanism import (
     tax_link,
 )
 from nash_unicast.network import build_network
-from nash_unicast.solver import brute_force_centralized, solve_centralized, welfare
+from nash_unicast.solver import solve_centralized, welfare
 from nash_unicast.utilities import log_utility, value
+from oracles import brute_force_centralized, with_rate, zero_tax_deviation_price
 
 SWEEPS = ((10.0, 1.0), (0.1, 1.0), (1.0, 10.0), (1.0, 0.1))
 
@@ -106,7 +106,7 @@ def _witness_worst_tax(suite):
     for s in suite:
         for user in s.net.users():
             deviated = dict(s.profile)
-            m = s.profile[user].with_rate(0.0)
+            m = with_rate(s.profile[user], 0.0)
             for link in s.net.route(user):
                 if len(s.net.group(link)) >= 2:
                     price = zero_tax_deviation_price(s.net, s.profile, link, user, s.params)
@@ -210,7 +210,7 @@ def test_criterion_04_nash_implementation():
     worst_rel = 0.0
     for s in suite:
         alloc = outcome(s.net, s.profile, s.params, s.subsidies)
-        ok, gap = check_optimality(s.utilities, alloc, s.result, tol=1e-6)
+        ok, gap = check_optimality(s.utilities, alloc, s.result)
         assert ok, s.name
         worst_rel = max(worst_rel, gap)
 
@@ -282,7 +282,7 @@ def test_criterion_07_walrasian():
         starts = [start_profile]
         nudged = dict(start_profile)
         first = b.net.group(0)[0]
-        nudged[first] = start_profile[first].with_rate(start_profile[first].rate * 0.7)
+        nudged[first] = with_rate(start_profile[first], start_profile[first].rate * 0.7)
         starts.append(nudged)
         for start in starts:
             config = DynamicsConfig(max_rounds=12, br_grid=120, stop_tolerance=1e-7)

@@ -18,7 +18,6 @@ from nash_unicast.equilibrium import (
     construct_ne,
     deviation_grid,
     ne_tax_closed_form,
-    zero_tax_deviation_price,
 )
 from nash_unicast.mechanism import (
     MechanismParams,
@@ -45,7 +44,7 @@ from nash_unicast.utilities import (
 )
 
 from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
-from oracles import best_deviation_reference
+from oracles import best_deviation_reference, with_rate, zero_tax_deviation_price
 
 
 @pytest.fixture
@@ -135,7 +134,7 @@ def test_audit_flags_unilateral_over_request(golden):
         for u in net.users()
     }
     tampered = dict(profile)
-    tampered[0] = profile[0].with_rate(1.0)  # joint request now exceeds the unit link
+    tampered[0] = with_rate(profile[0], 1.0)  # joint request now exceeds the unit link
     alloc = outcome(net, tampered, params, subs)
     rep = audit(net, uts, tampered, params, alloc, br_grid=50)
     assert not rep.feasibility
@@ -197,7 +196,7 @@ def test_zero_tax_price_round_trip(n):
         price = zero_tax_deviation_price(net, profile, 0, user, params)
         assert price >= 0.0
         deviated = dict(profile)
-        deviated[user] = profile[user].with_rate(0.0).with_price(0, price)
+        deviated[user] = with_rate(profile[user], 0.0).with_price(0, price)
         assert abs(tax_link(net, deviated, 0, params)[user].total) <= 1e-9
 
 
@@ -242,7 +241,7 @@ def test_walrasian_golden(golden):
 def test_walrasian_flags_displaced_rate(golden):
     net, uts, params, subs, res, profile = golden
     shifted = dict(profile)
-    shifted[0] = profile[0].with_rate(profile[0].rate - 10 * 1e-3)  # stay feasible
+    shifted[0] = with_rate(profile[0], profile[0].rate - 10 * 1e-3)  # stay feasible
     checks = check_walrasian(net, uts, shifted, 1e-3)
     assert not checks[0].ok
     assert set(checks) == set(net.users())  # everyone is reported regardless
@@ -300,7 +299,7 @@ def best_deviation_full_grid(net, utilities, profile, user, params, br_grid):
             float(rate_pays[i1]),
             float(xs[i1]),
             tuple(cur.prices[m] for m in route),
-            cur.with_rate(float(xs[i1])),
+            with_rate(cur, float(xs[i1])),
         )
     )
 
@@ -320,7 +319,7 @@ def best_deviation_full_grid(net, utilities, profile, user, params, br_grid):
             float(value(u, x_best)) - best_tax,
             x_best,
             tuple(cur.prices[m] for m in route),
-            cur.with_rate(x_best),
+            with_rate(cur, x_best),
         )
     )
 
@@ -582,7 +581,7 @@ def test_best_deviations_match_best_deviation_on_routes_of_one_to_six_links():
             # own penalty fires
             over = dict(profile)
             w = net.user_id("w")
-            over[w] = profile[w].with_rate(3.0 * net.capacity(net.link_id("L7")))
+            over[w] = with_rate(profile[w], 3.0 * net.capacity(net.link_id("L7")))
             for br_grid in (2, 7, 64):
                 _assert_batch_matches_per_user(net, uts, profile, params, br_grid)
                 _assert_batch_matches_per_user(net, uts, over, params, br_grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from nash_unicast.mechanism import (
 from nash_unicast.network import build_network
 
 from corpus import concave_suite
+from oracles import own_tax_terms_reference
 
 PARAMS = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=100.0)
 
@@ -115,6 +117,43 @@ def test_link_terms_user_not_on_link():
     profile = random_profile(net, random.Random(0))
     with pytest.raises(UserNotOnLink, match="user 'u2' is not on link 'L0'"):
         own_tax_terms(net, profile, 0, 2, PARAMS)
+
+
+def _hex_fields(terms):
+    return [v if isinstance(v, int) else float.hex(v) for v in dataclasses.astuple(terms)]
+
+
+def _extreme(rng):
+    """A float from signed zeros, denormals and magnitudes 1e-300..1e300,
+    or an ordinary price-sized one."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300))
+    if kind == 1:
+        return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+    return rng.uniform(0.0, 5.0)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_own_tax_terms_match_former_walks_bit_for_bit(n):
+    rng = random.Random(7000 + n)
+    checked = 0
+    for cap, gamma in ((10.0, 1e4), (1e-300, 1e300), (1e300, 1e-300), (3.0, 0.7)):
+        net = shared_link_net(n, cap=cap)
+        params = MechanismParams(alpha=2.5, gamma=gamma, epsilon=1e-6, price_bound=100.0)
+        for k in range(6):
+            # every other profile requests zero rates throughout
+            profile = {
+                i: Message(0.0 if k % 2 else _extreme(rng), {l: _extreme(rng) for l in net.route(i)})
+                for i in net.users()
+            }
+            for link in net.links():
+                for user in net.group(link):
+                    got = own_tax_terms(net, profile, link, user, params)
+                    ref = own_tax_terms_reference(net, profile, link, user, params)
+                    assert _hex_fields(got) == _hex_fields(ref), (n, cap, gamma, k, link, user)
+                    checked += 1
+    assert checked == 24 * (n + 1)
 
 
 # --- balance terms ----------------------------------------------------------

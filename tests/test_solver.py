@@ -11,7 +11,6 @@ import nash_unicast.solver as solver
 from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
 from nash_unicast.scenario import load_scenario, random_scenario
 from nash_unicast.solver import (
-    GridTooLarge,
     KktResiduals,
     NonConcaveUtility,
     NotConverged,
@@ -19,7 +18,6 @@ from nash_unicast.solver import (
     SolverConfig,
     _clear_link,
     _recover_nus,
-    brute_force_centralized,
     kkt_residuals,
     solve_centralized,
     welfare,
@@ -33,6 +31,8 @@ from nash_unicast.utilities import (
     sigmoid_utility,
     value,
 )
+
+from oracles import GridTooLarge, brute_force_centralized
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
