@@ -29,7 +29,6 @@ from .equilibrium import audit, check_optimality, construct_ne
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
     Scenario,
-    ScenarioError,
     load_scenario,
     parse_profile,
     profile_to_labels,
@@ -38,6 +37,8 @@ from .solver import NonConcaveUtility, solve_centralized
 
 log = logging.getLogger("nash_unicast")
 _JSON_DEFAULT = json.JSONEncoder().default  # raises json's TypeError for other types
+# what a command reports as "error: <message>" with exit 1; a ScenarioError is a ValueError
+ERRORS = (OSError, ValueError, RuntimeError)
 
 AUDIT_CHECKS = (
     # (name, kind) where kind describes the comparison in _evaluate_checks
@@ -77,14 +78,6 @@ def _evaluate_checks(report, tax_scale: float):
             ok, bound = val <= tol, f"<= {tol:.3g}"
         checks.append({"name": name, "value": val, "bound": bound, "pass": bool(ok)})
     return checks
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if getattr(args, "seed", None) is not None:
-        scenario.mechanism["rng_seed"] = args.seed
-    if getattr(args, "tolerance", None) is not None:
-        scenario.solver["tolerance"] = args.tolerance
-    return scenario
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -158,6 +151,43 @@ def _emit(report: dict, out_path, lines) -> None:
         print(f"report written to {out_path}")
 
 
+def _load(args, path):
+    """Load a scenario, apply the command-line overrides and build it:
+    (scenario, network, utilities, params, solver config)."""
+    scenario = load_scenario(path)
+    if args.seed is not None:
+        scenario.mechanism["rng_seed"] = args.seed
+    if args.tolerance is not None:
+        scenario.solver["tolerance"] = args.tolerance
+    return (scenario, *scenario.build())
+
+
+def _header(command: str, scenario: Scenario):
+    """A report's opening keys and its text's first line."""
+    digest = scenario.digest()
+    report = {
+        "schema": "nash-unicast/report-v1",
+        "command": command,
+        "scenario": {"name": scenario.name, "digest": digest},
+    }
+    return report, [f"scenario {scenario.name} (digest {digest})"]
+
+
+def _profile(args, scenario: Scenario, net):
+    """The ``--profile`` file, else the scenario's own profile, else None.
+
+    The file holds a bare profile or a prior report: construct-ne and audit
+    keep the profile under "profile", simulate under "final_profile".
+    """
+    if not getattr(args, "profile", None):  # report has no --profile
+        return scenario.profile_messages(net)
+    with open(args.profile) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict):
+        data = data.get("profile", data.get("final_profile", data))
+    return parse_profile(data, net)
+
+
 def _solve_block(net, res) -> dict:
     return {
         "rates": {net.user_labels[u]: v for u, v in sorted(res.rates.items())},
@@ -170,17 +200,10 @@ def _solve_block(net, res) -> dict:
 
 
 def cmd_solve(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    net, utilities, params, solver_config = scenario.build()
+    scenario, net, utilities, _, solver_config = _load(args, args.scenario)
     res = solve_centralized(net, utilities, solver_config)
-    digest = scenario.digest()
-    report = {
-        "schema": "nash-unicast/report-v1",
-        "command": "solve",
-        "scenario": {"name": scenario.name, "digest": digest},
-        "solve": _solve_block(net, res),
-    }
-    lines = [f"scenario {scenario.name} (digest {digest})"]
+    report, lines = _header("solve", scenario)
+    report["solve"] = _solve_block(net, res)
     for u, v in sorted(res.rates.items()):
         lines.append(f"  rate  {net.user_labels[u]:>8}: {_fmt(v)}")
     for l, v in sorted(res.lambdas.items()):
@@ -191,16 +214,32 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _audit_and_checks(net, utilities, profile, params, subsidies, grid):
+def _audited(args, net, utilities, params, solver_config, profile, res=None):
+    """Subsidies, outcome, audit and its checks, then the optimality check
+    against ``res``. Without ``res`` the check takes a solve made after the
+    audit, and is skipped on non-concave utilities.
+
+    Returns (subsidies, audit report, allocation, checks).
+    """
+    subsidies = assign_subsidies(net, params.rng_seed)
     alloc = outcome(net, profile, params, subsidies)
-    rep = audit(net, utilities, profile, params, alloc, br_grid=grid)
-    tax_scale = sum(abs(t) for t in alloc.taxes.values())
-    checks = _evaluate_checks(rep, tax_scale)
-    return rep, alloc, checks
+    rep = audit(net, utilities, profile, params, alloc, br_grid=args.grid)
+    checks = _evaluate_checks(rep, sum(abs(t) for t in alloc.taxes.values()))
+    if res is None:
+        try:
+            res = solve_centralized(net, utilities, solver_config)
+        except NonConcaveUtility:
+            log.info("optimality check skipped: non-concave utilities")
+    if res is not None:
+        opt_ok, opt_gap = check_optimality(utilities, alloc, res)
+        checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
+    return subsidies, rep, alloc, checks
 
 
-def _breakdown_block(net, alloc) -> dict:
-    """Per-(user, link) tax components plus per-user subsidy transfers."""
+def _audit_blocks(net, rep, alloc, checks) -> dict:
+    """The report keys that construct-ne and audit share after the profile:
+    the audit, the per-(user, link) tax components plus per-user subsidy
+    transfers, and the checks."""
     rows = {}
     for (u, l), lt in sorted(alloc.breakdown.link_taxes.items()):
         rows.setdefault(net.user_labels[u], {})[net.link_labels[l]] = {
@@ -211,18 +250,20 @@ def _breakdown_block(net, alloc) -> dict:
             "total": lt.total,
         }
     return {
-        "link_taxes": rows,
-        "subsidies_received": {
-            net.user_labels[u]: v for u, v in sorted(alloc.breakdown.subsidies.items())
+        "audit": {k: getattr(rep, k) for k, _ in AUDIT_CHECKS},
+        "tax_breakdown": {
+            "link_taxes": rows,
+            "subsidies_received": {
+                net.user_labels[u]: v for u, v in sorted(alloc.breakdown.subsidies.items())
+            },
+            "totals": {net.user_labels[u]: v for u, v in sorted(alloc.taxes.items())},
         },
-        "totals": {net.user_labels[u]: v for u, v in sorted(alloc.taxes.items())},
+        "checks": checks,
     }
 
 
-def _report_lines(scenario, digest, net, alloc, checks, extra=()):
-    lines = [f"scenario {scenario.name} (digest {digest})"]
-    lines.extend(extra)
-    lines.append("  taxes (price + incentive + balance = total per link):")
+def _tax_lines(net, alloc, checks) -> list:
+    lines = ["  taxes (price + incentive + balance = total per link):"]
     for (u, l), lt in sorted(alloc.breakdown.link_taxes.items()):
         lines.append(
             f"    {net.user_labels[u]:>8} @{net.link_labels[l]:<8}"
@@ -241,110 +282,61 @@ def _report_lines(scenario, digest, net, alloc, checks, extra=()):
 
 
 def cmd_construct_ne(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    net, utilities, params, solver_config = scenario.build()
+    scenario, net, utilities, params, solver_config = _load(args, args.scenario)
     res = solve_centralized(net, utilities, solver_config)
     profile = construct_ne(net, utilities, params, solve_result=res)
-    subsidies = assign_subsidies(net, params.rng_seed)
-    rep, alloc, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
-    opt_ok, opt_gap = check_optimality(utilities, alloc, res)
-    checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
-    digest = scenario.digest()
-    report = {
-        "schema": "nash-unicast/report-v1",
-        "command": "construct-ne",
-        "scenario": {"name": scenario.name, "digest": digest},
-        "solve": _solve_block(net, res),
-        "profile": profile_to_labels(profile, net),
-        "subsidies": {net.link_labels[l]: net.user_labels[u] for l, u in sorted(subsidies.items())},
-        "audit": {k: getattr(rep, k) for k, _ in AUDIT_CHECKS},
-        "tax_breakdown": _breakdown_block(net, alloc),
-        "checks": checks,
-    }
-    extra = [
-        "  equilibrium profile:",
-        *(
-            f"    {net.user_labels[u]:>8}: rate={_fmt(m.rate)} prices="
-            + " ".join(f"{net.link_labels[l]}:{_fmt(p)}" for l, p in sorted(m.prices.items()))
-            for u, m in sorted(profile.items())
-        ),
-    ]
-    _emit(report, args.out, _report_lines(scenario, digest, net, alloc, checks, extra))
+    subsidies, rep, alloc, checks = _audited(args, net, utilities, params, solver_config, profile, res)
+    report, lines = _header("construct-ne", scenario)
+    report.update(
+        solve=_solve_block(net, res),
+        profile=profile_to_labels(profile, net),
+        subsidies={net.link_labels[l]: net.user_labels[u] for l, u in sorted(subsidies.items())},
+        **_audit_blocks(net, rep, alloc, checks),
+    )
+    lines.append("  equilibrium profile:")
+    for u, m in sorted(profile.items()):
+        prices = " ".join(f"{net.link_labels[l]}:{_fmt(p)}" for l, p in sorted(m.prices.items()))
+        lines.append(f"    {net.user_labels[u]:>8}: rate={_fmt(m.rate)} prices={prices}")
+    _emit(report, args.out, lines + _tax_lines(net, alloc, checks))
     return 0 if all(c["pass"] for c in checks) else 2
 
 
-def _load_profile_arg(path, net):
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        # a prior report: construct-ne and audit keep the profile under
-        # "profile", simulate under "final_profile"
-        data = data.get("profile", data.get("final_profile", data))
-    return parse_profile(data, net)
-
-
 def cmd_audit(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    net, utilities, params, solver_config = scenario.build()
-    if args.profile:
-        profile = _load_profile_arg(args.profile, net)
-    else:
-        profile = scenario.profile_messages(net)
-        if profile is None:
-            print("audit needs a profile: pass --profile or embed one in the scenario", file=sys.stderr)
-            return 1
-    subsidies = assign_subsidies(net, params.rng_seed)
-    rep, alloc, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
-    try:
-        res = solve_centralized(net, utilities, solver_config)
-        opt_ok, opt_gap = check_optimality(utilities, alloc, res)
-        checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
-    except NonConcaveUtility:
-        log.info("optimality check skipped: non-concave utilities")
-    digest = scenario.digest()
-    report = {
-        "schema": "nash-unicast/report-v1",
-        "command": "audit",
-        "scenario": {"name": scenario.name, "digest": digest},
-        "profile": profile_to_labels(profile, net),
-        "audit": {k: getattr(rep, k) for k, _ in AUDIT_CHECKS},
-        "tax_breakdown": _breakdown_block(net, alloc),
-        "checks": checks,
-    }
-    _emit(report, args.out, _report_lines(scenario, digest, net, alloc, checks))
-    if not all(c["pass"] for c in checks):
-        failing = ", ".join(c["name"] for c in checks if not c["pass"])
-        print(f"failed checks: {failing}", file=sys.stderr)
+    scenario, net, utilities, params, solver_config = _load(args, args.scenario)
+    profile = _profile(args, scenario, net)
+    if profile is None:
+        print("audit needs a profile: pass --profile or embed one in the scenario", file=sys.stderr)
+        return 1
+    _, rep, alloc, checks = _audited(args, net, utilities, params, solver_config, profile)
+    report, lines = _header("audit", scenario)
+    report.update(profile=profile_to_labels(profile, net), **_audit_blocks(net, rep, alloc, checks))
+    _emit(report, args.out, lines + _tax_lines(net, alloc, checks))
+    failing = [c["name"] for c in checks if not c["pass"]]
+    if failing:
+        print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_simulate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    net, utilities, params, _ = scenario.build()
-    if args.profile:
-        start = _load_profile_arg(args.profile, net)
-    else:
-        start = scenario.profile_messages(net)
+    scenario, net, utilities, params, _ = _load(args, args.scenario)
+    start = _profile(args, scenario, net)
     if start is None:
         print("simulate needs a start profile: pass --profile or embed one", file=sys.stderr)
         return 1
     config = DynamicsConfig(
         schedule=args.schedule,
-        seed=args.seed if args.seed is not None else int(scenario.mechanism.get("rng_seed", 0)),
+        seed=params.rng_seed,
         max_rounds=args.rounds,
         br_grid=args.grid,
         stop_tolerance=args.stop_tolerance,
     )
     traj = run_dynamics(net, utilities, start, config, params)
-    digest = scenario.digest()
-    report = {
-        "schema": "nash-unicast/report-v1",
-        "command": "simulate",
-        "scenario": {"name": scenario.name, "digest": digest},
-        "verdict": traj.verdict,
-        "rounds": traj.rounds,
-        "moves": [
+    report, lines = _header("simulate", scenario)
+    report.update(
+        verdict=traj.verdict,
+        rounds=traj.rounds,
+        moves=[
             {
                 "round": s.round,
                 "user": net.user_labels[s.user],
@@ -353,12 +345,9 @@ def cmd_simulate(args) -> int:
             }
             for s in traj.steps
         ],
-        "final_profile": profile_to_labels(traj.final_profile, net),
-    }
-    lines = [
-        f"scenario {scenario.name} (digest {digest})",
-        f"  verdict: {traj.verdict} after {traj.rounds} rounds, {len(traj.steps)} moves",
-    ]
+        final_profile=profile_to_labels(traj.final_profile, net),
+    )
+    lines.append(f"  verdict: {traj.verdict} after {traj.rounds} rounds, {len(traj.steps)} moves")
     for s in traj.steps[:20]:
         lines.append(
             f"    round {s.round}: {net.user_labels[s.user]} -> rate {_fmt(s.new.rate)}"
@@ -370,39 +359,36 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _report_row(args, path: Path) -> dict:
+    """One file of ``report``: construct-ne's steps on concave utilities,
+    else audit's on the scenario's own profile."""
+    scenario, net, utilities, params, solver_config = _load(args, path)
+    row = {"file": path.name, "name": scenario.name, "digest": scenario.digest()}
+    res = None
+    if all(u.is_concave for u in utilities.values()):
+        res = solve_centralized(net, utilities, solver_config)
+        profile = construct_ne(net, utilities, params, solve_result=res)
+        row["objective"] = res.objective
+    else:
+        profile = _profile(args, scenario, net)
+        if profile is None:
+            return {**row, "verdict": "skipped", "error": "non-concave utilities and no embedded profile"}
+    checks = _audited(args, net, utilities, params, solver_config, profile, res)[3]
+    failing = [c["name"] for c in checks if not c["pass"]]
+    return {**row, "verdict": "fail" if failing else "pass", "failing": failing}
+
+
 def cmd_report(args) -> int:
     directory = Path(args.scenario)
     if not directory.is_dir():
         print(f"{directory} is not a directory of scenarios", file=sys.stderr)
         return 1
     rows = []
-    worst = 0
     for path in sorted(directory.glob("*.json")):
         try:
-            scenario = _apply_overrides(load_scenario(path), args)
-            net, utilities, params, solver_config = scenario.build()
-            subsidies = assign_subsidies(net, params.rng_seed)
-            row = {"file": path.name, "name": scenario.name, "digest": scenario.digest()}
-            if all(u.is_concave for u in utilities.values()):
-                res = solve_centralized(net, utilities, solver_config)
-                profile = construct_ne(net, utilities, params, solve_result=res)
-                row["objective"] = res.objective
-            else:
-                profile = scenario.profile_messages(net)
-                if profile is None:
-                    row["verdict"] = "skipped"
-                    row["error"] = "non-concave utilities and no embedded profile"
-                    rows.append(row)
-                    continue
-            _, _, checks = _audit_and_checks(net, utilities, profile, params, subsidies, args.grid)
-            ok = all(c["pass"] for c in checks)
-            worst = max(worst, 0 if ok else 2)
-            row["verdict"] = "pass" if ok else "fail"
-            row["failing"] = [c["name"] for c in checks if not c["pass"]]
-            rows.append(row)
-        except (ScenarioError, NonConcaveUtility) as exc:
+            rows.append(_report_row(args, path))
+        except ERRORS as exc:  # the message the single command prints after "error: "
             rows.append({"file": path.name, "verdict": "error", "error": str(exc)})
-            worst = max(worst, 2)
     report = {"schema": "nash-unicast/report-v1", "command": "report", "scenarios": rows}
     lines = [f"{'file':<32} {'verdict':<8} {'objective':>16}  notes"]
     for r in rows:
@@ -410,7 +396,7 @@ def cmd_report(args) -> int:
         notes = ", ".join(r.get("failing", [])) or r.get("error", "")
         lines.append(f"{r['file']:<32} {r['verdict']:<8} {obj:>16}  {notes}")
     _emit(report, args.out, lines)
-    return worst
+    return 2 if any(r["verdict"] in ("fail", "error") for r in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,10 +476,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return HANDLERS[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

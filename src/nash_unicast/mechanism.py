@@ -89,23 +89,28 @@ class MechanismParams:
         eps = self.epsilon
         if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < 0.5:
             raise MechanismError(f"epsilon must lie in (0, 0.5), got {eps!r}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
+            raise MechanismError(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
     @staticmethod
-    def defaults(
-        net: Network,
-        utilities: Mapping[int, UtilitySpec],
-        price_bound: float | None = None,
-        epsilon: float = 1e-6,
-        rng_seed: int = 0,
-    ) -> "MechanismParams":
-        """Scenario-scaled defaults: alpha = gamma = 1e4 * (max capacity)^2 and a
-        price bound of 1e3 times the steepest initial marginal utility."""
+    def defaults(net: Network, utilities: Mapping[int, UtilitySpec], **given) -> "MechanismParams":
+        """The ``given`` fields, and scenario-scaled defaults for what they
+        leave out: alpha = gamma = 1e4 * (max capacity)^2 and a price bound
+        of 1e3 times the steepest initial marginal utility."""
         scale = 1e4 * max(net.capacities) ** 2
-        if price_bound is None:
-            price_bound = 1e3 * max(initial_slope(u) for u in utilities.values())
-        return MechanismParams(
-            alpha=scale, gamma=scale, epsilon=epsilon, price_bound=price_bound, rng_seed=rng_seed
-        )
+        given.setdefault("alpha", scale)
+        given.setdefault("gamma", scale)
+        if "price_bound" not in given:
+            slopes = {u: initial_slope(spec) for u, spec in utilities.items()}
+            steepest = max(slopes, key=slopes.get)
+            given["price_bound"] = 1e3 * slopes[steepest]
+            if not math.isfinite(given["price_bound"]):
+                raise MechanismError(
+                    f"price_bound must be a finite positive number, got {given['price_bound']!r}"
+                    f" from 1e3 times the initial slope {slopes[steepest]!r} of user"
+                    f" {net.user_labels[steepest]!r}"
+                )
+        return MechanismParams(**given)
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,6 @@ class LinkTax:
 class TaxBreakdown:
     link_taxes: Dict[tuple, LinkTax]  # (user, link) -> components
     subsidies: Dict[int, float]  # user -> money received through subsidy transfers
-    totals: Dict[int, float]  # user -> overall tax t_i
 
 
 @dataclass
@@ -516,5 +520,5 @@ def outcome(
         received[recipient] -= q
 
     rates = {u: profile[u].rate for u in net.users()}
-    breakdown = TaxBreakdown(link_taxes=link_taxes, subsidies=received, totals=dict(totals))
-    return Allocation(rates=rates, taxes=dict(totals), breakdown=breakdown)
+    breakdown = TaxBreakdown(link_taxes=link_taxes, subsidies=received)
+    return Allocation(rates=rates, taxes=totals, breakdown=breakdown)

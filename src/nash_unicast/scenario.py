@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from .mechanism import MechanismError, MechanismParams, Message, MessageProfile
@@ -83,16 +83,7 @@ class Scenario:
             if label not in self.routes:
                 raise ValidationError(f"user {label!r} has a utility but no route")
         try:
-            params = MechanismParams.defaults(
-                net,
-                utilities,
-                price_bound=self.mechanism.get("price_bound"),
-                epsilon=self.mechanism.get("epsilon", 1e-6),
-                rng_seed=int(self.mechanism.get("rng_seed", 0)),
-            )
-            overrides = {k: v for k, v in self.mechanism.items() if k in ("alpha", "gamma")}
-            if overrides:
-                params = replace(params, **overrides)
+            params = MechanismParams.defaults(net, utilities, **self.mechanism)
         except MechanismError as exc:
             raise ValidationError(f"mechanism {exc}") from exc
         return net, utilities, params, SolverConfig(**self.solver)
@@ -161,9 +152,6 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
         MechanismParams(**{"alpha": 1.0, "gamma": 1.0, **data.get("mechanism", {})})
     except MechanismError as exc:
         raise ValidationError(f"{source}: mechanism {exc}") from exc
-    seed = data.get("mechanism", {}).get("rng_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"{source}: mechanism rng_seed must be an integer, got {seed!r}")
     for key in ("links", "routes", "utilities"):
         if key not in data:
             raise ParseError(f"{source}: missing required field {key!r}")
@@ -229,8 +217,6 @@ def random_scenario(
     users_range=(3, 8),
     links_range=(2, 6),
     families=("log", "power", "quadcap"),
-    capacity_range=(0.6, 2.5),
-    name: str | None = None,
 ) -> Scenario:
     """A random concave scenario with varied link group sizes.
 
@@ -244,7 +230,7 @@ def random_scenario(
     rng = random.Random(seed)
     n_users = rng.randint(*users_range)
     n_links = rng.randint(*links_range)
-    links = {f"L{j}": round(rng.uniform(*capacity_range), 6) for j in range(n_links)}
+    links = {f"L{j}": round(rng.uniform(0.6, 2.5), 6) for j in range(n_links)}
     link_names = list(links)
     routes = {}
     for i in range(n_users):
@@ -260,7 +246,7 @@ def random_scenario(
         else:
             utilities[f"u{i}"] = UtilitySpec("quadcap", rng.uniform(1.0, 3.0), rng.uniform(0.3, 1.2))
     return Scenario(
-        name=name or f"random-{seed}",
+        name=f"random-{seed}",
         links=links,
         routes=routes,
         utilities=utilities,
@@ -268,7 +254,7 @@ def random_scenario(
     )
 
 
-def sigmoid_clearing_scenario(seed: int, name: str | None = None) -> Scenario:
+def sigmoid_clearing_scenario(seed: int) -> Scenario:
     """A sigmoid-utility scenario engineered to clear exactly.
 
     Users share one link; a common price is fixed first and the capacity is
@@ -298,7 +284,7 @@ def sigmoid_clearing_scenario(seed: int, name: str | None = None) -> Scenario:
     }
     profile[f"u{n}"] = {"rate": by_rate, "prices": {"L1": by_price}}
     return Scenario(
-        name=name or f"sigmoid-{seed}",
+        name=f"sigmoid-{seed}",
         links=links,
         routes=routes,
         utilities=utilities,
@@ -307,11 +293,10 @@ def sigmoid_clearing_scenario(seed: int, name: str | None = None) -> Scenario:
     )
 
 
-def random_feasible_profile(
-    net: Network, params: MechanismParams, seed: int, price_scale: float = 2.0
-) -> MessageProfile:
-    """A valid message profile with feasible rates; occasionally rescales the
-    rates so one link binds exactly. Deterministic in the seed."""
+def random_feasible_profile(net: Network, params: MechanismParams, seed: int) -> MessageProfile:
+    """A valid message profile with feasible rates and prices up to 2 (or the
+    price bound); occasionally rescales the rates so one link binds exactly.
+    Deterministic in the seed."""
     rng = random.Random(seed)
     raw = {i: rng.uniform(0.0, min_route_capacity(net, i)) for i in net.users()}
     shrink = 1.0
@@ -325,6 +310,6 @@ def random_feasible_profile(
         factor = shrink * rng.uniform(0.2, 0.999)
     profile = {}
     for i in net.users():
-        prices = {l: rng.uniform(0.0, min(price_scale, params.price_bound)) for l in net.route(i)}
+        prices = {l: rng.uniform(0.0, min(2.0, params.price_bound)) for l in net.route(i)}
         profile[i] = Message(rate=raw[i] * factor, prices=prices)
     return profile

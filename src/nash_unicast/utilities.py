@@ -23,6 +23,8 @@ import numpy as np
 CONCAVE_FAMILIES = ("log", "power", "quadcap")
 FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
 _PARAM_NAMES = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
+# the smallest normal float; at or above it x**(theta-1) <= 1/x < 4.5e307 cannot overflow
+_MIN_NORMAL = 2.2250738585072014e-308
 
 
 class UtilityError(ValueError):
@@ -136,7 +138,12 @@ def derivative(u: UtilitySpec, x):
         if u.family == "log":
             return u.a / (1.0 + x)
         if u.family == "power":
-            return math.inf if x == 0.0 else u.a * u.b * float(np.power(x, u.b - 1.0))
+            if x < _MIN_NORMAL:  # zero or subnormal, where the power may overflow to inf
+                if x == 0.0:
+                    return math.inf
+                with np.errstate(over="ignore"):
+                    return u.a * u.b * float(np.power(x, u.b - 1.0))
+            return u.a * u.b * float(np.power(x, u.b - 1.0))
         if u.family == "quadcap":
             return u.a - 2.0 * u.b * x if x < u.a / (2.0 * u.b) else 0.0
         den = u.b + x * x
@@ -147,7 +154,7 @@ def derivative(u: UtilitySpec, x):
     if u.family == "log":
         return (u.a / (1.0 + xa))[()]
     if u.family == "power":
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return (u.a * u.b * np.power(xa, u.b - 1.0))[()]
     if u.family == "quadcap":
         return np.where(xa < u.a / (2.0 * u.b), u.a - 2.0 * u.b * xa, 0.0)[()]

@@ -170,6 +170,33 @@ def test_report_over_directory(tmp_path, capsys):
     assert "fail" not in out.replace("failing", "")
 
 
+
+def test_report_lists_every_file_past_a_failing_one(tmp_path, capsys):
+    directory = tmp_path / "scenarios"
+    directory.mkdir()
+    golden = json.loads(Path(GOLDEN).read_text())
+    (directory / "two_users_one_link.json").write_text(json.dumps(golden))
+    one_round = json.loads((SCENARIO_DIR / "shared_backbone.json").read_text())
+    one_round["solver"] = {"max_iterations": 1}  # NotConverged after one round
+    (directory / "one_round.json").write_text(json.dumps(one_round))
+    tight = {**golden, "mechanism": {"price_bound": 0.01}}  # PriceBoundExceeded
+    (directory / "tight_bound.json").write_text(json.dumps(tight))
+    errors = {}
+    for name, command in (("one_round", "solve"), ("tight_bound", "construct-ne")):
+        assert main([command, "--scenario", str(directory / f"{name}.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        errors[f"{name}.json"] = err[len("error: "):].rstrip("\n")
+    out = tmp_path / "report.json"
+    assert main(["report", "--scenario", str(directory), "--out", str(out)]) == 2
+    rows = {r["file"]: r for r in json.loads(out.read_text())["scenarios"]}
+    assert sorted(rows) == ["one_round.json", "tight_bound.json", "two_users_one_link.json"]
+    assert rows["two_users_one_link.json"]["verdict"] == "pass"
+    for name, message in errors.items():
+        assert rows[name] == {"file": name, "verdict": "error", "error": message}
+    assert "still above tolerance" in errors["one_round.json"]
+    assert "exceeds the price bound 0.01" in errors["tight_bound.json"]
+
 def test_report_rejects_file_path(capsys):
     assert main(["report", "--scenario", GOLDEN]) == 1
 

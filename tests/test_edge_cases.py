@@ -202,3 +202,16 @@ def test_price_bound_below_the_multipliers(tmp_path, capsys):
         construct_ne(net, uts, params, solve_result=res)
     assert main(["construct-ne", "--scenario", str(path)]) == 1
     assert "on link 'A' exceeds the price bound 1.0" in capsys.readouterr().err
+
+
+def test_infinite_default_price_bound_names_the_user(tmp_path, capsys):
+    path = _scenario_file(
+        tmp_path,
+        {"A": 1.0, "B": 1.0},
+        {"u1": ["A"], "u2": ["A"], "u3": ["B"]},
+        {"u1": 1.0, "u2": 1e308, "u3": 1.0},
+    )
+    assert main(["solve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "price_bound must be a finite positive number, got inf" in err
+    assert "initial slope 1e+308 of user 'u2'" in err

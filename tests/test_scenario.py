@@ -23,6 +23,7 @@ from nash_unicast.scenario import (
     sigmoid_clearing_scenario,
 )
 from nash_unicast.solver import NonConcaveUtility, NotConverged, solve_centralized
+from nash_unicast.utilities import initial_slope
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = SCENARIO_DIR / "two_users_one_link.json"
@@ -135,6 +136,19 @@ def test_malformed_mechanism_numbers_rejected(tmp_path, capsys, key, value):
     assert main(["construct-ne", "--scenario", str(path)]) == 1
     assert key in capsys.readouterr().err
 
+
+
+def test_mechanism_block_fills_in_only_what_it_leaves_out():
+    scenario = load_scenario(GOLDEN)
+    scenario.mechanism = {"alpha": 3, "rng_seed": 5}
+    net, utilities, params, _ = scenario.build()
+    assert type(params.alpha) is int and params.alpha == 3  # passed on unchanged
+    assert params.gamma == 1e4 * max(scenario.links.values()) ** 2
+    assert params.price_bound == 1e3 * max(initial_slope(u) for u in utilities.values())
+    assert (params.epsilon, params.rng_seed) == (1e-6, 5)
+    scenario.mechanism["rng_seed"] = 5.0  # not coerced to an integer
+    with pytest.raises(ValidationError, match="mechanism rng_seed must be an integer, got 5.0"):
+        scenario.build()
 
 @pytest.mark.parametrize(
     "family, params, field",

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_float_path_matches_array_path_bit_for_bit():
                 assert type(got) is float, (u, fn.__name__, x)
                 assert np.float64(got).tobytes() == want.tobytes(), (u, fn.__name__, x, got, want)
 
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2e-308])
+@pytest.mark.parametrize("theta", [0.01, 0.5, 0.99])
+def test_power_slope_at_subnormal_rates_warns_nothing(x, theta):
+    u = power_utility(1.0, theta)
+    with np.errstate(over="ignore"):  # the slope's formula, without its warning
+        want = 1.0 * theta * float(np.power(np.float64(x), theta - 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = derivative(u, x)
+        on_array = derivative(u, np.array([x]))[0]
+    assert got == want and on_array == want
+    assert (got == math.inf) == (x == 5e-324 and theta == 0.01)
 
 def test_parameter_validation():
     with pytest.raises(UtilityError):

@@ -9,7 +9,8 @@ The command set runs in this one process through ``nash_unicast.cli.main``:
   on the first 100 small-nets and the first 30 crowded-links scenarios;
 * ``audit --profile <start>``, ``simulate --rounds 20`` and ``audit`` on the
   final profile, on the first 20 mixed-play scenarios;
-* ``solve``, ``construct-ne`` and ``simulate`` on each file in ``scenarios/``.
+* ``solve``, ``construct-ne`` and ``simulate`` on each file in ``scenarios/``,
+  then ``report`` over the whole directory.
 
 Every command writes its report with ``--out``. The scenario files come from
 the benchmark's own generator (``bench/workloads.py``) for the given seed.
@@ -117,6 +118,7 @@ def main() -> int:
         for path in sorted((ROOT / "scenarios").glob("*.json")):
             (work / "files").mkdir(exist_ok=True)
             run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
+        runner.run(["report", "--scenario", str(ROOT / "scenarios")], work / "files" / "report.json")
     print(f"{runner.total.hexdigest()}  {runner.count} commands, seed {args.seed}")
     return 0
 
