@@ -409,7 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, profile=False):
         p.add_argument("--scenario", required=True, help="scenario file (or directory for report)")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--grid", type=int, default=200, help="deviation-search points per axis")
+        p.add_argument(
+            "--grid",
+            type=int,
+            default=200,
+            help="rate points of the audit's best-response search; rate and price points of each simulate move",
+        )
         p.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
         p.add_argument("--tolerance", type=float, default=None, help="override the solver tolerance")
         if profile:

@@ -4,25 +4,27 @@
 user requests its optimal rate and posts the link multipliers as prices.
 ``audit`` measures every equilibrium property of a candidate profile without
 judging it: price uniformity, complementary slackness, left-sided tax
-derivatives against the link price, an exhaustive grid best-response gap,
-individual rationality, budget balance, and agreement of the taxes with their
+derivatives against the link price, a best-response gap, individual
+rationality, budget balance, and agreement of the taxes with their
 equilibrium closed forms. Each link's posted price is computed once per audit.
 
-The best-response search runs on axes that depend only on the static game (a
-``DeviationGrid``, built once per ``audit`` and per dynamics run by
-``deviation_grid``, one row per user). It rests on a link tax separating
-into a rate part, a price part and a rate-times-price coupling, so a user's
-whole rate-by-price lattice is the outer sum of three per-route vectors.
-Each price column has a bound that no float entry of it can exceed (its
-coupling is least at rate 0 or at the top rate, and rounding is monotone),
-so only the columns whose bound reaches the best column's max are
-evaluated; the result is the full lattice's, bit for bit. The search comes
-in two shapes with the same result, bit for bit: ``best_deviation`` answers
-for one user, as dynamics needs it (play is sequential, so each answer sees
-the previous move), and ``best_deviations`` answers for every user of one
-fixed profile in one array pass, as the audit needs it. Both share the
-analytic rate candidate (``_analytic_rate``) and the candidate list with its
-tie-break (``_best_candidate``).
+The audit's best response (``_best_response_gap``) tries a few own rates:
+each user's rate axis of a ``DeviationGrid``, its current rate and the
+analytic rate response (``_analytic_rate``). At a fixed own rate a link's tax
+is a convex quadratic in the own price, so each link's best price is that
+quadratic's vertex clipped to the price box (``_vertex_price``), and the
+route's best tax is the sum of the links'.
+
+``best_deviation`` is the move rule of best-response dynamics: a grid search
+over rates and prices, on axes that depend only on the static game (a
+``DeviationGrid``, built once per dynamics run by ``deviation_grid``, one
+row per user). It rests on a link tax separating into a rate part, a price
+part and a rate-times-price coupling, so a user's whole rate-by-price lattice
+is the outer sum of three per-route vectors. Each price column has a bound
+that no float entry of it can exceed (its coupling is least at rate 0 or at
+the top rate, and rounding is monotone), so only the columns whose bound
+reaches the best column's max are evaluated; the result is the full
+lattice's, bit for bit. Discrete prices are what let play settle.
 ``check_walrasian`` grid-checks that every user's rate maximizes its payoff
 at the posted prices over the rates the others leave available.
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -54,7 +55,7 @@ from .mechanism import (
 # Not called here: bench/spans.py wraps these names on this module.
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
-from .solver import SolveResult, SolverConfig, solve_centralized, welfare
+from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
 from .utilities import UtilitySpec, demand, payoff, value
 
 
@@ -69,7 +70,7 @@ class NonUniformPrices(MechanismError):
 @dataclass(frozen=True)
 class NeAuditReport:
     """Measured equilibrium diagnostics; every field is a pure function of the
-    inputs and finite. Small is good everywhere except ``ir_min_payoff``."""
+    inputs. Small is good everywhere except ``ir_min_payoff``."""
 
     feasibility: bool
     price_uniformity: float
@@ -212,16 +213,6 @@ def _closed_form(net, profile, link, user, params, p) -> float:
     return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
 
 
-def _fill_columns(
-    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray, keep: np.ndarray
-) -> Tuple[int, int, float]:
-    """First max in row-major order of the lattice columns ``keep``, as
-    (rate index, price index, value)."""
-    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
-    i, k = divmod(int(np.argmax(block)), len(keep))
-    return i, int(keep[k]), float(block[i, k])
-
-
 def _lattice_argmax(
     xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
 ) -> Tuple[int, int, float]:
@@ -233,29 +224,10 @@ def _lattice_argmax(
     bound = a.max() - (low_x * h_sum + g_sum)
     top = int(np.argmax(bound))
     floor = np.max(a - (xs * h_sum[top] + g_sum[top]))
-    return _fill_columns(xs, a, h_sum, g_sum, np.flatnonzero(~(bound < floor)))
-
-
-def _lattice_argmaxes(
-    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_lattice_argmax`` of every row of the matrices at once, as arrays
-    (i, j, value). The bounds, the best-bounded column and its floor are
-    computed for all rows together. Where the best-bounded column is the
-    only one kept, its floor column is the whole search; any other row fills
-    its kept columns as ``_lattice_argmax`` does."""
-    rows = np.arange(len(xs))
-    low_x = np.where(h_sum < 0.0, xs[:, -1:], 0.0)
-    bound = a.max(axis=1, keepdims=True) - (low_x * h_sum + g_sum)
-    top = np.argmax(bound, axis=1)
-    column = a - (xs * h_sum[rows, top][:, None] + g_sum[rows, top][:, None])
-    keep = ~(bound < column.max(axis=1, keepdims=True))
-    i = np.argmax(column, axis=1)
-    pay = column[rows, i]
-    j = top
-    for r in np.flatnonzero((np.count_nonzero(keep, axis=1) != 1) | ~keep[rows, top]):
-        i[r], j[r], pay[r] = _fill_columns(xs[r], a[r], h_sum[r], g_sum[r], np.flatnonzero(keep[r]))
-    return i, j, pay
+    keep = np.flatnonzero(~(bound < floor))
+    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
+    i, k = divmod(int(np.argmax(block)), len(keep))
+    return i, int(keep[k]), float(block[i, k])
 
 
 def _uniform_message(rate: float, price: float, route) -> Message:
@@ -318,8 +290,9 @@ def best_deviation(
     ``grid`` is ``deviation_grid`` of the same network, utilities and params;
     it does not depend on the profile, so one grid serves every call of a
     dynamics run. Dynamics calls this one user at a time, because each move
-    changes what the next user faces; ``best_deviations`` returns the same
-    for every user of one fixed profile in one array pass.
+    changes what the next user faces. It is the move rule of play only; the
+    audit's best response prices each link in closed form
+    (``_best_response_gap``).
 
     Candidates: a rate-by-uniform-price lattice spanning the whole box, a
     rate sweep holding the current prices (the price box is huge, so the
@@ -331,7 +304,7 @@ def best_deviation(
     never loses to staying put). Subsidies received are omitted throughout;
     they do not depend on the user's own message. Ties break toward the
     smallest rate, then the lexicographically smallest price vector
-    (``_best_candidate``, which both searches share).
+    (``_best_candidate``).
 
     Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``, built
     from the tax kernel ``own_tax_parts``), so the route's tax is fixed by
@@ -388,171 +361,45 @@ def best_deviation(
     return _best_candidate(route, cur, cur_pay, lattice, at_cur_prices, sweeps)
 
 
-_TERM_FIELDS = (
-    "capacity",
-    "gamma",
-    "peer_price_mean",
-    "price_adjust",
-    "quad_weight",
-    "peer_excess",
-    "balance_const",
-    "penalty_both",
-    "penalty_single",
-)
-_term_row = attrgetter(*_TERM_FIELDS)
+def _vertex_price(t: OwnTaxTerms, x: np.ndarray, bound: float) -> np.ndarray:
+    """The own price that minimises a shared link's tax at each own rate in
+    ``x``, clipped to [0, ``bound``]: the vertex ``p + p*(peer_excess + x) /
+    (gamma*quad_weight)`` of the tax's quadratic in the price, p the peers'
+    mean price. Where ``gamma*quad_weight`` underflows to 0 the tax is linear
+    in the price, so the best price is an end, or p at slope 0 (no 0/0)."""
+    pull = t.peer_price_mean * (t.peer_excess + x)
+    curvature = t.gamma * t.quad_weight
+    if curvature == 0.0:
+        return np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean))
+    with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
+        return np.minimum(np.maximum(t.peer_price_mean + pull / curvature, 0.0), bound)
 
 
-def best_deviations(
-    net: Network,
-    utilities: Mapping[int, UtilitySpec],
-    profile: MessageProfile,
-    params: MechanismParams,
-    grid: DeviationGrid,
-    terms: Mapping[Tuple[int, int], OwnTaxTerms] | None = None,
-) -> Dict[int, Tuple[Message, float, float]]:
-    """``best_deviation`` of every user, as {user: (best message, best
-    payoff, current payoff)}, bit for bit, computed for all users at once.
+def _best_response_gap(net, utilities, profile, user: int, params, grid: DeviationGrid, terms) -> float:
+    """How much one user gains (subsidies aside) by its best own message
+    over its current one, as the audit measures it.
 
-    ``terms`` maps (user, link) to ``own_tax_terms`` of that user on each of
-    its route links, as ``audit`` builds it once; it is built here when
-    omitted. The candidates, the order of every float operation and the tie
-    rule are those of ``best_deviation``:
-
-    * One row per (user, route link) pair, in a flat layout, carries f on
-      the user's rate axis and g and h on the price axis, and the same at
-      the current message. All pairs on singleton links go through the tax
-      kernel in one call, and all pairs on shared links in another, with
-      their terms as columns.
-    * Each user's route sums of grid rows add one route slot at a time, in
-      route order, starting from 0, as builtin ``sum`` does; numpy's
-      pairwise reductions would round differently. Route sums of floats
-      are builtin ``sum`` itself.
-    * The price sweeps run as (pairs x grid) arrays, and the rate sweeps and
-      the lattice search as (users x grid) arrays (``_lattice_argmaxes``).
-      Each (pairs x grid) array is freed once its route sums are taken.
-    * Python runs per user only for the analytic ``demand`` candidate, V at
-      the current and the analytic rate, and the tie-break.
+    ``terms`` maps (user, link) to ``own_tax_terms``, as ``audit`` builds it.
+    The candidate rates are the user's rate axis of ``grid``, its current
+    rate and the analytic rate response at the current prices
+    (``_analytic_rate``). At each of them every shared link takes its
+    ``_vertex_price``; a singleton link's tax does not depend on the price.
+    Each candidate's route taxes are summed from 0.0 in route order before
+    they are subtracted from V, as the current payoff's are.
     """
-    if terms is None:
-        terms = {
-            (u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)
-        }
-    ps, xs, vs = grid.prices, grid.rates, grid.values
-    users = net.users()  # ids 0..n-1, so a user id is its row of the grid
-    routes = [net.route(u) for u in users]
-    cur = [profile[u] for u in users]
-
-    # The flat pair layout, slot-major: the first links of every route, then
-    # the second links of the routes that have one, and so on, users
-    # ascending within a slot; ``pairs[u]`` lists user u's pairs in route
-    # order.
-    owner, pair_terms, p_list = [], [], []
-    pairs = [[] for _ in users]
-    slot_users = []
-    for s in range(max(map(len, routes))):
-        rows = [u for u in users if len(routes[u]) > s]
-        for u in rows:
-            pairs[u].append(len(owner))
-            owner.append(u)
-            pair_terms.append(terms[(u, routes[u][s])])
-            p_list.append(cur[u].prices[routes[u][s]])
-        slot_users.append(np.array(rows))
-    bounds = np.cumsum([0] + [len(rows) for rows in slot_users])
-    owner = np.array(owner)
-    p_cur = np.array(p_list, dtype=float)[:, None]
-    x_cur = np.array([m.rate for m in cur], dtype=float)[owner][:, None]
-
-    def route_sums(a):
-        # one slot at a time from 0, as builtin sum adds a route's arrays;
-        # slot 0 holds every user in order
-        total = 0.0 + a[: len(users)]
-        for s in range(1, len(slot_users)):
-            total[slot_users[s]] += a[bounds[s] : bounds[s + 1]]
-        return total
-
-    # The pairs on singleton links and those on shared ones each go through
-    # the tax kernel in one call, with their terms as (pairs x 1) columns;
-    # group_size only picks the kernel's singleton branch.
-    single = np.array([t.group_size == 1 for t in pair_terms], dtype=bool)
-    table = np.array([_term_row(t) for t in pair_terms], dtype=float)
-    kinds = []
-    for one in (True, False):
-        part = np.flatnonzero(single == one)
-        if part.size:
-            cols = dict(zip(_TERM_FIELDS, table[part].T[:, :, None]))
-            kinds.append((part, OwnTaxTerms(group_size=1 if one else 2, **cols)))
-
-    def per_pair(fn, x, p):
-        """``fn(terms, x, p)`` of every pair, as a tuple of arrays with one
-        row per pair; ``x`` and ``p`` have one row per pair or one for all."""
-        if len(kinds) == 1:
-            return fn(kinds[0][1], x, p)
-        out = None
-        for part, t in kinds:
-            got = fn(t, *(a[part] if len(a) == len(owner) else a for a in (x, p)))
-            if out is None:
-                out = tuple(np.empty((len(owner),) + a.shape[1:]) for a in got)
-            for o, a in zip(out, got):
-                o[part] = a
-        return out
-
-    def taxes(t, x, p):
-        return (eval_own_tax(t, x, p),)
-
-    # f on the rate axis, with g and h at the current price
-    f, g_cur, h_cur = per_pair(own_tax_axes, xs[owner], p_cur)
-    f_sum = route_sums(f)
-    del f
-    g_cur, h_cur = g_cur[:, 0].tolist(), h_cur[:, 0].tolist()
-
-    # the analytic rate response; the top of a rate axis is the route capacity
-    x_best = [
-        _analytic_rate(utilities[u], [pair_terms[k] for k in ks], [h_cur[k] for k in ks], room)
-        for u, ks, room in zip(users, pairs, xs[:, -1].tolist())
-    ]
-
-    # the tax of every pair at the current and at the analytic rate, and
-    # the route sums of floats, by builtin sum as in best_deviation
-    x_both = np.hstack((x_cur, np.array(x_best, dtype=float)[owner][:, None]))
-    (both,) = per_pair(taxes, x_both, p_cur)
-    cur_tax, best_tax = both.T.tolist()
-    v_cur = [float(value(utilities[u], cur[u].rate)) for u in users]
-    cur_pay = [v_cur[u] - sum(cur_tax[k] for k in pairs[u]) for u in users]
-    analytic = [
-        (float(value(utilities[u], x)) - sum(best_tax[k] for k in pairs[u]), x) for u, x in zip(users, x_best)
-    ]
-    g_at = np.array([sum(g_cur[k] for k in ks) for ks in pairs])[:, None]
-    h_at = np.array([sum(h_cur[k] for k in ks) for ks in pairs])[:, None]
-    # each pair's payoff before its own link's tax: V less the other links'
-    base = [0.0] * len(owner)
-    for u in users:
-        for k in pairs[u]:
-            base[k] = v_cur[u] - sum(cur_tax[j] for j in pairs[u] if j != k)
-
-    rate_pays = vs - ((f_sum + g_at) + xs * h_at)
-    i1 = np.argmax(rate_pays, axis=1)
-    rate_pay = rate_pays[users, i1]
-    del rate_pays
-
-    # f at the current rate with g and h on the price axis: each pair's
-    # price sweep off the current message, and the route sums of g and h
-    f_cur, g, h = per_pair(own_tax_axes, x_cur, ps[None, :])
-    pays = np.array(base)[:, None] - ((f_cur + g) + x_cur * h)
-    sweep_j = np.argmax(pays, axis=1)
-    sweep_pay = pays[np.arange(len(owner)), sweep_j].tolist()
-    del pays
-    g_sum, h_sum = route_sums(g), route_sums(h)
-    del g, h
-    i0, j0, lattice_pay = _lattice_argmaxes(xs, np.subtract(vs, f_sum, out=f_sum), h_sum, g_sum)
-    del f_sum, g_sum, h_sum
-
-    lattice = zip(lattice_pay.tolist(), xs[users, i0].tolist(), ps[j0].tolist())
-    rate_sweep = zip(rate_pay.tolist(), xs[users, i1].tolist())
-    sweeps = list(zip(sweep_pay, ps[sweep_j].tolist()))
-    return {
-        u: _best_candidate(route, m, cur_pay[u], lat, [rate, analytic[u]], [sweeps[k] for k in pairs[u]])
-        for u, route, m, lat, rate in zip(users, routes, cur, lattice, rate_sweep)
-    }
+    u, cur, route = utilities[user], profile[user], net.route(user)
+    ts = [terms[(user, l)] for l in route]
+    v_cur = float(value(u, cur.rate))
+    cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
+    hs = [own_tax_axes(t, cur.rate, cur.prices[l])[2] for l, t in zip(route, ts)]
+    x_best = _analytic_rate(u, ts, hs, min_route_capacity(net, user))
+    rates = np.append(grid.rates[user], (cur.rate, x_best))
+    values = np.append(grid.values[user], (v_cur, value(u, x_best)))
+    tax = sum(
+        eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else _vertex_price(t, rates, params.price_bound))
+        for l, t in zip(route, ts)
+    )
+    return float(np.max(values - tax)) - cur_pay
 
 
 def audit(
@@ -569,6 +416,9 @@ def audit(
     ``alloc`` is the profile's ``outcome`` under the scenario's subsidy
     assignment; its rates, taxes and per-link breakdown feed the
     feasibility, individual-rationality, budget and closed-form checks.
+    ``br_grid`` is the number of grid rates each user's best response tries
+    (``_best_response_gap``). The running maxima read a non-finite
+    measurement as inf, so it never passes a bound.
     """
     validate_profile(net, profile, params)
     rates = alloc.rates
@@ -582,11 +432,11 @@ def audit(
             continue
         p_link = posted[l] = posted_link_price(net, profile, l)
         excess = link_load(net, rates, l) - net.capacity(l)
-        comp_slack = max(comp_slack, p_link * abs(excess) / params.gamma)
+        comp_slack = _worse(comp_slack, p_link * abs(excess) / params.gamma)
         if len(group) < 2:
             continue
         prices = [profile[u].prices[l] for u in group]
-        uniformity = max(uniformity, max(prices) - min(prices))
+        uniformity = _worse(uniformity, max(prices) - min(prices))
         for user in group:
             x = profile[user].rate
             if x <= 1e-12:
@@ -595,14 +445,12 @@ def audit(
             t = terms[(user, l)]
             p_own = profile[user].prices[l]
             fd = (float(eval_own_tax(t, x, p_own)) - float(eval_own_tax(t, x - h, p_own))) / h
-            deriv_gap = max(deriv_gap, abs(fd - p_link))
+            deriv_gap = _worse(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
     grid = deviation_grid(net, utilities, params, br_grid)
-    found = best_deviations(net, utilities, profile, params, grid, terms)
     for user in net.users():
-        _, best_pay, cur_pay = found[user]
-        br_gap = max(br_gap, best_pay - cur_pay)
+        br_gap = _worse(br_gap, _best_response_gap(net, utilities, profile, user, params, grid, terms))
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
     budget_gap = abs(sum(alloc.taxes.values()))
@@ -610,7 +458,7 @@ def audit(
     corr_gap = 0.0
     for (user, l), lt in alloc.breakdown.link_taxes.items():
         expected = _closed_form(net, profile, l, user, params, posted[l])
-        corr_gap = max(corr_gap, abs(lt.total - expected))
+        corr_gap = _worse(corr_gap, abs(lt.total - expected))
 
     return NeAuditReport(
         feasibility=is_feasible(net, rates),

@@ -95,16 +95,21 @@ class Scenario:
 
 
 def parse_profile(data: Mapping[str, dict], net: Network) -> MessageProfile:
-    """Profile from label-keyed data: {user: {rate, prices{link: price}}}."""
+    """Profile from label-keyed data: {user: {rate, prices{link: price}}}.
+    Data of another shape raises ``ParseError``, naming the user if any."""
+    if not isinstance(data, Mapping):
+        raise ParseError(f"a profile must be a JSON object of user messages, not {type(data).__name__}")
     profile: MessageProfile = {}
     for label, entry in data.items():
         uid = net.user_id(label)
         try:
-            rate = float(entry["rate"])
-            prices = {net.link_id(l): float(p) for l, p in entry["prices"].items()}
-        except (KeyError, TypeError) as exc:
+            rate, prices = entry["rate"], entry["prices"]
+            if not isinstance(prices, Mapping):
+                raise TypeError(f"prices must be a JSON object, not {type(prices).__name__}")
+            rate, prices = float(rate), {l: float(p) for l, p in prices.items()}
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"profile entry for user {label!r} is malformed: {exc}") from exc
-        profile[uid] = Message(rate=rate, prices=prices)
+        profile[uid] = Message(rate=rate, prices={net.link_id(l): p for l, p in prices.items()})
     missing = [net.user_labels[u] for u in net.users() if u not in profile]
     if missing:
         raise ValidationError(f"profile lacks messages for users {missing}")
@@ -155,6 +160,8 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
     for key in ("links", "routes", "utilities"):
         if key not in data:
             raise ParseError(f"{source}: missing required field {key!r}")
+    if data.get("profile") is not None and not isinstance(data["profile"], Mapping):
+        raise ParseError(f"{source}: profile must be a JSON object of user messages")
     try:
         links = {str(k): float(v) for k, v in data["links"].items()}
     except (AttributeError, TypeError, ValueError) as exc:

@@ -428,3 +428,69 @@ def test_non_concave_error_names_the_user_by_label(tmp_path, capsys):
     assert main(["solve", "--scenario", str(scenario)]) == 1
     err = capsys.readouterr().err
     assert err == "error: user 'bob' has a non-concave (sigmoid) utility\n", err
+
+
+SIGMOID = SCENARIO_DIR / "sigmoid_market.json"
+
+
+def _malformed(kind: str) -> dict:
+    scenario = json.loads(SIGMOID.read_text())
+    if kind == "profile list":
+        scenario["profile"] = list(scenario["profile"].values())
+    elif kind == "prices list":
+        scenario["profile"]["u1"]["prices"] = [0.5]
+    else:  # a rate that is no number
+        scenario["profile"]["u1"]["rate"] = "abc"
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("profile list", "profile must be a JSON object of user messages"),
+        ("prices list", "profile entry for user 'u1' is malformed: prices must be a JSON object, not list"),
+        ("rate abc", "profile entry for user 'u1' is malformed: could not convert string to float: 'abc'"),
+    ],
+)
+def test_malformed_embedded_profile_is_a_named_error(tmp_path, capsys, kind, message):
+    directory = tmp_path / "scenarios"
+    directory.mkdir()
+    (directory / "bad.json").write_text(json.dumps(_malformed(kind)))
+    (directory / "good.json").write_text(SIGMOID.read_text())
+    assert main(["audit", "--scenario", str(directory / "bad.json"), "--grid", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    out = tmp_path / "report.json"
+    assert main(["report", "--scenario", str(directory), "--grid", "16", "--out", str(out)]) == 2
+    rows = {r["file"]: r for r in json.loads(out.read_text())["scenarios"]}
+    assert rows["bad.json"]["verdict"] == "error" and message in rows["bad.json"]["error"]
+    assert rows["good.json"]["verdict"] == "pass"
+
+
+def test_profile_file_holding_a_list_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps([{"rate": 0.5, "prices": {"A": 0.5}}]))
+    assert main(["audit", "--scenario", GOLDEN, "--profile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a profile must be a JSON object of user messages, not list"), err
+
+
+@pytest.mark.parametrize(
+    "mechanism, utility_a, codes",
+    [
+        ({"alpha": 1, "gamma": 1}, 1.0, {2}),
+        ({"alpha": 0.1, "gamma": 0.1}, 1.0, {2}),
+        ({}, 1e5, {2}),
+        # gamma * quad_weight underflows to 0 on the two-user link
+        ({"alpha": 1e300, "gamma": 1e-300}, 1.0, {1, 2}),
+    ],
+)
+def test_construct_ne_fails_where_a_deviation_pays(tmp_path, capsys, mechanism, utility_a, codes):
+    scenario = json.loads(Path(GOLDEN).read_text())
+    scenario["mechanism"].update(mechanism)
+    for spec in scenario["utilities"].values():
+        spec["params"]["a"] = utility_a
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["construct-ne", "--scenario", str(path)]) in codes
+    assert "[PASS] best_response_gap" not in capsys.readouterr().out

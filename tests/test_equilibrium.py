@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
     _lattice_argmax,
-    _lattice_argmaxes,
     audit,
     best_deviation,
-    best_deviations,
     check_optimality,
     check_walrasian,
     construct_ne,
@@ -31,7 +30,7 @@ from nash_unicast.mechanism import (
     tax_link,
 )
 from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
-from nash_unicast.scenario import random_feasible_profile
+from nash_unicast.scenario import load_scenario, random_feasible_profile
 from nash_unicast.solver import solve_centralized
 from nash_unicast.utilities import (
     demand,
@@ -45,6 +44,8 @@ from nash_unicast.utilities import (
 
 from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
 from oracles import best_deviation_reference, with_rate, zero_tax_deviation_price
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -496,111 +497,126 @@ def test_stacked_grid_matches_per_user_axes_bit_for_bit():
                 arr[..., 0] = 1.0
 
 
-# --- all users' deviations in one array pass against one user at a time ---------
+# --- the audit's closed-form prices against the grid search -------------------
 
 
-def _assert_batch_matches_per_user(net, utilities, profile, params, br_grid):
-    """``best_deviations`` against ``best_deviation`` for every user, by
-    float.hex and message equality; returns how many users' best message
-    posts a nonzero grid price."""
+def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid):
+    """Every user's closed-form gain is at least its ``best_deviation`` gap
+    on the same grid, less rounding, and the audit reports the largest;
+    returns the audit's gap and the largest grid gap."""
+    alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
+    gap = audit(net, utilities, profile, params, alloc, br_grid=br_grid).best_response_gap
     grid = deviation_grid(net, utilities, params, br_grid)
-    found = best_deviations(net, utilities, profile, params, grid)
-    assert sorted(found) == list(net.users())
-    on_price_axis = 0
+    terms = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
+    gains, grid_gap = [0.0], 0.0
     for user in net.users():
-        ref = best_deviation(net, utilities, profile, user, params, grid)
-        assert _bits(found[user]) == _bits(ref), (user, found[user], ref)
-        assert found[user][0] == ref[0]
-        on_price_axis += any(p > 0.0 and p in grid.prices for p in ref[0].prices.values())
-    return on_price_axis
+        _, best, cur = best_deviation(net, utilities, profile, user, params, grid)
+        gains.append(equilibrium._best_response_gap(net, utilities, profile, user, params, grid, terms))
+        assert gains[-1] >= best - cur - 1e-12 * max(1.0, abs(best), abs(cur)), (user, gains[-1], best, cur)
+        grid_gap = max(grid_gap, best - cur)
+    assert gap == max(gains)
+    return gap, grid_gap
 
 
-@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
-def test_best_deviations_match_best_deviation_on_markets(br_grid):
-    on_price_axis = 0
-    for seed in range(4000, 4012):
-        net, uts, params = mixed_market(seed)
-        for bounded in (params, replace(params, price_bound=3.0)):
-            for k in range(2):
-                profile = random_feasible_profile(net, bounded, seed=seed * 31 + k)
-                on_price_axis += _assert_batch_matches_per_user(net, uts, profile, bounded, br_grid)
-    for b, clearing in sigmoid_suite():
-        _assert_batch_matches_per_user(b.net, b.utilities, clearing, b.params, br_grid)
-        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
-        _assert_batch_matches_per_user(b.net, b.utilities, profile, b.params, br_grid)
-    assert on_price_axis > 0
-
-
-@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
-def test_best_deviations_match_best_deviation_on_topologies(br_grid):
-    sizes = set()
-    for b in topology_corpus():
-        profile = random_feasible_profile(b.net, b.params, seed=b.seed * 13)
-        _assert_batch_matches_per_user(b.net, b.utilities, profile, b.params, br_grid)
-        sizes |= {len(b.net.group(l)) for l in b.net.links()}
-    for s in concave_suite()[:25]:
-        _assert_batch_matches_per_user(s.net, s.utilities, s.profile, s.params, br_grid)
-    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
-
-
-@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
-def test_best_deviations_match_best_deviation_on_a_crowded_link(br_grid):
+def _crowded_link():
     net = build_network({"L0": 2.0}, {f"u{i}": ["L0"] for i in range(26)})
     rng = random.Random(26)
     uts = {}
     for i in net.users():
         a = rng.uniform(0.5, 2.0)
         uts[i] = (log_utility(a), power_utility(a, 0.4), quad_cap_utility(a, 0.5))[i % 3]
-    params = MechanismParams.defaults(net, uts)
-    equilibrium_profile = construct_ne(net, uts, params)
-    _assert_batch_matches_per_user(net, uts, equilibrium_profile, params, br_grid)
-    for k in range(2):
-        profile = random_feasible_profile(net, params, seed=k)
-        _assert_batch_matches_per_user(net, uts, profile, params, br_grid)
+    return net, uts, MechanismParams.defaults(net, uts)
 
 
-def test_best_deviations_match_best_deviation_on_routes_of_one_to_six_links():
-    # every route length from 1 to 6 links, over links shared by 1 to 5
-    # users and more; tight price bounds let grid prices win
+def _long_routes(trial):
+    """Routes of 1 to 6 links, over links shared by 1 to 5 users and more,
+    with a singleton, a two-user and a three-user link in every trial."""
     links = {f"L{i}": 0.5 + 0.25 * i for i in range(10)}
-    rng = random.Random(16)
-    sizes, lengths = set(), set()
-    for trial in range(6):
-        routes = {f"u{i}": rng.sample(sorted(links)[:7], 1 + i % 6) for i in range(12)}
-        # a singleton, a two-user and a three-user link in every trial
-        routes.update(w=["L7"], p1=["L8"], p2=["L8", "L0"], t1=["L9"], t2=["L9"], t3=["L1", "L9"])
-        net = build_network(links, routes)
-        pool = [log_utility(1.2), power_utility(0.9, 0.5), quad_cap_utility(1.5, 0.7), sigmoid_utility(2.0, 1.0)]
-        uts = {u: pool[(u + trial) % 4] for u in net.users()}
-        lengths |= {len(net.route(u)) for u in net.users()}
-        sizes |= {len(net.group(l)) for l in net.links()}
-        for bound in (2.0, 1e3):
-            params = MechanismParams(alpha=1e4, gamma=1e4, price_bound=bound)
-            profile = random_feasible_profile(net, params, seed=trial)
-            # and w over its singleton link's capacity, where that link's
-            # own penalty fires
-            over = dict(profile)
-            w = net.user_id("w")
-            over[w] = with_rate(profile[w], 3.0 * net.capacity(net.link_id("L7")))
-            for br_grid in (2, 7, 64):
-                _assert_batch_matches_per_user(net, uts, profile, params, br_grid)
-                _assert_batch_matches_per_user(net, uts, over, params, br_grid)
-    assert lengths == set(range(1, 7)), lengths
+    rng = random.Random(16 + trial)
+    routes = {f"u{i}": rng.sample(sorted(links)[:7], 1 + i % 6) for i in range(12)}
+    routes.update(w=["L7"], p1=["L8"], p2=["L8", "L0"], t1=["L9"], t2=["L9"], t3=["L1", "L9"])
+    net = build_network(links, routes)
+    pool = [log_utility(1.2), power_utility(0.9, 0.5), quad_cap_utility(1.5, 0.7), sigmoid_utility(2.0, 1.0)]
+    return net, {u: pool[(u + trial) % 4] for u in net.users()}
+
+
+@pytest.mark.parametrize("br_grid", [7, 64])
+def test_audit_gap_dominates_grid_search_on_corpora(br_grid):
+    sizes = set()
+    for b in topology_corpus():
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed * 13)
+        _assert_audit_dominates_grid_search(b.net, b.utilities, profile, b.params, br_grid)
+        sizes |= {len(b.net.group(l)) for l in b.net.links()}
+    for s in concave_suite()[:25]:
+        _assert_audit_dominates_grid_search(s.net, s.utilities, s.profile, s.params, br_grid)
     assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
-
-
-def test_audit_matches_per_user_search():
-    # the audit's best-response gap is the per-user search's, bit for bit
-    for b in topology_corpus()[:6]:
+    for seed in range(4000, 4012):
+        net, uts, params = mixed_market(seed)
+        for bounded in (params, replace(params, price_bound=3.0)):
+            profile = random_feasible_profile(net, bounded, seed=seed * 31)
+            _assert_audit_dominates_grid_search(net, uts, profile, bounded, br_grid)
+    for b, clearing in sigmoid_suite():
+        _assert_audit_dominates_grid_search(b.net, b.utilities, clearing, b.params, br_grid)
         profile = random_feasible_profile(b.net, b.params, seed=b.seed)
-        alloc = outcome(b.net, profile, b.params, assign_subsidies(b.net, b.params.rng_seed))
-        rep = audit(b.net, b.utilities, profile, b.params, alloc, br_grid=32)
-        grid = deviation_grid(b.net, b.utilities, b.params, 32)
-        gap = 0.0
-        for user in b.net.users():
-            _, best, cur = best_deviation(b.net, b.utilities, profile, user, b.params, grid)
-            gap = max(gap, best - cur)
-        assert float.hex(rep.best_response_gap) == float.hex(gap)
+        _assert_audit_dominates_grid_search(b.net, b.utilities, profile, b.params, br_grid)
+    net, uts, params = _crowded_link()
+    _assert_audit_dominates_grid_search(net, uts, construct_ne(net, uts, params), params, br_grid)
+    for k in range(2):
+        _assert_audit_dominates_grid_search(net, uts, random_feasible_profile(net, params, seed=k), params, br_grid)
+
+
+def test_audit_gap_dominates_grid_search_on_routes_of_one_to_six_links():
+    lengths = set()
+    for trial in range(6):
+        net, uts = _long_routes(trial)
+        lengths |= {len(net.route(u)) for u in net.users()}
+        params = MechanismParams(alpha=1e4, gamma=1e4, price_bound=2.0)
+        profile = random_feasible_profile(net, params, seed=trial)
+        for br_grid in (2, 7, 64):
+            _assert_audit_dominates_grid_search(net, uts, profile, params, br_grid)
+    assert lengths == set(range(1, 7)), lengths
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1e3, 1e3), (1e-3, 1e-3), (1e3, 1e-3), (1e-3, 1e3), (None, None)])
+def test_audit_gap_dominates_grid_search_under_scaled_constants(alpha, gamma):
+    # None: alpha = 1e300 and gamma = 1e-300, where gamma * quad_weight
+    # underflows to 0 on two-user links
+    def scaled(params):
+        if alpha is None:
+            return replace(params, alpha=1e300, gamma=1e-300)
+        return replace(params, alpha=params.alpha * alpha, gamma=params.gamma * gamma)
+
+    for s in concave_suite()[:15]:
+        _assert_audit_dominates_grid_search(s.net, s.utilities, s.profile, scaled(s.params), 64)
+    for b in topology_corpus()[:10]:
+        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
+        _assert_audit_dominates_grid_search(b.net, b.utilities, profile, scaled(b.params), 64)
+
+
+@pytest.mark.parametrize(
+    "mechanism, a, expected",
+    [({"alpha": 1.0, "gamma": 1.0}, 1.0, 0.0390), ({"alpha": 0.1, "gamma": 0.1}, 1.0, 1.039), ({}, 1e5, 2.06e4)],
+)
+def test_audit_finds_the_deviations_the_grid_misses(mechanism, a, expected):
+    # two log users on a unit link: at these constants, or at this price
+    # scale, u1 gains by moving its price strictly between 0 and the first
+    # grid price, so the grid search sees no gain
+    scenario = load_scenario(SCENARIO_DIR / "two_users_one_link.json")
+    scenario.mechanism.update(mechanism)
+    scenario.utilities = {label: replace(spec, a=a) for label, spec in scenario.utilities.items()}
+    net, uts, params, _ = scenario.build()
+    profile = construct_ne(net, uts, params)
+    gap, grid_gap = _assert_audit_dominates_grid_search(net, uts, profile, params, 200)
+    assert grid_gap <= 1e-4
+    assert gap == pytest.approx(expected, rel=5e-3)
+
+
+def test_audit_reads_a_nan_gap_as_inf(golden, monkeypatch):
+    # builtin max(0.0, nan) keeps 0.0; a NaN must never read as a pass
+    net, uts, params, subs, res, profile = golden
+    monkeypatch.setattr(equilibrium, "_best_response_gap", lambda *args: float("nan"))
+    rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=16)
+    assert rep.best_response_gap == float("inf")
 
 
 # --- the column-bounded lattice search against the full G-by-G fill -------------
@@ -687,50 +703,6 @@ def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
         _assert_lattice_matches_reference(xs, a, h, g)
 
 
-def _assert_lattice_rows_match(xs, a, h_sum, g_sum):
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite inputs
-        i, j, got = _lattice_argmaxes(xs, a, h_sum, g_sum)
-        for r in range(len(xs)):
-            ri, rj, ref = _lattice_argmax(xs[r], a[r], h_sum[r], g_sum[r])
-            assert (int(i[r]), int(j[r])) == (ri, rj), (r, i[r], j[r], ri, rj)
-            assert np.float64(got[r]).tobytes() == np.float64(ref).tobytes(), (r, got[r], ref)
-
-
-@pytest.mark.parametrize("G", [2, 7, 64, 200])
-def test_lattice_argmaxes_match_one_row_at_a_time(G):
-    rng = np.random.default_rng(100 + G)
-    rows = 24
-    xs = np.linspace(0.0, rng.uniform(0.1, 3.0, size=rows), G, axis=1)
-    several_kept = 0
-    for trial in range(60):
-        a = rng.normal(size=(rows, G))
-        h = rng.normal(size=(rows, G)) * rng.choice([1e-3, 1.0, 1e3])
-        g = rng.normal(size=(rows, G))
-        if trial % 4 == 1:  # duplicate columns: the max ties across columns
-            src = rng.integers(G, size=G)
-            h, g = h[:, src], g[:, src]
-        if trial % 4 == 2:  # small integers: exact ties, and signed zeros
-            a, h, g = (rng.integers(-2, 3, size=(rows, G)).astype(float) for _ in range(3))
-            h[rng.random(size=h.shape) < 0.3] = -0.0
-            g[rng.random(size=g.shape) < 0.3] = -0.0
-        if trial % 4 == 3:  # flat columns: h = 0 keeps every column level
-            h = np.where(rng.random(size=h.shape) < 0.5, 0.0, -0.0)
-            g = np.zeros_like(g)
-        if trial >= 30:  # non-finite entries
-            for target in (a, h, g):
-                mask = rng.random(size=target.shape) < 0.02
-                target[mask] = rng.choice([np.inf, -np.inf, np.nan], size=int(mask.sum()))
-        low_x = np.where(h < 0.0, xs[:, -1:], 0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            bound = a.max(axis=1, keepdims=True) - (low_x * h + g)
-            top = np.argmax(bound, axis=1)
-            h_top, g_top = h[np.arange(rows), top][:, None], g[np.arange(rows), top][:, None]
-            floor = np.max(a - (xs * h_top + g_top), axis=1, keepdims=True)
-            several_kept += int(np.sum(np.count_nonzero(~(bound < floor), axis=1) > 1))
-        _assert_lattice_rows_match(xs, a, h, g)
-    assert several_kept > 0
-
-
 def _group_net(n):
     """n users on link L0, the first of them also on L1, and a bystander on
     L1 and L2; so L0 has n users, L1 two and L2 one."""
@@ -810,3 +782,35 @@ def test_own_tax_axes_split_eval_own_tax(n):
                 assert float(above - below) == pytest.approx(jump, rel=1e-9)
             else:
                 assert abs(float(above - below)) < 1e-6
+
+
+def test_vertex_price_minimises_the_tax_over_a_price_scan():
+    # the closed-form price's tax is never above the tax at any scanned
+    # price, beyond rounding, on groups of 1 to 30 users; a small gamma
+    # sends the vertex past both ends of the box
+    bound = 5.0
+    scan = np.linspace(0.0, bound, 4001)
+    xs = np.linspace(0.0, 3.0, 31)
+    at_zero = at_bound = inside = adjusted = 0
+    for n in range(1, 31):
+        net = _group_net(n)
+        rng = random.Random(70 + n)
+        link, user = (0, 0) if n > 1 else (2, net.num_users - 1)
+        for alpha, gamma in ((1.0, 0.5), (0.3, 2.0), (1e4, 1e4)):
+            params = MechanismParams(alpha=alpha, gamma=gamma, price_bound=bound)
+            profile = {
+                u: Message(rng.uniform(0.0, 0.3), {l: rng.uniform(0.0, 2.0) for l in net.route(u)})
+                for u in net.users()
+            }
+            terms = own_tax_terms(net, profile, link, user, params)
+            adjusted += terms.price_adjust != 0.0
+            best = equilibrium._vertex_price(terms, xs, bound)
+            got = eval_own_tax(terms, xs, best)
+            scanned = eval_own_tax(terms, xs[:, None], scan[None, :])
+            slack = 1e-12 * (1.0 + np.max(np.abs(scanned), axis=1))
+            assert np.all(got <= scanned.min(axis=1) + slack), (n, alpha, gamma)
+            if n > 1:
+                at_zero += int(np.sum(best == 0.0))
+                at_bound += int(np.sum(best == bound))
+                inside += int(np.sum((best > 0.0) & (best < bound)))
+    assert at_zero and at_bound and inside and adjusted, (at_zero, at_bound, inside, adjusted)
