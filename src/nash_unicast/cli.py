@@ -214,10 +214,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _posted_prices(net, profile) -> dict:
+    """Each link's least posted price (0 on an empty group): on a uniform
+    profile, the common price itself."""
+    return {l: min((profile[u].prices[l] for u in group), default=0.0) for l, group in enumerate(net.groups)}
+
+
 def _audited(args, net, utilities, params, solver_config, profile, res=None):
     """Subsidies, outcome, audit and its checks, then the optimality check
-    against ``res``. Without ``res`` the check takes a solve made after the
-    audit, and is skipped on non-concave utilities.
+    against ``res``. Without ``res`` the check takes a solve started at the
+    profile's own prices, and is skipped on non-concave utilities.
 
     Returns (subsidies, audit report, allocation, checks).
     """
@@ -227,12 +233,19 @@ def _audited(args, net, utilities, params, solver_config, profile, res=None):
     checks = _evaluate_checks(rep, sum(abs(t) for t in alloc.taxes.values()))
     if res is None:
         try:
-            res = solve_centralized(net, utilities, solver_config)
+            res = solve_centralized(net, utilities, solver_config, start=_posted_prices(net, profile))
         except NonConcaveUtility:
             log.info("optimality check skipped: non-concave utilities")
-    if res is not None:
+    if res is None:
+        reference = "skipped: non-concave"
+    else:
         opt_ok, opt_gap = check_optimality(utilities, alloc, res)
         checks.append({"name": "optimality_gap", "value": opt_gap, "bound": "<= 1e-06", "pass": opt_ok})
+        if res.iterations == 0:
+            reference = f"the profile's prices certify (KKT residual {res.kkt_residual:.3g})"
+        else:
+            reference = f"solved in {res.iterations} clearing rounds"
+    log.debug("optimality reference: %s", reference)
     return subsidies, rep, alloc, checks
 
 

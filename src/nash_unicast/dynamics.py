@@ -88,7 +88,10 @@ def run_dynamics(
     params: MechanismParams,
 ) -> Trajectory:
     """Play best responses until a full pass moves nobody, a profile repeats,
-    or the round budget runs out. No convergence is guaranteed or claimed."""
+    or the round budget runs out. No convergence is guaranteed or claimed:
+    ``converged`` means only that no grid move gained more than
+    ``config.stop_tolerance``, not a Nash equilibrium (the best-response gap
+    of ``equilibrium.audit`` on a settled profile can be far above it)."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)  # fail early if subsidies are impossible
     profile: MessageProfile = dict(start)

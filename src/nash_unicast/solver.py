@@ -9,6 +9,10 @@ complementary-slackness families) sits below the configured tolerance. That
 price is found by a bracketed secant (Illinois) step, warm-started at the
 link's price from the previous round. The multipliers double as the
 equilibrium link prices downstream.
+
+The audit's optimality check compares against a certified solve: the
+profile's own prices, passed as ``start``, when they pass the KKT
+certificate, else a cold solve.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class SolveResult:
     nus: Dict[int, float]
     objective: float
     kkt_residual: float
-    iterations: int
+    iterations: int  # clearing rounds; 0: the start prices certified
 
 
 def welfare(utilities: Mapping[int, UtilitySpec], rates: Mapping[int, float]) -> float:
@@ -217,9 +221,12 @@ def solve_centralized(
     net: Network,
     utilities: Mapping[int, UtilitySpec],
     config: SolverConfig | None = None,
+    start: Mapping[int, float] | None = None,
 ) -> SolveResult:
     """Solve the capacity-constrained welfare problem to KKT tolerance.
 
+    ``start`` (a price per link id) is certified first and returned with
+    ``iterations == 0`` when it passes; otherwise the cold solve runs.
     Raises NonConcaveUtility for sigmoid users and NotConverged if the
     residual target is still unmet after ``config.max_iterations`` clearing
     rounds. Bit-for-bit deterministic for a fixed configuration.
@@ -241,13 +248,29 @@ def solve_centralized(
     # the feasibility boundary; capacity violations must clear a far tighter
     # bar than the other residuals or constructed equilibria get penalized.
     primal_target = min(config.tolerance, 0.5 * BOUNDARY_TOL)
+    routes = net.routes
+
+    def certify(lam, iterations):
+        """The KKT residuals at link prices ``lam``, and the result when they
+        pass both bars (else None)."""
+        prices = {i: sum(lam[l] for l in routes[i]) for i in users}
+        rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
+        nus = _recover_nus(net, utilities, rates, prices)
+        rep = kkt_residuals(net, utilities, rates, lam, nus)
+        if not (rep.max_violation <= config.tolerance and rep.primal <= primal_target):
+            return rep, None
+        return rep, SolveResult(rates, dict(lam), nus, welfare(utilities, rates), rep.max_violation, iterations)
+
+    if start is not None:  # round 0: a negative start price reads as 0
+        res = certify({l: max(start[l], 0.0) for l in net.links()}, 0)[1]
+        if res is not None:
+            return res
 
     # the round closest to certifying: (worse of the two residual-to-bar
     # ratios, KKT residual, capacity residual)
     best = (math.inf, math.inf, math.inf)
     # Cyclic clearing: each link in turn gets the least price at which its
     # group's demand fits its capacity (zero if it fits at price zero).
-    routes = net.routes
     for iterations in range(1, config.max_iterations + 1):
         for l, (group, cap) in enumerate(zip(net.groups, net.capacities)):
             if not group:
@@ -259,19 +282,9 @@ def solve_centralized(
                 return sum(demand(utilities[i], base[i] + v, big_caps[i]) for i in group)
 
             lam[l] = _clear_link(load_at, cap, lam[l])
-        prices = {i: sum(lam[l] for l in routes[i]) for i in users}
-        rates = {i: demand(utilities[i], prices[i], caps[i]) for i in users}
-        nus = _recover_nus(net, utilities, rates, prices)
-        rep = kkt_residuals(net, utilities, rates, lam, nus)
-        if rep.max_violation <= config.tolerance and rep.primal <= primal_target:
-            return SolveResult(
-                rates=rates,
-                lambdas=dict(lam),
-                nus=nus,
-                objective=welfare(utilities, rates),
-                kkt_residual=rep.max_violation,
-                iterations=iterations,
-            )
+        rep, res = certify(lam, iterations)
+        if res is not None:
+            return res
         closeness = max(rep.max_violation / config.tolerance, rep.primal / primal_target)
         best = min(best, (closeness, rep.max_violation, rep.primal))
 

@@ -494,3 +494,63 @@ def test_construct_ne_fails_where_a_deviation_pays(tmp_path, capsys, mechanism, 
     path.write_text(json.dumps(scenario))
     assert main(["construct-ne", "--scenario", str(path)]) in codes
     assert "[PASS] best_response_gap" not in capsys.readouterr().out
+
+
+# --- audit certifies a profile with its own prices --------------------------
+
+
+@pytest.mark.parametrize("seed", [1046, 1121, 1204])
+def test_audit_certifies_an_equilibrium_the_default_budget_cannot_solve_cold(tmp_path, capsys, seed):
+    from nash_unicast.scenario import random_scenario, save_scenario
+
+    scenario = random_scenario(seed)
+    scenario.solver["max_iterations"] = 2000
+    long_budget = tmp_path / "long.json"
+    save_scenario(scenario, long_budget)
+    ne_path = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", str(long_budget), "--out", str(ne_path)]) == 0
+
+    scenario.solver.pop("max_iterations")
+    default_budget = tmp_path / "default.json"
+    save_scenario(scenario, default_budget)
+    capsys.readouterr()
+    assert main(["solve", "--scenario", str(default_budget)]) == 1  # the cold solve gives up
+    assert "still above tolerance" in capsys.readouterr().err
+    assert main(["audit", "--scenario", str(default_budget), "--profile", str(ne_path)]) == 0
+    assert "[PASS] optimality_gap" in capsys.readouterr().out
+
+
+def _audit_log(monkeypatch, argv) -> list:
+    """The log lines a command writes to stderr under NASH_UNICAST_LOG=debug."""
+    import contextlib
+    import io
+
+    monkeypatch.setenv("NASH_UNICAST_LOG", "debug")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    return [line for line in err.getvalue().splitlines() if ":nash_unicast:" in line]
+
+
+def test_audit_logs_its_optimality_reference(tmp_path, monkeypatch):
+    ne_path = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne_path)]) == 0
+    report = json.loads(ne_path.read_text())
+    lines = _audit_log(monkeypatch, ["audit", "--scenario", GOLDEN, "--profile", str(ne_path)])
+    residual = report["solve"]["kkt_residual"]
+    assert lines == [f"DEBUG:nash_unicast:optimality reference: the profile's prices certify (KKT residual {residual:.3g})"]
+
+    for message in report["profile"].values():  # off equilibrium: the cold solve runs
+        message["rate"] *= 0.5
+        message["prices"] = {l: 0.5 * p for l, p in message["prices"].items()}
+    halved = tmp_path / "halved.json"
+    halved.write_text(json.dumps(report["profile"]))
+    lines = _audit_log(monkeypatch, ["audit", "--scenario", GOLDEN, "--profile", str(halved)])
+    rounds = report["solve"]["iterations"]
+    assert lines == [f"DEBUG:nash_unicast:optimality reference: solved in {rounds} clearing rounds"]
+
+    lines = _audit_log(monkeypatch, ["audit", "--scenario", str(SCENARIO_DIR / "sigmoid_market.json"), "--grid", "16"])
+    assert lines == [
+        "INFO:nash_unicast:optimality check skipped: non-concave utilities",
+        "DEBUG:nash_unicast:optimality reference: skipped: non-concave",
+    ]

@@ -539,3 +539,81 @@ def test_solve_calls_demand_at_most_half_as_often_as_bisection(monkeypatch):
         calls[0] = 0
         assert solve_centralized(net, uts, config).kkt_residual <= 1e-8
         assert calls[0] <= bisection_calls // 2, (bisection_calls, calls[0])
+
+
+# --- round 0: the start prices' own certificate ------------------------------
+
+
+def _hex_fields(res: SolveResult) -> dict:
+    """Every field but ``iterations``, as float.hex, so equal means equal bits."""
+
+    def hexed(v):
+        return {k: x.hex() for k, x in v.items()} if isinstance(v, dict) else v.hex()
+
+    return {k: hexed(v) for k, v in vars(res).items() if k != "iterations"}
+
+
+@pytest.fixture(scope="module")
+def cold_solves():
+    """(net, utilities, config, cold result) on random_scenario seeds
+    1000-1099, NotConverged seeds left out."""
+    cases = {}
+    for seed in range(1000, 1100):
+        net, uts, params, config = random_scenario(seed).build()
+        try:
+            cases[seed] = (net, uts, params, config, solve_centralized(net, uts, config))
+        except NotConverged:
+            assert seed == 1046
+    return cases
+
+
+def test_start_at_the_cold_multipliers_certifies_in_round_zero(cold_solves):
+    for seed, (net, uts, _, config, cold) in cold_solves.items():
+        warm = solve_centralized(net, uts, config, start=cold.lambdas)
+        assert warm.iterations == 0, seed
+        assert _hex_fields(warm) == _hex_fields(cold), seed
+
+
+def test_uncertified_start_gives_the_cold_solve(cold_solves):
+    from nash_unicast.cli import _posted_prices
+    from nash_unicast.scenario import random_feasible_profile
+
+    for seed, (net, uts, params, config, cold) in cold_solves.items():
+        start = _posted_prices(net, random_feasible_profile(net, params, seed))
+        warm = solve_centralized(net, uts, config, start=start)
+        assert warm.iterations == cold.iterations, seed
+        assert _hex_fields(warm) == _hex_fields(cold), seed
+
+
+def test_start_prices_outside_the_box():
+    from nash_unicast.cli import _posted_prices
+    from nash_unicast.mechanism import MechanismParams, Message, validate_profile
+    from nash_unicast.utilities import UtilityError
+
+    # A is binding, B is slack: its multiplier is 0
+    net = build_network({"A": 1.0, "B": 50.0}, {1: ["A", "B"], 2: ["B"]})
+    uts = {0: log_utility(1.0), 1: quad_cap_utility(2.0, 1.0)}
+    cold = solve_centralized(net, uts)
+    assert cold.lambdas[1] == 0.0
+
+    # the box lets a price just below 0 through, and demand rejects it
+    below = -BOUNDARY_TOL / 2
+    profile = {
+        0: Message(cold.rates[0], {0: cold.lambdas[0], 1: below}),
+        1: Message(cold.rates[1], {1: below}),
+    }
+    validate_profile(net, profile, MechanismParams(alpha=1e4, gamma=1e4))
+    with pytest.raises(UtilityError):
+        demand(uts[1], below, 50.0)
+    start = _posted_prices(net, profile)
+    assert start == {0: cold.lambdas[0], 1: below}
+    warm = solve_centralized(net, uts, start=start)
+    assert warm.iterations == 0
+    assert _hex_fields(warm) == _hex_fields(cold)
+
+    for bad in (math.nan, math.inf):
+        for l in net.links():
+            start = dict(cold.lambdas)
+            start[l] = bad
+            assert solve_centralized(net, uts, start=start) == cold
+        assert solve_centralized(net, uts, start={l: bad for l in net.links()}) == cold

@@ -7,6 +7,9 @@ The command set runs in this one process through ``nash_unicast.cli.main``:
 
 * ``solve``, ``construct-ne`` and ``audit --profile <construct-ne report>``
   on the first 100 small-nets and the first 30 crowded-links scenarios;
+* on the first 20 small-nets scenarios, also ``audit`` of the construct-ne
+  profile with every rate and price halved: off equilibrium, so its prices
+  fail the KKT certificate and the optimality check solves cold;
 * ``audit --profile <start>``, ``simulate --rounds 20`` and ``audit`` on the
   final profile, on the first 20 mixed-play scenarios;
 * ``solve``, ``construct-ne`` and ``simulate`` on each file in ``scenarios/``,
@@ -39,8 +42,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from nash_unicast import cli  # noqa: E402
 from workloads import SIMULATE_ROUNDS, WORKLOADS, generate  # noqa: E402
 
-# (workload, scenarios taken from the front of its pool)
-POOLS = (("small-nets", 100), ("crowded-links", 30), ("mixed-play", 20))
+# (workload, scenarios taken from the front of its pool, how many of those
+# also get the halved-profile audit)
+POOLS = (("small-nets", 100, 20), ("crowded-links", 30, 0), ("mixed-play", 20, 0))
 
 
 class Runner:
@@ -83,6 +87,20 @@ def run_concave(runner: Runner, scenario: str, stem: Path, commands=("solve", "c
         runner.run(argv, Path(f"{stem}.{command}.json"))
 
 
+def run_halved(runner: Runner, scenario: str, stem: Path) -> None:
+    """``audit`` the construct-ne profile with every rate and price halved."""
+    ne = Path(f"{stem}.construct-ne.json")
+    if not ne.exists():
+        return
+    halved = {
+        user: {"rate": 0.5 * m["rate"], "prices": {l: 0.5 * p for l, p in m["prices"].items()}}
+        for user, m in json.loads(ne.read_text())["profile"].items()
+    }
+    profile = Path(f"{stem}.halved.json")
+    profile.write_text(json.dumps(halved))
+    runner.run(["audit", "--scenario", scenario, "--profile", str(profile)], Path(f"{stem}.audit-halved.json"))
+
+
 def run_play(runner: Runner, entry, stem: Path) -> None:
     scenario = entry["scenario"]
     runner.run(["audit", "--scenario", scenario, "--profile", entry["start"]], Path(f"{stem}.audit0.json"))
@@ -106,7 +124,7 @@ def main() -> int:
         work = Path(args.work) if args.work else Path(stack.enter_context(tempfile.TemporaryDirectory()))
         work = work.resolve()
         runner = Runner(work, args.each)
-        for name, count in POOLS:
+        for name, count, halved in POOLS:
             workload = dataclasses.replace(WORKLOADS[name], pool=count)
             pool = generate(workload, args.seed, work / name)
             for entry in pool:
@@ -115,6 +133,8 @@ def main() -> int:
                     run_play(runner, entry, stem)
                 else:
                     run_concave(runner, entry["scenario"], stem)
+                    if entry["index"] < halved:
+                        run_halved(runner, entry["scenario"], stem)
         for path in sorted((ROOT / "scenarios").glob("*.json")):
             (work / "files").mkdir(exist_ok=True)
             run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
