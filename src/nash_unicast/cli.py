@@ -3,8 +3,8 @@
 Every command loads a scenario file, prints a human-readable report with
 numbers at 12 significant digits, and optionally writes the same report as
 JSON (full float precision, so profiles round-trip bit-exactly). Exit codes:
-0 when every check passes, 2 when any check fails, 1 on errors. Set
-NASH_UNICAST_LOG=debug|info|warning for logging.
+0 when every check passes, 2 when any check fails, 1 on errors, usage errors
+included. Set NASH_UNICAST_LOG=debug|info|warning for logging.
 
 ``main`` can be called many times in one process: the argument parser is
 built on the first call and reused, each command hashes its scenario once,
@@ -39,6 +39,11 @@ log = logging.getLogger("nash_unicast")
 _JSON_DEFAULT = json.JSONEncoder().default  # raises json's TypeError for other types
 # what a command reports as "error: <message>" with exit 1; a ScenarioError is a ValueError
 ERRORS = (OSError, ValueError, RuntimeError)
+
+
+class UsageError(ValueError):
+    pass
+
 
 AUDIT_CHECKS = (
     # (name, kind) where kind describes the comparison in _evaluate_checks
@@ -155,9 +160,9 @@ def _load(args, path):
     """Load a scenario, apply the command-line overrides and build it:
     (scenario, network, utilities, params, solver config)."""
     scenario = load_scenario(path)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         scenario.mechanism["rng_seed"] = args.seed
-    if args.tolerance is not None:
+    if getattr(args, "tolerance", None) is not None:
         scenario.solver["tolerance"] = args.tolerance
     return (scenario, *scenario.build())
 
@@ -412,36 +417,45 @@ def cmd_report(args) -> int:
     return 2 if any(r["verdict"] in ("fail", "error") for r in rows) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ``UsageError`` where argparse would exit with status 2, so
+    ``main`` reports a usage error as it reports any other: exit 1."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nash-unicast",
         description="Decentralized unicast rate allocation: solve, build and audit equilibria.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
+    options = {
+        "--grid": dict(type=int, default=200, help="rate points per user of the audit's best-response search;"
+                       " rate and price points of each simulate move"),
+        "--seed": dict(type=int, default=None, help="override the scenario rng seed"),
+        "--tolerance": dict(type=float, default=None, help="override the solver tolerance"),
+        "--profile": dict(default=None, help="message profile JSON (bare or prior report)"),
+    }
 
-    def common(p, profile=False):
+    def command(name, summary, *flags):
+        """A subcommand with --scenario, --out and the ``flags`` it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True, help="scenario file (or directory for report)")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument(
-            "--grid",
-            type=int,
-            default=200,
-            help="rate points of the audit's best-response search; rate and price points of each simulate move",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
-        p.add_argument("--tolerance", type=float, default=None, help="override the solver tolerance")
-        if profile:
-            p.add_argument("--profile", default=None, help="message profile JSON (bare or prior report)")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        return p
 
-    common(sub.add_parser("solve", help="solve the centralized allocation"))
-    common(sub.add_parser("construct-ne", help="build and audit the equilibrium profile"))
-    common(sub.add_parser("audit", help="audit a given message profile"), profile=True)
-    sim = sub.add_parser("simulate", help="run best-response dynamics")
-    common(sim, profile=True)
+    command("solve", "solve the centralized allocation", "--tolerance")
+    command("construct-ne", "build and audit the equilibrium profile", "--grid", "--seed", "--tolerance")
+    command("audit", "audit a given message profile", "--grid", "--seed", "--tolerance", "--profile")
+    sim = command("simulate", "run best-response dynamics", "--grid", "--seed", "--profile")
     sim.add_argument("--rounds", type=int, default=50)
     sim.add_argument("--schedule", choices=("round_robin", "random"), default="round_robin")
     sim.add_argument("--stop-tolerance", type=float, default=1e-9, dest="stop_tolerance")
-    common(sub.add_parser("report", help="summarize a directory of scenarios"))
+    command("report", "summarize a directory of scenarios", "--grid", "--seed", "--tolerance")
     return parser
 
 
@@ -488,11 +502,10 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = _parser().parse_args(argv)
-    if args.grid < 2:  # the same floor as DynamicsConfig.br_grid
-        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
-        return 1
     try:
+        args = _parser().parse_args(argv)
+        if getattr(args, "grid", 2) < 2:  # the same floor as DynamicsConfig.br_grid
+            raise UsageError(f"--grid must be at least 2, got {args.grid}")
         return HANDLERS[args.command](args)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,25 +8,27 @@ derivatives against the link price, a best-response gap, individual
 rationality, budget balance, and agreement of the taxes with their
 equilibrium closed forms. Each link's posted price is computed once per audit.
 
-The audit's best response (``_best_response_gap``) tries a few own rates:
-each user's rate axis of a ``DeviationGrid``, its current rate and the
-analytic rate response (``_analytic_rate``). At a fixed own rate a link's tax
-is a convex quadratic in the own price, so each link's best price is that
-quadratic's vertex clipped to the price box (``_vertex_price``), and the
-route's best tax is the sum of the links'.
+The audit's best response (``_best_response_gap``) builds each user's
+candidate own rates itself: evenly spaced rates over [0, the user's route
+capacity], its current rate and the analytic rate response
+(``_analytic_rate``). At a fixed own rate a link's tax is a convex quadratic
+in the own price, so each link's best price is that quadratic's vertex
+clipped to the price box (``_vertex_price``), and the route's best tax is
+the sum of the links'.
 
 ``best_deviation`` is the move rule of best-response dynamics: a grid search
 over rates and prices, on axes that depend only on the static game (a
-``DeviationGrid``, built once per dynamics run by ``deviation_grid``, one
-row per user). It rests on a link tax separating into a rate part, a price
-part and a rate-times-price coupling, so a user's whole rate-by-price lattice
-is the outer sum of three per-route vectors. Each price column has a bound
-that no float entry of it can exceed (its coupling is least at rate 0 or at
-the top rate, and rounding is monotone), so only the columns whose bound
-reaches the best column's max are evaluated; the result is the full
-lattice's, bit for bit. Discrete prices are what let play settle.
-``check_walrasian`` grid-checks that every user's rate maximizes its payoff
-at the posted prices over the rates the others leave available.
+``DeviationGrid``, built once per dynamics run by ``deviation_grid``: one
+price axis, and per user a rate row and V on it). It rests on a link tax
+separating into a rate part, a price part and a rate-times-price coupling,
+so a user's whole rate-by-price lattice is the outer sum of three per-route
+vectors. Each price column has a bound that no float entry of it can exceed
+(its coupling is least at rate 0 or at the top rate, and rounding is
+monotone), so only the columns whose bound reaches the best column's max
+are evaluated; the result is the full lattice's, bit for bit. Discrete
+prices are what let play settle. ``check_walrasian`` grid-checks that every
+user's rate maximizes its payoff at the posted prices over the rates the
+others leave available.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -84,24 +86,14 @@ class NeAuditReport:
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """The search axes of the deviation searches, fixed by the static game:
-    the price axis all users share, and one row per user id of its rate axis
-    over its route capacity (``rates[u]``) and of the utility on that axis
-    (``values[u]``). The arrays are read-only."""
+    """The search axes of ``best_deviation``, fixed by the static game: the
+    price axis all users share, and per user id its rate axis over its route
+    capacity (``rates[u]``) and the utility on that axis (``values[u]``).
+    Every array is 1-D and read-only."""
 
     prices: np.ndarray
-    rates: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class _FamilyRows:
-    """One utility family with its parameters as columns, one row per user,
-    so that ``value`` evaluates the rows of all those users in one call."""
-
-    family: str
-    a: np.ndarray
-    b: np.ndarray
+    rates: Tuple[np.ndarray, ...]
+    values: Tuple[np.ndarray, ...]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -112,33 +104,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def deviation_grid(
     net: Network, utilities: Mapping[int, UtilitySpec], params: MechanismParams, br_grid: int
 ) -> DeviationGrid:
-    """``br_grid`` points per axis: prices over [0, price_bound], each user's
-    rates over [0, its route capacity], and V at those rates.
-
-    Each row holds the bits of ``np.linspace(0.0, cap, br_grid)`` and of
-    ``value`` on it, built in one call for all rows and one per utility
-    family. Once any row's step underflows to 0, numpy's linspace takes its
-    denormal path for every row it is given, so then the other rows are
-    built again in a call of their own.
-    """
-    users = net.users()
-    caps = np.array([min_route_capacity(net, u) for u in users], dtype=float)
-    rates = np.linspace(0.0, caps, br_grid, axis=1)
-    tiny = caps / (br_grid - 1) == 0.0
-    if tiny.any():
-        rates[~tiny] = np.linspace(0.0, caps[~tiny], br_grid, axis=1)
-    by_family: Dict[str, List[int]] = {}
-    for u in users:
-        by_family.setdefault(utilities[u].family, []).append(u)
-    values = np.empty_like(rates)
-    for family, rows in by_family.items():
-        a = np.array([[utilities[u].a] for u in rows])
-        b = np.array([[utilities[u].b] for u in rows])
-        values[rows] = value(_FamilyRows(family, a, b), rates[rows])
+    """``br_grid`` points per axis: prices over [0, price_bound], and per
+    user ``np.linspace(0.0, cap, br_grid)`` over its route capacity and
+    ``value`` on those rates."""
+    rates = [np.linspace(0.0, min_route_capacity(net, u), br_grid) for u in net.users()]
     return DeviationGrid(
         prices=_read_only(np.linspace(0.0, params.price_bound, br_grid)),
-        rates=_read_only(rates),
-        values=_read_only(values),
+        rates=tuple(_read_only(xs) for xs in rates),
+        values=tuple(_read_only(value(utilities[u], xs)) for u, xs in zip(net.users(), rates)),
     )
 
 
@@ -375,31 +348,32 @@ def _vertex_price(t: OwnTaxTerms, x: np.ndarray, bound: float) -> np.ndarray:
         return np.minimum(np.maximum(t.peer_price_mean + pull / curvature, 0.0), bound)
 
 
-def _best_response_gap(net, utilities, profile, user: int, params, grid: DeviationGrid, terms) -> float:
+def _best_response_gap(net, utilities, profile, user: int, params, br_grid: int, terms) -> float:
     """How much one user gains (subsidies aside) by its best own message
     over its current one, as the audit measures it.
 
     ``terms`` maps (user, link) to ``own_tax_terms``, as ``audit`` builds it.
-    The candidate rates are the user's rate axis of ``grid``, its current
-    rate and the analytic rate response at the current prices
-    (``_analytic_rate``). At each of them every shared link takes its
-    ``_vertex_price``; a singleton link's tax does not depend on the price.
-    Each candidate's route taxes are summed from 0.0 in route order before
-    they are subtracted from V, as the current payoff's are.
+    The candidate rates are ``br_grid`` rates spaced evenly over [0, the
+    user's route capacity], its current rate and the analytic rate response
+    at the current prices (``_analytic_rate``); V takes them in one array
+    call, whose bits equal its float path's. At each of them every shared
+    link takes its ``_vertex_price``; a singleton link's tax does not depend
+    on the price. Each candidate's route taxes are summed from 0.0 in route
+    order before they are subtracted from V, as the current payoff's are.
     """
     u, cur, route = utilities[user], profile[user], net.route(user)
     ts = [terms[(user, l)] for l in route]
     v_cur = float(value(u, cur.rate))
     cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
     hs = [own_tax_axes(t, cur.rate, cur.prices[l])[2] for l, t in zip(route, ts)]
-    x_best = _analytic_rate(u, ts, hs, min_route_capacity(net, user))
-    rates = np.append(grid.rates[user], (cur.rate, x_best))
-    values = np.append(grid.values[user], (v_cur, value(u, x_best)))
+    cap = min_route_capacity(net, user)
+    x_best = _analytic_rate(u, ts, hs, cap)
+    rates = np.append(np.linspace(0.0, cap, br_grid), (cur.rate, x_best))
     tax = sum(
         eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else _vertex_price(t, rates, params.price_bound))
         for l, t in zip(route, ts)
     )
-    return float(np.max(values - tax)) - cur_pay
+    return float(np.max(value(u, rates) - tax)) - cur_pay
 
 
 def audit(
@@ -448,9 +422,8 @@ def audit(
             deriv_gap = _worse(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
-    grid = deviation_grid(net, utilities, params, br_grid)
     for user in net.users():
-        br_gap = _worse(br_gap, _best_response_gap(net, utilities, profile, user, params, grid, terms))
+        br_gap = _worse(br_gap, _best_response_gap(net, utilities, profile, user, params, br_grid, terms))
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
     budget_gap = abs(sum(alloc.taxes.values()))

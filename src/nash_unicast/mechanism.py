@@ -353,10 +353,8 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
     ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
-    Takes floats or broadcasting numpy arrays, for ``x`` and ``p`` and for
-    the numeric fields of ``terms`` too (one row per (user, link) pair, all
-    on singleton links or all on shared ones). This is the one place the
-    tax formula is written out.
+    ``x`` and ``p`` are floats or broadcasting numpy arrays. This is the one
+    place the tax formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev
@@ -455,7 +453,9 @@ def assign_subsidies(net: Network, rng_seed: int) -> SubsidyAssignment:
 def validate_profile(net: Network, profile: MessageProfile, params: MechanismParams) -> None:
     """Check every message against its box: price keys equal the route, the
     rate fits below the route's narrowest link, prices fit below the bound.
-    Boundaries are closed (with BOUNDARY_TOL slack for arithmetic noise)."""
+    Boundaries are closed. The rate's floor is exactly 0, as utilities take
+    no negative rate; the other walls carry BOUNDARY_TOL slack for
+    arithmetic noise."""
     missing = [net.user_labels[u] for u in net.users() if u not in profile]
     extra = [u for u in profile if not 0 <= u < net.num_users]
     if missing or extra:
@@ -471,7 +471,7 @@ def validate_profile(net: Network, profile: MessageProfile, params: MechanismPar
                 f" {[net.link_labels[l] for l in sorted(route)]}"
             )
         cap = min_route_capacity(net, user)
-        if not -BOUNDARY_TOL <= m.rate <= cap + BOUNDARY_TOL:
+        if not 0.0 <= m.rate <= cap + BOUNDARY_TOL:
             raise RateOutOfBounds(f"user {name!r}: rate {m.rate} outside [0, {cap}]")
         for link, price in m.prices.items():
             if not -BOUNDARY_TOL <= price <= params.price_bound + BOUNDARY_TOL:

@@ -239,6 +239,8 @@ def test_seed_override_changes_recipient(tmp_path, capsys):
     [
         ("u5", "rate", 99.0, "user 'u5': rate 99.0 outside [0, 1.5]"),
         ("u5", "rate", float("nan"), "user 'u5': rate nan outside"),
+        # within BOUNDARY_TOL of 0, yet no utility takes a negative rate
+        ("u2", "rate", -1e-13, "user 'u2': rate -1e-13 outside [0, "),
         ("u1", "rate", float("inf"), "user 'u1': rate inf outside"),
         ("u3", "core", float("nan"), "user 'u3': price nan on link 'core' outside"),
         ("u2", "west", float("-inf"), "user 'u2': price -inf on link 'west' outside"),
@@ -264,6 +266,34 @@ def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, fi
     assert "certified" not in captured.out and "converged" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--scenario", GOLDEN, "--bogus"], "unrecognized arguments: --bogus"),
+        # flags that no step of the command reads are not taken
+        (["solve", "--scenario", GOLDEN, "--grid", "5"], "unrecognized arguments: --grid 5"),
+        (["solve", "--scenario", GOLDEN, "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["simulate", "--scenario", GOLDEN, "--tolerance", "inf"], "unrecognized arguments: --tolerance inf"),
+        (["construct-ne", "--scenario", GOLDEN, "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["audit"], "the following arguments are required: --scenario"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n", captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: nash-unicast" in capsys.readouterr().out
+
+
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     built = []
     original = cli.build_parser
@@ -277,8 +307,7 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     a, b, fresh = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "fresh.json"
     argv = ["construct-ne", "--scenario", GOLDEN, "--seed", "3", "--tolerance", "1e-9", "--grid", "50"]
     assert main(argv + ["--out", str(a)]) == 0
-    with pytest.raises(SystemExit):
-        main(["construct-ne", "--scenario", GOLDEN, "--no-such-flag"])
+    assert main(["construct-ne", "--scenario", GOLDEN, "--no-such-flag"]) == 1
     assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(b)]) == 0
     assert len(built) == 1
 

@@ -453,21 +453,10 @@ def test_deviation_grid_matches_per_call_grid_at_equilibria(br_grid):
         _assert_grid_matches_per_call_grid(b.net, b.utilities, clearing, b.params, br_grid)
 
 
-def test_deviation_grid_arrays_are_read_only(golden):
-    net, uts, params, *_ = golden
-    grid = deviation_grid(net, uts, params, 9)
-    assert len(grid.rates) == len(grid.values) == net.num_users
-    for arr in (grid.prices, *grid.rates, *grid.values):
-        assert arr.shape == (9,)
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-        with pytest.raises(ValueError):
-            arr += 1.0
-
-
-def test_stacked_grid_matches_per_user_axes_bit_for_bit():
-    # capacities from the smallest float up: a step that underflows to 0
-    # sends numpy's linspace down its denormal path for every row it gets
+def _denormal_net():
+    """Nine capacities from the smallest float up, times the four utility
+    families: a rate step that underflows to 0 sends numpy's linspace down
+    its denormal path."""
     caps = [5e-324, 1e-320, 2.5e-308, 1e-300, 0.37, 1.0, 3.3, 1e6, 7.5e300]
     links = {f"L{i}": c for i, c in enumerate(caps)}
     families = [
@@ -481,20 +470,36 @@ def test_stacked_grid_matches_per_user_axes_bit_for_bit():
     for i in range(len(caps) * len(families)):
         routes[f"u{i}"] = [f"L{i % len(caps)}"] + rng.sample(sorted(links), rng.randrange(3))
         uts[i] = families[i % len(families)]
-    net = build_network(links, routes)
-    params = MechanismParams(alpha=1e4, gamma=1e4, price_bound=50.0)
+    return build_network(links, routes), uts, MechanismParams(alpha=1e4, gamma=1e4, price_bound=50.0)
+
+
+def test_deviation_grid_arrays_are_read_only():
+    net, uts, params = _denormal_net()
     for br_grid in (2, 7, 64, 200, 201):
         grid = deviation_grid(net, uts, params, br_grid)
-        assert grid.rates.shape == grid.values.shape == (net.num_users, br_grid)
+        assert len(grid.rates) == len(grid.values) == net.num_users
         for user in net.users():
             xs = np.linspace(0.0, min_route_capacity(net, user), br_grid)
             vs = np.asarray(value(uts[user], xs), dtype=float)
             assert grid.rates[user].tobytes() == xs.tobytes(), (br_grid, user)
             assert grid.values[user].tobytes() == vs.tobytes(), (br_grid, user)
         assert grid.prices.tobytes() == np.linspace(0.0, 50.0, br_grid).tobytes()
-        for arr in (grid.prices, grid.rates, grid.values, grid.rates[0], grid.values[-1]):
+        for arr in (grid.prices, *grid.rates, *grid.values):
+            assert arr.shape == (br_grid,)
             with pytest.raises(ValueError):
-                arr[..., 0] = 1.0
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+
+
+def test_audit_meets_denormal_capacities():
+    # the audit builds its own rate rows; RuntimeWarnings are errors here
+    net, uts, params = _denormal_net()
+    profile = random_feasible_profile(net, params, seed=5)
+    alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
+    coarse, fine = (audit(net, uts, profile, params, alloc, br_grid=g).best_response_gap for g in (2, 200))
+    # both rows hold the ends 0 and cap, so the finer search finds at least as much
+    assert np.isfinite(fine) and fine >= coarse >= 0.0, (coarse, fine)
 
 
 # --- the audit's closed-form prices against the grid search -------------------
@@ -511,7 +516,7 @@ def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid
     gains, grid_gap = [0.0], 0.0
     for user in net.users():
         _, best, cur = best_deviation(net, utilities, profile, user, params, grid)
-        gains.append(equilibrium._best_response_gap(net, utilities, profile, user, params, grid, terms))
+        gains.append(equilibrium._best_response_gap(net, utilities, profile, user, params, br_grid, terms))
         assert gains[-1] >= best - cur - 1e-12 * max(1.0, abs(best), abs(cur)), (user, gains[-1], best, cur)
         grid_gap = max(grid_gap, best - cur)
     assert gap == max(gains)
