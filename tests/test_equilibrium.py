@@ -478,18 +478,25 @@ def test_deviation_grid_arrays_are_read_only():
     for br_grid in (2, 7, 64, 200, 201):
         grid = deviation_grid(net, uts, params, br_grid)
         assert len(grid.rates) == len(grid.values) == net.num_users
-        for user in net.users():
-            xs = np.linspace(0.0, min_route_capacity(net, user), br_grid)
-            vs = np.asarray(value(uts[user], xs), dtype=float)
-            assert grid.rates[user].tobytes() == xs.tobytes(), (br_grid, user)
-            assert grid.values[user].tobytes() == vs.tobytes(), (br_grid, user)
-        assert grid.prices.tobytes() == np.linspace(0.0, 50.0, br_grid).tobytes()
         for arr in (grid.prices, *grid.rates, *grid.values):
             assert arr.shape == (br_grid,)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
             with pytest.raises(ValueError):
                 arr += 1.0
+
+
+def test_stacked_grid_matches_per_user_axes_bit_for_bit():
+    # each user's grid row against its own linspace and utility call
+    net, uts, params = _denormal_net()
+    for br_grid in (2, 7, 64, 200, 201):
+        grid = deviation_grid(net, uts, params, br_grid)
+        for user in net.users():
+            xs = np.linspace(0.0, min_route_capacity(net, user), br_grid)
+            vs = np.asarray(value(uts[user], xs), dtype=float)
+            assert grid.rates[user].tobytes() == xs.tobytes(), (br_grid, user)
+            assert grid.values[user].tobytes() == vs.tobytes(), (br_grid, user)
+        assert grid.prices.tobytes() == np.linspace(0.0, 50.0, br_grid).tobytes()
 
 
 def test_audit_meets_denormal_capacities():
