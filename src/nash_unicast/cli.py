@@ -25,7 +25,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import DynamicsConfig, run_dynamics
-from .equilibrium import audit, check_optimality, construct_ne
+from .equilibrium import audit, check_optimality, construct_ne, own_tax_table
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
     Scenario,
@@ -228,13 +228,15 @@ def _posted_prices(net, profile) -> dict:
 def _audited(args, net, utilities, params, solver_config, profile, res=None):
     """Subsidies, outcome, audit and its checks, then the optimality check
     against ``res``. Without ``res`` the check takes a solve started at the
-    profile's own prices, and is skipped on non-concave utilities.
+    profile's own prices, and is skipped on non-concave utilities. The
+    profile's ``own_tax_table`` is built once, for outcome and audit both.
 
     Returns (subsidies, audit report, allocation, checks).
     """
     subsidies = assign_subsidies(net, params.rng_seed)
-    alloc = outcome(net, profile, params, subsidies)
-    rep = audit(net, utilities, profile, params, alloc, br_grid=args.grid)
+    table = own_tax_table(net, profile, params)
+    alloc = outcome(net, profile, params, subsidies, table)
+    rep = audit(net, utilities, profile, params, alloc, br_grid=args.grid, table=table)
     checks = _evaluate_checks(rep, sum(abs(t) for t in alloc.taxes.values()))
     if res is None:
         try:
@@ -323,8 +325,7 @@ def cmd_audit(args) -> int:
     scenario, net, utilities, params, solver_config = _load(args, args.scenario)
     profile = _profile(args, scenario, net)
     if profile is None:
-        print("audit needs a profile: pass --profile or embed one in the scenario", file=sys.stderr)
-        return 1
+        raise UsageError("audit needs a profile: pass --profile or embed one in the scenario")
     _, rep, alloc, checks = _audited(args, net, utilities, params, solver_config, profile)
     report, lines = _header("audit", scenario)
     report.update(profile=profile_to_labels(profile, net), **_audit_blocks(net, rep, alloc, checks))
@@ -340,8 +341,7 @@ def cmd_simulate(args) -> int:
     scenario, net, utilities, params, _ = _load(args, args.scenario)
     start = _profile(args, scenario, net)
     if start is None:
-        print("simulate needs a start profile: pass --profile or embed one", file=sys.stderr)
-        return 1
+        raise UsageError("simulate needs a start profile: pass --profile or embed one")
     config = DynamicsConfig(
         schedule=args.schedule,
         seed=params.rng_seed,
@@ -399,8 +399,7 @@ def _report_row(args, path: Path) -> dict:
 def cmd_report(args) -> int:
     directory = Path(args.scenario)
     if not directory.is_dir():
-        print(f"{directory} is not a directory of scenarios", file=sys.stderr)
-        return 1
+        raise UsageError(f"{directory} is not a directory of scenarios")
     rows = []
     for path in sorted(directory.glob("*.json")):
         try:

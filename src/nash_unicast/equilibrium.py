@@ -7,14 +7,17 @@ judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, a best-response gap, individual
 rationality, budget balance, and agreement of the taxes with their
 equilibrium closed forms. Each link's posted price is computed once per audit.
+Every (user, link) pair's ``own_tax_terms`` is built once per command
+(``own_tax_table``) and read by ``outcome`` and ``audit`` alike.
 
-The audit's best response (``_best_response_gap``) builds each user's
+The audit's best response (``_best_response_gaps``) builds each user's
 candidate own rates itself: evenly spaced rates over [0, the user's route
 capacity], its current rate and the analytic rate response
 (``_analytic_rate``). At a fixed own rate a link's tax is a convex quadratic
 in the own price, so each link's best price is that quadratic's vertex
 clipped to the price box (``_vertex_price``), and the route's best tax is
-the sum of the links'.
+the sum of the links'. Every user is searched in one array pass: the pairs
+are stacked by route position, and the tax kernel runs once per position.
 
 ``best_deviation`` is the move rule of best-response dynamics: a grid search
 over rates and prices, on axes that depend only on the static game (a
@@ -34,8 +37,9 @@ others leave available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -46,10 +50,12 @@ from .mechanism import (
     MechanismParams,
     Message,
     MessageProfile,
+    OwnTaxTable,
     OwnTaxTerms,
     _cyclic_peers,
     eval_own_tax,
     own_tax_axes,
+    own_tax_parts,
     own_tax_terms,
     validate_profile,
 )
@@ -147,6 +153,14 @@ def construct_ne(
     return profile
 
 
+def own_tax_table(net: Network, profile: MessageProfile, params: MechanismParams) -> OwnTaxTable:
+    """Every (user, route link) pair's ``own_tax_terms`` of a valid profile:
+    the table a command builds once and passes to ``outcome`` and ``audit``.
+    Raises what ``validate_profile`` raises."""
+    validate_profile(net, profile, params)
+    return {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
+
+
 def posted_link_price(net: Network, profile: MessageProfile, link: int) -> float:
     """Mean posted price on a link; equals the common price when uniform."""
     group = net.group(link)
@@ -165,25 +179,25 @@ def ne_tax_closed_form(
     plus an order-1/gamma skew between the two peers, the exact residue of
     the three-user balance term.
     """
-    return _closed_form(net, profile, link, user, params, posted_link_price(net, profile, link))
+    terms = own_tax_terms(net, profile, link, user, params)
+    return _closed_form(net, profile, link, user, terms, posted_link_price(net, profile, link))
 
 
-def _closed_form(net, profile, link, user, params, p) -> float:
-    """``ne_tax_closed_form`` at the link's posted price ``p``."""
-    group = net.group(link)
-    n = len(group)
+def _closed_form(net, profile, link, user, terms: OwnTaxTerms, p) -> float:
+    """``ne_tax_closed_form`` at the link's posted price ``p``, given the
+    user's ``own_tax_terms`` on the link: the peers' mean rate is their
+    ``peer_rate_sum`` over their count."""
+    n = terms.group_size
     if n == 1:
         return 0.0
     x = profile[user].rate
     if n == 2:
         return p * x
-    others = [u for u in group if u != user]
-    mean_others = sum(profile[u].rate for u in others) / (n - 1)
     if n > 3:
-        return p * (x - mean_others)
-    j, k = _cyclic_peers(group, user)
+        return p * (x - terms.peer_rate_sum / (n - 1))
+    j, k = _cyclic_peers(net.group(link), user)
     xj, xk = profile[j].rate, profile[k].rate
-    return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
+    return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * terms.gamma)
 
 
 def _lattice_argmax(
@@ -334,46 +348,86 @@ def best_deviation(
     return _best_candidate(route, cur, cur_pay, lattice, at_cur_prices, sweeps)
 
 
-def _vertex_price(t: OwnTaxTerms, x: np.ndarray, bound: float) -> np.ndarray:
+_term_row = attrgetter(*(f.name for f in fields(OwnTaxTerms)))
+
+
+def _vertex_price(t: OwnTaxTerms, x, bound: float) -> np.ndarray:
     """The own price that minimises a shared link's tax at each own rate in
     ``x``, clipped to [0, ``bound``]: the vertex ``p + p*(peer_excess + x) /
     (gamma*quad_weight)`` of the tax's quadratic in the price, p the peers'
     mean price. Where ``gamma*quad_weight`` underflows to 0 the tax is linear
-    in the price, so the best price is an end, or p at slope 0 (no 0/0)."""
+    in the price, so the best price is an end, or p at slope 0 (no 0/0).
+    The fields of ``t`` may be columns, one (user, link) pair per row."""
     pull = t.peer_price_mean * (t.peer_excess + x)
     curvature = t.gamma * t.quad_weight
-    if curvature == 0.0:
-        return np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean))
     with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
-        return np.minimum(np.maximum(t.peer_price_mean + pull / curvature, 0.0), bound)
+        shift = np.divide(pull, curvature, out=np.zeros(np.shape(pull)), where=curvature != 0.0)
+    vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
+    flat = curvature == 0.0
+    if not np.any(flat):
+        return vertex
+    return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
 
 
-def _best_response_gap(net, utilities, profile, user: int, params, br_grid: int, terms) -> float:
-    """How much one user gains (subsidies aside) by its best own message
-    over its current one, as the audit measures it.
+def _best_response_gaps(net, utilities, profile, params, br_grid: int, table: OwnTaxTable) -> np.ndarray:
+    """How much each user gains (subsidies aside) by its best own message
+    over its current one, as the audit measures it, in user order.
 
-    ``terms`` maps (user, link) to ``own_tax_terms``, as ``audit`` builds it.
-    The candidate rates are ``br_grid`` rates spaced evenly over [0, the
-    user's route capacity], its current rate and the analytic rate response
-    at the current prices (``_analytic_rate``); V takes them in one array
-    call, whose bits equal its float path's. At each of them every shared
-    link takes its ``_vertex_price``; a singleton link's tax does not depend
-    on the price. Each candidate's route taxes are summed from 0.0 in route
-    order before they are subtracted from V, as the current payoff's are.
+    ``table`` is the profile's ``own_tax_table``. A user's candidate rates
+    are ``br_grid`` rates spaced evenly over [0, its route capacity], its
+    current rate and the analytic rate response at the current prices
+    (``_analytic_rate``), with V on them from one ``value`` call. At each of
+    them every shared link takes its ``_vertex_price``; a singleton link's
+    tax does not depend on the price.
+
+    The (user, route link) pairs are stacked by route position: the first
+    link of every route, then the second link of every route that has one,
+    and so on, users ascending within a position. Their terms become one
+    ``OwnTaxTerms`` of (pairs, 1) columns, so ``eval_own_tax`` runs once on
+    all pairs at the current messages and once on all (pairs x candidates)
+    rates. Each user's link taxes are summed from 0.0 one position at a
+    time, in route order as builtin ``sum`` adds them, and each row is
+    reduced by its own maximum, so every gain has the bits of a search run
+    one user at a time.
     """
-    u, cur, route = utilities[user], profile[user], net.route(user)
-    ts = [terms[(user, l)] for l in route]
-    v_cur = float(value(u, cur.rate))
-    cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
-    hs = [own_tax_axes(t, cur.rate, cur.prices[l])[2] for l, t in zip(route, ts)]
-    cap = min_route_capacity(net, user)
-    x_best = _analytic_rate(u, ts, hs, cap)
-    rates = np.append(np.linspace(0.0, cap, br_grid), (cur.rate, x_best))
-    tax = sum(
-        eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else _vertex_price(t, rates, params.price_bound))
-        for l, t in zip(route, ts)
-    )
-    return float(np.max(value(u, rates) - tax)) - cur_pay
+    users = net.users()
+    routes = [net.route(u) for u in users]
+    cur = [profile[u] for u in users]
+    pairs, ends, slots = [], [], [[] for _ in users]  # slots[u]: u's pairs in route order
+    for s in range(max(map(len, routes))):
+        for u in users:
+            if len(routes[u]) > s:
+                slots[u].append(len(pairs))
+                pairs.append((u, routes[u][s]))
+        ends.append(len(pairs))
+    owner = np.array([u for u, _ in pairs])
+    t = OwnTaxTerms(*np.array([_term_row(table[pair]) for pair in pairs], dtype=float).T[:, :, None])
+    p = np.array([[cur[u].prices[l]] for u, l in pairs], dtype=float)
+
+    def route_sums(a):
+        total = 0.0 + a[: ends[0]]  # position 0 holds every user, in order
+        for start, end in zip(ends, ends[1:]):
+            total[owner[start:end]] += a[start:end]
+        return total
+
+    x = np.array([[m.rate] for m in cur], dtype=float)[owner]
+    cur_tax = route_sums(eval_own_tax(t, x, p))[:, 0]
+    h = own_tax_parts(t, x, p)[3][:, 0].tolist()
+
+    rates = np.empty((len(users), br_grid + 2))
+    values = np.empty_like(rates)
+    v_cur = np.empty(len(users))
+    for u in users:
+        spec, m, cap = utilities[u], cur[u], min_route_capacity(net, u)
+        x_best = _analytic_rate(spec, [table[pairs[k]] for k in slots[u]], [h[k] for k in slots[u]], cap)
+        rates[u, :br_grid] = np.linspace(0.0, cap, br_grid)
+        rates[u, br_grid:] = m.rate, x_best
+        values[u] = value(spec, rates[u])
+        v_cur[u] = value(spec, m.rate)
+
+    x = rates[owner]
+    tax = route_sums(eval_own_tax(t, x, np.where(t.group_size == 1, p, _vertex_price(t, x, params.price_bound))))
+    return (values - tax).max(axis=1) - (v_cur - cur_tax)
 
 
 def audit(
@@ -383,6 +437,7 @@ def audit(
     params: MechanismParams,
     alloc: Allocation,
     br_grid: int = 200,
+    table: OwnTaxTable | None = None,
 ) -> NeAuditReport:
     """Measure every equilibrium diagnostic of a valid profile. Reports only;
     callers decide what counts as passing.
@@ -391,12 +446,15 @@ def audit(
     assignment; its rates, taxes and per-link breakdown feed the
     feasibility, individual-rationality, budget and closed-form checks.
     ``br_grid`` is the number of grid rates each user's best response tries
-    (``_best_response_gap``). The running maxima read a non-finite
-    measurement as inf, so it never passes a bound.
+    (``_best_response_gaps``). ``table`` is the profile's ``own_tax_table``,
+    which validated the profile, as the command built it for ``outcome``;
+    without it ``audit`` builds its own. The tax derivatives, the best
+    response and the closed forms all read it. The running maxima read a
+    non-finite measurement as inf, so it never passes a bound.
     """
-    validate_profile(net, profile, params)
+    if table is None:
+        table = own_tax_table(net, profile, params)
     rates = alloc.rates
-    terms = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
 
     posted = {}
     uniformity = comp_slack = deriv_gap = 0.0
@@ -416,21 +474,21 @@ def audit(
             if x <= 1e-12:
                 continue  # no room for a left-sided step
             h = min(1e-6 * (1.0 + x), x)
-            t = terms[(user, l)]
+            t = table[(user, l)]
             p_own = profile[user].prices[l]
             fd = (float(eval_own_tax(t, x, p_own)) - float(eval_own_tax(t, x - h, p_own))) / h
             deriv_gap = _worse(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
-    for user in net.users():
-        br_gap = _worse(br_gap, _best_response_gap(net, utilities, profile, user, params, br_grid, terms))
+    for gain in _best_response_gaps(net, utilities, profile, params, br_grid, table).tolist():
+        br_gap = _worse(br_gap, gain)
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
     budget_gap = abs(sum(alloc.taxes.values()))
 
     corr_gap = 0.0
     for (user, l), lt in alloc.breakdown.link_taxes.items():
-        expected = _closed_form(net, profile, l, user, params, posted[l])
+        expected = _closed_form(net, profile, l, user, table[(user, l)], posted[l])
         corr_gap = _worse(corr_gap, abs(lt.total - expected))
 
     return NeAuditReport(

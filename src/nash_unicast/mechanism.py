@@ -20,8 +20,10 @@ equilibrium. The per-link formula is written out once: ``own_tax_terms``
 gathers the peer statistics of one user on one link in one walk over the
 link's group, and ``own_tax_parts`` turns them into the tax's parts at any
 own rate and price. ``tax_link``, ``link_subsidy``, ``eval_own_tax`` and
-``own_tax_axes`` all assemble those parts. All functions are pure; the only
-randomness is the seeded subsidy-recipient draw.
+``own_tax_axes`` all assemble those parts. A command builds every (user,
+link) pair's terms once, as a table that ``outcome`` (and through it
+``tax_link`` and ``link_subsidy``) and the audit share. All functions are
+pure; the only randomness is the seeded subsidy-recipient draw.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from .network import BOUNDARY_TOL, Network, min_route_capacity
 from .utilities import UtilitySpec, initial_slope
@@ -280,9 +284,9 @@ class OwnTaxTerms:
     """Coefficients fixing one user's link tax as a function of its own message.
 
     Everything here depends only on the peers' messages and the parameters:
-    the peers' mean price, their total rate minus the capacity, and the
-    balance part. ``own_tax_parts`` turns them into the tax at any own
-    (rate, price), for the outcome function and deviation searches alike.
+    the peers' mean price, their total rate (and that less the capacity),
+    and the balance part. ``own_tax_parts`` turns them into the tax at any
+    own (rate, price), for the outcome function and deviation searches alike.
     """
 
     group_size: int
@@ -291,6 +295,7 @@ class OwnTaxTerms:
     peer_price_mean: float
     price_adjust: float  # per-unit surcharge from peers' prices (three-user links only)
     quad_weight: float  # 0 on singleton links, 1/alpha on two-user links, 1 on larger ones
+    peer_rate_sum: float
     peer_excess: float
     balance_const: float
     penalty_both: float  # overload penalty when requesting a positive rate
@@ -339,6 +344,7 @@ def own_tax_terms(
         peer_price_mean=p1 / (n - 1) if n > 1 else 0.0,
         price_adjust=adjust,
         quad_weight=0.0 if n == 1 else 1.0 / params.alpha if n == 2 else 1.0,
+        peer_rate_sum=x1,
         peer_excess=x1 - c,
         balance_const=balance,
         penalty_both=penalty(True, True, eps),
@@ -353,16 +359,24 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
     ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
-    ``x`` and ``p`` are floats or broadcasting numpy arrays. This is the one
-    place the tax formula is written out.
+    ``x`` and ``p`` are floats or broadcasting numpy arrays, and so are the
+    fields of ``terms``: a column per field holds one (user, link) pair per
+    row, and its singleton-link rows take the singleton branch, each row
+    with the bits of its own scalar terms. This is the one place the tax
+    formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev
     h = -(2.0 / terms.gamma) * terms.peer_price_mean * dev
-    if terms.group_size == 1:
+    single = terms.group_size == 1  # a bool, or a bool column
+    if single is True:
         return 0.0, terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL), quad, h
     firing = (x > BOUNDARY_TOL) & (terms.peer_excess + x > BOUNDARY_TOL)
-    return (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing, quad, h
+    price, pen = (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing
+    if single is False or not single.any():
+        return price, pen, quad, h
+    alone = terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL)
+    return np.where(single, 0.0, price), np.where(single, alone, pen), quad, h
 
 
 def eval_own_tax(terms: OwnTaxTerms, x, p):
@@ -388,22 +402,32 @@ def own_tax_axes(terms: OwnTaxTerms, x, p):
     return price + pen, quad + h * terms.peer_excess + terms.balance_const, h
 
 
-def _message_tax(net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams):
+OwnTaxTable = Dict[Tuple[int, int], OwnTaxTerms]  # (user, link) -> that pair's own_tax_terms
+
+
+def _message_tax(net, profile: MessageProfile, link: int, user: int, params, table: OwnTaxTable | None):
     """One user's link tax at its own message, as (terms, price part,
-    incentive part less the penalty, penalty)."""
-    terms = own_tax_terms(net, profile, link, user, params)
+    incentive part less the penalty, penalty); the terms come from
+    ``table`` when one is given."""
+    terms = own_tax_terms(net, profile, link, user, params) if table is None else table[(user, link)]
     m = profile[user]
     price, pen, quad, h = own_tax_parts(terms, m.rate, m.prices[link])
     return terms, price, quad + h * (terms.peer_excess + m.rate), pen
 
 
 def tax_link(
-    net: Network, profile: MessageProfile, link: int, params: MechanismParams
+    net: Network,
+    profile: MessageProfile,
+    link: int,
+    params: MechanismParams,
+    table: OwnTaxTable | None = None,
 ) -> Dict[int, LinkTax]:
-    """Per-user link taxes with their component breakdown."""
+    """Per-user link taxes with their component breakdown. ``table`` holds
+    the profile's ``own_tax_terms`` by (user, link); without it each user's
+    terms are built here."""
     out: Dict[int, LinkTax] = {}
     for user in net.group(link):
-        terms, price, incentive, pen = _message_tax(net, profile, link, user, params)
+        terms, price, incentive, pen = _message_tax(net, profile, link, user, params, table)
         out[user] = LinkTax(
             price_part=price, incentive_part=incentive + pen, balance_part=terms.balance_const, penalty=pen
         )
@@ -411,21 +435,25 @@ def tax_link(
 
 
 def link_subsidy(
-    net: Network, profile: MessageProfile, link: int, params: MechanismParams
+    net: Network,
+    profile: MessageProfile,
+    link: int,
+    params: MechanismParams,
+    table: OwnTaxTable | None = None,
 ) -> float:
     """The transfer that cancels a two-user link's non-penalty taxes.
 
     Negative whenever the pair pays net positive tax; added to the recipient's
     tax total. Penalties stay out: they are zero at every feasible profile,
     which is exactly where budget balance is claimed. Never depends on the
-    recipient's message.
+    recipient's message. ``table`` is as in ``tax_link``.
     """
     group = net.group(link)
     if len(group) != 2:
         raise WrongGroupSize(f"link {net.link_labels[link]!r} has {len(group)} users, need 2")
     total = 0.0
     for user in group:
-        _, price, incentive, _ = _message_tax(net, profile, link, user, params)
+        _, price, incentive, _ = _message_tax(net, profile, link, user, params, table)
         total += price + incentive
     return -total
 
@@ -486,11 +514,15 @@ def outcome(
     profile: MessageProfile,
     params: MechanismParams,
     subsidies: SubsidyAssignment,
+    table: OwnTaxTable | None = None,
 ) -> Allocation:
     """Rates as requested plus the full tax vector and its breakdown.
 
     ``subsidies`` must name a recipient outside the group for every two-user
-    link (see ``assign_subsidies``).
+    link (see ``assign_subsidies``). ``table`` maps every (user, route link)
+    pair of the profile to its ``own_tax_terms``, as a command builds it once
+    for ``outcome`` and the audit alike; without it ``outcome`` builds its
+    own. ``tax_link`` and ``link_subsidy`` read their terms from it.
     """
     validate_profile(net, profile, params)
     two_user_links = {l for l in net.links() if len(net.group(l)) == 2}
@@ -506,15 +538,17 @@ def outcome(
                 f" {net.link_labels[link]!r}"
             )
 
+    if table is None:
+        table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
     link_taxes: Dict[tuple, LinkTax] = {}
     totals: Dict[int, float] = {u: 0.0 for u in net.users()}
     received: Dict[int, float] = {u: 0.0 for u in net.users()}
     for link in net.links():
-        for user, lt in tax_link(net, profile, link, params).items():
+        for user, lt in tax_link(net, profile, link, params, table).items():
             link_taxes[(user, link)] = lt
             totals[user] += lt.total
     for link in sorted(subsidies):
-        q = link_subsidy(net, profile, link, params)
+        q = link_subsidy(net, profile, link, params, table)
         recipient = subsidies[link]
         totals[recipient] += q
         received[recipient] -= q

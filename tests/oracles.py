@@ -8,6 +8,11 @@ of the sigmoid demand on numpy scalars, as ``demand`` did before it refined on
 Python floats. ``own_tax_terms_reference`` walks a link's group once per peer
 statistic and once more for the large-group balance term, as
 ``own_tax_terms`` did before it walked the group once.
+``best_response_gap_reference`` is the audit's best response run one user at
+a time, with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it
+before it stacked every user's pairs by route position.
+``closed_form_reference`` walks the peers for their mean rate, as the
+audit's closed-form check did before it read ``peer_rate_sum``.
 
 ``zero_tax_deviation_price`` (the exact exit deviation of the
 individual-rationality checks), ``brute_force_centralized`` (the grid oracle
@@ -22,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from nash_unicast.equilibrium import _lattice_argmax
+from nash_unicast.equilibrium import _analytic_rate, _lattice_argmax
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -118,6 +123,54 @@ def best_deviation_reference(net, utilities, profile, user, params, br_grid):
     return best[3](), best[0], cur_pay
 
 
+def vertex_price_reference(t, x, bound):
+    """``_vertex_price`` on scalar terms, branching once on the curvature."""
+    pull = t.peer_price_mean * (t.peer_excess + x)
+    curvature = t.gamma * t.quad_weight
+    if curvature == 0.0:
+        return np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean))
+    with np.errstate(over="ignore"):
+        return np.minimum(np.maximum(t.peer_price_mean + pull / curvature, 0.0), bound)
+
+
+def best_response_gap_reference(net, utilities, profile, user, params, br_grid, table):
+    """One user's audit gain: its ``br_grid`` rates over [0, route capacity],
+    its current rate and the analytic rate, each shared link at its vertex
+    price, the route taxes summed from 0 in route order."""
+    u, cur, route = utilities[user], profile[user], net.route(user)
+    ts = [table[(user, l)] for l in route]
+    v_cur = float(value(u, cur.rate))
+    cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
+    hs = [own_tax_axes(t, cur.rate, cur.prices[l])[2] for l, t in zip(route, ts)]
+    cap = min_route_capacity(net, user)
+    x_best = _analytic_rate(u, ts, hs, cap)
+    rates = np.append(np.linspace(0.0, cap, br_grid), (cur.rate, x_best))
+    tax = sum(
+        eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else vertex_price_reference(t, rates, params.price_bound))
+        for l, t in zip(route, ts)
+    )
+    return float(np.max(value(u, rates) - tax)) - cur_pay
+
+
+def closed_form_reference(net, profile, link, user, params, p):
+    """The closed-form equilibrium tax at posted price ``p``, with the peers'
+    mean rate from a walk over the group."""
+    group = net.group(link)
+    n = len(group)
+    if n == 1:
+        return 0.0
+    x = profile[user].rate
+    if n == 2:
+        return p * x
+    others = [u for u in group if u != user]
+    mean_others = sum(profile[u].rate for u in others) / (n - 1)
+    if n > 3:
+        return p * (x - mean_others)
+    j, k = _cyclic_peers(group, user)
+    xj, xk = profile[j].rate, profile[k].rate
+    return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
+
+
 def sigmoid_demand_numpy(u, price, cap):
     """The sigmoid demand with its golden-section search on numpy scalars."""
     if price == 0.0:
@@ -176,6 +229,7 @@ def own_tax_terms_reference(net, profile, link, user, params):
         peer_price_mean=mean_p,
         price_adjust=adjust,
         quad_weight={1: 0.0, 2: 1.0 / params.alpha}.get(n, 1.0),
+        peer_rate_sum=sum((profile[u].rate for u in others), 0.0),
         peer_excess=sum(profile[u].rate for u in others) - c,
         balance_const=balance,
         penalty_both=penalty(True, True, eps),

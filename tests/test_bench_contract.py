@@ -6,7 +6,7 @@ never changed."""
 import importlib.util
 from pathlib import Path
 
-from nash_unicast import equilibrium, mechanism, solver
+from nash_unicast import cli, equilibrium, mechanism, solver
 from nash_unicast.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +50,20 @@ def test_traced_layers_see_calls():
     calls, _, _ = tracer.summarize()
     assert calls["mechanism.own_tax_terms"] > 0
     assert calls["mechanism.eval_own_tax"] > 0
+
+
+def test_traced_cli_commands_see_the_tax_layers(tmp_path, capsys):
+    # the CLI builds one own-tax table per command; it must still do so
+    # through the names the tracer wraps, or the mechanism metrics read zero
+    scenario = str(ROOT / "scenarios" / "shared_backbone.json")
+    ne = tmp_path / "ne.json"
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        assert cli.main(["construct-ne", "--scenario", scenario, "--out", str(ne)]) == 0
+        construct_calls = tracer.summarize()[0]
+        assert cli.main(["audit", "--scenario", scenario, "--profile", str(ne)]) == 0
+    capsys.readouterr()
+    audit_calls = tracer.summarize()[0] - construct_calls
+    for calls in (construct_calls, audit_calls):
+        for name in ("mechanism.outcome", "mechanism.own_tax_terms", "mechanism.eval_own_tax"):
+            assert calls[name] > 0, (name, calls)

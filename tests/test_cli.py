@@ -277,6 +277,20 @@ def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, fi
         (["construct-ne", "--scenario", GOLDEN, "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
         (["audit"], "the following arguments are required: --scenario"),
         ([], "the following arguments are required: command"),
+        # a missing input is a usage error too
+        pytest.param(
+            ["audit", "--scenario", GOLDEN],
+            "audit needs a profile: pass --profile or embed one in the scenario",
+            id="audit-without-profile",
+        ),
+        pytest.param(
+            ["simulate", "--scenario", GOLDEN],
+            "simulate needs a start profile: pass --profile or embed one",
+            id="simulate-without-profile",
+        ),
+        pytest.param(
+            ["report", "--scenario", GOLDEN], f"{GOLDEN} is not a directory of scenarios", id="report-on-a-file"
+        ),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):

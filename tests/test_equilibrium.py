@@ -17,6 +17,7 @@ from nash_unicast.equilibrium import (
     construct_ne,
     deviation_grid,
     ne_tax_closed_form,
+    own_tax_table,
 )
 from nash_unicast.mechanism import (
     MechanismParams,
@@ -43,7 +44,13 @@ from nash_unicast.utilities import (
 )
 
 from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
-from oracles import best_deviation_reference, with_rate, zero_tax_deviation_price
+from oracles import (
+    best_deviation_reference,
+    best_response_gap_reference,
+    closed_form_reference,
+    with_rate,
+    zero_tax_deviation_price,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -519,11 +526,12 @@ def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid
     alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
     gap = audit(net, utilities, profile, params, alloc, br_grid=br_grid).best_response_gap
     grid = deviation_grid(net, utilities, params, br_grid)
-    terms = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
+    table = own_tax_table(net, profile, params)
+    batched = equilibrium._best_response_gaps(net, utilities, profile, params, br_grid, table).tolist()
     gains, grid_gap = [0.0], 0.0
     for user in net.users():
         _, best, cur = best_deviation(net, utilities, profile, user, params, grid)
-        gains.append(equilibrium._best_response_gap(net, utilities, profile, user, params, br_grid, terms))
+        gains.append(batched[user])
         assert gains[-1] >= best - cur - 1e-12 * max(1.0, abs(best), abs(cur)), (user, gains[-1], best, cur)
         grid_gap = max(grid_gap, best - cur)
     assert gap == max(gains)
@@ -626,9 +634,104 @@ def test_audit_finds_the_deviations_the_grid_misses(mechanism, a, expected):
 def test_audit_reads_a_nan_gap_as_inf(golden, monkeypatch):
     # builtin max(0.0, nan) keeps 0.0; a NaN must never read as a pass
     net, uts, params, subs, res, profile = golden
-    monkeypatch.setattr(equilibrium, "_best_response_gap", lambda *args: float("nan"))
+    monkeypatch.setattr(equilibrium, "_best_response_gaps", lambda *args: np.full(net.num_users, np.nan))
     rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=16)
     assert rep.best_response_gap == float("inf")
+
+
+# --- the batched best response and the shared table against their oracles ------
+
+
+def _same_bits(a, b):
+    return a == b or (a != a and b != b)
+
+
+def _assert_gaps_match_per_user_search(net, utilities, profile, params, br_grid):
+    """Every user's batched gain equals the per-user search, NaN matching NaN;
+    returns the number of users."""
+    table = own_tax_table(net, profile, params)
+    batched = equilibrium._best_response_gaps(net, utilities, profile, params, br_grid, table).tolist()
+    assert len(batched) == net.num_users
+    for user in net.users():
+        one = best_response_gap_reference(net, utilities, profile, user, params, br_grid, table)
+        assert _same_bits(batched[user], one), (user, batched[user], one)
+    return net.num_users
+
+
+def _gap_cases():
+    """(name, net, utilities, profile, params) over the topology corpus, the
+    concave equilibria, the mixed markets, the sigmoid clearings, the
+    crowded link and the denormal capacities."""
+    for b in topology_corpus():
+        yield "topology", b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed * 13), b.params
+    for s in concave_suite()[:25]:
+        yield "concave", s.net, s.utilities, s.profile, s.params
+    for seed in range(4000, 4012):
+        net, uts, params = mixed_market(seed)
+        yield "mixed", net, uts, random_feasible_profile(net, params, seed=seed * 31), params
+    for b, clearing in sigmoid_suite():
+        yield "sigmoid", b.net, b.utilities, clearing, b.params
+    net, uts, params = _crowded_link()
+    yield "crowded", net, uts, construct_ne(net, uts, params), params
+    yield "crowded", net, uts, random_feasible_profile(net, params, seed=1), params
+    net, uts, params = _denormal_net()
+    yield "denormal", net, uts, random_feasible_profile(net, params, seed=5), params
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [None, (1e3, 1e3), (1e-3, 1e-3), (1e3, 1e-3), (1e-3, 1e3), "extreme", "price_bound"],
+)
+def test_batched_gaps_match_per_user_search(scale):
+    # "extreme": alpha = 1e300 and gamma = 1e-300, where gamma * quad_weight
+    # underflows to 0 on two-user links; "price_bound": a price box of 2
+    def scaled(params):
+        if scale is None:
+            return params
+        if scale == "extreme":
+            return replace(params, alpha=1e300, gamma=1e-300)
+        if scale == "price_bound":
+            return replace(params, price_bound=2.0)
+        return replace(params, alpha=params.alpha * scale[0], gamma=params.gamma * scale[1])
+
+    users = 0
+    for name, net, uts, profile, params in _gap_cases():
+        bounded = scaled(params)
+        if max(p for m in profile.values() for p in m.prices.values()) > bounded.price_bound:
+            profile = random_feasible_profile(net, bounded, seed=net.num_users)
+        # at gamma = 1e-300 the coupling coefficient of the 7.5e300 link
+        # overflows, in the per-user search as in the batched one; there the
+        # two are compared on their inf and NaN results
+        quiet = "ignore" if (scale, name) == ("extreme", "denormal") else "warn"
+        for br_grid in (2, 7, 200):
+            with np.errstate(over=quiet, invalid=quiet):
+                users += _assert_gaps_match_per_user_search(net, uts, profile, bounded, br_grid)
+    assert users > 1000
+
+
+def test_outcome_with_the_shared_table_equals_outcome_without():
+    for _, net, uts, profile, params in _gap_cases():
+        subsidies = assign_subsidies(net, params.rng_seed)
+        shared = outcome(net, profile, params, subsidies, own_tax_table(net, profile, params))
+        own = outcome(net, profile, params, subsidies)
+        assert shared.rates == own.rates
+        assert repr(shared.taxes) == repr(own.taxes)
+        assert shared.breakdown.subsidies == own.breakdown.subsidies
+        assert list(shared.breakdown.link_taxes) == list(own.breakdown.link_taxes)
+        for key, lt in own.breakdown.link_taxes.items():
+            assert repr(shared.breakdown.link_taxes[key]) == repr(lt), key
+
+
+def test_closed_form_from_the_table_equals_the_peer_walk():
+    sizes = set()
+    for _, net, uts, profile, params in _gap_cases():
+        table = own_tax_table(net, profile, params)
+        for (user, link), terms in table.items():
+            p = equilibrium.posted_link_price(net, profile, link)
+            got = equilibrium._closed_form(net, profile, link, user, terms, p)
+            assert _same_bits(got, closed_form_reference(net, profile, link, user, params, p)), (user, link)
+            sizes.add(terms.group_size)
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) > 20, sorted(sizes)
 
 
 # --- the column-bounded lattice search against the full G-by-G fill -------------

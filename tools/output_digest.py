@@ -1,7 +1,7 @@
 """One sha256 over the CLI's output on a fixed command set, to show that a
 change leaves every output byte as it was.
 
-    python3 tools/output_digest.py [--seed 7] [--work DIR] [--each]
+    python3 tools/output_digest.py [--seed 7] [--work DIR] [--each] [--expect HEX]
 
 The command set runs in this one process through ``nash_unicast.cli.main``:
 
@@ -20,8 +20,10 @@ the benchmark's own generator (``bench/workloads.py``) for the given seed.
 Each command's exit code, stdout, stderr and report bytes enter the digest,
 with the work directory and the checkout masked, so the ``report written
 to`` line does not depend on where the files are. Run it on two checkouts
-and compare the last line; ``--each`` also prints one digest per command, to
-find the first command that differs.
+and compare the last line, or pass the other checkout's digest as
+``--expect HEX``: the run then exits 1, printing both digests, when its own
+differs, and 0 when it matches. ``--each`` also prints one digest per
+command, to find the first command that differs.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7, help="benchmark seed of the generated scenarios")
     parser.add_argument("--work", default=None, help="directory for inputs and reports (default: a temporary one)")
     parser.add_argument("--each", action="store_true", help="also print one digest per command")
+    parser.add_argument("--expect", metavar="HEX", default=None, help="exit 1 unless the total digest is HEX")
     args = parser.parse_args()
 
     with contextlib.ExitStack() as stack:
@@ -139,7 +142,11 @@ def main() -> int:
             (work / "files").mkdir(exist_ok=True)
             run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
         runner.run(["report", "--scenario", str(ROOT / "scenarios")], work / "files" / "report.json")
-    print(f"{runner.total.hexdigest()}  {runner.count} commands, seed {args.seed}")
+    digest = runner.total.hexdigest()
+    print(f"{digest}  {runner.count} commands, seed {args.seed}")
+    if args.expect is not None and args.expect.lower() != digest:
+        print(f"digest differs: expected {args.expect}, got {digest}")
+        return 1
     return 0
 
 
