@@ -28,7 +28,8 @@ so a user's whole rate-by-price lattice is the outer sum of three per-route
 vectors. Each price column has a bound that no float entry of it can exceed
 (its coupling is least at rate 0 or at the top rate, and rounding is
 monotone), so only the columns whose bound reaches the best column's max
-are evaluated; the result is the full lattice's, bit for bit. Discrete
+are evaluated, and when only that column does, its own argmax is the
+answer; the result is the full lattice's, bit for bit. Discrete
 prices are what let play settle. ``check_walrasian`` grid-checks that every
 user's rate maximizes its payoff at the posted prices over the rates the
 others leave available.
@@ -205,15 +206,21 @@ def _lattice_argmax(
 ) -> Tuple[int, int, float]:
     """First max in row-major order (smallest rate, then price) of the lattice
     ``a[i] - (xs[i] * h_sum[j] + g_sum[j])`` over ascending rates ``xs >= 0``,
-    as (i, j, value). Only the columns whose bound is not below the
-    best-bounded column's max are filled; ties and NaN keep a column."""
+    as (i, j, value). The best-bounded column is filled first and its max is
+    the floor; only the columns whose bound is not below it are kept (ties
+    and NaN keep a column). That column always keeps itself, so when it is
+    the only one kept its own argmax is the answer; otherwise the kept
+    columns are filled as one block."""
     low_x = np.where(h_sum < 0.0, xs[-1], 0.0)
     bound = a.max() - (low_x * h_sum + g_sum)
-    top = int(np.argmax(bound))
-    floor = np.max(a - (xs * h_sum[top] + g_sum[top]))
-    keep = np.flatnonzero(~(bound < floor))
+    top = int(bound.argmax())
+    column = a - (xs * h_sum[top] + g_sum[top])
+    i = int(column.argmax())
+    keep = np.flatnonzero(~(bound < column[i]))
+    if len(keep) == 1:
+        return i, top, float(column[i])
     block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
-    i, k = divmod(int(np.argmax(block)), len(keep))
+    i, k = divmod(int(block.argmax()), len(keep))
     return i, int(keep[k]), float(block[i, k])
 
 
@@ -238,6 +245,13 @@ def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
         slope += (t.peer_price_mean + t.price_adjust) + h
         room = min(room, max(-t.peer_excess, 0.0))
     return demand(u, max(slope, 0.0), room)
+
+
+def _tax_total(t: OwnTaxTerms, x, parts) -> float:
+    """The link tax at own rate ``x`` from its ``own_tax_parts``, added in
+    ``eval_own_tax``'s order of operations, so with its bits."""
+    price, pen, quad, h = parts
+    return float(price + quad + h * (t.peer_excess + x) + t.balance_const + pen)
 
 
 def _best_candidate(route, cur: Message, cur_pay: float, lattice, at_cur_prices, sweeps):
@@ -279,7 +293,7 @@ def best_deviation(
     dynamics run. Dynamics calls this one user at a time, because each move
     changes what the next user faces. It is the move rule of play only; the
     audit's best response prices each link in closed form
-    (``_best_response_gap``).
+    (``_best_response_gaps``).
 
     Candidates: a rate-by-uniform-price lattice spanning the whole box, a
     rate sweep holding the current prices (the price box is huge, so the
@@ -302,46 +316,57 @@ def best_deviation(
     operations at ``max(V - f)`` and at the rate where x*h(p_j) is least: 0
     if h >= 0, else the top rate, as rates are non-negative and ascending
     and rounding is monotone. Columns whose bound falls short of the
-    best-bounded column's max are never filled, and the kept ones are filled
-    with the lattice's own operations, so the argmax and its value are those
-    of the full G-by-G lattice, bit for bit. The current payoff and the
-    analytic candidate are evaluated exactly with ``eval_own_tax``.
+    best-bounded column's max are never filled. When that column is the only
+    one kept, its own argmax is returned; otherwise the kept ones are filled
+    with the lattice's own operations. Either way the argmax and its value
+    are those of the full G-by-G lattice, bit for bit.
+
+    Each route link's tax at the current message and its (f, g, h) there
+    come from one ``own_tax_parts`` call, added in ``eval_own_tax``'s and
+    ``own_tax_axes``' orders of operations (``_tax_total``), and so does its
+    tax at the analytic rate: the current payoff and the analytic candidate
+    carry ``eval_own_tax``'s bits.
 
     Returns (best message, best payoff, current payoff).
     """
     route = net.route(user)
-    tables = [(l, own_tax_terms(net, profile, l, user, params)) for l in route]
+    terms = [own_tax_terms(net, profile, l, user, params) for l in route]
     u = utilities[user]
     cur = profile[user]
-    cur_tax = {l: float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in tables}
+    cur_prices = [cur.prices[l] for l in route]
+    # per link, from one own_tax_parts call at the current message: the tax,
+    # and (f, g, h) in own_tax_axes' order of operations
+    cur_tax, at_cur = [], []
+    for t, p in zip(terms, cur_prices):
+        parts = price, pen, quad, h = own_tax_parts(t, cur.rate, p)
+        cur_tax.append(_tax_total(t, cur.rate, parts))
+        at_cur.append((float(price + pen), float(quad + h * t.peer_excess + t.balance_const), float(h)))
     v_cur = float(value(u, cur.rate))
-    cur_pay = v_cur - sum(cur_tax.values())
+    cur_pay = v_cur - sum(cur_tax)
 
     xs, vs, ps = grid.rates[user], grid.values[user], grid.prices
 
-    # per link: (f(xs), g(ps), h(ps)) on the grid and (f, g, h) at the
-    # current (rate, price); the route sums of each
-    on_grid = [own_tax_axes(t, xs, ps) for _, t in tables]
-    at_cur = [tuple(map(float, own_tax_axes(t, cur.rate, cur.prices[l]))) for l, t in tables]
+    # per link (f(xs), g(ps), h(ps)) on the grid; the route sums of each.
     # builtin sum adds the rows in order, starting from 0 as np.sum over a
     # stacked axis does, so the bits are the same without the stacking
+    on_grid = [own_tax_axes(t, xs, ps) for t in terms]
     f_sum, g_sum, h_sum = (sum(rows) for rows in zip(*on_grid))
     _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
 
     i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
     rate_pays = vs - (f_sum + g_cur + xs * h_cur)
-    i1 = int(np.argmax(rate_pays))
+    i1 = int(rate_pays.argmax())
     cap = min_route_capacity(net, user)
-    x_best = _analytic_rate(u, [t for _, t in tables], [h for _, _, h in at_cur], cap)
-    best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
+    x_best = _analytic_rate(u, terms, [h for _, _, h in at_cur], cap)
+    best_tax = sum(_tax_total(t, x_best, own_tax_parts(t, x_best, p)) for t, p in zip(terms, cur_prices))
     at_cur_prices = [(float(rate_pays[i1]), float(xs[i1])), (float(value(u, x_best)) - best_tax, x_best)]
 
     sweeps = []
-    for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
+    for k, ((_, g, h), (f_at, _, _)) in enumerate(zip(on_grid, at_cur)):
         sweep = f_at + g + cur.rate * h
-        other = sum(v for m, v in cur_tax.items() if m != l)
+        other = sum(v for m, v in enumerate(cur_tax) if m != k)
         pays = v_cur - other - sweep
-        j = int(np.argmax(pays))
+        j = int(pays.argmax())
         sweeps.append((float(pays[j]), float(ps[j])))
 
     lattice = (lattice_pay, float(xs[i0]), float(ps[j0]))

@@ -521,10 +521,14 @@ def outcome(
     ``subsidies`` must name a recipient outside the group for every two-user
     link (see ``assign_subsidies``). ``table`` maps every (user, route link)
     pair of the profile to its ``own_tax_terms``, as a command builds it once
-    for ``outcome`` and the audit alike; without it ``outcome`` builds its
-    own. ``tax_link`` and ``link_subsidy`` read their terms from it.
+    for ``outcome`` and the audit alike (``equilibrium.own_tax_table``, which
+    validated the profile, so a given table is trusted); without it
+    ``outcome`` validates the profile and builds its own. ``tax_link`` and
+    ``link_subsidy`` read their terms from it.
     """
-    validate_profile(net, profile, params)
+    if table is None:
+        validate_profile(net, profile, params)
+        table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
     two_user_links = {l for l in net.links() if len(net.group(l)) == 2}
     if set(subsidies) != two_user_links:
         raise MechanismError(
@@ -538,8 +542,6 @@ def outcome(
                 f" {net.link_labels[link]!r}"
             )
 
-    if table is None:
-        table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
     link_taxes: Dict[tuple, LinkTax] = {}
     totals: Dict[int, float] = {u: 0.0 for u in net.users()}
     received: Dict[int, float] = {u: 0.0 for u in net.users()}

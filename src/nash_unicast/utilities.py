@@ -216,16 +216,17 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
 def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
     if price == 0.0:
         return cap
+    a, s = u.a, u.b
 
     def f(x):
-        return u.a * x * x / (u.b + x * x) - price * x
+        return a * x * x / (s + x * x) - price * x
 
     # Coarse scan locates the best bracket; golden-section refines it. The
-    # scan is f on the whole grid, in f's own order of operations; the
-    # refinement runs on Python floats, the same IEEE operations as on numpy
-    # scalars at a fraction of the cost.
+    # scan is f on the whole grid, and the refinement writes f out inline on
+    # Python floats: f's own order of operations, the same IEEE operations
+    # as on numpy scalars, without a call per step.
     grid = np.linspace(0.0, cap, 65)
-    vals = u.a * grid * grid / (u.b + grid * grid) - price * grid
+    vals = a * grid * grid / (s + grid * grid) - price * grid
     k = int(np.argmax(vals))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
@@ -237,11 +238,11 @@ def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = f(c)
+            fc = a * c * c / (s + c * c) - price * c
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = f(d)
+            fd = a * d * d / (s + d * d) - price * d
     best = 0.5 * (lo + hi)
     candidates = [0.0, cap, best]
     return min(candidates, key=lambda x: (-f(x), x))

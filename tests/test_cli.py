@@ -266,6 +266,28 @@ def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, fi
     assert "certified" not in captured.out and "converged" not in captured.out
 
 
+def test_audit_validates_its_profile_once(tmp_path, capsys, monkeypatch):
+    # imported here: a test below takes a parameter named mechanism
+    from nash_unicast import equilibrium, mechanism
+
+    scenario = str(SCENARIO_DIR / "shared_backbone.json")
+    ne_path = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", scenario, "--out", str(ne_path)]) == 0
+    calls = []
+    validate = mechanism.validate_profile
+
+    def counted(net, profile, params):
+        calls.append(profile)
+        return validate(net, profile, params)
+
+    # outcome looks the name up on mechanism, own_tax_table on equilibrium
+    monkeypatch.setattr(equilibrium, "validate_profile", counted)
+    monkeypatch.setattr(mechanism, "validate_profile", counted)
+    assert main(["audit", "--scenario", scenario, "--profile", str(ne_path), "--grid", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -262,3 +262,18 @@ def test_settled_users_keep_trajectories_identical(
     traj = run_dynamics(net, uts, start, config, params)
     assert traj.verdict == "cycled"
     assert traj == run_dynamics_reference(net, uts, start, config, params)
+
+
+@pytest.mark.parametrize("seed", [4300, 4301, 4302])
+def test_play_at_the_mixed_play_shape_keeps_the_reference_trajectory(seed):
+    # the shape that simulate meets in the mixed-play benchmark: about 30
+    # users on about 20 links, half of them sigmoid, 200-point axes and 20
+    # rounds, where most lattice searches keep a single price column
+    net, uts, params = mixed_market(seed, users_range=(28, 32), links_range=(18, 22))
+    assert 28 <= net.num_users <= 32 and any(not u.is_concave for u in uts.values())
+    start = random_feasible_profile(net, params, seed=seed)
+    for schedule in ("round_robin", "random"):
+        config = DynamicsConfig(schedule=schedule, seed=seed, max_rounds=20, br_grid=200)
+        traj = run_dynamics(net, uts, start, config, params)
+        assert traj.steps, (seed, schedule)
+        assert traj == run_dynamics_reference(net, uts, start, config, params), (seed, schedule)

@@ -748,13 +748,27 @@ def lattice_argmax_reference(xs, a, h_sum, g_sum):
     return i, j, float(lattice[i, j])
 
 
+def kept_columns(xs, a, h_sum, g_sum):
+    """How many price columns ``_lattice_argmax`` keeps: those whose bound
+    ``max(a) - (low_x*h + g)`` is not below the best-bounded column's max.
+    One means it returns that column's own argmax; more, it fills a block."""
+    low_x = np.where(h_sum < 0.0, xs[-1], 0.0)
+    bound = a.max() - (low_x * h_sum + g_sum)
+    top = int(np.argmax(bound))
+    return int(np.count_nonzero(~(bound < np.max(a - (xs * h_sum[top] + g_sum[top])))))
+
+
 def _assert_lattice_matches_reference(xs, a, h_sum, g_sum):
+    """Assert the search equals the full fill bit for bit; returns whether
+    it took the one-column return."""
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite inputs
         i, j, got = _lattice_argmax(xs, a, h_sum, g_sum)
         ri, rj, ref = lattice_argmax_reference(xs, a, h_sum, g_sum)
+        one_column = kept_columns(xs, a, h_sum, g_sum) == 1
     assert (i, j) == (ri, rj), (i, j, ri, rj)
     # bit for bit, so NaN matches NaN and -0.0 does not match 0.0
     assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (got, ref)
+    return one_column
 
 
 @pytest.mark.parametrize("br_grid", [7, 64, 200])
@@ -779,8 +793,8 @@ def test_lattice_argmax_matches_full_fill_on_corpora(monkeypatch, br_grid):
             best_deviation(net, uts, profile, user, params, grid)
     assert len(seen) > 400
     assert any(np.any(h < 0) for _, _, h, _ in seen) and any(np.any(h > 0) for _, _, h, _ in seen)
-    for xs, a, h_sum, g_sum in seen:
-        _assert_lattice_matches_reference(xs, a, h_sum, g_sum)
+    branches = {_assert_lattice_matches_reference(*args) for args in seen}
+    assert branches == {True, False}  # both the one-column return and the block
 
 
 @pytest.mark.parametrize("G", [2, 7, 64, 200])
@@ -788,8 +802,12 @@ def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
     rng = np.random.default_rng(G)
     xs = np.linspace(0.0, 1.5, G)
     zeros = np.zeros(G)
-    # every column tied, as on a singleton link: the first column wins
-    _assert_lattice_matches_reference(xs, rng.normal(size=G), zeros, zeros)
+    # every column tied, as on a singleton link: the block, whose first column wins
+    assert not _assert_lattice_matches_reference(xs, rng.normal(size=G), zeros, zeros)
+    # every row of the one kept column tied: its first row wins
+    g = np.ones(G)
+    g[-1] = 0.0
+    assert _assert_lattice_matches_reference(xs, zeros, zeros, g)
     _assert_lattice_matches_reference(np.zeros(G), rng.normal(size=G), rng.normal(size=G), rng.normal(size=G))
     # the best entry sits at the top rate of a column with negative h, whose
     # value at x = 0 is far below another column's
@@ -797,6 +815,9 @@ def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
     g = np.zeros(G)
     g[0], h[-1] = -1.0, -3.0
     _assert_lattice_matches_reference(xs, zeros, h, g)
+    # the branches the finite and the non-finite draws took: the one-column
+    # return (True) and the block (False)
+    branches = {False: set(), True: set()}
     for trial in range(200):
         a = rng.normal(size=G)
         h = rng.normal(size=G) * rng.choice([1e-3, 1.0, 1e3])
@@ -815,7 +836,8 @@ def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
             target[rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
             if trial % 5 == 0:
                 (a, h, g)[trial % 2][rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
-        _assert_lattice_matches_reference(xs, a, h, g)
+        branches[trial >= 100].add(_assert_lattice_matches_reference(xs, a, h, g))
+    assert branches == {False: {True, False}, True: {True, False}}, branches
 
 
 def _group_net(n):

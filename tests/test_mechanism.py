@@ -581,6 +581,18 @@ def test_outcome_requires_complete_subsidies(golden_net, golden_params):
         outcome(golden_net, profile, golden_params, {0: 1})
 
 
+def test_outcome_without_a_table_validates_the_profile(golden_net, golden_params, golden_subsidies):
+    # a given table was built by own_tax_table, which validated the profile;
+    # without one, outcome checks the profile itself
+    out_of_box = {
+        0: Message(1.5, {0: 1.0}),  # above the unit link's capacity
+        1: Message(0.2, {0: 1.0}),
+        2: Message(0.2, {1: 1.0}),
+    }
+    with pytest.raises(RateOutOfBounds, match="user 'u1': rate 1.5 outside"):
+        outcome(golden_net, out_of_box, golden_params, golden_subsidies)
+
+
 def test_infeasible_profile_still_allocates(golden_net, golden_params, golden_subsidies):
     profile = {
         0: Message(0.9, {0: 1.0}),

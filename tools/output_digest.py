@@ -115,6 +115,29 @@ def run_play(runner: Runner, entry, stem: Path) -> None:
     runner.run(["audit", "--scenario", scenario, "--profile", str(final)], Path(f"{stem}.audit1.json"))
 
 
+def digest(seed: int, work: Path, each: bool = False) -> Runner:
+    """Run the whole command set on scenarios written under ``work`` for the
+    benchmark ``seed``; returns the runner, holding the total and the count."""
+    work = work.resolve()
+    runner = Runner(work, each)
+    for name, count, halved in POOLS:
+        workload = dataclasses.replace(WORKLOADS[name], pool=count)
+        pool = generate(workload, seed, work / name)
+        for entry in pool:
+            stem = work / name / str(entry["index"])
+            if workload.play:
+                run_play(runner, entry, stem)
+            else:
+                run_concave(runner, entry["scenario"], stem)
+                if entry["index"] < halved:
+                    run_halved(runner, entry["scenario"], stem)
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        (work / "files").mkdir(exist_ok=True)
+        run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
+    runner.run(["report", "--scenario", str(ROOT / "scenarios")], work / "files" / "report.json")
+    return runner
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7, help="benchmark seed of the generated scenarios")
@@ -125,27 +148,11 @@ def main() -> int:
 
     with contextlib.ExitStack() as stack:
         work = Path(args.work) if args.work else Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        work = work.resolve()
-        runner = Runner(work, args.each)
-        for name, count, halved in POOLS:
-            workload = dataclasses.replace(WORKLOADS[name], pool=count)
-            pool = generate(workload, args.seed, work / name)
-            for entry in pool:
-                stem = work / name / str(entry["index"])
-                if workload.play:
-                    run_play(runner, entry, stem)
-                else:
-                    run_concave(runner, entry["scenario"], stem)
-                    if entry["index"] < halved:
-                        run_halved(runner, entry["scenario"], stem)
-        for path in sorted((ROOT / "scenarios").glob("*.json")):
-            (work / "files").mkdir(exist_ok=True)
-            run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
-        runner.run(["report", "--scenario", str(ROOT / "scenarios")], work / "files" / "report.json")
-    digest = runner.total.hexdigest()
-    print(f"{digest}  {runner.count} commands, seed {args.seed}")
-    if args.expect is not None and args.expect.lower() != digest:
-        print(f"digest differs: expected {args.expect}, got {digest}")
+        runner = digest(args.seed, work, args.each)
+    total = runner.total.hexdigest()
+    print(f"{total}  {runner.count} commands, seed {args.seed}")
+    if args.expect is not None and args.expect.lower() != total:
+        print(f"digest differs: expected {args.expect}, got {total}")
         return 1
     return 0
 
