@@ -27,13 +27,7 @@ from .mechanism import (
     SubsidyAssignment,
     TaxBreakdown,
     assign_subsidies,
-    balance_term_large_group,
-    balance_term_three_user,
-    indicator,
-    link_subsidy,
     outcome,
-    penalty,
-    tax_link,
     validate_profile,
 )
 from .network import Network, build_network, is_feasible, min_route_capacity

@@ -25,7 +25,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import DynamicsConfig, run_dynamics
-from .equilibrium import audit, check_optimality, construct_ne, own_tax_table
+from .equilibrium import audit, check_optimality, construct_ne, own_tax_table, posted_prices
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
     Scenario,
@@ -219,16 +219,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _posted_prices(net, profile) -> dict:
-    """Each link's least posted price (0 on an empty group): on a uniform
-    profile, the common price itself."""
-    return {l: min((profile[u].prices[l] for u in group), default=0.0) for l, group in enumerate(net.groups)}
-
-
 def _audited(args, net, utilities, params, solver_config, profile, res=None):
     """Subsidies, outcome, audit and its checks, then the optimality check
     against ``res``. Without ``res`` the check takes a solve started at the
-    profile's own prices, and is skipped on non-concave utilities. The
+    profile's ``posted_prices``, and is skipped on non-concave utilities. The
     profile's ``own_tax_table`` is built once, for outcome and audit both.
 
     Returns (subsidies, audit report, allocation, checks).
@@ -240,7 +234,7 @@ def _audited(args, net, utilities, params, solver_config, profile, res=None):
     checks = _evaluate_checks(rep, sum(abs(t) for t in alloc.taxes.values()))
     if res is None:
         try:
-            res = solve_centralized(net, utilities, solver_config, start=_posted_prices(net, profile))
+            res = solve_centralized(net, utilities, solver_config, start=posted_prices(net, profile))
         except NonConcaveUtility:
             log.info("optimality check skipped: non-concave utilities")
     if res is None:

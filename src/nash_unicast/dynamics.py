@@ -16,6 +16,7 @@ The deviation search's axes depend on the static game alone, so one
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Mapping
@@ -53,6 +54,8 @@ class DynamicsConfig:
             raise DynamicsError("max_rounds must be at least 1")
         if self.br_grid < 2:
             raise DynamicsError("br_grid must be at least 2")
+        if not 0.0 <= self.stop_tolerance < math.inf:  # NaN fails both comparisons
+            raise DynamicsError(f"stop_tolerance must be a finite number >= 0, got {self.stop_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ user requests its optimal rate and posts the link multipliers as prices.
 judging it: price uniformity, complementary slackness, left-sided tax
 derivatives against the link price, a best-response gap, individual
 rationality, budget balance, and agreement of the taxes with their
-equilibrium closed forms. Each link's posted price is computed once per audit.
+equilibrium closed forms (``ne_tax_closed_form``). A link's posted price is
+the least price its users post (``posted_prices``), the common price on a
+uniform profile; the audit computes it once and every price check reads it.
 Every (user, link) pair's ``own_tax_terms`` is built once per command
 (``own_tax_table``) and read by ``outcome`` and ``audit`` alike.
 
@@ -30,14 +32,13 @@ vectors. Each price column has a bound that no float entry of it can exceed
 monotone), so only the columns whose bound reaches the best column's max
 are evaluated, and when only that column does, its own argmax is the
 answer; the result is the full lattice's, bit for bit. Discrete
-prices are what let play settle. ``check_walrasian`` grid-checks that every
+prices are what let play settle. ``check_walrasian`` checks that every
 user's rate maximizes its payoff at the posted prices over the rates the
-others leave available.
+others leave available, against the user's ``demand`` there, not a grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
@@ -162,43 +163,33 @@ def own_tax_table(net: Network, profile: MessageProfile, params: MechanismParams
     return {(u, l): own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)}
 
 
-def posted_link_price(net: Network, profile: MessageProfile, link: int) -> float:
-    """Mean posted price on a link; equals the common price when uniform."""
-    group = net.group(link)
-    if not group:
-        return 0.0
-    return sum(profile[u].prices[link] for u in group) / len(group)
+def posted_prices(net: Network, profile: MessageProfile) -> Dict[int, float]:
+    """Each link's posted price: the least price its users post, 0.0 on a
+    link no route uses. On a uniform profile it is the common price, bit for
+    bit, which is what the certified solver start needs."""
+    return {l: min((profile[u].prices[l] for u in group), default=0.0) for l, group in enumerate(net.groups)}
 
 
-def ne_tax_closed_form(
-    net: Network, profile: MessageProfile, link: int, user: int, params: MechanismParams
-) -> float:
-    """The link tax a uniform-price profile implies in closed form.
+def ne_tax_closed_form(net, profile, link, user, terms: OwnTaxTerms, price: float) -> float:
+    """The link tax a uniform-price profile implies in closed form, given the
+    user's ``own_tax_terms`` on the link and the link's posted ``price``.
 
     Two users: price times own rate. More than three: price times the gap
-    between the own rate and the peers' mean rate. Exactly three: the same
-    plus an order-1/gamma skew between the two peers, the exact residue of
-    the three-user balance term.
+    between the own rate and the peers' mean rate (their ``peer_rate_sum``
+    over their count). Exactly three: the same plus an order-1/gamma skew
+    between the two peers, the exact residue of the three-user balance term.
     """
-    terms = own_tax_terms(net, profile, link, user, params)
-    return _closed_form(net, profile, link, user, terms, posted_link_price(net, profile, link))
-
-
-def _closed_form(net, profile, link, user, terms: OwnTaxTerms, p) -> float:
-    """``ne_tax_closed_form`` at the link's posted price ``p``, given the
-    user's ``own_tax_terms`` on the link: the peers' mean rate is their
-    ``peer_rate_sum`` over their count."""
     n = terms.group_size
     if n == 1:
         return 0.0
     x = profile[user].rate
     if n == 2:
-        return p * x
+        return price * x
     if n > 3:
-        return p * (x - terms.peer_rate_sum / (n - 1))
+        return price * (x - terms.peer_rate_sum / (n - 1))
     j, k = _cyclic_peers(net.group(link), user)
     xj, xk = profile[j].rate, profile[k].rate
-    return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * terms.gamma)
+    return price * (x - 0.5 * (xj + xk)) + price * price * (xk - xj) / (2.0 * terms.gamma)
 
 
 def _lattice_argmax(
@@ -481,19 +472,18 @@ def audit(
         table = own_tax_table(net, profile, params)
     rates = alloc.rates
 
-    posted = {}
+    posted = posted_prices(net, profile)
     uniformity = comp_slack = deriv_gap = 0.0
     for l in net.links():
         group = net.group(l)
         if not group:
             continue
-        p_link = posted[l] = posted_link_price(net, profile, l)
+        p_link = posted[l]
         excess = link_load(net, rates, l) - net.capacity(l)
         comp_slack = _worse(comp_slack, p_link * abs(excess) / params.gamma)
         if len(group) < 2:
             continue
-        prices = [profile[u].prices[l] for u in group]
-        uniformity = _worse(uniformity, max(prices) - min(prices))
+        uniformity = _worse(uniformity, max(profile[u].prices[l] for u in group) - p_link)
         for user in group:
             x = profile[user].rate
             if x <= 1e-12:
@@ -513,7 +503,7 @@ def audit(
 
     corr_gap = 0.0
     for (user, l), lt in alloc.breakdown.link_taxes.items():
-        expected = _closed_form(net, profile, l, user, table[(user, l)], posted[l])
+        expected = ne_tax_closed_form(net, profile, l, user, table[(user, l)], posted[l])
         corr_gap = _worse(corr_gap, abs(lt.total - expected))
 
     return NeAuditReport(
@@ -546,30 +536,21 @@ def check_optimality(
 
 
 def check_walrasian(
-    net: Network,
-    utilities: Mapping[int, UtilitySpec],
-    profile: MessageProfile,
-    grid_step: float,
+    net: Network, utilities: Mapping[int, UtilitySpec], profile: MessageProfile
 ) -> Dict[int, WalrasianCheck]:
-    """Grid-check the competitive property of a uniform-price profile.
+    """Check the competitive property of a uniform-price profile.
 
-    For each user, scan rates over what the others leave available on its
-    route and compare payoffs at the posted prices. Passes when the user's
-    rate sits within one grid step of the scanned argmax and its payoff is
-    within 1e-6 of the scanned maximum.
+    For each user, compare its payoff at the posted prices (``posted_prices``)
+    with its payoff at its ``demand`` for the route price over the rate the
+    others leave available on its route. Passes when the gap is within 1e-6;
+    ``argmax_distance`` is how far the user's rate sits from that demand.
+    Raises ``NonUniformPrices`` when a link's prices spread more than 1e-9.
     """
-    link_price = {}
-    for l in net.links():
-        group = net.group(l)
-        if not group:
-            link_price[l] = 0.0
-            continue
-        prices = [profile[u].prices[l] for u in group]
-        if max(prices) - min(prices) > 1e-9:
-            raise NonUniformPrices(
-                f"link {net.link_labels[l]!r} prices spread {max(prices) - min(prices)}"
-            )
-        link_price[l] = prices[0]
+    posted = posted_prices(net, profile)
+    for l, group in enumerate(net.groups):
+        spread = max((profile[u].prices[l] for u in group), default=0.0) - posted[l]
+        if spread > 1e-9:
+            raise NonUniformPrices(f"link {net.link_labels[l]!r} prices spread {spread}")
 
     out: Dict[int, WalrasianCheck] = {}
     for i in net.users():
@@ -577,20 +558,9 @@ def check_walrasian(
             net.capacity(l) - sum(profile[j].rate for j in net.group(l) if j != i)
             for l in net.route(i)
         )
-        room = max(room, 0.0)
-        total_price = sum(link_price[l] for l in net.route(i))
-        grid = np.arange(0, int(math.floor(room / grid_step + 1e-9)) + 1) * grid_step
-        if room - grid[-1] > 1e-12:
-            grid = np.append(grid, room)
-        vals = np.asarray(value(utilities[i], grid), dtype=float) - total_price * grid
-        best = float(np.max(vals))
-        argmaxes = grid[vals >= best - 1e-12]
-        x = profile[i].rate
-        dist = float(np.min(np.abs(argmaxes - x)))
-        pay_gap = best - (float(value(utilities[i], x)) - total_price * x)
-        out[i] = WalrasianCheck(
-            ok=(dist <= grid_step + 1e-12 and pay_gap <= 1e-6),
-            argmax_distance=dist,
-            payoff_gap=pay_gap,
-        )
+        price = sum(posted[l] for l in net.route(i))
+        u, x = utilities[i], profile[i].rate
+        best = demand(u, max(price, 0.0), max(room, 0.0))
+        pay_gap = payoff(u, best, price * best) - payoff(u, x, price * x)
+        out[i] = WalrasianCheck(ok=pay_gap <= 1e-6, argmax_distance=abs(x - best), payoff_gap=pay_gap)
     return out

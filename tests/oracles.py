@@ -13,6 +13,8 @@ a time, with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it
 before it stacked every user's pairs by route position.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
+``check_walrasian_grid_reference`` scans each user's rates on a grid, as
+``check_walrasian`` did before it compared with the user's ``demand``.
 
 ``zero_tax_deviation_price`` (the exact exit deviation of the
 individual-rationality checks), ``brute_force_centralized`` (the grid oracle
@@ -27,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from nash_unicast.equilibrium import _analytic_rate, _lattice_argmax
+from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, _lattice_argmax, posted_prices
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -169,6 +171,38 @@ def closed_form_reference(net, profile, link, user, params, p):
     j, k = _cyclic_peers(group, user)
     xj, xk = profile[j].rate, profile[k].rate
     return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
+
+
+def check_walrasian_grid_reference(net, utilities, profile, grid_step):
+    """The competitive check by grid scan: for each user, rates every
+    ``grid_step`` over the room the others leave on its route (the room
+    itself included), payoffs at the route's ``posted_prices``. A user
+    passes when its rate is within one step of a scanned argmax and its
+    payoff within 1e-6 of the scanned best. Returns ``WalrasianCheck``s."""
+    posted = posted_prices(net, profile)
+    out = {}
+    for i in net.users():
+        room = min(
+            net.capacity(l) - sum(profile[j].rate for j in net.group(l) if j != i)
+            for l in net.route(i)
+        )
+        room = max(room, 0.0)
+        total_price = sum(posted[l] for l in net.route(i))
+        grid = np.arange(0, int(math.floor(room / grid_step + 1e-9)) + 1) * grid_step
+        if room - grid[-1] > 1e-12:
+            grid = np.append(grid, room)
+        vals = np.asarray(value(utilities[i], grid), dtype=float) - total_price * grid
+        best = float(np.max(vals))
+        argmaxes = grid[vals >= best - 1e-12]
+        x = profile[i].rate
+        dist = float(np.min(np.abs(argmaxes - x)))
+        pay_gap = best - (float(value(utilities[i], x)) - total_price * x)
+        out[i] = WalrasianCheck(
+            ok=(dist <= grid_step + 1e-12 and pay_gap <= 1e-6),
+            argmax_distance=dist,
+            payoff_gap=pay_gap,
+        )
+    return out
 
 
 def sigmoid_demand_numpy(u, price, cap):

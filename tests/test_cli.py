@@ -161,6 +161,15 @@ def test_simulate_sigmoid_market(capsys):
     assert "converged" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_simulate_rejects_a_stop_tolerance_that_is_not_finite_and_nonnegative(capsys, tolerance):
+    argv = ["simulate", "--scenario", str(SCENARIO_DIR / "sigmoid_market.json"), "--stop-tolerance", tolerance]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: stop_tolerance must be a finite number >= 0"), captured.err
+    assert captured.out == ""
+
+
 def test_report_over_directory(tmp_path, capsys):
     code = main(["report", "--scenario", str(SCENARIO_DIR), "--grid", "80"])
     out = capsys.readouterr().out

@@ -33,6 +33,12 @@ def test_config_validation():
         DynamicsConfig(br_grid=1)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_stop_tolerance_must_be_finite_and_nonnegative(tolerance):
+    with pytest.raises(DynamicsError, match="stop_tolerance"):
+        DynamicsConfig(stop_tolerance=tolerance)
+
+
 def test_ne_is_stationary(golden_net, golden_utilities, golden_params, golden_ne):
     config = DynamicsConfig(max_rounds=5, br_grid=64)
     traj = run_dynamics(golden_net, golden_utilities, golden_ne, config, golden_params)

@@ -35,7 +35,7 @@ def test_single_user_network_end_to_end():
     assert subs == {}
     rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=50)
     assert rep.budget_gap == 0.0 and rep.best_response_gap <= 1e-9
-    assert all(c.ok for c in check_walrasian(net, uts, profile, 1e-3).values())
+    assert all(c.ok for c in check_walrasian(net, uts, profile).values())
 
 
 def test_unused_link_is_free_and_absent_from_messages():

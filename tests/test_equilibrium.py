@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nash_unicast import equilibrium
+from nash_unicast.dynamics import DynamicsConfig, run_dynamics
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
@@ -18,6 +19,7 @@ from nash_unicast.equilibrium import (
     deviation_grid,
     ne_tax_closed_form,
     own_tax_table,
+    posted_prices,
 )
 from nash_unicast.mechanism import (
     MechanismParams,
@@ -47,6 +49,7 @@ from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
 from oracles import (
     best_deviation_reference,
     best_response_gap_reference,
+    check_walrasian_grid_reference,
     closed_form_reference,
     with_rate,
     zero_tax_deviation_price,
@@ -221,8 +224,10 @@ def test_closed_forms_all_cases():
     alloc = outcome(net, profile, params, subs)
     sizes = {len(net.group(l)) for l in net.links()}
     assert sizes == {1, 2, 4}  # singleton, pair, and large-group cases live here
+    posted = posted_prices(net, profile)
     for (user, link), lt in alloc.breakdown.link_taxes.items():
-        expected = ne_tax_closed_form(net, profile, link, user, params)
+        terms = own_tax_terms(net, profile, link, user, params)
+        expected = ne_tax_closed_form(net, profile, link, user, terms, posted[link])
         assert lt.total == pytest.approx(expected, abs=1e-9)
 
 
@@ -235,14 +240,16 @@ def test_three_user_closed_form_at_ne():
     profile = construct_ne(net, uts, params)
     subs = assign_subsidies(net, params.rng_seed)
     alloc = outcome(net, profile, params, subs)
+    posted = posted_prices(net, profile)
     for user in range(3):
-        expected = ne_tax_closed_form(net, profile, 0, user, params)
+        terms = own_tax_terms(net, profile, 0, user, params)
+        expected = ne_tax_closed_form(net, profile, 0, user, terms, posted[0])
         assert alloc.breakdown.link_taxes[(user, 0)].total == pytest.approx(expected, abs=1e-9)
 
 
 def test_walrasian_golden(golden):
     net, uts, params, subs, res, profile = golden
-    checks = check_walrasian(net, uts, profile, 1e-3)
+    checks = check_walrasian(net, uts, profile)
     assert all(c.ok for c in checks.values())
 
 
@@ -250,9 +257,20 @@ def test_walrasian_flags_displaced_rate(golden):
     net, uts, params, subs, res, profile = golden
     shifted = dict(profile)
     shifted[0] = with_rate(profile[0], profile[0].rate - 10 * 1e-3)  # stay feasible
-    checks = check_walrasian(net, uts, shifted, 1e-3)
+    checks = check_walrasian(net, uts, shifted)
     assert not checks[0].ok
     assert set(checks) == set(net.users())  # everyone is reported regardless
+
+
+def test_walrasian_looks_only_in_the_room_the_others_leave(golden):
+    # at half the equilibrium prices the users of the full link A demand more
+    # than the room their peer leaves, and each one's rate fills that room
+    net, uts, params, subs, res, profile = golden
+    cheap = {i: Message(m.rate, {l: 0.5 * p for l, p in m.prices.items()}) for i, m in profile.items()}
+    for i in net.group(0):
+        assert demand(uts[i], cheap[i].prices[0], min_route_capacity(net, i)) > cheap[i].rate + 0.1
+    for i, c in check_walrasian(net, uts, cheap).items():
+        assert c.ok and c.argmax_distance <= 1e-12, (i, c)
 
 
 def test_walrasian_requires_uniform_prices(golden):
@@ -260,7 +278,66 @@ def test_walrasian_requires_uniform_prices(golden):
     tampered = dict(profile)
     tampered[0] = profile[0].with_price(0, profile[0].prices[0] + 0.1)
     with pytest.raises(NonUniformPrices):
-        check_walrasian(net, uts, tampered, 1e-3)
+        check_walrasian(net, uts, tampered)
+
+
+def _walrasian_profiles():
+    """The concave suite's equilibria, the sigmoid markets' start profiles,
+    and the endpoints of criterion 7's play from those starts and from the
+    starts with the first user of link 0 at 0.7 times its rate."""
+    for s in concave_suite():
+        yield s.name, s.net, s.utilities, s.profile
+    config = DynamicsConfig(max_rounds=12, br_grid=120, stop_tolerance=1e-7)
+    for b, start in sigmoid_suite():
+        yield b.name, b.net, b.utilities, start
+        first = b.net.group(0)[0]
+        nudged = dict(start)
+        nudged[first] = with_rate(start[first], start[first].rate * 0.7)
+        for s0 in (start, nudged):
+            yield b.name, b.net, b.utilities, run_dynamics(b.net, b.utilities, s0, config, b.params).final_profile
+
+
+def test_walrasian_demand_is_never_below_the_grid_best():
+    users = 0
+    for name, net, uts, profile in _walrasian_profiles():
+        checks = check_walrasian(net, uts, profile)
+        grid = check_walrasian_grid_reference(net, uts, profile, 1e-3)
+        for i, c in checks.items():
+            # both gaps subtract the same bits of the current payoff
+            assert c.payoff_gap >= grid[i].payoff_gap - 1e-12, (name, i, c, grid[i])
+            users += 1
+    assert users > 300, users
+
+
+def test_audit_reads_each_link_at_its_least_posted_price():
+    # c, alone on B, receives A's subsidy
+    net = build_network({"A": 2.0, "B": 1.0}, {"a": ["A"], "b": ["A"], "c": ["B"]})
+    uts = {0: log_utility(1.0), 1: log_utility(2.0), 2: log_utility(1.0)}
+    params = MechanismParams.defaults(net, uts, rng_seed=0)
+    profile = {0: Message(0.9, {0: 0.3}), 1: Message(0.8, {0: 0.5}), 2: Message(1.0, {1: 0.5})}
+    assert posted_prices(net, profile) == {0: 0.3, 1: 0.5}
+    table = own_tax_table(net, profile, params)
+    alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed), table)
+    rep = audit(net, uts, profile, params, alloc, br_grid=16, table=table)
+
+    assert rep.price_uniformity == 0.5 - 0.3
+    assert rep.complementary_slackness == 0.3 * abs(0.9 + 0.8 - 2.0) / params.gamma > 0.0
+    slopes = []
+    for u in net.group(0):
+        x, p, t = profile[u].rate, profile[u].prices[0], table[(u, 0)]
+        h = min(1e-6 * (1.0 + x), x)
+        slopes.append((float(eval_own_tax(t, x, p)) - float(eval_own_tax(t, x - h, p))) / h)
+    assert rep.tax_derivative_gap == max(abs(fd - 0.3) for fd in slopes)
+    assert rep.tax_derivative_gap != max(abs(fd - 0.4) for fd in slopes)
+
+    def closed_form_gap(price_a):
+        prices = {0: price_a, 1: 0.5}
+        return max(
+            abs(lt.total - ne_tax_closed_form(net, profile, l, u, table[(u, l)], prices[l]))
+            for (u, l), lt in alloc.breakdown.link_taxes.items()
+        )
+
+    assert rep.corollary_tax_gap == closed_form_gap(0.3) != closed_form_gap(0.4)
 
 
 # --- the separable deviation search against the full-grid search ---------------
@@ -725,10 +802,10 @@ def test_outcome_with_the_shared_table_equals_outcome_without():
 def test_closed_form_from_the_table_equals_the_peer_walk():
     sizes = set()
     for _, net, uts, profile, params in _gap_cases():
-        table = own_tax_table(net, profile, params)
+        table, posted = own_tax_table(net, profile, params), equilibrium.posted_prices(net, profile)
         for (user, link), terms in table.items():
-            p = equilibrium.posted_link_price(net, profile, link)
-            got = equilibrium._closed_form(net, profile, link, user, terms, p)
+            p = posted[link]
+            got = ne_tax_closed_form(net, profile, link, user, terms, p)
             assert _same_bits(got, closed_form_reference(net, profile, link, user, params, p)), (user, link)
             sizes.add(terms.group_size)
     assert {1, 2, 3}.issubset(sizes) and max(sizes) > 20, sorted(sizes)

@@ -663,3 +663,13 @@ def test_balance_terms_never_read_the_own_message(own_price, own_rate, seed):
     tampered = dict(profile)
     tampered[1] = Message(min(own_rate, 2.0), {0: own_price})
     assert balance_term_large_group(net, tampered, 0, 1, PARAMS) == base
+
+
+def test_tax_internals_are_not_exported_from_the_package_root():
+    import nash_unicast
+    from nash_unicast import mechanism
+
+    internals = ("indicator", "penalty", "tax_link", "link_subsidy")
+    for name in internals + ("balance_term_three_user", "balance_term_large_group"):
+        assert not hasattr(nash_unicast, name), name
+        assert callable(getattr(mechanism, name)), name

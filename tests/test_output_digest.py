@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "3ba8cfa464352e4482a92919f22c5999bd6e32fe270036c6d14a23b1a7624701"
+DIGEST = "0a9ee2be5569efb910cab70aefda456ff5b22f99b6610e4c8b8bb6b145f7e19e"
 COMMANDS = 480
 
 

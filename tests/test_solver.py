@@ -574,19 +574,28 @@ def test_start_at_the_cold_multipliers_certifies_in_round_zero(cold_solves):
         assert _hex_fields(warm) == _hex_fields(cold), seed
 
 
+def test_posted_prices_of_construct_ne_are_its_multipliers(cold_solves):
+    from nash_unicast.equilibrium import construct_ne, posted_prices
+
+    for seed, (net, uts, params, config, cold) in cold_solves.items():
+        profile = construct_ne(net, uts, params, solve_result=cold)
+        posted = {l: p.hex() for l, p in posted_prices(net, profile).items()}
+        assert posted == {l: lam.hex() for l, lam in cold.lambdas.items()}, seed
+
+
 def test_uncertified_start_gives_the_cold_solve(cold_solves):
-    from nash_unicast.cli import _posted_prices
+    from nash_unicast.equilibrium import posted_prices
     from nash_unicast.scenario import random_feasible_profile
 
     for seed, (net, uts, params, config, cold) in cold_solves.items():
-        start = _posted_prices(net, random_feasible_profile(net, params, seed))
+        start = posted_prices(net, random_feasible_profile(net, params, seed))
         warm = solve_centralized(net, uts, config, start=start)
         assert warm.iterations == cold.iterations, seed
         assert _hex_fields(warm) == _hex_fields(cold), seed
 
 
 def test_start_prices_outside_the_box():
-    from nash_unicast.cli import _posted_prices
+    from nash_unicast.equilibrium import posted_prices
     from nash_unicast.mechanism import MechanismParams, Message, validate_profile
     from nash_unicast.utilities import UtilityError
 
@@ -605,7 +614,7 @@ def test_start_prices_outside_the_box():
     validate_profile(net, profile, MechanismParams(alpha=1e4, gamma=1e4))
     with pytest.raises(UtilityError):
         demand(uts[1], below, 50.0)
-    start = _posted_prices(net, profile)
+    start = posted_prices(net, profile)
     assert start == {0: cold.lambdas[0], 1: below}
     warm = solve_centralized(net, uts, start=start)
     assert warm.iterations == 0
