@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import DynamicsConfig, run_dynamics
@@ -36,7 +35,6 @@ from .scenario import (
 from .solver import NonConcaveUtility, solve_centralized
 
 log = logging.getLogger("nash_unicast")
-_JSON_DEFAULT = json.JSONEncoder().default  # raises json's TypeError for other types
 # what a command reports as "error: <message>" with exit 1; a ScenarioError is a ValueError
 ERRORS = (OSError, ValueError, RuntimeError)
 
@@ -85,72 +83,12 @@ def _evaluate_checks(report, tax_scale: float):
     return checks
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def report_json(report) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
-
-    ``indent`` makes ``json.dumps`` run its pure-Python encoder. Here Python
-    walks only the containers that hold containers; every other container
-    goes to json's C encoder whole, with the newline and indent of its depth
-    as the item separator. Without the C encoder, and wherever the fast path
-    raises (a NaN or inf, or a non-string key beside a container), the text
-    comes from ``json.dumps`` itself, which raises the same error.
-    """
-    if c_make_encoder is None:
-        return json.dumps(report, indent=2, allow_nan=False)
-    encoders = {}
-    chunks = []
-    try:
-        _encode(report, 0, chunks, encoders)
-    except (ValueError, TypeError):
-        return json.dumps(report, indent=2, allow_nan=False)
-    return "".join(chunks)
-
-
-def _encode(o, level: int, out: list, encoders: dict) -> None:
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(o, dict):
-        opening, closing, items = "{", "}", o.values()
-    elif isinstance(o, (list, tuple)):
-        opening, closing, items = "[", "]", o
-    else:
-        items = None
-    if not items or not any(isinstance(v, _CONTAINERS) for v in items):
-        encode = encoders.get(level)
-        if encode is None:
-            encode = encoders[level] = c_make_encoder(
-                None, _JSON_DEFAULT, encode_basestring_ascii, None, ": ", "," + inner, False, False, False
-            )
-        text = "".join(encode(o, 0))
-        if items:  # a non-empty container: open it onto its own lines
-            text = text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
-        out.append(text)
-        return
-    out.append(opening)
-    sep = inner
-    if closing == "}":
-        for key, v in o.items():
-            if not isinstance(key, str):
-                raise TypeError("non-string key beside a container")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(v, level + 1, out, encoders)
-            sep = "," + inner
-    else:
-        for v in o:
-            out.append(sep)
-            _encode(v, level + 1, out, encoders)
-            sep = "," + inner
-    out.append(inner[:-2] + closing)
-
-
 def _emit(report: dict, out_path, lines) -> None:
     for line in lines:
         print(line)
     if out_path:
         # strict JSON: a NaN or inf raises ValueError before the file is opened
-        text = report_json(report)
+        text = json.dumps(report, indent=2, allow_nan=False)
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
         print(f"report written to {out_path}")
@@ -425,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     options = {
-        "--grid": dict(type=int, default=200, help="rate points per user of the audit's best-response search;"
-                       " rate and price points of each simulate move"),
+        "--grid": dict(type=int, default=200, help="rate points per user of the best-response search that"
+                       " the audit measures and simulate moves by"),
         "--seed": dict(type=int, default=None, help="override the scenario rng seed"),
         "--tolerance": dict(type=float, default=None, help="override the solver tolerance"),
         "--profile": dict(default=None, help="message profile JSON (bare or prior report)"),
@@ -447,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = command("simulate", "run best-response dynamics", "--grid", "--seed", "--profile")
     sim.add_argument("--rounds", type=int, default=50)
     sim.add_argument("--schedule", choices=("round_robin", "random"), default="round_robin")
-    sim.add_argument("--stop-tolerance", type=float, default=1e-9, dest="stop_tolerance")
+    sim.add_argument("--stop-tolerance", type=float, default=1e-7, dest="stop_tolerance")
     command("report", "summarize a directory of scenarios", "--grid", "--seed", "--tolerance")
     return parser
 

@@ -1,17 +1,21 @@
 """Iterative best-response play over the message game.
 
-A stationary profile of the process is a grid-level equilibrium, which is the
-only claim made: play may just as well cycle or run out of rounds, and the
-verdict vocabulary keeps the three outcomes explicit. Trajectories are fully
+Play moves by the audit's own best response (``equilibrium.best_deviation``),
+so a ``converged`` run ends at a profile where no user gains more than
+``stop_tolerance`` by any of the audit's candidates: its best-response gap
+at the same ``br_grid`` is at most that tolerance. No convergence is
+claimed: play may just as well cycle or run out of rounds, and the verdict
+vocabulary keeps the three outcomes explicit. Trajectories are fully
 reproducible from the start profile, the config, and the seeds.
 
 A user's best deviation depends only on the static game, its own message and
-the messages of the users sharing one of its links. So a user whose last
-evaluation found no improvement above ``stop_tolerance`` is settled, and is
-skipped until a move unsettles every user sharing a link with the mover, the
-mover included: re-evaluating it before then would find the same non-move.
-The deviation search's axes depend on the static game alone, so one
-``deviation_grid`` serves the whole run.
+the messages of the users sharing one of its links. So users who share no
+link cannot change each other's search, and one colour class of a greedy
+colouring of the conflict graph is searched and moved in one call. A user
+whose last evaluation found no improvement above ``stop_tolerance`` is
+settled, and is skipped until a move unsettles every user sharing a link
+with the mover, the mover included: re-evaluating it before then would find
+the same non-move.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Mapping
+from typing import Dict, List, Mapping, Set
 
-from .equilibrium import best_deviation, deviation_grid
+from .equilibrium import best_deviation
 from .mechanism import (
     MechanismParams,
     Message,
     MessageProfile,
     assign_subsidies,
+    own_tax_terms,
     validate_profile,
 )
 from .network import Network
@@ -45,7 +50,7 @@ class DynamicsConfig:
     seed: int = 0
     max_rounds: int = 50
     br_grid: int = 64
-    stop_tolerance: float = 1e-9
+    stop_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -83,6 +88,17 @@ def _quantized(profile: MessageProfile):
     )
 
 
+def _colour_classes(neighbours: Mapping[int, Set[int]]) -> List[List[int]]:
+    """A greedy colouring of the conflict graph, in user order: each user
+    takes the least colour that none of its ``neighbours`` already holds.
+    Returns the users of each colour, ascending, in colour order."""
+    colour: Dict[int, int] = {}
+    for u, near in neighbours.items():
+        taken = {colour.get(v) for v in near}
+        colour[u] = next(k for k in range(len(near) + 1) if k not in taken)
+    return [[u for u in colour if colour[u] == k] for k in range(max(colour.values(), default=-1) + 1)]
+
+
 def run_dynamics(
     net: Network,
     utilities: Mapping[int, UtilitySpec],
@@ -92,36 +108,42 @@ def run_dynamics(
 ) -> Trajectory:
     """Play best responses until a full pass moves nobody, a profile repeats,
     or the round budget runs out. No convergence is guaranteed or claimed:
-    ``converged`` means only that no grid move gained more than
-    ``config.stop_tolerance``, not a Nash equilibrium (the best-response gap
-    of ``equilibrium.audit`` on a settled profile can be far above it)."""
+    ``converged`` means that no user gains more than ``config.stop_tolerance``
+    by ``best_deviation`` at ``config.br_grid``, the audit's own search.
+
+    Each round visits the ``_colour_classes`` in colour order
+    (``round_robin``) or in an order shuffled with ``config.seed``
+    (``random``). The class's unsettled users are searched in one call, on
+    their own-tax terms at the current profile, and each one that gains more
+    than the tolerance moves to its winning message."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)  # fail early if subsidies are impossible
     profile: MessageProfile = dict(start)
-    users = list(net.users())
     rng = random.Random(config.seed)
     seen = {_quantized(profile)}
     steps: List[Step] = []
     # users sharing a link with each user, the user included
-    neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in users}
+    neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in net.users()}
     settled = set()
-    grid = deviation_grid(net, utilities, params, config.br_grid)
+    classes = _colour_classes(neighbours)
 
     for rnd in range(1, config.max_rounds + 1):
-        order = rng.sample(users, len(users)) if config.schedule == "random" else users
+        order = rng.sample(classes, len(classes)) if config.schedule == "random" else classes
         worst_delta = 0.0
-        for user in order:
-            if user in settled:
+        for members in order:
+            users = [u for u in members if u not in settled]
+            if not users:
                 continue
-            message, best_pay, cur_pay = best_deviation(net, utilities, profile, user, params, grid)
-            delta = best_pay - cur_pay
-            if delta > config.stop_tolerance:
-                steps.append(Step(rnd, user, profile[user], message, delta))
-                profile[user] = message
-                worst_delta = max(worst_delta, delta)
-                settled -= neighbours[user]
-            else:
-                settled.add(user)
+            table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in users for l in net.route(u)}
+            messages, gains = best_deviation(net, utilities, profile, users, params, config.br_grid, table)
+            for user, message, delta in zip(users, messages, gains):
+                if delta > config.stop_tolerance:
+                    steps.append(Step(rnd, user, profile[user], message, delta))
+                    profile[user] = message
+                    worst_delta = max(worst_delta, delta)
+                    settled -= neighbours[user]
+                else:
+                    settled.add(user)
         if worst_delta <= config.stop_tolerance:
             return Trajectory(steps=steps, verdict="converged", final_profile=profile, rounds=rnd)
         key = _quantized(profile)

@@ -12,37 +12,27 @@ uniform profile; the audit computes it once and every price check reads it.
 Every (user, link) pair's ``own_tax_terms`` is built once per command
 (``own_tax_table``) and read by ``outcome`` and ``audit`` alike.
 
-The audit's best response (``_best_response_gaps``) builds each user's
-candidate own rates itself: evenly spaced rates over [0, the user's route
-capacity], its current rate and the analytic rate response
-(``_analytic_rate``). At a fixed own rate a link's tax is a convex quadratic
-in the own price, so each link's best price is that quadratic's vertex
-clipped to the price box (``_vertex_price``), and the route's best tax is
-the sum of the links'. Every user is searched in one array pass: the pairs
-are stacked by route position, and the tax kernel runs once per position.
-
-``best_deviation`` is the move rule of best-response dynamics: a grid search
-over rates and prices, on axes that depend only on the static game (a
-``DeviationGrid``, built once per dynamics run by ``deviation_grid``: one
-price axis, and per user a rate row and V on it). It rests on a link tax
-separating into a rate part, a price part and a rate-times-price coupling,
-so a user's whole rate-by-price lattice is the outer sum of three per-route
-vectors. Each price column has a bound that no float entry of it can exceed
-(its coupling is least at rate 0 or at the top rate, and rounding is
-monotone), so only the columns whose bound reaches the best column's max
-are evaluated, and when only that column does, its own argmax is the
-answer; the result is the full lattice's, bit for bit. Discrete
-prices are what let play settle. ``check_walrasian`` checks that every
-user's rate maximizes its payoff at the posted prices over the rates the
-others leave available, against the user's ``demand`` there, not a grid.
+``best_deviation`` is the one best response, of the audit and of play
+alike. For each user searched it builds the candidate own rates itself:
+evenly spaced rates over [0, the user's route capacity], its current rate
+and the analytic rate response (``_analytic_rate``). At a fixed own rate a
+link's tax is a convex quadratic in the own price, so each link's best price
+is that quadratic's vertex clipped to the price box (``_vertex_price``), and
+the route's best tax is the sum of the links'. The users searched together
+go in one array pass: the pairs are stacked by route position, and the tax
+kernel runs once per position. It returns each user's winning message and
+gain; ``audit`` reads the largest gain over all users, and dynamics moves a
+colour class of users who share no link by their winning messages.
+``check_walrasian`` checks that every user's rate maximizes its payoff at
+the posted prices over the rates the others leave available, against the
+user's ``demand`` there, not a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
 from operator import attrgetter
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +46,6 @@ from .mechanism import (
     OwnTaxTerms,
     _cyclic_peers,
     eval_own_tax,
-    own_tax_axes,
     own_tax_parts,
     own_tax_terms,
     validate_profile,
@@ -90,37 +79,6 @@ class NeAuditReport:
     ir_min_payoff: float
     budget_gap: float
     corollary_tax_gap: float
-
-
-@dataclass(frozen=True)
-class DeviationGrid:
-    """The search axes of ``best_deviation``, fixed by the static game: the
-    price axis all users share, and per user id its rate axis over its route
-    capacity (``rates[u]``) and the utility on that axis (``values[u]``).
-    Every array is 1-D and read-only."""
-
-    prices: np.ndarray
-    rates: Tuple[np.ndarray, ...]
-    values: Tuple[np.ndarray, ...]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def deviation_grid(
-    net: Network, utilities: Mapping[int, UtilitySpec], params: MechanismParams, br_grid: int
-) -> DeviationGrid:
-    """``br_grid`` points per axis: prices over [0, price_bound], and per
-    user ``np.linspace(0.0, cap, br_grid)`` over its route capacity and
-    ``value`` on those rates."""
-    rates = [np.linspace(0.0, min_route_capacity(net, u), br_grid) for u in net.users()]
-    return DeviationGrid(
-        prices=_read_only(np.linspace(0.0, params.price_bound, br_grid)),
-        rates=tuple(_read_only(xs) for xs in rates),
-        values=tuple(_read_only(value(utilities[u], xs)) for u, xs in zip(net.users(), rates)),
-    )
 
 
 @dataclass(frozen=True)
@@ -192,37 +150,6 @@ def ne_tax_closed_form(net, profile, link, user, terms: OwnTaxTerms, price: floa
     return price * (x - 0.5 * (xj + xk)) + price * price * (xk - xj) / (2.0 * terms.gamma)
 
 
-def _lattice_argmax(
-    xs: np.ndarray, a: np.ndarray, h_sum: np.ndarray, g_sum: np.ndarray
-) -> Tuple[int, int, float]:
-    """First max in row-major order (smallest rate, then price) of the lattice
-    ``a[i] - (xs[i] * h_sum[j] + g_sum[j])`` over ascending rates ``xs >= 0``,
-    as (i, j, value). The best-bounded column is filled first and its max is
-    the floor; only the columns whose bound is not below it are kept (ties
-    and NaN keep a column). That column always keeps itself, so when it is
-    the only one kept its own argmax is the answer; otherwise the kept
-    columns are filled as one block."""
-    low_x = np.where(h_sum < 0.0, xs[-1], 0.0)
-    bound = a.max() - (low_x * h_sum + g_sum)
-    top = int(bound.argmax())
-    column = a - (xs * h_sum[top] + g_sum[top])
-    i = int(column.argmax())
-    keep = np.flatnonzero(~(bound < column[i]))
-    if len(keep) == 1:
-        return i, top, float(column[i])
-    block = a[:, None] - (np.multiply.outer(xs, h_sum[keep]) + g_sum[keep])
-    i, k = divmod(int(block.argmax()), len(keep))
-    return i, int(keep[k]), float(block[i, k])
-
-
-def _uniform_message(rate: float, price: float, route) -> Message:
-    return Message(rate=rate, prices={l: price for l in route})
-
-
-def _same(message: Message) -> Message:
-    return message
-
-
 def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
     """The exact rate response at the current prices, given each route link's
     terms and h at its current price: the tax is linear in the own rate up to
@@ -236,132 +163,6 @@ def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
         slope += (t.peer_price_mean + t.price_adjust) + h
         room = min(room, max(-t.peer_excess, 0.0))
     return demand(u, max(slope, 0.0), room)
-
-
-def _tax_total(t: OwnTaxTerms, x, parts) -> float:
-    """The link tax at own rate ``x`` from its ``own_tax_parts``, added in
-    ``eval_own_tax``'s order of operations, so with its bits."""
-    price, pen, quad, h = parts
-    return float(price + quad + h * (t.peer_excess + x) + t.balance_const + pen)
-
-
-def _best_candidate(route, cur: Message, cur_pay: float, lattice, at_cur_prices, sweeps):
-    """The best of one user's candidates, as (message, payoff, ``cur_pay``).
-
-    ``lattice`` is the (payoff, rate, price) of the uniform-price lattice,
-    ``at_cur_prices`` the (payoff, rate) pairs found holding the current
-    prices, and ``sweeps`` the (payoff, price) of each route link's price
-    sweep, in route order; the current message comes last. Ties break toward
-    the smallest rate, then the lexicographically smallest price vector. Only
-    the winner's message is built.
-    """
-    cur_prices = tuple(cur.prices[l] for l in route)
-    pay0, x0, p0 = lattice
-    best = (pay0, x0, (p0,) * len(route), partial(_uniform_message, x0, p0, route))
-    cands = [(pay, x, cur_prices, partial(Message, x, cur.prices)) for pay, x in at_cur_prices]
-    for l, (pay, p) in zip(route, sweeps):
-        prices = tuple(p if m == l else cur.prices[m] for m in route)
-        cands.append((pay, cur.rate, prices, partial(cur.with_price, l, p)))
-    cands.append((cur_pay, cur.rate, cur_prices, partial(_same, cur)))
-    for c in cands:
-        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
-            best = c
-    return best[3](), best[0], cur_pay
-
-
-def best_deviation(
-    net: Network,
-    utilities: Mapping[int, UtilitySpec],
-    profile: MessageProfile,
-    user: int,
-    params: MechanismParams,
-    grid: DeviationGrid,
-) -> Tuple[Message, float, float]:
-    """Grid-argmax of one user's payoff over its own message box.
-
-    ``grid`` is ``deviation_grid`` of the same network, utilities and params;
-    it does not depend on the profile, so one grid serves every call of a
-    dynamics run. Dynamics calls this one user at a time, because each move
-    changes what the next user faces. It is the move rule of play only; the
-    audit's best response prices each link in closed form
-    (``_best_response_gaps``).
-
-    Candidates: a rate-by-uniform-price lattice spanning the whole box, a
-    rate sweep holding the current prices (the price box is huge, so the
-    uniform-price axis alone is too coarse to represent "ask for more at the
-    going rate"), the analytic rate response at the current prices
-    (``_analytic_rate``; a uniform grid cannot be trusted to straddle the
-    exact maximizer), one single-link price sweep per route link off the
-    current message, and the current message itself (so the reported best
-    never loses to staying put). Subsidies received are omitted throughout;
-    they do not depend on the user's own message. Ties break toward the
-    smallest rate, then the lexicographically smallest price vector
-    (``_best_candidate``).
-
-    Each link tax splits as f(x) + g(p) + x*h(p) (``own_tax_axes``, built
-    from the tax kernel ``own_tax_parts``), so the route's tax is fixed by
-    three vectors summed over the route once: the lattice is their outer
-    sum, and the sweeps are the same vectors with the other axis held at the
-    current message. The lattice is searched by price column
-    (``_lattice_argmax``). No entry of column j exceeds the same float
-    operations at ``max(V - f)`` and at the rate where x*h(p_j) is least: 0
-    if h >= 0, else the top rate, as rates are non-negative and ascending
-    and rounding is monotone. Columns whose bound falls short of the
-    best-bounded column's max are never filled. When that column is the only
-    one kept, its own argmax is returned; otherwise the kept ones are filled
-    with the lattice's own operations. Either way the argmax and its value
-    are those of the full G-by-G lattice, bit for bit.
-
-    Each route link's tax at the current message and its (f, g, h) there
-    come from one ``own_tax_parts`` call, added in ``eval_own_tax``'s and
-    ``own_tax_axes``' orders of operations (``_tax_total``), and so does its
-    tax at the analytic rate: the current payoff and the analytic candidate
-    carry ``eval_own_tax``'s bits.
-
-    Returns (best message, best payoff, current payoff).
-    """
-    route = net.route(user)
-    terms = [own_tax_terms(net, profile, l, user, params) for l in route]
-    u = utilities[user]
-    cur = profile[user]
-    cur_prices = [cur.prices[l] for l in route]
-    # per link, from one own_tax_parts call at the current message: the tax,
-    # and (f, g, h) in own_tax_axes' order of operations
-    cur_tax, at_cur = [], []
-    for t, p in zip(terms, cur_prices):
-        parts = price, pen, quad, h = own_tax_parts(t, cur.rate, p)
-        cur_tax.append(_tax_total(t, cur.rate, parts))
-        at_cur.append((float(price + pen), float(quad + h * t.peer_excess + t.balance_const), float(h)))
-    v_cur = float(value(u, cur.rate))
-    cur_pay = v_cur - sum(cur_tax)
-
-    xs, vs, ps = grid.rates[user], grid.values[user], grid.prices
-
-    # per link (f(xs), g(ps), h(ps)) on the grid; the route sums of each.
-    # builtin sum adds the rows in order, starting from 0 as np.sum over a
-    # stacked axis does, so the bits are the same without the stacking
-    on_grid = [own_tax_axes(t, xs, ps) for t in terms]
-    f_sum, g_sum, h_sum = (sum(rows) for rows in zip(*on_grid))
-    _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
-
-    i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
-    rate_pays = vs - (f_sum + g_cur + xs * h_cur)
-    i1 = int(rate_pays.argmax())
-    cap = min_route_capacity(net, user)
-    x_best = _analytic_rate(u, terms, [h for _, _, h in at_cur], cap)
-    best_tax = sum(_tax_total(t, x_best, own_tax_parts(t, x_best, p)) for t, p in zip(terms, cur_prices))
-    at_cur_prices = [(float(rate_pays[i1]), float(xs[i1])), (float(value(u, x_best)) - best_tax, x_best)]
-
-    sweeps = []
-    for k, ((_, g, h), (f_at, _, _)) in enumerate(zip(on_grid, at_cur)):
-        sweep = f_at + g + cur.rate * h
-        other = sum(v for m, v in enumerate(cur_tax) if m != k)
-        pays = v_cur - other - sweep
-        j = int(pays.argmax())
-        sweeps.append((float(pays[j]), float(ps[j])))
-
-    lattice = (lattice_pay, float(xs[i0]), float(ps[j0]))
-    return _best_candidate(route, cur, cur_pay, lattice, at_cur_prices, sweeps)
 
 
 _term_row = attrgetter(*(f.name for f in fields(OwnTaxTerms)))
@@ -385,40 +186,52 @@ def _vertex_price(t: OwnTaxTerms, x, bound: float) -> np.ndarray:
     return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
 
 
-def _best_response_gaps(net, utilities, profile, params, br_grid: int, table: OwnTaxTable) -> np.ndarray:
-    """How much each user gains (subsidies aside) by its best own message
-    over its current one, as the audit measures it, in user order.
+def best_deviation(
+    net: Network,
+    utilities: Mapping[int, UtilitySpec],
+    profile: MessageProfile,
+    users: Sequence[int],
+    params: MechanismParams,
+    br_grid: int,
+    table: OwnTaxTable,
+) -> Tuple[List[Message], List[float]]:
+    """Each of ``users``' best own message and how much it gains (subsidies
+    aside) over the current one: the best response of the audit and of play.
 
-    ``table`` is the profile's ``own_tax_table``. A user's candidate rates
-    are ``br_grid`` rates spaced evenly over [0, its route capacity], its
-    current rate and the analytic rate response at the current prices
-    (``_analytic_rate``), with V on them from one ``value`` call. At each of
-    them every shared link takes its ``_vertex_price``; a singleton link's
-    tax does not depend on the price.
+    ``table`` holds the ``own_tax_terms`` of every (user, route link) pair of
+    ``users`` at ``profile``. A user's candidate rates are ``br_grid`` rates
+    spaced evenly over [0, its route capacity], its current rate and the
+    analytic rate response at the current prices (``_analytic_rate``), with V
+    on them from one ``value`` call. At each of them every shared link takes
+    its ``_vertex_price``; a singleton link's tax does not depend on the
+    price. The winner is the first best candidate rate, with each shared
+    link at its vertex price there and each singleton link at price 0, the
+    least of the tied prices.
 
     The (user, route link) pairs are stacked by route position: the first
     link of every route, then the second link of every route that has one,
-    and so on, users ascending within a position. Their terms become one
-    ``OwnTaxTerms`` of (pairs, 1) columns, so ``eval_own_tax`` runs once on
-    all pairs at the current messages and once on all (pairs x candidates)
-    rates. Each user's link taxes are summed from 0.0 one position at a
-    time, in route order as builtin ``sum`` adds them, and each row is
-    reduced by its own maximum, so every gain has the bits of a search run
-    one user at a time.
+    and so on, in the order of ``users`` within a position. Their terms
+    become one ``OwnTaxTerms`` of (pairs, 1) columns, so ``eval_own_tax``
+    runs once on all pairs at the current messages and once on all (pairs x
+    candidates) rates. Each user's link taxes are summed from 0.0 one
+    position at a time, in route order as builtin ``sum`` adds them, and each
+    row is reduced by its own argmax, so every gain has the bits of a search
+    run one user at a time, whichever users are searched together.
+
+    Returns (messages, gains), both in the order of ``users``.
     """
-    users = net.users()
     routes = [net.route(u) for u in users]
     cur = [profile[u] for u in users]
-    pairs, ends, slots = [], [], [[] for _ in users]  # slots[u]: u's pairs in route order
+    pairs, ends, slots = [], [], [[] for _ in users]  # slots[i]: users[i]'s pairs in route order
     for s in range(max(map(len, routes))):
-        for u in users:
-            if len(routes[u]) > s:
-                slots[u].append(len(pairs))
-                pairs.append((u, routes[u][s]))
+        for i, route in enumerate(routes):
+            if len(route) > s:
+                slots[i].append(len(pairs))
+                pairs.append((i, route[s]))
         ends.append(len(pairs))
-    owner = np.array([u for u, _ in pairs])
-    t = OwnTaxTerms(*np.array([_term_row(table[pair]) for pair in pairs], dtype=float).T[:, :, None])
-    p = np.array([[cur[u].prices[l]] for u, l in pairs], dtype=float)
+    owner = np.array([i for i, _ in pairs])
+    t = OwnTaxTerms(*np.array([_term_row(table[users[i], l]) for i, l in pairs], dtype=float).T[:, :, None])
+    p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
 
     def route_sums(a):
         total = 0.0 + a[: ends[0]]  # position 0 holds every user, in order
@@ -432,18 +245,28 @@ def _best_response_gaps(net, utilities, profile, params, br_grid: int, table: Ow
 
     rates = np.empty((len(users), br_grid + 2))
     values = np.empty_like(rates)
-    v_cur = np.empty(len(users))
-    for u in users:
-        spec, m, cap = utilities[u], cur[u], min_route_capacity(net, u)
-        x_best = _analytic_rate(spec, [table[pairs[k]] for k in slots[u]], [h[k] for k in slots[u]], cap)
-        rates[u, :br_grid] = np.linspace(0.0, cap, br_grid)
-        rates[u, br_grid:] = m.rate, x_best
-        values[u] = value(spec, rates[u])
-        v_cur[u] = value(spec, m.rate)
+    for i, u in enumerate(users):
+        spec, m, cap = utilities[u], cur[i], min_route_capacity(net, u)
+        x_best = _analytic_rate(spec, [table[u, l] for l in routes[i]], [h[k] for k in slots[i]], cap)
+        rates[i, :br_grid] = np.linspace(0.0, cap, br_grid)
+        rates[i, br_grid:] = m.rate, x_best
+        values[i] = value(spec, rates[i])
+    v_cur = values[:, br_grid]  # V at the current rate: a float's bits are the array path's
 
     x = rates[owner]
-    tax = route_sums(eval_own_tax(t, x, np.where(t.group_size == 1, p, _vertex_price(t, x, params.price_bound))))
-    return (values - tax).max(axis=1) - (v_cur - cur_tax)
+    single = t.group_size == 1
+    vertex = _vertex_price(t, x, params.price_bound)
+    pays = values - route_sums(eval_own_tax(t, x, np.where(single, p, vertex)))
+    best = pays.argmax(axis=1)
+    each = np.arange(len(users))
+    gains = pays[each, best] - (v_cur - cur_tax)
+    won_rates = rates[each, best].tolist()
+    won_prices = np.where(single[:, 0], 0.0, vertex[np.arange(len(pairs)), best[owner]]).tolist()
+    messages = [
+        Message(rate=r, prices={l: won_prices[k] for k, l in zip(slot, route)})
+        for r, slot, route in zip(won_rates, slots, routes)
+    ]
+    return messages, gains.tolist()
 
 
 def audit(
@@ -462,7 +285,7 @@ def audit(
     assignment; its rates, taxes and per-link breakdown feed the
     feasibility, individual-rationality, budget and closed-form checks.
     ``br_grid`` is the number of grid rates each user's best response tries
-    (``_best_response_gaps``). ``table`` is the profile's ``own_tax_table``,
+    (``best_deviation``, looked up through this module's global). ``table`` is the profile's ``own_tax_table``,
     which validated the profile, as the command built it for ``outcome``;
     without it ``audit`` builds its own. The tax derivatives, the best
     response and the closed forms all read it. The running maxima read a
@@ -495,7 +318,7 @@ def audit(
             deriv_gap = _worse(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
-    for gain in _best_response_gaps(net, utilities, profile, params, br_grid, table).tolist():
+    for gain in best_deviation(net, utilities, profile, net.users(), params, br_grid, table)[1]:
         br_gap = _worse(br_gap, gain)
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())

@@ -19,10 +19,10 @@ Taxes sum to zero across all users at every feasible rate profile, on or off
 equilibrium. The per-link formula is written out once: ``own_tax_terms``
 gathers the peer statistics of one user on one link in one walk over the
 link's group, and ``own_tax_parts`` turns them into the tax's parts at any
-own rate and price. ``tax_link``, ``link_subsidy``, ``eval_own_tax`` and
-``own_tax_axes`` all assemble those parts. A command builds every (user,
-link) pair's terms once, as a table that ``outcome`` (and through it
-``tax_link`` and ``link_subsidy``) and the audit share. All functions are
+own rate and price. ``tax_link``, ``link_subsidy`` and ``eval_own_tax`` all
+assemble those parts. A command builds every (user, link) pair's terms once,
+as a table that ``outcome`` (and through it ``tax_link`` and
+``link_subsidy``) and the audit share. All functions are
 pure; the only randomness is the seeded subsidy-recipient draw.
 """
 
@@ -387,19 +387,6 @@ def eval_own_tax(terms: OwnTaxTerms, x, p):
     """
     price, pen, quad, h = own_tax_parts(terms, x, p)
     return price + quad + h * (terms.peer_excess + x) + terms.balance_const + pen
-
-
-def own_tax_axes(terms: OwnTaxTerms, x, p):
-    """The link tax split along the own rate ``x`` and own price ``p``.
-
-    Returns ``(f, g, h)`` with f a function of ``x`` alone (price part and
-    overload penalty), g and h functions of ``p`` alone (quadratic, coupling
-    and balance parts; h is the coefficient of the rate), such that
-    ``eval_own_tax(terms, x, p) == f + g + x * h`` up to rounding. So a tax
-    over a rate-by-price lattice is an outer sum of three vectors.
-    """
-    price, pen, quad, h = own_tax_parts(terms, x, p)
-    return price + pen, quad + h * terms.peer_excess + terms.balance_const, h
 
 
 OwnTaxTable = Dict[Tuple[int, int], OwnTaxTerms]  # (user, link) -> that pair's own_tax_terms

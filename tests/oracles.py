@@ -1,16 +1,15 @@
 """Former implementations kept as oracles for the tests that pin their
 replacements bit for bit, and functions only the tests use.
 
-``best_deviation_reference`` builds its rate and price axes and V on the rate
-axis inside every call, as ``best_deviation`` did before it took them from a
-``DeviationGrid``. ``sigmoid_demand_numpy`` runs the golden-section refinement
-of the sigmoid demand on numpy scalars, as ``demand`` did before it refined on
-Python floats. ``own_tax_terms_reference`` walks a link's group once per peer
+``sigmoid_demand_numpy`` runs the golden-section refinement of the sigmoid
+demand on numpy scalars, as ``demand`` did before it refined on Python
+floats. ``own_tax_terms_reference`` walks a link's group once per peer
 statistic and once more for the large-group balance term, as
 ``own_tax_terms`` did before it walked the group once.
-``best_response_gap_reference`` is the audit's best response run one user at
-a time, with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it
-before it stacked every user's pairs by route position.
+``best_response_gap_reference`` is the best response run one user at a time,
+with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it before
+``best_deviation`` stacked the pairs of every user searched by route
+position.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
 ``check_walrasian_grid_reference`` scans each user's rates on a grid, as
@@ -25,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
-from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, _lattice_argmax, posted_prices
+from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, posted_prices
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -39,13 +37,13 @@ from nash_unicast.mechanism import (
     _not_on_link,
     eval_own_tax,
     indicator,
-    own_tax_axes,
+    own_tax_parts,
     own_tax_terms,
     penalty,
 )
 from nash_unicast.network import min_route_capacity
 from nash_unicast.solver import SolverError
-from nash_unicast.utilities import demand, value
+from nash_unicast.utilities import value
 
 
 class GridTooLarge(SolverError):
@@ -55,74 +53,6 @@ class GridTooLarge(SolverError):
 def with_rate(message, rate):
     """``message`` with its rate request replaced."""
     return replace(message, rate=rate)
-
-
-def best_deviation_reference(net, utilities, profile, user, params, br_grid):
-    """``best_deviation`` with its grid built per call from ``br_grid``."""
-    route = net.route(user)
-    tables = [(l, own_tax_terms(net, profile, l, user, params)) for l in route]
-    u = utilities[user]
-    cur = profile[user]
-    cur_tax = {l: float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in tables}
-    v_cur = float(value(u, cur.rate))
-    cur_pay = v_cur - sum(cur_tax.values())
-    cur_prices = tuple(cur.prices[m] for m in route)
-
-    cap = min_route_capacity(net, user)
-    xs = np.linspace(0.0, cap, br_grid)
-    ps = np.linspace(0.0, params.price_bound, br_grid)
-    vs = np.asarray(value(u, xs), dtype=float)
-
-    on_grid = [own_tax_axes(t, xs, ps) for _, t in tables]
-    at_cur = [tuple(map(float, own_tax_axes(t, cur.rate, cur.prices[l]))) for l, t in tables]
-    f_sum, g_sum, h_sum = (sum(rows) for rows in zip(*on_grid))
-    _, g_cur, h_cur = (sum(vals) for vals in zip(*at_cur))
-
-    i0, j0, lattice_pay = _lattice_argmax(xs, vs - f_sum, h_sum, g_sum)
-    x0, p0 = float(xs[i0]), float(ps[j0])
-    cands = [
-        (
-            lattice_pay,
-            x0,
-            tuple(p0 for _ in route),
-            lambda: Message(rate=x0, prices={l: p0 for l in route}),
-        )
-    ]
-
-    rate_pays = vs - (f_sum + g_cur + xs * h_cur)
-    i1 = int(np.argmax(rate_pays))
-    x1 = float(xs[i1])
-    cands.append((float(rate_pays[i1]), x1, cur_prices, partial(with_rate, cur, x1)))
-
-    slope = 0.0
-    room = cap
-    for (_, t), (_, _, h) in zip(tables, at_cur):
-        if t.group_size == 1:
-            continue
-        slope += (t.peer_price_mean + t.price_adjust) + h
-        room = min(room, max(-t.peer_excess, 0.0))
-    x_best = demand(u, max(slope, 0.0), room)
-    best_tax = sum(float(eval_own_tax(t, x_best, cur.prices[l])) for l, t in tables)
-    cands.append(
-        (float(value(u, x_best)) - best_tax, x_best, cur_prices, partial(with_rate, cur, x_best))
-    )
-
-    for (l, _), (_, g, h), (f_at, _, _) in zip(tables, on_grid, at_cur):
-        sweep = f_at + g + cur.rate * h
-        other = sum(v for m, v in cur_tax.items() if m != l)
-        pays = v_cur - other - sweep
-        j = int(np.argmax(pays))
-        p = float(ps[j])
-        prices = tuple(p if m == l else cur.prices[m] for m in route)
-        cands.append((float(pays[j]), cur.rate, prices, partial(cur.with_price, l, p)))
-
-    cands.append((cur_pay, cur.rate, cur_prices, lambda: cur))
-
-    best = cands[0]
-    for c in cands[1:]:
-        if c[0] > best[0] or (c[0] == best[0] and c[1:3] < best[1:3]):
-            best = c
-    return best[3](), best[0], cur_pay
 
 
 def vertex_price_reference(t, x, bound):
@@ -136,22 +66,28 @@ def vertex_price_reference(t, x, bound):
 
 
 def best_response_gap_reference(net, utilities, profile, user, params, br_grid, table):
-    """One user's audit gain: its ``br_grid`` rates over [0, route capacity],
-    its current rate and the analytic rate, each shared link at its vertex
-    price, the route taxes summed from 0 in route order."""
+    """One user's best message and gain: its ``br_grid`` rates over [0, route
+    capacity], its current rate and the analytic rate, each shared link at
+    its vertex price, the route taxes summed from 0 in route order. The
+    first best rate wins, each shared link at its vertex price there and
+    each singleton link at price 0. Returns (message, gain)."""
     u, cur, route = utilities[user], profile[user], net.route(user)
     ts = [table[(user, l)] for l in route]
     v_cur = float(value(u, cur.rate))
     cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
-    hs = [own_tax_axes(t, cur.rate, cur.prices[l])[2] for l, t in zip(route, ts)]
+    hs = [own_tax_parts(t, cur.rate, cur.prices[l])[3] for l, t in zip(route, ts)]
     cap = min_route_capacity(net, user)
     x_best = _analytic_rate(u, ts, hs, cap)
     rates = np.append(np.linspace(0.0, cap, br_grid), (cur.rate, x_best))
+    vertices = [vertex_price_reference(t, rates, params.price_bound) for t in ts]
     tax = sum(
-        eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else vertex_price_reference(t, rates, params.price_bound))
-        for l, t in zip(route, ts)
+        eval_own_tax(t, rates, cur.prices[l] if t.group_size == 1 else v)
+        for l, t, v in zip(route, ts, vertices)
     )
-    return float(np.max(value(u, rates) - tax)) - cur_pay
+    pays = value(u, rates) - tax
+    k = int(np.argmax(pays))
+    prices = {l: 0.0 if t.group_size == 1 else float(v[k]) for l, t, v in zip(route, ts, vertices)}
+    return Message(rate=float(rates[k]), prices=prices), float(pays[k]) - cur_pay
 
 
 def closed_form_reference(net, profile, link, user, params, p):

@@ -11,14 +11,21 @@ from nash_unicast.dynamics import (
     run_dynamics,
     _quantized,
 )
-from nash_unicast.equilibrium import audit, best_deviation, construct_ne, deviation_grid
-from nash_unicast.mechanism import MechanismParams, Message, assign_subsidies, outcome, validate_profile
+from nash_unicast.equilibrium import audit, best_deviation, construct_ne, own_tax_table
+from nash_unicast.mechanism import (
+    MechanismParams,
+    Message,
+    assign_subsidies,
+    outcome,
+    own_tax_terms,
+    validate_profile,
+)
 from nash_unicast.network import build_network
 from nash_unicast.scenario import random_feasible_profile
 from nash_unicast.utilities import log_utility
 
 from corpus import mixed_market, sigmoid_suite, topology_corpus
-from oracles import best_deviation_reference
+from oracles import best_response_gap_reference, with_rate
 
 
 @pytest.fixture
@@ -49,8 +56,8 @@ def test_ne_is_stationary(golden_net, golden_utilities, golden_params, golden_ne
 
 
 def test_solo_user_walks_to_its_capacity():
-    # a lone user pays nothing on its own link, so the best grid response
-    # requests the full capacity at the smallest price
+    # a lone user pays nothing on its own link, so its best response
+    # requests the full capacity at price 0, the least of the tied prices
     net = build_network({"A": 5.0, "B": 1.0}, {1: ["A"], 2: ["B"]})
     uts = {0: log_utility(1.0), 1: log_utility(1.0)}
     params = MechanismParams.defaults(net, uts)
@@ -58,16 +65,18 @@ def test_solo_user_walks_to_its_capacity():
     config = DynamicsConfig(max_rounds=5, br_grid=51)
     traj = run_dynamics(net, uts, start, config, params)
     assert traj.final_profile[0].rate == pytest.approx(5.0)
-    assert traj.final_profile[0].prices[0] == 0.0  # tie broken toward the smallest price
+    assert traj.final_profile[0].prices[0] == 0.0
 
 
 def test_best_response_deterministic(golden_net, golden_utilities, golden_params, golden_ne):
     messy = dict(golden_ne)
     messy[0] = Message(0.1, {0: 0.2})
-    grid = deviation_grid(golden_net, golden_utilities, golden_params, 64)
-    m1, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, grid)
-    m2, _, _ = best_deviation(golden_net, golden_utilities, messy, 0, golden_params, grid)
-    assert m1 == m2
+    table = own_tax_table(golden_net, messy, golden_params)
+    found = [
+        best_deviation(golden_net, golden_utilities, messy, golden_net.users(), golden_params, 64, table)
+        for _ in range(2)
+    ]
+    assert found[0] == found[1]
 
 
 def test_steps_record_positive_improvements(golden_net, golden_utilities, golden_params):
@@ -106,50 +115,47 @@ def test_exhausted_verdict(golden_net, golden_utilities, golden_params):
     assert traj.rounds == 1
 
 
+def _mixed_play_shape(seed):
+    """A market of the shape that simulate meets in the mixed-play benchmark:
+    about 30 users on about 20 links, half of them sigmoid, and its start."""
+    net, uts, params = mixed_market(seed, users_range=(28, 32), links_range=(18, 22))
+    assert 28 <= net.num_users <= 32 and any(not u.is_concave for u in uts.values())
+    return net, uts, random_feasible_profile(net, params, seed=seed), params
+
+
 def test_converged_endpoint_passes_grid_audit(golden_net, golden_utilities, golden_params):
-    start = {
+    # play moves by the audit's own search, so a converged endpoint's
+    # best-response gap at the same grid is at most the stop tolerance
+    silence = {
         0: Message(0.0, {0: 0.0}),
         1: Message(0.0, {0: 0.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    config = DynamicsConfig(max_rounds=40, br_grid=41, stop_tolerance=1e-9)
-    traj = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
-    if traj.verdict == "converged":
-        subs = assign_subsidies(golden_net, golden_params.rng_seed)
-        alloc = outcome(golden_net, traj.final_profile, golden_params, subs)
-        rep = audit(
-            golden_net, golden_utilities, traj.final_profile, golden_params, alloc,
-            br_grid=config.br_grid,
-        )
-        assert rep.best_response_gap <= config.stop_tolerance
+    cases = [(golden_net, golden_utilities, silence, golden_params, DynamicsConfig(max_rounds=40, br_grid=41))]
+    for seed in (4300, 4301, 4302):
+        cases.append((*_mixed_play_shape(seed), DynamicsConfig(max_rounds=20, br_grid=200)))
+    for net, uts, start, params, config in cases:
+        traj = run_dynamics(net, uts, start, config, params)
+        assert traj.verdict == "converged" and traj.steps, (net.user_labels, traj.verdict)
+        alloc = outcome(net, traj.final_profile, params, assign_subsidies(net, params.rng_seed))
+        rep = audit(net, uts, traj.final_profile, params, alloc, br_grid=config.br_grid)
+        assert rep.best_response_gap <= config.stop_tolerance, rep.best_response_gap
 
 
-def _cycled_instance():
-    # frozen instance: two eager users leapfrog on a very coarse grid and
-    # revisit an earlier quantized profile instead of settling
-    net = build_network({"A": 1.0, "B": 2.0}, {1: ["A"], 2: ["A"], 3: ["B"]})
-    uts = {
-        0: log_utility(1.6309488837745465),
-        1: log_utility(1.89943096520124),
-        2: log_utility(1.0),
-    }
-    params = MechanismParams(
-        alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=5.0, rng_seed=11
-    )
-    start = {
-        0: Message(0.18466034385487662, {0: 1.023817278083611}),
-        1: Message(0.6298827202168019, {0: 1.5859537450399053}),
-        2: Message(0.5, {1: 0.3}),
-    }
-    config = DynamicsConfig(max_rounds=30, br_grid=7, stop_tolerance=1e-12)
-    return net, uts, start, config, params
+def test_cycled_verdict_when_two_messages_alternate(monkeypatch, golden_net, golden_utilities, golden_params, golden_ne):
+    # a search that answers every user with the other of its two messages:
+    # the second round brings back the start profile
+    other = {u: with_rate(m, 0.5 * m.rate) for u, m in golden_ne.items()}
 
+    def alternating(net, utilities, profile, users, params, br_grid, table):
+        return [other[u] if profile[u] == golden_ne[u] else golden_ne[u] for u in users], [1.0] * len(users)
 
-def test_cycled_verdict_on_contested_coarse_grid():
-    net, uts, start, config, params = _cycled_instance()
-    traj = run_dynamics(net, uts, start, config, params)
-    assert traj.verdict == "cycled"
-    assert traj.rounds < 30  # detected well before exhaustion
+    monkeypatch.setattr(dynamics, "best_deviation", alternating)
+    for schedule in ("round_robin", "random"):
+        config = DynamicsConfig(schedule=schedule, max_rounds=30)
+        traj = run_dynamics(golden_net, golden_utilities, golden_ne, config, golden_params)
+        assert (traj.verdict, traj.rounds, len(traj.steps)) == ("cycled", 2, 2 * golden_net.num_users)
+        assert traj.final_profile == golden_ne
 
 
 def test_quantization_hides_float_dust():
@@ -160,31 +166,39 @@ def test_quantization_hides_float_dust():
     assert _quantized(a) != _quantized(c)
 
 
-# --- skipping settled users against evaluating every user each round ----------
+# --- one search per colour class against one user at a time --------------------
 
 
-def run_dynamics_reference(
-    net, utilities, start, config, params, best_response=best_deviation_reference
-):
-    """The dynamics loop that evaluates every user in every round with a
-    deviation grid built in every call, kept as the oracle of
-    ``run_dynamics``, which skips users whose neighbourhood has not moved
-    since they last found no improvement and builds one grid per run."""
+def colour_order(net):
+    """The greedy colouring of the conflict graph in user order, as lists of
+    users per colour: each user takes the least colour none of the users it
+    shares a link with already holds."""
+    colour = {}
+    for u in net.users():
+        taken = {colour[v] for l in net.route(u) for v in net.group(l) if v in colour}
+        colour[u] = min(set(range(len(taken) + 1)) - taken)
+    return [[u for u in net.users() if colour[u] == c] for c in range(max(colour.values()) + 1)]
+
+
+def run_dynamics_reference(net, utilities, start, config, params):
+    """The dynamics loop that searches one user at a time with the per-user
+    oracle, in colour order, and evaluates every user in every round; kept
+    as the oracle of ``run_dynamics``, which searches a colour class in one
+    call and skips users whose neighbourhood has not moved since they last
+    found no improvement."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)
     profile = dict(start)
-    users = list(net.users())
+    classes = colour_order(net)
     rng = random.Random(config.seed)
     seen = {_quantized(profile)}
     steps = []
     for rnd in range(1, config.max_rounds + 1):
-        order = rng.sample(users, len(users)) if config.schedule == "random" else users
+        order = rng.sample(classes, len(classes)) if config.schedule == "random" else classes
         worst_delta = 0.0
-        for user in order:
-            message, best_pay, cur_pay = best_response(
-                net, utilities, profile, user, params, config.br_grid
-            )
-            delta = best_pay - cur_pay
+        for user in (u for members in order for u in members):
+            table = {(user, l): own_tax_terms(net, profile, l, user, params) for l in net.route(user)}
+            message, delta = best_response_gap_reference(net, utilities, profile, user, params, config.br_grid, table)
             if delta > config.stop_tolerance:
                 steps.append(Step(rnd, user, profile[user], message, delta))
                 profile[user] = message
@@ -221,16 +235,14 @@ def _golden_dynamics_cases(golden_net, golden_utilities, golden_params):
 def test_settled_users_keep_trajectories_identical(
     monkeypatch, golden_net, golden_utilities, golden_params
 ):
-    calls = {"skipping": 0, "reference": 0}
+    searched = {"classes": 0, "users": 0}
 
-    def counted(key, search):
-        def wrapped(*args):
-            calls[key] += 1
-            return search(*args)
+    def counted(net, utilities, profile, users, *args):
+        searched["classes"] += 1
+        searched["users"] += len(users)
+        return best_deviation(net, utilities, profile, users, *args)
 
-        return wrapped
-
-    monkeypatch.setattr(dynamics, "best_deviation", counted("skipping", best_deviation))
+    monkeypatch.setattr(dynamics, "best_deviation", counted)
 
     cases = _golden_dynamics_cases(golden_net, golden_utilities, golden_params)
     for b in topology_corpus()[:6]:
@@ -242,7 +254,7 @@ def test_settled_users_keep_trajectories_identical(
         net, uts, params = mixed_market(seed)
         cases.append((net, uts, random_feasible_profile(net, params, seed=seed), params))
 
-    drops = 0
+    skipped = batched = 0
     verdicts = set()
     for net, uts, start, params in cases:
         for schedule in ("round_robin", "random"):
@@ -250,34 +262,23 @@ def test_settled_users_keep_trajectories_identical(
                 config = DynamicsConfig(
                     schedule=schedule, seed=3, max_rounds=max_rounds, br_grid=br_grid
                 )
-                before = dict(calls)
+                before = dict(searched)
                 traj = run_dynamics(net, uts, start, config, params)
-                ref = run_dynamics_reference(
-                    net, uts, start, config, params,
-                    best_response=counted("reference", best_deviation_reference),
-                )
-                assert traj == ref, (net.user_labels, schedule, br_grid)
-                used = calls["skipping"] - before["skipping"]
-                assert used <= calls["reference"] - before["reference"]
-                drops += used < calls["reference"] - before["reference"]
+                assert traj == run_dynamics_reference(net, uts, start, config, params), (net.user_labels, schedule, br_grid)
+                users = searched["users"] - before["users"]
+                assert users <= traj.rounds * net.num_users
+                skipped += users < traj.rounds * net.num_users
+                batched += searched["classes"] - before["classes"] < users
                 verdicts.add(traj.verdict)
-    assert drops > 0
+    assert skipped > 0 and batched > 0
     assert {"converged", "exhausted"} <= verdicts
-
-    net, uts, start, config, params = _cycled_instance()
-    traj = run_dynamics(net, uts, start, config, params)
-    assert traj.verdict == "cycled"
-    assert traj == run_dynamics_reference(net, uts, start, config, params)
 
 
 @pytest.mark.parametrize("seed", [4300, 4301, 4302])
 def test_play_at_the_mixed_play_shape_keeps_the_reference_trajectory(seed):
-    # the shape that simulate meets in the mixed-play benchmark: about 30
-    # users on about 20 links, half of them sigmoid, 200-point axes and 20
-    # rounds, where most lattice searches keep a single price column
-    net, uts, params = mixed_market(seed, users_range=(28, 32), links_range=(18, 22))
-    assert 28 <= net.num_users <= 32 and any(not u.is_concave for u in uts.values())
-    start = random_feasible_profile(net, params, seed=seed)
+    # the shape that simulate meets in the mixed-play benchmark, with
+    # 200-point rate rows and 20 rounds
+    net, uts, start, params = _mixed_play_shape(seed)
     for schedule in ("round_robin", "random"):
         config = DynamicsConfig(schedule=schedule, seed=seed, max_rounds=20, br_grid=200)
         traj = run_dynamics(net, uts, start, config, params)

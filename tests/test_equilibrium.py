@@ -10,13 +10,11 @@ from nash_unicast.dynamics import DynamicsConfig, run_dynamics
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
-    _lattice_argmax,
     audit,
     best_deviation,
     check_optimality,
     check_walrasian,
     construct_ne,
-    deviation_grid,
     ne_tax_closed_form,
     own_tax_table,
     posted_prices,
@@ -28,9 +26,9 @@ from nash_unicast.mechanism import (
     assign_subsidies,
     eval_own_tax,
     outcome,
-    own_tax_axes,
     own_tax_terms,
     tax_link,
+    validate_profile,
 )
 from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
 from nash_unicast.scenario import load_scenario, random_feasible_profile
@@ -47,7 +45,6 @@ from nash_unicast.utilities import (
 
 from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
 from oracles import (
-    best_deviation_reference,
     best_response_gap_reference,
     check_walrasian_grid_reference,
     closed_form_reference,
@@ -171,8 +168,8 @@ def test_best_response_gap_nonnegative_even_off_equilibrium(golden):
             )
             for u in net.users()
         }
-        _, best, cur = best_deviation(net, uts, messy, 0, params, deviation_grid(net, uts, params, 40))
-        assert best - cur >= 0.0
+        _, gains = best_deviation(net, uts, messy, net.users(), params, 40, own_tax_table(net, messy, params))
+        assert min(gains) >= 0.0  # the current rate is a candidate
 
 
 def test_check_optimality(golden):
@@ -298,15 +295,24 @@ def _walrasian_profiles():
 
 
 def test_walrasian_demand_is_never_below_the_grid_best():
-    users = 0
+    users = refused = 0
     for name, net, uts, profile in _walrasian_profiles():
+        spread = max(max(profile[u].prices[l] for u in g) - min(profile[u].prices[l] for u in g)
+                     for l, g in enumerate(net.groups) if g)
+        if spread > 1e-9:
+            # play posts each user's own vertex price, which can differ
+            # between a link's users; the check refuses such a profile
+            with pytest.raises(NonUniformPrices):
+                check_walrasian(net, uts, profile)
+            refused += 1
+            continue
         checks = check_walrasian(net, uts, profile)
         grid = check_walrasian_grid_reference(net, uts, profile, 1e-3)
         for i, c in checks.items():
             # both gaps subtract the same bits of the current payoff
             assert c.payoff_gap >= grid[i].payoff_gap - 1e-12, (name, i, c, grid[i])
             users += 1
-    assert users > 300, users
+    assert users > 300 and refused <= 2, (users, refused)
 
 
 def test_audit_reads_each_link_at_its_least_posted_price():
@@ -340,14 +346,16 @@ def test_audit_reads_each_link_at_its_least_posted_price():
     assert rep.corollary_tax_gap == closed_form_gap(0.3) != closed_form_gap(0.4)
 
 
-# --- the separable deviation search against the full-grid search ---------------
+# --- a brute-force rate-by-price grid search ---------------------------------
 
 
 def best_deviation_full_grid(net, utilities, profile, user, params, br_grid):
     """The deviation search that evaluates ``eval_own_tax`` on the whole
-    rate-by-price grid of every route link, kept as the oracle of the
-    separable lattice in ``best_deviation``. Same candidates, same order,
-    same tie rule; candidates are (pay, rate, prices, message)."""
+    rate-by-price grid of every route link, plus a rate sweep at the current
+    prices, the analytic rate and a price sweep per route link: the move
+    rule play used before it moved by ``best_deviation``, kept as an
+    independent brute-force search that the audit's gain must dominate.
+    Candidates are (pay, rate, prices, message)."""
     route = net.route(user)
     tables = [(l, own_tax_terms(net, profile, l, user, params)) for l in route]
     u = utilities[user]
@@ -435,108 +443,6 @@ def _message_payoff(net, utilities, profile, user, params, message):
     return float(value(utilities[user], message.rate)) - tax
 
 
-def _assert_deviation_matches_reference(net, utilities, profile, params, br_grid):
-    sizes = set()
-    grid = deviation_grid(net, utilities, params, br_grid)
-    for user in net.users():
-        msg, best, cur = best_deviation(net, utilities, profile, user, params, grid)
-        _, ref_best, ref_cur = best_deviation_full_grid(net, utilities, profile, user, params, br_grid)
-        bound = 1e-12 * max(1.0, abs(ref_best))
-        assert cur == ref_cur, (user, cur, ref_cur)
-        assert abs(best - ref_best) <= bound, (user, best, ref_best)
-        assert set(msg.prices) == set(net.route(user))
-        attained = _message_payoff(net, utilities, profile, user, params, msg)
-        assert abs(attained - ref_best) <= bound, (user, attained, ref_best)
-        sizes.update(len(net.group(l)) for l in net.route(user))
-    return sizes
-
-
-@pytest.mark.parametrize("br_grid", [7, 64, 200])
-def test_best_deviation_matches_full_grid_search_golden(golden, br_grid):
-    net, uts, params, subs, res, profile = golden
-    rng = random.Random(br_grid)
-    profiles = [profile] + [
-        {u: Message(rng.uniform(0, 0.5), {l: rng.uniform(0, 2.0) for l in net.route(u)}) for u in net.users()}
-        for _ in range(5)
-    ]
-    for p in profiles:
-        _assert_deviation_matches_reference(net, uts, p, params, br_grid)
-
-
-@pytest.mark.parametrize("br_grid", [7, 64, 200])
-def test_best_deviation_matches_full_grid_search_at_equilibria(br_grid):
-    sizes = set()
-    for s in concave_suite():
-        sizes |= _assert_deviation_matches_reference(s.net, s.utilities, s.profile, s.params, br_grid)
-    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
-
-
-@pytest.mark.parametrize("br_grid", [7, 64, 200])
-def test_best_deviation_matches_full_grid_search_off_equilibrium(br_grid):
-    sizes = set()
-    for b in topology_corpus():
-        for k in range(2):
-            profile = random_feasible_profile(b.net, b.params, seed=b.seed * 7919 + k)
-            sizes |= _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
-    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 4, sorted(sizes)
-
-
-@pytest.mark.parametrize("br_grid", [7, 64, 200])
-def test_best_deviation_matches_full_grid_search_sigmoid(br_grid):
-    for b, clearing in sigmoid_suite():
-        assert not all(u.is_concave for u in b.utilities.values())
-        _assert_deviation_matches_reference(b.net, b.utilities, clearing, b.params, br_grid)
-        profile = random_feasible_profile(b.net, b.params, seed=b.seed)
-        _assert_deviation_matches_reference(b.net, b.utilities, profile, b.params, br_grid)
-
-
-# --- one deviation grid per audit against a grid built in every call -----------
-
-
-def _bits(found):
-    msg, best, cur = found
-    prices = sorted((l, float.hex(p)) for l, p in msg.prices.items())
-    return float.hex(msg.rate), prices, float.hex(best), float.hex(cur)
-
-
-def _assert_grid_matches_per_call_grid(net, utilities, profile, params, br_grid):
-    """Returns how many users' best deviation posts a nonzero grid price."""
-    grid = deviation_grid(net, utilities, params, br_grid)
-    on_price_axis = 0
-    for user in net.users():
-        got = best_deviation(net, utilities, profile, user, params, grid)
-        ref = best_deviation_reference(net, utilities, profile, user, params, br_grid)
-        # bit for bit: float.hex tells -0.0 from 0.0 and NaN from a number
-        assert _bits(got) == _bits(ref), (user, got, ref)
-        on_price_axis += any(p > 0.0 and p in grid.prices for p in got[0].prices.values())
-    return on_price_axis
-
-
-@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
-def test_deviation_grid_matches_per_call_grid_on_mixed_markets(br_grid):
-    families = set()
-    on_price_axis = 0
-    for seed in range(4000, 4012):
-        net, uts, params = mixed_market(seed)
-        families |= {u.family for u in uts.values()}
-        # under the default bound the grid prices are too coarse to win; a
-        # tight bound lets the lattice and the price sweeps win
-        for bounded in (params, replace(params, price_bound=3.0)):
-            for k in range(3):
-                profile = random_feasible_profile(net, bounded, seed=seed * 31 + k)
-                on_price_axis += _assert_grid_matches_per_call_grid(net, uts, profile, bounded, br_grid)
-    assert "sigmoid" in families and len(families) >= 3, families
-    assert on_price_axis > 0
-
-
-@pytest.mark.parametrize("br_grid", [2, 7, 64, 200])
-def test_deviation_grid_matches_per_call_grid_at_equilibria(br_grid):
-    for s in concave_suite()[:20]:
-        _assert_grid_matches_per_call_grid(s.net, s.utilities, s.profile, s.params, br_grid)
-    for b, clearing in sigmoid_suite():
-        _assert_grid_matches_per_call_grid(b.net, b.utilities, clearing, b.params, br_grid)
-
-
 def _denormal_net():
     """Nine capacities from the smallest float up, times the four utility
     families: a rate step that underflows to 0 sends numpy's linspace down
@@ -557,32 +463,6 @@ def _denormal_net():
     return build_network(links, routes), uts, MechanismParams(alpha=1e4, gamma=1e4, price_bound=50.0)
 
 
-def test_deviation_grid_arrays_are_read_only():
-    net, uts, params = _denormal_net()
-    for br_grid in (2, 7, 64, 200, 201):
-        grid = deviation_grid(net, uts, params, br_grid)
-        assert len(grid.rates) == len(grid.values) == net.num_users
-        for arr in (grid.prices, *grid.rates, *grid.values):
-            assert arr.shape == (br_grid,)
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-            with pytest.raises(ValueError):
-                arr += 1.0
-
-
-def test_stacked_grid_matches_per_user_axes_bit_for_bit():
-    # each user's grid row against its own linspace and utility call
-    net, uts, params = _denormal_net()
-    for br_grid in (2, 7, 64, 200, 201):
-        grid = deviation_grid(net, uts, params, br_grid)
-        for user in net.users():
-            xs = np.linspace(0.0, min_route_capacity(net, user), br_grid)
-            vs = np.asarray(value(uts[user], xs), dtype=float)
-            assert grid.rates[user].tobytes() == xs.tobytes(), (br_grid, user)
-            assert grid.values[user].tobytes() == vs.tobytes(), (br_grid, user)
-        assert grid.prices.tobytes() == np.linspace(0.0, 50.0, br_grid).tobytes()
-
-
 def test_audit_meets_denormal_capacities():
     # the audit builds its own rate rows; RuntimeWarnings are errors here
     net, uts, params = _denormal_net()
@@ -597,17 +477,16 @@ def test_audit_meets_denormal_capacities():
 
 
 def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid):
-    """Every user's closed-form gain is at least its ``best_deviation`` gap
-    on the same grid, less rounding, and the audit reports the largest;
-    returns the audit's gap and the largest grid gap."""
+    """Every user's closed-form gain is at least its gap in the brute-force
+    grid search on the same rates, less rounding, and the audit reports the
+    largest; returns the audit's gap and the largest grid gap."""
     alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
     gap = audit(net, utilities, profile, params, alloc, br_grid=br_grid).best_response_gap
-    grid = deviation_grid(net, utilities, params, br_grid)
     table = own_tax_table(net, profile, params)
-    batched = equilibrium._best_response_gaps(net, utilities, profile, params, br_grid, table).tolist()
+    batched = best_deviation(net, utilities, profile, net.users(), params, br_grid, table)[1]
     gains, grid_gap = [0.0], 0.0
     for user in net.users():
-        _, best, cur = best_deviation(net, utilities, profile, user, params, grid)
+        _, best, cur = best_deviation_full_grid(net, utilities, profile, user, params, br_grid)
         gains.append(batched[user])
         assert gains[-1] >= best - cur - 1e-12 * max(1.0, abs(best), abs(cur)), (user, gains[-1], best, cur)
         grid_gap = max(grid_gap, best - cur)
@@ -706,12 +585,15 @@ def test_audit_finds_the_deviations_the_grid_misses(mechanism, a, expected):
     gap, grid_gap = _assert_audit_dominates_grid_search(net, uts, profile, params, 200)
     assert grid_gap <= 1e-4
     assert gap == pytest.approx(expected, rel=5e-3)
+    # the winning price lies strictly below the grid's first positive price
+    messages, _ = best_deviation(net, uts, profile, net.users(), params, 200, own_tax_table(net, profile, params))
+    assert 0.0 < messages[0].prices[0] < params.price_bound / 199
 
 
 def test_audit_reads_a_nan_gap_as_inf(golden, monkeypatch):
     # builtin max(0.0, nan) keeps 0.0; a NaN must never read as a pass
     net, uts, params, subs, res, profile = golden
-    monkeypatch.setattr(equilibrium, "_best_response_gaps", lambda *args: np.full(net.num_users, np.nan))
+    monkeypatch.setattr(equilibrium, "best_deviation", lambda *args: ([], [np.nan] * net.num_users))
     rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=16)
     assert rep.best_response_gap == float("inf")
 
@@ -724,14 +606,18 @@ def _same_bits(a, b):
 
 
 def _assert_gaps_match_per_user_search(net, utilities, profile, params, br_grid):
-    """Every user's batched gain equals the per-user search, NaN matching NaN;
-    returns the number of users."""
+    """Every user's batched gain and winning message equal the per-user
+    search's, NaN matching NaN; returns the number of users."""
     table = own_tax_table(net, profile, params)
-    batched = equilibrium._best_response_gaps(net, utilities, profile, params, br_grid, table).tolist()
-    assert len(batched) == net.num_users
+    messages, gains = best_deviation(net, utilities, profile, net.users(), params, br_grid, table)
+    assert len(messages) == len(gains) == net.num_users
     for user in net.users():
-        one = best_response_gap_reference(net, utilities, profile, user, params, br_grid, table)
-        assert _same_bits(batched[user], one), (user, batched[user], one)
+        message, gain = best_response_gap_reference(net, utilities, profile, user, params, br_grid, table)
+        assert _same_bits(gains[user], gain), (user, gains[user], gain)
+        assert _same_bits(messages[user].rate, message.rate), (user, messages[user], message)
+        assert list(messages[user].prices) == list(net.route(user))
+        for l, p in message.prices.items():
+            assert _same_bits(messages[user].prices[l], p), (user, l, messages[user], message)
     return net.num_users
 
 
@@ -786,6 +672,27 @@ def test_batched_gaps_match_per_user_search(scale):
     assert users > 1000
 
 
+def test_each_winning_message_earns_its_gain():
+    # evaluated pointwise, the returned message earns the current payoff
+    # plus the reported gain, and every message lies in its user's box
+    movers = 0
+    for name, net, uts, profile, params in _gap_cases():
+        if name == "denormal":  # V and the taxes overflow at the largest capacity
+            continue
+        table = own_tax_table(net, profile, params)
+        messages, gains = best_deviation(net, uts, profile, net.users(), params, 64, table)
+        validate_profile(net, dict(enumerate(messages)), params)
+        for user, message, gain in zip(net.users(), messages, gains):
+            cur = _message_payoff(net, uts, profile, user, params, profile[user])
+            new = _message_payoff(net, uts, profile, user, params, message)
+            assert abs(new - cur - gain) <= 1e-12 * max(1.0, abs(new), abs(cur)), (name, user, new, cur, gain)
+            for l in net.route(user):
+                if len(net.group(l)) == 1:
+                    assert message.prices[l] == 0.0
+            movers += gain > 1e-9
+    assert movers > 100, movers
+
+
 def test_outcome_with_the_shared_table_equals_outcome_without():
     for _, net, uts, profile, params in _gap_cases():
         subsidies = assign_subsidies(net, params.rng_seed)
@@ -809,112 +716,6 @@ def test_closed_form_from_the_table_equals_the_peer_walk():
             assert _same_bits(got, closed_form_reference(net, profile, link, user, params, p)), (user, link)
             sizes.add(terms.group_size)
     assert {1, 2, 3}.issubset(sizes) and max(sizes) > 20, sorted(sizes)
-
-
-# --- the column-bounded lattice search against the full G-by-G fill -------------
-
-
-def lattice_argmax_reference(xs, a, h_sum, g_sum):
-    """The full rate-by-price lattice, filled in place in one G-by-G buffer,
-    kept as the oracle of the column-pruned ``_lattice_argmax``."""
-    lattice = np.empty((len(xs), len(h_sum)))
-    np.multiply.outer(xs, h_sum, out=lattice)
-    lattice += g_sum
-    np.subtract(a[:, None], lattice, out=lattice)
-    i, j = divmod(int(np.argmax(lattice)), len(h_sum))
-    return i, j, float(lattice[i, j])
-
-
-def kept_columns(xs, a, h_sum, g_sum):
-    """How many price columns ``_lattice_argmax`` keeps: those whose bound
-    ``max(a) - (low_x*h + g)`` is not below the best-bounded column's max.
-    One means it returns that column's own argmax; more, it fills a block."""
-    low_x = np.where(h_sum < 0.0, xs[-1], 0.0)
-    bound = a.max() - (low_x * h_sum + g_sum)
-    top = int(np.argmax(bound))
-    return int(np.count_nonzero(~(bound < np.max(a - (xs * h_sum[top] + g_sum[top])))))
-
-
-def _assert_lattice_matches_reference(xs, a, h_sum, g_sum):
-    """Assert the search equals the full fill bit for bit; returns whether
-    it took the one-column return."""
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite inputs
-        i, j, got = _lattice_argmax(xs, a, h_sum, g_sum)
-        ri, rj, ref = lattice_argmax_reference(xs, a, h_sum, g_sum)
-        one_column = kept_columns(xs, a, h_sum, g_sum) == 1
-    assert (i, j) == (ri, rj), (i, j, ri, rj)
-    # bit for bit, so NaN matches NaN and -0.0 does not match 0.0
-    assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (got, ref)
-    return one_column
-
-
-@pytest.mark.parametrize("br_grid", [7, 64, 200])
-def test_lattice_argmax_matches_full_fill_on_corpora(monkeypatch, br_grid):
-    # record the vectors best_deviation hands the lattice search
-    seen = []
-
-    def recording(xs, a, h_sum, g_sum):
-        seen.append((xs.copy(), a.copy(), h_sum.copy(), g_sum.copy()))
-        return _lattice_argmax(xs, a, h_sum, g_sum)
-
-    monkeypatch.setattr(equilibrium, "_lattice_argmax", recording)
-    cases = [(s.net, s.utilities, s.profile, s.params) for s in concave_suite()]
-    for b in topology_corpus():
-        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
-    for b, clearing in sigmoid_suite():
-        cases.append((b.net, b.utilities, clearing, b.params))
-        cases.append((b.net, b.utilities, random_feasible_profile(b.net, b.params, seed=b.seed), b.params))
-    for net, uts, profile, params in cases:
-        grid = deviation_grid(net, uts, params, br_grid)
-        for user in net.users():
-            best_deviation(net, uts, profile, user, params, grid)
-    assert len(seen) > 400
-    assert any(np.any(h < 0) for _, _, h, _ in seen) and any(np.any(h > 0) for _, _, h, _ in seen)
-    branches = {_assert_lattice_matches_reference(*args) for args in seen}
-    assert branches == {True, False}  # both the one-column return and the block
-
-
-@pytest.mark.parametrize("G", [2, 7, 64, 200])
-def test_lattice_argmax_matches_full_fill_on_synthetic_arrays(G):
-    rng = np.random.default_rng(G)
-    xs = np.linspace(0.0, 1.5, G)
-    zeros = np.zeros(G)
-    # every column tied, as on a singleton link: the block, whose first column wins
-    assert not _assert_lattice_matches_reference(xs, rng.normal(size=G), zeros, zeros)
-    # every row of the one kept column tied: its first row wins
-    g = np.ones(G)
-    g[-1] = 0.0
-    assert _assert_lattice_matches_reference(xs, zeros, zeros, g)
-    _assert_lattice_matches_reference(np.zeros(G), rng.normal(size=G), rng.normal(size=G), rng.normal(size=G))
-    # the best entry sits at the top rate of a column with negative h, whose
-    # value at x = 0 is far below another column's
-    h = np.zeros(G)
-    g = np.zeros(G)
-    g[0], h[-1] = -1.0, -3.0
-    _assert_lattice_matches_reference(xs, zeros, h, g)
-    # the branches the finite and the non-finite draws took: the one-column
-    # return (True) and the block (False)
-    branches = {False: set(), True: set()}
-    for trial in range(200):
-        a = rng.normal(size=G)
-        h = rng.normal(size=G) * rng.choice([1e-3, 1.0, 1e3])
-        g = rng.normal(size=G)
-        if trial % 4 == 1:  # h of one sign only
-            h = np.abs(h) * rng.choice([-1.0, 1.0])
-        if trial % 4 == 2:  # duplicate columns, so the max ties across columns
-            src = rng.integers(G, size=G)
-            h, g = h[src], g[src]
-        if trial % 4 == 3:  # small integers: exact ties within and across columns
-            a = rng.integers(-2, 3, size=G).astype(float)
-            h = rng.integers(-2, 3, size=G).astype(float)
-            g = rng.integers(-2, 3, size=G).astype(float)
-        if trial >= 100:  # non-finite entries in one of the three vectors
-            target = (a, h, g)[trial % 3]
-            target[rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
-            if trial % 5 == 0:
-                (a, h, g)[trial % 2][rng.integers(G)] = rng.choice([np.inf, -np.inf, np.nan])
-        branches[trial >= 100].add(_assert_lattice_matches_reference(xs, a, h, g))
-    assert branches == {False: {True, False}, True: {True, False}}, branches
 
 
 def _group_net(n):
@@ -943,19 +744,15 @@ def eval_own_tax_reference(terms, x, p):
     return (tax + np.where(firing, terms.penalty_both, 0.0))[()]
 
 
-def _assert_axes_identity(terms, x, p):
-    f, g, h = own_tax_axes(terms, x, p)
-    direct = np.asarray(eval_own_tax(terms, x, p), dtype=float)
+def _assert_matches_written_out_tax(terms, x, p):
     # the kernel-built tax equals the directly written one exactly
+    direct = np.asarray(eval_own_tax(terms, x, p), dtype=float)
     assert np.all(direct == eval_own_tax_reference(terms, x, p)), (x, p)
-    split = np.asarray(f + g + np.asarray(x) * h, dtype=float)
-    scale = np.abs(f) + np.abs(g) + np.abs(np.asarray(x) * h)
-    assert np.all(np.abs(split - direct) <= 1e-12 * np.maximum(1.0, scale)), (x, p, split, direct)
     return direct
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-def test_own_tax_axes_split_eval_own_tax(n):
+def test_eval_own_tax_matches_the_written_out_tax(n):
     net = _group_net(n)
     params = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=50.0)
     rng = random.Random(40 + n)
@@ -972,8 +769,8 @@ def test_own_tax_axes_split_eval_own_tax(n):
     xs = np.array([rng.uniform(0.0, 3.0) for _ in range(50)])
     ps = np.array([rng.uniform(0.0, params.price_bound) for _ in range(50)])
     for x, p in zip(xs, ps):
-        _assert_axes_identity(terms, float(x), float(p))
-    _assert_axes_identity(terms, xs[:, None], ps[None, :])
+        _assert_matches_written_out_tax(terms, float(x), float(p))
+    _assert_matches_written_out_tax(terms, xs[:, None], ps[None, :])
 
     # both sides of every penalty wall; where the penalty switches on, the
     # two sides differ by it
@@ -990,8 +787,8 @@ def test_own_tax_axes_split_eval_own_tax(n):
         ]
     for t, wall, jump in walls:
         for p in (0.0, float(ps[0]), params.price_bound):
-            below = _assert_axes_identity(t, wall - d, p)
-            above = _assert_axes_identity(t, wall + d, p)
+            below = _assert_matches_written_out_tax(t, wall - d, p)
+            above = _assert_matches_written_out_tax(t, wall + d, p)
             if jump is not None:
                 assert float(above - below) == pytest.approx(jump, rel=1e-9)
             else:

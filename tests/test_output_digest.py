@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "0a9ee2be5569efb910cab70aefda456ff5b22f99b6610e4c8b8bb6b145f7e19e"
-COMMANDS = 480
+DIGEST = "157ecd8e2baf9c8d373202205f7bee84cb4a8376117ece7af1d7389537922cfb"
+COMMANDS = 483
 
 
 def _load_tool():
