@@ -383,8 +383,80 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
 # --- every report is json.dumps' strict, indented JSON ------------------------
 
 
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.5e-308]),
+    st.text(max_size=12),
+    st.sampled_from(["é", "ü ", "日本", "\x00\n\t\"\\", "😀", " "]),
+)
+_KEYS = st.one_of(st.text(max_size=8), st.sampled_from(["", "é", "naïve key", "日本", "\"q\"", "u1"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_KEYS, inner, max_size=5),
+        st.lists(st.dictionaries(_KEYS, inner, max_size=4), max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
 def _reference_text(report) -> str:
     return json.dumps(report, indent=2, allow_nan=False)
+
+
+def report_json(report) -> str:
+    """The report file ``_emit`` writes, without its closing newline."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        _emit(report, str(path), [])
+        text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return text[:-1]
+
+
+@given(_JSON)
+@settings(max_examples=300, deadline=None)
+def test_report_json_equals_json_dumps(value):
+    assert report_json(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}},
+        {"a": [[]]},
+        [{}],
+        ({"t": (1, 2.5)},),
+        {1: 2.0, None: True},
+        "x",
+        5e-324,
+        {"numpy": [np.float64(0.1), np.float64(-0.0)]},
+    ],
+)
+def test_report_json_equals_json_dumps_on_edge_shapes(value):
+    assert report_json(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_raises_as_json_dumps_does(bad):
+    for report in ({"a": {"b": [1.0, bad]}}, {"x": bad}, [bad]):
+        with pytest.raises(ValueError) as got:
+            report_json(report)
+        with pytest.raises(ValueError) as ref:
+            _reference_text(report)
+        assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
