@@ -396,7 +396,7 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.5e-308]),
     st.text(max_size=12),
-    st.sampled_from(["é", "ü ", "日本", "\x00\n\t\"\\", "😀", " "]),
+    st.sampled_from(["é", "ü ", "日本", "\x00\n\t\"\\", "😀", "\u2028"]),
 )
 _KEYS = st.one_of(st.text(max_size=8), st.sampled_from(["", "é", "naïve key", "日本", "\"q\"", "u1"]))
 _JSON = st.recursive(

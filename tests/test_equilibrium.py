@@ -290,12 +290,14 @@ def _walrasian_profiles():
         first = b.net.group(0)[0]
         nudged = dict(start)
         nudged[first] = with_rate(start[first], start[first].rate * 0.7)
-        for s0 in (start, nudged):
-            yield b.name, b.net, b.utilities, run_dynamics(b.net, b.utilities, s0, config, b.params).final_profile
+        for label, s0 in (("played", start), ("nudged", nudged)):
+            final = run_dynamics(b.net, b.utilities, s0, config, b.params).final_profile
+            yield f"{b.name} {label}", b.net, b.utilities, final
 
 
 def test_walrasian_demand_is_never_below_the_grid_best():
-    users = refused = 0
+    users = 0
+    refused = set()
     for name, net, uts, profile in _walrasian_profiles():
         spread = max(max(profile[u].prices[l] for u in g) - min(profile[u].prices[l] for u in g)
                      for l, g in enumerate(net.groups) if g)
@@ -304,7 +306,7 @@ def test_walrasian_demand_is_never_below_the_grid_best():
             # between a link's users; the check refuses such a profile
             with pytest.raises(NonUniformPrices):
                 check_walrasian(net, uts, profile)
-            refused += 1
+            refused.add(name)
             continue
         checks = check_walrasian(net, uts, profile)
         grid = check_walrasian_grid_reference(net, uts, profile, 1e-3)
@@ -312,7 +314,8 @@ def test_walrasian_demand_is_never_below_the_grid_best():
             # both gaps subtract the same bits of the current payoff
             assert c.payoff_gap >= grid[i].payoff_gap - 1e-12, (name, i, c, grid[i])
             users += 1
-    assert users > 300 and refused <= 2, (users, refused)
+    # the one endpoint known to end with a spread above the bar
+    assert users > 300 and refused == {"sigmoid-3006 nudged"}, (users, refused)
 
 
 def test_audit_reads_each_link_at_its_least_posted_price():
