@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import DynamicsConfig, run_dynamics
@@ -37,6 +38,7 @@ from .solver import NonConcaveUtility, solve_centralized
 log = logging.getLogger("nash_unicast")
 # what a command reports as "error: <message>" with exit 1; a ScenarioError is a ValueError
 ERRORS = (OSError, ValueError, RuntimeError)
+REPORT_SCHEMA = "nash-unicast/report-v1"
 
 
 class UsageError(ValueError):
@@ -83,12 +85,76 @@ def _evaluate_checks(report, tax_scale: float):
     return checks
 
 
+def _report_text(report) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
+
+    With ``indent`` json runs its pure-Python encoder, which walks the
+    report through generators. A report is written here instead by
+    ``_write_json``, as long as it holds only dicts with string keys,
+    lists, strings, ints, finite floats, booleans and None. Any other
+    report goes to ``json.dumps`` itself, so json's own text or error comes
+    out: a NaN or inf raises its ValueError."""
+    out: list = []
+    try:
+        _write_json(report, "\n", out)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(report, indent=2, allow_nan=False)
+    return "".join(out)
+
+
+def _write_json(o, indent: str, out: list) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``indent`` is the newline
+    and spaces that open a line at ``o``'s depth. Raises TypeError or
+    ValueError on a value outside ``_report_text``'s subset."""
+    kind = type(o)
+    if kind is float:
+        if o - o != 0.0:  # NaN or inf
+            raise ValueError(o)
+        out.append(float.__repr__(o))
+    elif kind is str:
+        out.append(encode_basestring_ascii(o))
+    elif kind is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, v in o.items():
+            if type(key) is not str:
+                raise TypeError(key)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif kind is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(o)
+
+
 def _emit(report: dict, out_path, lines) -> None:
     for line in lines:
         print(line)
     if out_path:
         # strict JSON: a NaN or inf raises ValueError before the file is opened
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = _report_text(report)
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
         print(f"report written to {out_path}")
@@ -109,7 +175,7 @@ def _header(command: str, scenario: Scenario):
     """A report's opening keys and its text's first line."""
     digest = scenario.digest()
     report = {
-        "schema": "nash-unicast/report-v1",
+        "schema": REPORT_SCHEMA,
         "command": command,
         "scenario": {"name": scenario.name, "digest": digest},
     }
@@ -119,14 +185,16 @@ def _header(command: str, scenario: Scenario):
 def _profile(args, scenario: Scenario, net):
     """The ``--profile`` file, else the scenario's own profile, else None.
 
-    The file holds a bare profile or a prior report: construct-ne and audit
-    keep the profile under "profile", simulate under "final_profile".
+    The file holds a bare profile or a prior report, told apart by the
+    report's "schema": construct-ne and audit keep the profile under
+    "profile", simulate under "final_profile". A bare profile's keys are
+    user labels, whatever they are.
     """
     if not getattr(args, "profile", None):  # report has no --profile
         return scenario.profile_messages(net)
     with open(args.profile) as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
+    if isinstance(data, dict) and data.get("schema") == REPORT_SCHEMA:
         data = data.get("profile", data.get("final_profile", data))
     return parse_profile(data, net)
 
@@ -338,7 +406,7 @@ def cmd_report(args) -> int:
             rows.append(_report_row(args, path))
         except ERRORS as exc:  # the message the single command prints after "error: "
             rows.append({"file": path.name, "verdict": "error", "error": str(exc)})
-    report = {"schema": "nash-unicast/report-v1", "command": "report", "scenarios": rows}
+    report = {"schema": REPORT_SCHEMA, "command": "report", "scenarios": rows}
     lines = [f"{'file':<32} {'verdict':<8} {'objective':>16}  notes"]
     for r in rows:
         obj = _fmt(r.get("objective", "")) if "objective" in r else ""

@@ -115,7 +115,9 @@ def run_dynamics(
     (``round_robin``) or in an order shuffled with ``config.seed``
     (``random``). The class's unsettled users are searched in one call, on
     their own-tax terms at the current profile, and each one that gains more
-    than the tolerance moves to its winning message."""
+    than the tolerance moves to its winning message. A gain that is not
+    finite (the taxes overflow) raises ``DynamicsError``, naming the user
+    and the round."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)  # fail early if subsidies are impossible
     profile: MessageProfile = dict(start)
@@ -137,6 +139,9 @@ def run_dynamics(
             table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in users for l in net.route(u)}
             messages, gains = best_deviation(net, utilities, profile, users, params, config.br_grid, table)
             for user, message, delta in zip(users, messages, gains):
+                if not math.isfinite(delta):  # a NaN would otherwise read as settled
+                    name = net.user_labels[user]
+                    raise DynamicsError(f"user {name!r}: best-response gain {delta} in round {rnd} is not finite")
                 if delta > config.stop_tolerance:
                     steps.append(Step(rnd, user, profile[user], message, delta))
                     profile[user] = message

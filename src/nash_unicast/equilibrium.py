@@ -19,10 +19,12 @@ and the analytic rate response (``_analytic_rate``). At a fixed own rate a
 link's tax is a convex quadratic in the own price, so each link's best price
 is that quadratic's vertex clipped to the price box (``_vertex_price``), and
 the route's best tax is the sum of the links'. The users searched together
-go in one array pass: the pairs are stacked by route position, and the tax
-kernel runs once per position. It returns each user's winning message and
-gain; ``audit`` reads the largest gain over all users, and dynamics moves a
-colour class of users who share no link by their winning messages.
+go in one array pass: one rate grid holds every user's candidates, a row
+each, V on it takes one pass of the value formulas per utility family, and
+the (user, link) pairs are stacked by route position for one tax-kernel
+call on all candidates. It returns each user's winning message and gain;
+``audit`` reads the largest gain over all users, and dynamics moves a colour
+class of users who share no link by their winning messages.
 ``check_walrasian`` checks that every user's rate maximizes its payoff at
 the posted prices over the rates the others leave available, against the
 user's ``demand`` there, not a grid.
@@ -55,7 +57,7 @@ from .mechanism import (
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
-from .utilities import UtilitySpec, demand, payoff, value
+from .utilities import UtilitySpec, demand, family_value, payoff
 
 
 class PriceBoundExceeded(MechanismError):
@@ -186,6 +188,23 @@ def _vertex_price(t: OwnTaxTerms, x, bound: float) -> np.ndarray:
     return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
 
 
+def _rate_grid(caps: np.ndarray, n: int) -> np.ndarray:
+    """``np.linspace(0.0, cap, n)`` for each of ``caps``, one row each, bit
+    for bit: ``k*step``, or ``(k/(n-1))*cap`` on a row whose step
+    underflows to 0, as linspace computes them, then ``cap`` itself last.
+    (Adding linspace's start 0.0 changes no non-negative rate.)"""
+    if n < 2:
+        return np.zeros((len(caps), n))
+    k = np.arange(n, dtype=float)
+    step = caps / (n - 1)
+    grid = k * step[:, None]
+    tiny = step == 0.0
+    if tiny.any():
+        grid[tiny] = k / (n - 1) * caps[tiny, None]
+    grid[:, -1] = caps
+    return grid
+
+
 def best_deviation(
     net: Network,
     utilities: Mapping[int, UtilitySpec],
@@ -201,22 +220,28 @@ def best_deviation(
     ``table`` holds the ``own_tax_terms`` of every (user, route link) pair of
     ``users`` at ``profile``. A user's candidate rates are ``br_grid`` rates
     spaced evenly over [0, its route capacity], its current rate and the
-    analytic rate response at the current prices (``_analytic_rate``), with V
-    on them from one ``value`` call. At each of them every shared link takes
-    its ``_vertex_price``; a singleton link's tax does not depend on the
-    price. The winner is the first best candidate rate, with each shared
-    link at its vertex price there and each singleton link at price 0, the
-    least of the tied prices.
+    analytic rate response at the current prices (``_analytic_rate``). At
+    each of them every shared link takes its ``_vertex_price``; a singleton
+    link's tax does not depend on the price. The winner is the first best
+    candidate rate, with each shared link at its vertex price there and each
+    singleton link at price 0, the least of the tied prices.
 
-    The (user, route link) pairs are stacked by route position: the first
-    link of every route, then the second link of every route that has one,
-    and so on, in the order of ``users`` within a position. Their terms
+    The candidates of all ``users`` form one array, a row per user: the
+    grid part comes from one ``_rate_grid`` call, with each row's bits of
+    ``np.linspace(0.0, cap, br_grid)``, and V on the rows from one
+    ``family_value`` pass per utility family, each row with its own
+    parameters. Each pair's tax and coupling coefficient h at the current
+    message, which the current payoff and ``_analytic_rate`` read, come from
+    the scalar path of ``eval_own_tax`` and ``own_tax_parts``, in Python
+    floats. The (user, route link) pairs are stacked by route position: the
+    first link of every route, then the second link of every route that has
+    one, and so on, in the order of ``users`` within a position. Their terms
     become one ``OwnTaxTerms`` of (pairs, 1) columns, so ``eval_own_tax``
-    runs once on all pairs at the current messages and once on all (pairs x
-    candidates) rates. Each user's link taxes are summed from 0.0 one
-    position at a time, in route order as builtin ``sum`` adds them, and each
-    row is reduced by its own argmax, so every gain has the bits of a search
-    run one user at a time, whichever users are searched together.
+    runs once on all (pairs x candidates) rates. Each user's link taxes are
+    summed from 0.0 one position at a time, in route order as builtin
+    ``sum`` adds them, and each row is reduced by its own argmax, so every
+    gain has the bits of a search run one user at a time, whichever users
+    are searched together.
 
     Returns (messages, gains), both in the order of ``users``.
     """
@@ -239,19 +264,29 @@ def best_deviation(
             total[owner[start:end]] += a[start:end]
         return total
 
-    x = np.array([[m.rate] for m in cur], dtype=float)[owner]
-    cur_tax = route_sums(eval_own_tax(t, x, p))[:, 0]
-    h = own_tax_parts(t, x, p)[3][:, 0].tolist()
+    # the current message's taxes and h, one pair at a time in Python floats
+    caps = [min_route_capacity(net, u) for u in users]
+    cur_tax, x_best = [], []
+    for u, m, route, cap in zip(users, cur, routes, caps):
+        terms, hs, tax = [table[u, l] for l in route], [], 0.0
+        for tl, l in zip(terms, route):
+            tax += eval_own_tax(tl, m.rate, m.prices[l])
+            hs.append(own_tax_parts(tl, m.rate, m.prices[l])[3])
+        cur_tax.append(tax)
+        x_best.append(_analytic_rate(utilities[u], terms, hs, cap))
 
     rates = np.empty((len(users), br_grid + 2))
-    values = np.empty_like(rates)
+    rates[:, :br_grid] = _rate_grid(np.array(caps), br_grid)
+    rates[:, br_grid] = [m.rate for m in cur]
+    rates[:, br_grid + 1] = x_best
+    families: Dict[str, List[int]] = {}
     for i, u in enumerate(users):
-        spec, m, cap = utilities[u], cur[i], min_route_capacity(net, u)
-        x_best = _analytic_rate(spec, [table[u, l] for l in routes[i]], [h[k] for k in slots[i]], cap)
-        rates[i, :br_grid] = np.linspace(0.0, cap, br_grid)
-        rates[i, br_grid:] = m.rate, x_best
-        values[i] = value(spec, rates[i])
-    v_cur = values[:, br_grid]  # V at the current rate: a float's bits are the array path's
+        families.setdefault(utilities[u].family, []).append(i)
+    values = np.empty_like(rates)
+    for family, rows in families.items():
+        ab = np.array([(utilities[users[i]].a, utilities[users[i]].b) for i in rows])
+        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
+    v_cur = values[:, br_grid]
 
     x = rates[owner]
     single = t.group_size == 1
@@ -259,7 +294,7 @@ def best_deviation(
     pays = values - route_sums(eval_own_tax(t, x, np.where(single, p, vertex)))
     best = pays.argmax(axis=1)
     each = np.arange(len(users))
-    gains = pays[each, best] - (v_cur - cur_tax)
+    gains = pays[each, best] - (v_cur - np.array(cur_tax))
     won_rates = rates[each, best].tolist()
     won_prices = np.where(single[:, 0], 0.0, vertex[np.arange(len(pairs)), best[owner]]).tolist()
     messages = [

@@ -118,15 +118,23 @@ def value(u: UtilitySpec, x):
             return u.a * xm - u.b * xm * xm
         x2 = x * x
         return u.a * x2 / (u.b + x2)
-    if u.family == "log":
-        return u.a * np.log1p(x)
-    if u.family == "power":
-        return u.a * np.power(x, u.b)
-    if u.family == "quadcap":
-        xm = np.minimum(x, u.a / (2.0 * u.b))
-        return u.a * xm - u.b * xm * xm
+    return family_value(u.family, u.a, u.b, x)
+
+
+def family_value(family: str, a, b, x):
+    """U(x) of one family on arrays, its parameters ``a`` and ``b`` as in
+    ``UtilitySpec``: scalars, or arrays that broadcast against ``x``, such
+    as a column of one user's parameters per row of rates. Each element has
+    the bits of ``value`` on that user's spec. Rates are not checked."""
+    if family == "log":
+        return a * np.log1p(x)
+    if family == "power":
+        return a * np.power(x, b)
+    if family == "quadcap":
+        xm = np.minimum(x, a / (2.0 * b))
+        return a * xm - b * xm * xm
     x2 = np.square(x)
-    return u.a * x2 / (u.b + x2)
+    return a * x2 / (b + x2)
 
 
 def derivative(u: UtilitySpec, x):

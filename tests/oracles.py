@@ -9,7 +9,8 @@ statistic and once more for the large-group balance term, as
 ``best_response_gap_reference`` is the best response run one user at a time,
 with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it before
 ``best_deviation`` stacked the pairs of every user searched by route
-position.
+position, and with one ``np.linspace`` and one ``value`` call per user, as
+``best_deviation`` ran before its one rate grid and per-family value pass.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
 ``check_walrasian_grid_reference`` scans each user's rates on a grid, as

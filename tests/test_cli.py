@@ -107,6 +107,36 @@ def test_audit_reads_final_profile_of_simulate_report(tmp_path, capsys):
     assert json.loads(audit_path.read_text())["profile"] == final
 
 
+@pytest.mark.parametrize("label", ["profile", "final_profile"])
+def test_a_user_labelled_like_a_report_key_reads_from_both_file_kinds(tmp_path, capsys, label):
+    # only a report (its schema says so) keeps the profile under a key; a
+    # bare profile's keys are user labels, these two included
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "schema": "nash-unicast/scenario-v1",
+                "name": "labels",
+                "links": {"A": 1.0},
+                "routes": {label: ["A"], "u2": ["A"], "u3": ["A"]},
+                "utilities": {u: {"family": "log", "params": {"a": 1.0}} for u in (label, "u2", "u3")},
+            }
+        )
+    )
+    ne, sim, bare, bare_final = (tmp_path / f"{name}.json" for name in ("ne", "sim", "bare", "bare_final"))
+    assert main(["construct-ne", "--scenario", str(scenario), "--out", str(ne)]) == 0
+    profile = json.loads(ne.read_text())["profile"]
+    assert set(profile) == {label, "u2", "u3"}
+    bare.write_text(json.dumps(profile))
+    assert main(["simulate", "--scenario", str(scenario), "--profile", str(bare), "--out", str(sim)]) == 0
+    bare_final.write_text(json.dumps(json.loads(sim.read_text())["final_profile"]))
+    for path in (ne, bare, sim, bare_final):
+        out = tmp_path / "audit.json"
+        code = main(["audit", "--scenario", str(scenario), "--profile", str(path), "--out", str(out)])
+        assert code == 0, (path.name, capsys.readouterr().err)
+        assert json.loads(out.read_text())["profile"] == profile, path.name
+
+
 def test_solve_rejects_infinite_capacity(tmp_path, capsys):
     scenario = json.loads(Path(GOLDEN).read_text())
     scenario["links"]["A"] = float("inf")
@@ -384,10 +414,20 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
 
 
 import tempfile  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from nash_unicast.scenario import (  # noqa: E402
+    profile_to_labels,
+    random_feasible_profile,
+    random_scenario,
+    save_scenario,
+)
+
+from corpus import crowded_scenario, mixed_scenario  # noqa: E402
 
 _SCALARS = st.one_of(
     st.none(),
@@ -459,8 +499,22 @@ def test_report_json_raises_as_json_dumps_does(bad):
         assert str(got.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_report_files_equal_json_dumps(tmp_path, capsys, path):
+def _refuse(*args, **kwargs):
+    raise AssertionError("the report was handed to json.dumps")
+
+
+def _writer_only(monkeypatch):
+    """Make ``cli.json.dumps`` refuse, so a report file can come only from
+    the writer; ``cli.json.load`` still reads profiles."""
+    monkeypatch.setattr(cli, "json", SimpleNamespace(load=json.load, dumps=_refuse))
+
+
+def _assert_writer_wrote_every_report(tmp_path, monkeypatch, path):
+    """Run construct-ne, audit and simulate on the scenario file ``path``,
+    with ``cli.json.dumps`` refusing, so that each report file is the
+    writer's own; each must hold the bytes of ``json.dumps(report, indent=2,
+    allow_nan=False)`` and a newline. Returns the files written."""
+    _writer_only(monkeypatch)
     ne, audit, sim = (tmp_path / f"{name}.json" for name in ("ne", "audit", "sim"))
     main(["construct-ne", "--scenario", str(path), "--out", str(ne), "--grid", "24"])
     profile = ne if ne.exists() else None
@@ -475,6 +529,41 @@ def test_report_files_equal_json_dumps(tmp_path, capsys, path):
     for p in written:
         text = p.read_text()
         assert text == _reference_text(json.loads(text)) + "\n", p.name
+    return written
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch, path):
+    _assert_writer_wrote_every_report(tmp_path, monkeypatch, path)
+
+
+@pytest.mark.parametrize("shape", ["concave market", "mixed market", "crowded link"])
+def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch, shape):
+    # the mixed-play benchmark's shape, in a concave market (construct-ne
+    # runs) and in the mixed market with a random feasible start, and the
+    # crowded-links benchmark's 26 users on one link
+    sizes = dict(users_range=(28, 32), links_range=(18, 22))
+    if shape == "crowded link":
+        scenario = crowded_scenario()
+    elif shape == "concave market":
+        scenario = random_scenario(4400, **sizes)
+    else:
+        scenario = mixed_scenario(4400, **sizes)
+        net, _, params, _ = scenario.build()
+        scenario.profile = profile_to_labels(random_feasible_profile(net, params, seed=4400), net)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    written = _assert_writer_wrote_every_report(tmp_path, monkeypatch, path)
+    assert len(written) == (2 if shape == "mixed market" else 3)
+    assert (tmp_path / "audit.json").stat().st_size > 10_000
+
+
+def test_report_command_file_is_the_writers_own(tmp_path, capsys, monkeypatch):
+    _writer_only(monkeypatch)
+    out = tmp_path / "report.json"
+    main(["report", "--scenario", str(SCENARIO_DIR), "--grid", "24", "--out", str(out)])
+    text = out.read_text()
+    assert text == _reference_text(json.loads(text)) + "\n"
 
 
 # --- log lines follow the caller's stderr ---------------------------------------

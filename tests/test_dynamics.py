@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nash_unicast import dynamics
+from nash_unicast.cli import main
 from nash_unicast.dynamics import (
     DynamicsConfig,
     DynamicsError,
@@ -21,10 +24,10 @@ from nash_unicast.mechanism import (
     validate_profile,
 )
 from nash_unicast.network import build_network
-from nash_unicast.scenario import random_feasible_profile
+from nash_unicast.scenario import profile_to_labels, random_feasible_profile, random_scenario, save_scenario
 from nash_unicast.utilities import log_utility
 
-from corpus import mixed_market, sigmoid_suite, topology_corpus
+from corpus import denormal_net, mixed_market, sigmoid_suite, topology_corpus
 from oracles import best_response_gap_reference, with_rate
 
 
@@ -284,3 +287,32 @@ def test_play_at_the_mixed_play_shape_keeps_the_reference_trajectory(seed):
         traj = run_dynamics(net, uts, start, config, params)
         assert traj.steps, (seed, schedule)
         assert traj == run_dynamics_reference(net, uts, start, config, params), (seed, schedule)
+
+
+# --- a gain that is not finite stops play ---------------------------------------
+
+
+def test_a_nan_gain_raises_naming_the_user_and_the_round():
+    # alpha = 1e300 and gamma = 1e-300 overflow the taxes of the denormal
+    # net: 6 of 36 gains at the start read NaN, which once passed for settled
+    net, uts, params = denormal_net()
+    extreme = replace(params, alpha=1e300, gamma=1e-300)
+    start = random_feasible_profile(net, params, seed=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = best_deviation(net, uts, start, net.users(), extreme, 64, own_tax_table(net, start, extreme))[1]
+        assert sum(g != g for g in gains) == 6
+        with pytest.raises(DynamicsError, match=r"^user 'u7': best-response gain nan in round 1 is not finite$"):
+            run_dynamics(net, uts, start, DynamicsConfig(), extreme)
+
+
+def test_simulate_exits_1_on_a_gain_that_is_not_finite(tmp_path, capsys):
+    scenario = random_scenario(0)
+    scenario.mechanism.update(alpha=1e300, gamma=1e-300)
+    net, _, params, _ = scenario.build()
+    scenario.profile = profile_to_labels(random_feasible_profile(net, params, seed=0), net)
+    path = tmp_path / "overflow.json"
+    save_scenario(scenario, path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "sim.json")]) == 1
+    assert capsys.readouterr().err == "error: user 'u1': best-response gain nan in round 1 is not finite\n"
+    assert not (tmp_path / "sim.json").exists()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from nash_unicast import equilibrium
-from nash_unicast.dynamics import DynamicsConfig, run_dynamics
+from nash_unicast.dynamics import DynamicsConfig, _colour_classes, run_dynamics
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
+    _rate_grid,
     audit,
     best_deviation,
     check_optimality,
@@ -43,7 +45,7 @@ from nash_unicast.utilities import (
     value,
 )
 
-from corpus import concave_suite, mixed_market, sigmoid_suite, topology_corpus
+from corpus import concave_suite, crowded_scenario, denormal_net, mixed_market, sigmoid_suite, topology_corpus
 from oracles import (
     best_response_gap_reference,
     check_walrasian_grid_reference,
@@ -446,29 +448,9 @@ def _message_payoff(net, utilities, profile, user, params, message):
     return float(value(utilities[user], message.rate)) - tax
 
 
-def _denormal_net():
-    """Nine capacities from the smallest float up, times the four utility
-    families: a rate step that underflows to 0 sends numpy's linspace down
-    its denormal path."""
-    caps = [5e-324, 1e-320, 2.5e-308, 1e-300, 0.37, 1.0, 3.3, 1e6, 7.5e300]
-    links = {f"L{i}": c for i, c in enumerate(caps)}
-    families = [
-        log_utility(1.3),
-        power_utility(0.7, 0.35),
-        quad_cap_utility(2.0, 0.6),
-        sigmoid_utility(1.5, 0.8),
-    ]
-    rng = random.Random(5)
-    routes, uts = {}, {}
-    for i in range(len(caps) * len(families)):
-        routes[f"u{i}"] = [f"L{i % len(caps)}"] + rng.sample(sorted(links), rng.randrange(3))
-        uts[i] = families[i % len(families)]
-    return build_network(links, routes), uts, MechanismParams(alpha=1e4, gamma=1e4, price_bound=50.0)
-
-
 def test_audit_meets_denormal_capacities():
     # the audit builds its own rate rows; RuntimeWarnings are errors here
-    net, uts, params = _denormal_net()
+    net, uts, params = denormal_net()
     profile = random_feasible_profile(net, params, seed=5)
     alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
     coarse, fine = (audit(net, uts, profile, params, alloc, br_grid=g).best_response_gap for g in (2, 200))
@@ -498,13 +480,8 @@ def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid
 
 
 def _crowded_link():
-    net = build_network({"L0": 2.0}, {f"u{i}": ["L0"] for i in range(26)})
-    rng = random.Random(26)
-    uts = {}
-    for i in net.users():
-        a = rng.uniform(0.5, 2.0)
-        uts[i] = (log_utility(a), power_utility(a, 0.4), quad_cap_utility(a, 0.5))[i % 3]
-    return net, uts, MechanismParams.defaults(net, uts)
+    net, uts, params, _ = crowded_scenario().build()
+    return net, uts, params
 
 
 def _long_routes(trial):
@@ -640,7 +617,7 @@ def _gap_cases():
     net, uts, params = _crowded_link()
     yield "crowded", net, uts, construct_ne(net, uts, params), params
     yield "crowded", net, uts, random_feasible_profile(net, params, seed=1), params
-    net, uts, params = _denormal_net()
+    net, uts, params = denormal_net()
     yield "denormal", net, uts, random_feasible_profile(net, params, seed=5), params
 
 
@@ -673,6 +650,37 @@ def test_batched_gaps_match_per_user_search(scale):
             with np.errstate(over=quiet, invalid=quiet):
                 users += _assert_gaps_match_per_user_search(net, uts, profile, bounded, br_grid)
     assert users > 1000
+
+
+def test_colour_class_batches_match_per_user_search():
+    # play searches one colour class at a time: small batches, in which a
+    # row whose grid step underflows to 0 (numpy's k/div*cap path) sits
+    # beside ordinary rows, and a utility family may have a single member
+    net, uts, params = denormal_net()
+    mixed = mixed_market(4300, users_range=(28, 32), links_range=(18, 22))
+    cases = [(net, uts, params, random_feasible_profile(net, params, seed=5))]
+    cases.append((*mixed, random_feasible_profile(mixed[0], mixed[2], seed=4300)))
+    mixed_zero_step = lone_family = 0
+    for net, uts, params, profile in cases:
+        table = own_tax_table(net, profile, params)
+        classes = _colour_classes({u: {v for l in net.route(u) for v in net.group(l)} for u in net.users()})
+        assert len(classes) > 1
+        for users in classes:
+            families = Counter(uts[u].family for u in users)
+            lone_family += len(families) > 1 and 1 in families.values()
+            caps = [min_route_capacity(net, u) for u in users]
+            for br_grid in (2, 7, 200):
+                zero = [cap / (br_grid - 1) == 0.0 for cap in caps]
+                mixed_zero_step += any(zero) and not all(zero)
+                for row, cap in zip(_rate_grid(np.array(caps), br_grid), caps):
+                    assert row.tobytes() == np.linspace(0.0, cap, br_grid).tobytes(), (cap, br_grid)
+                messages, gains = best_deviation(net, uts, profile, users, params, br_grid, table)
+                for user, message, gain in zip(users, messages, gains):
+                    ref, ref_gain = best_response_gap_reference(net, uts, profile, user, params, br_grid, table)
+                    assert gain.hex() == ref_gain.hex(), (user, br_grid, gain, ref_gain)
+                    assert message.rate.hex() == ref.rate.hex(), (user, br_grid, message, ref)
+                    assert message == ref, (user, br_grid, message, ref)
+    assert mixed_zero_step > 0 and lone_family > 0, (mixed_zero_step, lone_family)
 
 
 def test_each_winning_message_earns_its_gain():
