@@ -510,12 +510,13 @@ def _writer_only(monkeypatch):
 
 
 def _assert_writer_wrote_every_report(tmp_path, monkeypatch, path):
-    """Run construct-ne, audit and simulate on the scenario file ``path``,
-    with ``cli.json.dumps`` refusing, so that each report file is the
-    writer's own; each must hold the bytes of ``json.dumps(report, indent=2,
-    allow_nan=False)`` and a newline. Returns the files written."""
+    """Run solve, construct-ne, audit and simulate on the scenario file
+    ``path``, with ``cli.json.dumps`` refusing, so that each report file is
+    the writer's own; each must hold the bytes of ``json.dumps(report,
+    indent=2, allow_nan=False)`` and a newline. Returns the files written."""
     _writer_only(monkeypatch)
-    ne, audit, sim = (tmp_path / f"{name}.json" for name in ("ne", "audit", "sim"))
+    solve, ne, audit, sim = (tmp_path / f"{name}.json" for name in ("solve", "ne", "audit", "sim"))
+    main(["solve", "--scenario", str(path), "--out", str(solve)])
     main(["construct-ne", "--scenario", str(path), "--out", str(ne), "--grid", "24"])
     profile = ne if ne.exists() else None
     if profile is None:  # non-concave: the scenario embeds its profile
@@ -524,7 +525,7 @@ def _assert_writer_wrote_every_report(tmp_path, monkeypatch, path):
         main(["audit", "--scenario", str(path), "--profile", str(ne), "--out", str(audit), "--grid", "24"])
     main(["simulate", "--scenario", str(path), "--rounds", "3", "--grid", "24", "--out", str(sim)]
          + (["--profile", str(ne)] if profile else []))
-    written = [p for p in (ne, audit, sim) if p.exists()]
+    written = [p for p in (solve, ne, audit, sim) if p.exists()]
     assert audit in written and sim in written
     for p in written:
         text = p.read_text()
@@ -554,7 +555,7 @@ def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     written = _assert_writer_wrote_every_report(tmp_path, monkeypatch, path)
-    assert len(written) == (2 if shape == "mixed market" else 3)
+    assert len(written) == (2 if shape == "mixed market" else 4)
     assert (tmp_path / "audit.json").stat().st_size > 10_000
 
 
