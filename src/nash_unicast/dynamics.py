@@ -11,7 +11,9 @@ reproducible from the start profile, the config, and the seeds.
 A user's best deviation depends only on the static game, its own message and
 the messages of the users sharing one of its links. So users who share no
 link cannot change each other's search, and one colour class of a greedy
-colouring of the conflict graph is searched and moved in one call. A user
+colouring of the conflict graph is searched and moved in one call. The
+static part of every search, each user's row of grid rates and V on it,
+is built once per run (``equilibrium.search_grid``). A user
 whose last evaluation found no improvement above ``stop_tolerance`` is
 settled, and is skipped until a move unsettles every user sharing a link
 with the mover, the mover included: re-evaluating it before then would find
@@ -25,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Set
 
-from .equilibrium import best_deviation
+from .equilibrium import best_deviation, search_grid
 from .mechanism import (
     MechanismParams,
     Message,
@@ -80,12 +82,14 @@ class Trajectory:
     rounds: int = 0
 
 
-def _quantized(profile: MessageProfile):
+def _quantized_message(u: int, m: Message):
     # 1e-9 quantization so float drift cannot hide a genuine revisit
-    return tuple(
-        (u, round(m.rate, 9), tuple((l, round(p, 9)) for l, p in sorted(m.prices.items())))
-        for u, m in sorted(profile.items())
-    )
+    return (u, round(m.rate, 9), tuple((l, round(p, 9)) for l, p in sorted(m.prices.items())))
+
+
+def _quantized(profile: MessageProfile):
+    """The profile as a tuple of ``_quantized_message`` entries in user order."""
+    return tuple(_quantized_message(u, m) for u, m in sorted(profile.items()))
 
 
 def _colour_classes(neighbours: Mapping[int, Set[int]]) -> List[List[int]]:
@@ -114,15 +118,21 @@ def run_dynamics(
     Each round visits the ``_colour_classes`` in colour order
     (``round_robin``) or in an order shuffled with ``config.seed``
     (``random``). The class's unsettled users are searched in one call, on
-    their own-tax terms at the current profile, and each one that gains more
-    than the tolerance moves to its winning message. A gain that is not
-    finite (the taxes overflow) raises ``DynamicsError``, naming the user
-    and the round."""
+    their own-tax terms at the current profile and the run's one
+    ``search_grid``, and each one that gains more than the tolerance moves
+    to its winning message. A gain that is not finite (the taxes overflow)
+    raises ``DynamicsError``, naming the user and the round. A round that
+    ends at a profile seen before, quantized to 1e-9, ends play as
+    ``cycled``; each user's quantized entry is kept and renewed only when
+    the user moves."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)  # fail early if subsidies are impossible
     profile: MessageProfile = dict(start)
     rng = random.Random(config.seed)
-    seen = {_quantized(profile)}
+    key = _quantized(profile)
+    seen = {key}
+    entries = {entry[0]: entry for entry in key}  # in user order, as _quantized lists them
+    grid = search_grid(net, utilities, config.br_grid)
     steps: List[Step] = []
     # users sharing a link with each user, the user included
     neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in net.users()}
@@ -137,7 +147,7 @@ def run_dynamics(
             if not users:
                 continue
             table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in users for l in net.route(u)}
-            messages, gains = best_deviation(net, utilities, profile, users, params, config.br_grid, table)
+            messages, gains = best_deviation(net, utilities, profile, users, params, grid, table)
             for user, message, delta in zip(users, messages, gains):
                 if not math.isfinite(delta):  # a NaN would otherwise read as settled
                     name = net.user_labels[user]
@@ -145,13 +155,14 @@ def run_dynamics(
                 if delta > config.stop_tolerance:
                     steps.append(Step(rnd, user, profile[user], message, delta))
                     profile[user] = message
+                    entries[user] = _quantized_message(user, message)
                     worst_delta = max(worst_delta, delta)
                     settled -= neighbours[user]
                 else:
                     settled.add(user)
         if worst_delta <= config.stop_tolerance:
             return Trajectory(steps=steps, verdict="converged", final_profile=profile, rounds=rnd)
-        key = _quantized(profile)
+        key = tuple(entries.values())
         if key in seen:
             return Trajectory(steps=steps, verdict="cycled", final_profile=profile, rounds=rnd)
         seen.add(key)

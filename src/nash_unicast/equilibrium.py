@@ -13,18 +13,21 @@ Every (user, link) pair's ``own_tax_terms`` is built once per command
 (``own_tax_table``) and read by ``outcome`` and ``audit`` alike.
 
 ``best_deviation`` is the one best response, of the audit and of play
-alike. For each user searched it builds the candidate own rates itself:
-evenly spaced rates over [0, the user's route capacity], its current rate
-and the analytic rate response (``_analytic_rate``). At a fixed own rate a
-link's tax is a convex quadratic in the own price, so each link's best price
-is that quadratic's vertex clipped to the price box (``_vertex_price``), and
-the route's best tax is the sum of the links'. The users searched together
-go in one array pass: one rate grid holds every user's candidates, a row
-each, V on it takes one pass of the value formulas per utility family, and
-the (user, link) pairs are stacked by route position for one tax-kernel
-call on all candidates. It returns each user's winning message and gain;
-``audit`` reads the largest gain over all users, and dynamics moves a colour
-class of users who share no link by their winning messages.
+alike. A user's candidate own rates are evenly spaced rates over [0, its
+route capacity], its current rate and the analytic rate response
+(``_analytic_rate``). No message moves the evenly spaced rows or V on them,
+so a command builds them once for every user (``search_grid``: one rate
+grid, a row per user, and one pass of the value formulas per utility
+family) and each search adds only the two rates that its profile decides.
+At a fixed own rate a link's tax is a convex quadratic in the own price, so
+each link's best price is that quadratic's vertex clipped to the price box
+(``_vertex_price``), and the route's best tax is the sum of the links'. The
+users searched together go in one array pass: the (user, link) pairs are
+stacked by route position, and one array of link loads feeds the vertex
+prices and one tax-kernel call on all candidates. It returns each user's
+winning message and gain; ``audit`` reads the largest gain over all users,
+and dynamics moves a colour class of users who share no link by their
+winning messages.
 ``check_walrasian`` checks that every user's rate maximizes its payoff at
 the posted prices over the rates the others leave available, against the
 user's ``demand`` there, not a grid.
@@ -32,9 +35,8 @@ user's ``demand`` there, not a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .mechanism import (
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
-from .utilities import UtilitySpec, demand, family_value, payoff
+from .utilities import UtilitySpec, _rate_grid, demand, family_value, payoff, value
 
 
 class PriceBoundExceeded(MechanismError):
@@ -167,42 +169,56 @@ def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
     return demand(u, max(slope, 0.0), room)
 
 
-_term_row = attrgetter(*(f.name for f in fields(OwnTaxTerms)))
-
-
-def _vertex_price(t: OwnTaxTerms, x, bound: float) -> np.ndarray:
-    """The own price that minimises a shared link's tax at each own rate in
-    ``x``, clipped to [0, ``bound``]: the vertex ``p + p*(peer_excess + x) /
-    (gamma*quad_weight)`` of the tax's quadratic in the price, p the peers'
-    mean price. Where ``gamma*quad_weight`` underflows to 0 the tax is linear
-    in the price, so the best price is an end, or p at slope 0 (no 0/0).
-    The fields of ``t`` may be columns, one (user, link) pair per row."""
-    pull = t.peer_price_mean * (t.peer_excess + x)
+def _vertex_price(t: OwnTaxTerms, load, bound: float) -> np.ndarray:
+    """The own price that minimises a shared link's tax at each own rate,
+    given the link's ``load`` there (``peer_excess`` plus the rate), clipped
+    to [0, ``bound``]: the vertex ``p + p*load / (gamma*quad_weight)`` of the
+    tax's quadratic in the price, p the peers' mean price. Where
+    ``gamma*quad_weight`` underflows to 0 the tax is linear in the price, so
+    the best price is an end, or p at slope 0 (no 0/0). A singleton link's
+    tax ignores the price; its row reads 0 at a finite load. The fields of
+    ``t`` may be columns, one (user, link) pair per row."""
+    pull = t.peer_price_mean * load
     curvature = t.gamma * t.quad_weight
-    with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
+    flat = curvature == 0.0
+    if not np.any(flat & (t.group_size != 1)):
+        # only singleton rows are flat, and their pull is 0 (a lone user's
+        # peer mean price is 0): dividing by 1 gives them the flat price, 0
+        with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
+            shift = pull / np.where(flat, 1.0, curvature)
+        return np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
+    with np.errstate(over="ignore"):
         shift = np.divide(pull, curvature, out=np.zeros(np.shape(pull)), where=curvature != 0.0)
     vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
-    flat = curvature == 0.0
-    if not np.any(flat):
-        return vertex
     return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
 
 
-def _rate_grid(caps: np.ndarray, n: int) -> np.ndarray:
-    """``np.linspace(0.0, cap, n)`` for each of ``caps``, one row each, bit
-    for bit: ``k*step``, or ``(k/(n-1))*cap`` on a row whose step
-    underflows to 0, as linspace computes them, then ``cap`` itself last.
-    (Adding linspace's start 0.0 changes no non-negative rate.)"""
-    if n < 2:
-        return np.zeros((len(caps), n))
-    k = np.arange(n, dtype=float)
-    step = caps / (n - 1)
-    grid = k * step[:, None]
-    tiny = step == 0.0
-    if tiny.any():
-        grid[tiny] = k / (n - 1) * caps[tiny, None]
-    grid[:, -1] = caps
-    return grid
+class SearchGrid(NamedTuple):
+    """The part of every user's best-response search that no message moves,
+    built once per command by ``search_grid`` and only read after: a row of
+    evenly spaced rates per user, V on each row and each route capacity.
+    Row ``u`` belongs to user ``u``."""
+
+    rates: np.ndarray  # (users, br_grid): np.linspace(0.0, cap, br_grid) per row, bit for bit
+    values: np.ndarray  # V on rates, each row with its user's parameters
+    caps: List[float]  # min_route_capacity per user
+
+
+def search_grid(net: Network, utilities: Mapping[int, UtilitySpec], br_grid: int) -> SearchGrid:
+    """Every user's ``br_grid`` rates spaced evenly over [0, its route
+    capacity], with the bits of ``np.linspace(0.0, cap, br_grid)``, from one
+    ``_rate_grid`` call, and V on them from one ``family_value`` pass per
+    utility family, a column of each user's parameters against its row."""
+    caps = [min_route_capacity(net, u) for u in net.users()]
+    rates = _rate_grid(np.array(caps), br_grid)
+    families: Dict[str, List[int]] = {}
+    for u in net.users():
+        families.setdefault(utilities[u].family, []).append(u)
+    values = np.empty_like(rates)
+    for family, rows in families.items():
+        ab = np.array([(utilities[u].a, utilities[u].b) for u in rows])
+        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
+    return SearchGrid(rates, values, caps)
 
 
 def best_deviation(
@@ -211,37 +227,37 @@ def best_deviation(
     profile: MessageProfile,
     users: Sequence[int],
     params: MechanismParams,
-    br_grid: int,
+    grid: SearchGrid,
     table: OwnTaxTable,
 ) -> Tuple[List[Message], List[float]]:
     """Each of ``users``' best own message and how much it gains (subsidies
     aside) over the current one: the best response of the audit and of play.
 
-    ``table`` holds the ``own_tax_terms`` of every (user, route link) pair of
-    ``users`` at ``profile``. A user's candidate rates are ``br_grid`` rates
-    spaced evenly over [0, its route capacity], its current rate and the
-    analytic rate response at the current prices (``_analytic_rate``). At
-    each of them every shared link takes its ``_vertex_price``; a singleton
-    link's tax does not depend on the price. The winner is the first best
-    candidate rate, with each shared link at its vertex price there and each
-    singleton link at price 0, the least of the tied prices.
+    ``grid`` is the command's ``search_grid`` and ``table`` holds the
+    ``own_tax_terms`` of every (user, route link) pair of ``users`` at
+    ``profile``. A user's candidate rates are its grid row, its current
+    rate and the analytic rate response at the current prices
+    (``_analytic_rate``). At each of them every shared link takes its
+    ``_vertex_price``; a singleton link's tax does not depend on the price.
+    The winner is the first best candidate rate, with each shared link at
+    its vertex price there and each singleton link at price 0, the least of
+    the tied prices.
 
-    The candidates of all ``users`` form one array, a row per user: the
-    grid part comes from one ``_rate_grid`` call, with each row's bits of
-    ``np.linspace(0.0, cap, br_grid)``, and V on the rows from one
-    ``family_value`` pass per utility family, each row with its own
-    parameters. Each pair's tax and coupling coefficient h at the current
-    message, which the current payoff and ``_analytic_rate`` read, come from
-    the scalar path of ``eval_own_tax`` and ``own_tax_parts``, in Python
-    floats. The (user, route link) pairs are stacked by route position: the
-    first link of every route, then the second link of every route that has
-    one, and so on, in the order of ``users`` within a position. Their terms
-    become one ``OwnTaxTerms`` of (pairs, 1) columns, so ``eval_own_tax``
-    runs once on all (pairs x candidates) rates. Each user's link taxes are
-    summed from 0.0 one position at a time, in route order as builtin
-    ``sum`` adds them, and each row is reduced by its own argmax, so every
-    gain has the bits of a search run one user at a time, whichever users
-    are searched together.
+    The candidates of all ``users`` form one array, a row per user: their
+    grid rows and V on them, copied from ``grid``, and two columns added
+    here, the current and the analytic rate, with V from ``value``. Each
+    pair's tax and coupling coefficient h at the current message, which the
+    current payoff and ``_analytic_rate`` read, come from one scalar
+    ``own_tax_parts`` call, added up as ``eval_own_tax`` adds them. The
+    (user, route link) pairs are stacked by route position: the first link
+    of every route, then the second link of every route that has one, and
+    so on, in the order of ``users`` within a position. Their terms become
+    one ``OwnTaxTerms`` of (pairs, 1) columns, so the vertex prices and
+    ``eval_own_tax`` run once on all (pairs x candidates) rates, on one
+    array of link loads. Each user's link taxes are summed from 0.0 one
+    position at a time, in route order as builtin ``sum`` adds them, and
+    each row is reduced by its own argmax, so every gain has the bits of a
+    search run one user at a time, whichever users are searched together.
 
     Returns (messages, gains), both in the order of ``users``.
     """
@@ -255,8 +271,7 @@ def best_deviation(
                 pairs.append((i, route[s]))
         ends.append(len(pairs))
     owner = np.array([i for i, _ in pairs])
-    t = OwnTaxTerms(*np.array([_term_row(table[users[i], l]) for i, l in pairs], dtype=float).T[:, :, None])
-    p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
+    t = OwnTaxTerms(*np.array([table[users[i], l] for i, l in pairs], dtype=float).T[:, :, None])
 
     def route_sums(a):
         total = 0.0 + a[: ends[0]]  # position 0 holds every user, in order
@@ -264,39 +279,45 @@ def best_deviation(
             total[owner[start:end]] += a[start:end]
         return total
 
-    # the current message's taxes and h, one pair at a time in Python floats
-    caps = [min_route_capacity(net, u) for u in users]
-    cur_tax, x_best = [], []
-    for u, m, route, cap in zip(users, cur, routes, caps):
-        terms, hs, tax = [table[u, l] for l in route], [], 0.0
+    # the current message's payoff and analytic rate, in Python floats
+    v_cur, cur_pay, x_best, v_best = [], [], [], []
+    for u, m, route in zip(users, cur, routes):
+        spec, terms, hs, tax = utilities[u], [table[u, l] for l in route], [], 0.0
         for tl, l in zip(terms, route):
-            tax += eval_own_tax(tl, m.rate, m.prices[l])
-            hs.append(own_tax_parts(tl, m.rate, m.prices[l])[3])
-        cur_tax.append(tax)
-        x_best.append(_analytic_rate(utilities[u], terms, hs, cap))
+            load = tl.peer_excess + m.rate
+            price, pen, quad, h = own_tax_parts(tl, m.rate, m.prices[l], load)
+            tax += price + quad + h * load + tl.balance_const + pen  # eval_own_tax's sum
+            hs.append(h)
+        v_cur.append(value(spec, m.rate))
+        cur_pay.append(v_cur[-1] - tax)
+        x_best.append(_analytic_rate(spec, terms, hs, grid.caps[u]))
+        v_best.append(value(spec, x_best[-1]))
 
-    rates = np.empty((len(users), br_grid + 2))
-    rates[:, :br_grid] = _rate_grid(np.array(caps), br_grid)
-    rates[:, br_grid] = [m.rate for m in cur]
-    rates[:, br_grid + 1] = x_best
-    families: Dict[str, List[int]] = {}
-    for i, u in enumerate(users):
-        families.setdefault(utilities[u].family, []).append(i)
+    n = grid.rates.shape[1]
+    rates = np.empty((len(users), n + 2))
     values = np.empty_like(rates)
-    for family, rows in families.items():
-        ab = np.array([(utilities[users[i]].a, utilities[users[i]].b) for i in rows])
-        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
-    v_cur = values[:, br_grid]
+    rates[:, :n] = grid.rates[users]
+    values[:, :n] = grid.values[users]
+    rates[:, n] = [m.rate for m in cur]
+    rates[:, n + 1] = x_best
+    values[:, n] = v_cur
+    values[:, n + 1] = v_best
 
     x = rates[owner]
+    load = t.peer_excess + x
+    vertex = _vertex_price(t, load, params.price_bound)
     single = t.group_size == 1
-    vertex = _vertex_price(t, x, params.price_bound)
-    pays = values - route_sums(eval_own_tax(t, x, np.where(single, p, vertex)))
+    own = vertex
+    if single.any():  # a singleton link's tax reads the current price
+        p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
+        own = np.where(single, p, vertex)
+    pays = values - route_sums(eval_own_tax(t, x, own, load))
     best = pays.argmax(axis=1)
     each = np.arange(len(users))
-    gains = pays[each, best] - (v_cur - np.array(cur_tax))
+    gains = pays[each, best] - np.array(cur_pay)
     won_rates = rates[each, best].tolist()
-    won_prices = np.where(single[:, 0], 0.0, vertex[np.arange(len(pairs)), best[owner]]).tolist()
+    won = vertex[np.arange(len(pairs)), best[owner]]
+    won_prices = (np.where(single[:, 0], 0.0, won) if single.any() else won).tolist()
     messages = [
         Message(rate=r, prices={l: won_prices[k] for k, l in zip(slot, route)})
         for r, slot, route in zip(won_rates, slots, routes)
@@ -319,9 +340,11 @@ def audit(
     ``alloc`` is the profile's ``outcome`` under the scenario's subsidy
     assignment; its rates, taxes and per-link breakdown feed the
     feasibility, individual-rationality, budget and closed-form checks.
-    ``br_grid`` is the number of grid rates each user's best response tries
-    (``best_deviation``, looked up through this module's global). ``table`` is the profile's ``own_tax_table``,
-    which validated the profile, as the command built it for ``outcome``;
+    ``br_grid`` is the number of grid rates each user's best response tries:
+    the audit builds one ``search_grid`` of them and searches every user at
+    once (``best_deviation``, looked up through this module's global).
+    ``table`` is the profile's ``own_tax_table``, which validated the
+    profile, as the command built it for ``outcome``;
     without it ``audit`` builds its own. The tax derivatives, the best
     response and the closed forms all read it. The running maxima read a
     non-finite measurement as inf, so it never passes a bound.
@@ -353,7 +376,8 @@ def audit(
             deriv_gap = _worse(deriv_gap, abs(fd - p_link))
 
     br_gap = 0.0
-    for gain in best_deviation(net, utilities, profile, net.users(), params, br_grid, table)[1]:
+    grid = search_grid(net, utilities, br_grid)
+    for gain in best_deviation(net, utilities, profile, net.users(), params, grid, table)[1]:
         br_gap = _worse(br_gap, gain)
 
     ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())

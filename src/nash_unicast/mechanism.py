@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -100,10 +100,22 @@ class MechanismParams:
     def defaults(net: Network, utilities: Mapping[int, UtilitySpec], **given) -> "MechanismParams":
         """The ``given`` fields, and scenario-scaled defaults for what they
         leave out: alpha = gamma = 1e4 * (max capacity)^2 and a price bound
-        of 1e3 times the steepest initial marginal utility."""
-        scale = 1e4 * max(net.capacities) ** 2
-        given.setdefault("alpha", scale)
-        given.setdefault("gamma", scale)
+        of 1e3 times the steepest initial marginal utility. A default that
+        is not a finite number raises ``MechanismError`` naming its field."""
+        missing = [name for name in ("alpha", "gamma") if name not in given]
+        if missing:
+            widest = max(net.capacities)
+            try:
+                scale = 1e4 * widest**2
+            except OverflowError:  # a float power raises where a product reads inf
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise MechanismError(
+                    f"{missing[0]} must be a finite positive number, got an overflow from 1e4 times"
+                    f" the square of the largest capacity {widest!r}"
+                )
+            for name in missing:
+                given[name] = scale
         if "price_bound" not in given:
             slopes = {u: initial_slope(spec) for u, spec in utilities.items()}
             steepest = max(slopes, key=slopes.get)
@@ -279,14 +291,15 @@ def balance_term_large_group(
     return own_tax_terms(net, profile, link, user, params).balance_const
 
 
-@dataclass(frozen=True)
-class OwnTaxTerms:
+class OwnTaxTerms(NamedTuple):
     """Coefficients fixing one user's link tax as a function of its own message.
 
     Everything here depends only on the peers' messages and the parameters:
     the peers' mean price, their total rate (and that less the capacity),
     and the balance part. ``own_tax_parts`` turns them into the tax at any
     own (rate, price), for the outcome function and deviation searches alike.
+    A tuple, so ``np.array(terms_list, dtype=float)`` stacks the fields of
+    many pairs as columns, in field order.
     """
 
     group_size: int
@@ -352,18 +365,19 @@ def own_tax_terms(
     )
 
 
-def own_tax_parts(terms: OwnTaxTerms, x, p):
+def own_tax_parts(terms: OwnTaxTerms, x, p, load=None):
     """One user's link tax at own rate ``x`` and own price ``p``, in parts.
 
     Returns ``(price, penalty, quad, h)``: the price part and the overload
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
-    ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
-    ``x`` and ``p`` are floats or broadcasting numpy arrays, and so are the
-    fields of ``terms``: a column per field holds one (user, link) pair per
-    row, and its singleton-link rows take the singleton branch, each row
-    with the bits of its own scalar terms. This is the one place the tax
-    formula is written out.
+    ``price + quad + h * load + balance_const + penalty``, with ``load``
+    the link's load beyond capacity, ``peer_excess + x``: a caller that has
+    it already passes it. ``x``, ``p`` and ``load`` are floats or
+    broadcasting numpy arrays, and so are the fields of ``terms``: a column
+    per field holds one (user, link) pair per row, and its singleton-link
+    rows take the singleton branch, each row with the bits of its own
+    scalar terms. This is the one place the tax formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev
@@ -371,7 +385,9 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     single = terms.group_size == 1  # a bool, or a bool column
     if single is True:
         return 0.0, terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL), quad, h
-    firing = (x > BOUNDARY_TOL) & (terms.peer_excess + x > BOUNDARY_TOL)
+    if load is None:
+        load = terms.peer_excess + x
+    firing = (x > BOUNDARY_TOL) & (load > BOUNDARY_TOL)
     price, pen = (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing
     if single is False or not single.any():
         return price, pen, quad, h
@@ -379,14 +395,17 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     return np.where(single, 0.0, price), np.where(single, alone, pen), quad, h
 
 
-def eval_own_tax(terms: OwnTaxTerms, x, p):
-    """The user's link tax at own rate ``x`` and own link price ``p``.
+def eval_own_tax(terms: OwnTaxTerms, x, p, load=None):
+    """The user's link tax at own rate ``x`` and own link price ``p``, the
+    sum of its ``own_tax_parts``; ``load`` is as there.
 
     Broadcasts over numpy arrays, which is what makes exhaustive deviation
     searches cheap.
     """
-    price, pen, quad, h = own_tax_parts(terms, x, p)
-    return price + quad + h * (terms.peer_excess + x) + terms.balance_const + pen
+    if load is None:
+        load = terms.peer_excess + x
+    price, pen, quad, h = own_tax_parts(terms, x, p, load)
+    return price + quad + h * load + terms.balance_const + pen
 
 
 OwnTaxTable = Dict[Tuple[int, int], OwnTaxTerms]  # (user, link) -> that pair's own_tax_terms

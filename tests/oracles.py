@@ -11,6 +11,12 @@ with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it before
 ``best_deviation`` stacked the pairs of every user searched by route
 position, and with one ``np.linspace`` and one ``value`` call per user, as
 ``best_deviation`` ran before its one rate grid and per-family value pass.
+``best_deviation_per_call_reference`` is ``best_deviation`` as it ran
+before the command-wide ``search_grid``: every call builds its users' rate
+rows, route capacities and V on them, takes one ``eval_own_tax`` and one
+``own_tax_parts`` call per pair at the current message, adds rate and load
+separately for the vertex price and the tax, and divides through numpy's
+masked ``np.divide``.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
 ``check_walrasian_grid_reference`` scans each user's rates on a grid, as
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from nash_unicast.mechanism import (
 )
 from nash_unicast.network import min_route_capacity
 from nash_unicast.solver import SolverError
-from nash_unicast.utilities import value
+from nash_unicast.utilities import _rate_grid, family_value, value
 
 
 class GridTooLarge(SolverError):
@@ -89,6 +96,83 @@ def best_response_gap_reference(net, utilities, profile, user, params, br_grid, 
     k = int(np.argmax(pays))
     prices = {l: 0.0 if t.group_size == 1 else float(v[k]) for l, t, v in zip(route, ts, vertices)}
     return Message(rate=float(rates[k]), prices=prices), float(pays[k]) - cur_pay
+
+
+_term_row = attrgetter(*OwnTaxTerms._fields)
+
+
+def _vertex_price_masked(t, x, bound):
+    """The vertex price of stacked terms through the masked division."""
+    pull = t.peer_price_mean * (t.peer_excess + x)
+    curvature = t.gamma * t.quad_weight
+    with np.errstate(over="ignore"):
+        shift = np.divide(pull, curvature, out=np.zeros(np.shape(pull)), where=curvature != 0.0)
+    vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
+    flat = curvature == 0.0
+    if not np.any(flat):
+        return vertex
+    return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
+
+
+def best_deviation_per_call_reference(net, utilities, profile, users, params, br_grid, table):
+    """``best_deviation`` with its rate rows, route capacities and V built
+    in the call, for ``users`` only. Returns (messages, gains)."""
+    routes = [net.route(u) for u in users]
+    cur = [profile[u] for u in users]
+    pairs, ends, slots = [], [], [[] for _ in users]
+    for s in range(max(map(len, routes))):
+        for i, route in enumerate(routes):
+            if len(route) > s:
+                slots[i].append(len(pairs))
+                pairs.append((i, route[s]))
+        ends.append(len(pairs))
+    owner = np.array([i for i, _ in pairs])
+    t = OwnTaxTerms(*np.array([_term_row(table[users[i], l]) for i, l in pairs], dtype=float).T[:, :, None])
+    p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
+
+    def route_sums(a):
+        total = 0.0 + a[: ends[0]]
+        for start, end in zip(ends, ends[1:]):
+            total[owner[start:end]] += a[start:end]
+        return total
+
+    caps = [min_route_capacity(net, u) for u in users]
+    cur_tax, x_best = [], []
+    for u, m, route, cap in zip(users, cur, routes, caps):
+        terms, hs, tax = [table[u, l] for l in route], [], 0.0
+        for tl, l in zip(terms, route):
+            tax += eval_own_tax(tl, m.rate, m.prices[l])
+            hs.append(own_tax_parts(tl, m.rate, m.prices[l])[3])
+        cur_tax.append(tax)
+        x_best.append(_analytic_rate(utilities[u], terms, hs, cap))
+
+    rates = np.empty((len(users), br_grid + 2))
+    rates[:, :br_grid] = _rate_grid(np.array(caps), br_grid)
+    rates[:, br_grid] = [m.rate for m in cur]
+    rates[:, br_grid + 1] = x_best
+    families = {}
+    for i, u in enumerate(users):
+        families.setdefault(utilities[u].family, []).append(i)
+    values = np.empty_like(rates)
+    for family, rows in families.items():
+        ab = np.array([(utilities[users[i]].a, utilities[users[i]].b) for i in rows])
+        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
+    v_cur = values[:, br_grid]
+
+    x = rates[owner]
+    single = t.group_size == 1
+    vertex = _vertex_price_masked(t, x, params.price_bound)
+    pays = values - route_sums(eval_own_tax(t, x, np.where(single, p, vertex)))
+    best = pays.argmax(axis=1)
+    each = np.arange(len(users))
+    gains = pays[each, best] - (v_cur - np.array(cur_tax))
+    won_rates = rates[each, best].tolist()
+    won_prices = np.where(single[:, 0], 0.0, vertex[np.arange(len(pairs)), best[owner]]).tolist()
+    messages = [
+        Message(rate=r, prices={l: won_prices[k] for k, l in zip(slot, route)})
+        for r, slot, route in zip(won_rates, slots, routes)
+    ]
+    return messages, gains.tolist()
 
 
 def closed_form_reference(net, profile, link, user, params, p):

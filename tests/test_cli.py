@@ -155,6 +155,38 @@ def test_solve_rejects_infinite_tolerance_override(capsys):
     assert "objective" not in captured.out
 
 
+def _huge_link_scenario(tmp_path, mechanism):
+    # 1e4 * 1e200**2 overflows: the default alpha and gamma are not numbers
+    scenario = {
+        "schema": "nash-unicast/scenario-v1",
+        "links": {"A": 1e200},
+        "routes": {f"u{k}": ["A"] for k in (1, 2, 3)},
+        "utilities": {f"u{k}": {"family": "log", "params": {"a": float(k)}} for k in (1, 2, 3)},
+        "mechanism": mechanism,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_solve_needs_no_default_that_the_scenario_gives(tmp_path, capsys):
+    path = _huge_link_scenario(tmp_path, {"alpha": 1e4, "gamma": 1e4})
+    assert main(["solve", "--scenario", path]) == 0
+    captured = capsys.readouterr()
+    assert "objective" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "mechanism, field", [({}, "alpha"), ({"alpha": 1e4}, "gamma"), ({"gamma": 1e4}, "alpha")]
+)
+def test_an_overflowing_default_is_a_mechanism_error(tmp_path, capsys, mechanism, field):
+    path = _huge_link_scenario(tmp_path, mechanism)
+    assert main(["solve", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mechanism {field} must be a finite positive number"), err
+    assert "1e+200" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid", [0, 1])
 def test_grid_below_two_rejected(tmp_path, capsys, grid):
     ne = tmp_path / "ne.json"

@@ -14,7 +14,7 @@ from nash_unicast.dynamics import (
     run_dynamics,
     _quantized,
 )
-from nash_unicast.equilibrium import audit, best_deviation, construct_ne, own_tax_table
+from nash_unicast.equilibrium import audit, best_deviation, construct_ne, own_tax_table, search_grid
 from nash_unicast.mechanism import (
     MechanismParams,
     Message,
@@ -76,7 +76,7 @@ def test_best_response_deterministic(golden_net, golden_utilities, golden_params
     messy[0] = Message(0.1, {0: 0.2})
     table = own_tax_table(golden_net, messy, golden_params)
     found = [
-        best_deviation(golden_net, golden_utilities, messy, golden_net.users(), golden_params, 64, table)
+        best_deviation(golden_net, golden_utilities, messy, golden_net.users(), golden_params, search_grid(golden_net, golden_utilities, 64), table)
         for _ in range(2)
     ]
     assert found[0] == found[1]
@@ -150,7 +150,7 @@ def test_cycled_verdict_when_two_messages_alternate(monkeypatch, golden_net, gol
     # the second round brings back the start profile
     other = {u: with_rate(m, 0.5 * m.rate) for u, m in golden_ne.items()}
 
-    def alternating(net, utilities, profile, users, params, br_grid, table):
+    def alternating(net, utilities, profile, users, params, grid, table):
         return [other[u] if profile[u] == golden_ne[u] else golden_ne[u] for u in users], [1.0] * len(users)
 
     monkeypatch.setattr(dynamics, "best_deviation", alternating)
@@ -235,6 +235,33 @@ def _golden_dynamics_cases(golden_net, golden_utilities, golden_params):
     return cases
 
 
+def test_play_builds_its_search_grid_once_per_run(monkeypatch, golden_net, golden_utilities, golden_params):
+    # every colour class of every round searches on the one grid of the run
+    built, searched = [], []
+
+    def counted_grid(net, utilities, br_grid):
+        built.append(search_grid(net, utilities, br_grid))
+        return built[-1]
+
+    def recorded(net, utilities, profile, users, params, grid, table):
+        searched.append(grid)
+        return best_deviation(net, utilities, profile, users, params, grid, table)
+
+    monkeypatch.setattr(dynamics, "search_grid", counted_grid)
+    monkeypatch.setattr(dynamics, "best_deviation", recorded)
+    cases = _golden_dynamics_cases(golden_net, golden_utilities, golden_params)
+    cases.append(_mixed_play_shape(4301))
+    for net, uts, start, params in cases:
+        for schedule in ("round_robin", "random"):
+            built.clear()
+            searched.clear()
+            config = DynamicsConfig(schedule=schedule, seed=3, max_rounds=6, br_grid=31)
+            traj = run_dynamics(net, uts, start, config, params)
+            assert len(built) == 1, (net.user_labels, schedule, len(built))
+            assert len(searched) >= traj.rounds and all(grid is built[0] for grid in searched)
+            assert built[0].rates.shape == (net.num_users, config.br_grid)
+
+
 def test_settled_users_keep_trajectories_identical(
     monkeypatch, golden_net, golden_utilities, golden_params
 ):
@@ -299,7 +326,7 @@ def test_a_nan_gain_raises_naming_the_user_and_the_round():
     extreme = replace(params, alpha=1e300, gamma=1e-300)
     start = random_feasible_profile(net, params, seed=5)
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = best_deviation(net, uts, start, net.users(), extreme, 64, own_tax_table(net, start, extreme))[1]
+        gains = best_deviation(net, uts, start, net.users(), extreme, search_grid(net, uts, 64), own_tax_table(net, start, extreme))[1]
         assert sum(g != g for g in gains) == 6
         with pytest.raises(DynamicsError, match=r"^user 'u7': best-response gain nan in round 1 is not finite$"):
             run_dynamics(net, uts, start, DynamicsConfig(), extreme)

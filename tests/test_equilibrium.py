@@ -11,7 +11,6 @@ from nash_unicast.dynamics import DynamicsConfig, _colour_classes, run_dynamics
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
-    _rate_grid,
     audit,
     best_deviation,
     check_optimality,
@@ -20,6 +19,7 @@ from nash_unicast.equilibrium import (
     ne_tax_closed_form,
     own_tax_table,
     posted_prices,
+    search_grid,
 )
 from nash_unicast.mechanism import (
     MechanismParams,
@@ -36,6 +36,7 @@ from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
 from nash_unicast.scenario import load_scenario, random_feasible_profile
 from nash_unicast.solver import solve_centralized
 from nash_unicast.utilities import (
+    _rate_grid,
     demand,
     log_utility,
     payoff,
@@ -47,6 +48,7 @@ from nash_unicast.utilities import (
 
 from corpus import concave_suite, crowded_scenario, denormal_net, mixed_market, sigmoid_suite, topology_corpus
 from oracles import (
+    best_deviation_per_call_reference,
     best_response_gap_reference,
     check_walrasian_grid_reference,
     closed_form_reference,
@@ -170,7 +172,7 @@ def test_best_response_gap_nonnegative_even_off_equilibrium(golden):
             )
             for u in net.users()
         }
-        _, gains = best_deviation(net, uts, messy, net.users(), params, 40, own_tax_table(net, messy, params))
+        _, gains = best_deviation(net, uts, messy, net.users(), params, search_grid(net, uts, 40), own_tax_table(net, messy, params))
         assert min(gains) >= 0.0  # the current rate is a candidate
 
 
@@ -468,7 +470,7 @@ def _assert_audit_dominates_grid_search(net, utilities, profile, params, br_grid
     alloc = outcome(net, profile, params, assign_subsidies(net, params.rng_seed))
     gap = audit(net, utilities, profile, params, alloc, br_grid=br_grid).best_response_gap
     table = own_tax_table(net, profile, params)
-    batched = best_deviation(net, utilities, profile, net.users(), params, br_grid, table)[1]
+    batched = best_deviation(net, utilities, profile, net.users(), params, search_grid(net, utilities, br_grid), table)[1]
     gains, grid_gap = [0.0], 0.0
     for user in net.users():
         _, best, cur = best_deviation_full_grid(net, utilities, profile, user, params, br_grid)
@@ -566,7 +568,7 @@ def test_audit_finds_the_deviations_the_grid_misses(mechanism, a, expected):
     assert grid_gap <= 1e-4
     assert gap == pytest.approx(expected, rel=5e-3)
     # the winning price lies strictly below the grid's first positive price
-    messages, _ = best_deviation(net, uts, profile, net.users(), params, 200, own_tax_table(net, profile, params))
+    messages, _ = best_deviation(net, uts, profile, net.users(), params, search_grid(net, uts, 200), own_tax_table(net, profile, params))
     assert 0.0 < messages[0].prices[0] < params.price_bound / 199
 
 
@@ -589,7 +591,7 @@ def _assert_gaps_match_per_user_search(net, utilities, profile, params, br_grid)
     """Every user's batched gain and winning message equal the per-user
     search's, NaN matching NaN; returns the number of users."""
     table = own_tax_table(net, profile, params)
-    messages, gains = best_deviation(net, utilities, profile, net.users(), params, br_grid, table)
+    messages, gains = best_deviation(net, utilities, profile, net.users(), params, search_grid(net, utilities, br_grid), table)
     assert len(messages) == len(gains) == net.num_users
     for user in net.users():
         message, gain = best_response_gap_reference(net, utilities, profile, user, params, br_grid, table)
@@ -674,13 +676,53 @@ def test_colour_class_batches_match_per_user_search():
                 mixed_zero_step += any(zero) and not all(zero)
                 for row, cap in zip(_rate_grid(np.array(caps), br_grid), caps):
                     assert row.tobytes() == np.linspace(0.0, cap, br_grid).tobytes(), (cap, br_grid)
-                messages, gains = best_deviation(net, uts, profile, users, params, br_grid, table)
+                messages, gains = best_deviation(net, uts, profile, users, params, search_grid(net, uts, br_grid), table)
                 for user, message, gain in zip(users, messages, gains):
                     ref, ref_gain = best_response_gap_reference(net, uts, profile, user, params, br_grid, table)
                     assert gain.hex() == ref_gain.hex(), (user, br_grid, gain, ref_gain)
                     assert message.rate.hex() == ref.rate.hex(), (user, br_grid, message, ref)
                     assert message == ref, (user, br_grid, message, ref)
     assert mixed_zero_step > 0 and lone_family > 0, (mixed_zero_step, lone_family)
+
+
+def _hex_message(message):
+    return message.rate.hex(), [(l, p.hex()) for l, p in message.prices.items()]
+
+
+@pytest.mark.parametrize("shape", ["denormal", "mixed-play", "crowded-links"])
+def test_command_grid_matches_the_per_call_build(shape):
+    # one search_grid per command and br_grid, fed to every batch that play
+    # (a colour class) or the audit (every user) searches, against the build
+    # of each call's own rows; under the default constants and under alpha =
+    # 1e300, gamma = 1e-300, where gamma * quad_weight underflows to 0 on
+    # two-user links and the vertex price takes its masked division
+    if shape == "denormal":
+        net, uts, params = denormal_net()  # rows whose step underflows to 0
+    elif shape == "mixed-play":
+        net, uts, params = mixed_market(4310, users_range=(28, 32), links_range=(18, 22))
+    else:
+        net, uts, params = _crowded_link()
+    profiles = [random_feasible_profile(net, params, seed=net.num_users)]
+    if shape == "crowded-links":
+        profiles.append(construct_ne(net, uts, params))
+    classes = _colour_classes({u: {v for l in net.route(u) for v in net.group(l)} for u in net.users()})
+    batches = classes + [list(net.users())]
+    compared = 0
+    for constants in (params, replace(params, alpha=1e300, gamma=1e-300)):
+        for profile in profiles:
+            table = own_tax_table(net, profile, constants)
+            for br_grid in (2, 7, 200):
+                grid = search_grid(net, uts, br_grid)
+                for users in batches:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        messages, gains = best_deviation(net, uts, profile, users, constants, grid, table)
+                        ref = best_deviation_per_call_reference(net, uts, profile, users, constants, br_grid, table)
+                    assert [g.hex() for g in gains] == [g.hex() for g in ref[1]], (shape, users, br_grid)
+                    assert list(map(_hex_message, messages)) == list(map(_hex_message, ref[0]))
+                    if all(g == g for g in gains):
+                        assert messages == ref[0], (shape, users, br_grid)
+                    compared += len(users)
+    assert compared >= 2 * len(profiles) * 3 * 2 * net.num_users
 
 
 def test_each_winning_message_earns_its_gain():
@@ -691,7 +733,7 @@ def test_each_winning_message_earns_its_gain():
         if name == "denormal":  # V and the taxes overflow at the largest capacity
             continue
         table = own_tax_table(net, profile, params)
-        messages, gains = best_deviation(net, uts, profile, net.users(), params, 64, table)
+        messages, gains = best_deviation(net, uts, profile, net.users(), params, search_grid(net, uts, 64), table)
         validate_profile(net, dict(enumerate(messages)), params)
         for user, message, gain in zip(net.users(), messages, gains):
             cur = _message_payoff(net, uts, profile, user, params, profile[user])
@@ -790,7 +832,7 @@ def test_eval_own_tax_matches_the_written_out_tax(n):
         walls = [(terms, terms.capacity + BOUNDARY_TOL, terms.penalty_single)]
     else:
         assert terms.peer_excess < 0.0  # feasible peers: the wall lies above x = 0
-        overloaded = replace(terms, peer_excess=0.5)
+        overloaded = terms._replace(peer_excess=0.5)
         walls = [
             (terms, BOUNDARY_TOL, None),  # the peers leave room: nothing fires
             (terms, BOUNDARY_TOL - terms.peer_excess, terms.penalty_both),
@@ -826,7 +868,7 @@ def test_vertex_price_minimises_the_tax_over_a_price_scan():
             }
             terms = own_tax_terms(net, profile, link, user, params)
             adjusted += terms.price_adjust != 0.0
-            best = equilibrium._vertex_price(terms, xs, bound)
+            best = equilibrium._vertex_price(terms, terms.peer_excess + xs, bound)
             got = eval_own_tax(terms, xs, best)
             scanned = eval_own_tax(terms, xs[:, None], scan[None, :])
             slack = 1e-12 * (1.0 + np.max(np.abs(scanned), axis=1))

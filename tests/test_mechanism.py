@@ -1,6 +1,6 @@
-import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +10,7 @@ from nash_unicast.mechanism import (
     MechanismParams,
     Message,
     NoEligibleRecipient,
+    OwnTaxTerms,
     PriceOutOfBounds,
     RateOutOfBounds,
     RouteMismatch,
@@ -28,7 +29,7 @@ from nash_unicast.mechanism import (
 )
 from nash_unicast.network import build_network
 
-from corpus import concave_suite
+from corpus import concave_suite, denormal_net
 from oracles import own_tax_terms_reference
 
 PARAMS = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=100.0)
@@ -120,7 +121,7 @@ def test_link_terms_user_not_on_link():
 
 
 def _hex_fields(terms):
-    return [v if isinstance(v, int) else float.hex(v) for v in dataclasses.astuple(terms)]
+    return [v if isinstance(v, int) else float.hex(v) for v in tuple(terms)]
 
 
 def _extreme(rng):
@@ -154,6 +155,25 @@ def test_own_tax_terms_match_former_walks_bit_for_bit(n):
                     assert _hex_fields(got) == _hex_fields(ref), (n, cap, gamma, k, link, user)
                     checked += 1
     assert checked == 24 * (n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_terms_columns_are_the_fields(n):
+    # best_deviation stacks every searched pair's terms with one np.array
+    # call; each column holds one field, row by row, with the field's bits
+    rng = random.Random(7100 + n)
+    denormal, _, _ = denormal_net()
+    nets = [shared_link_net(n, cap=cap) for cap in (10.0, *denormal.capacities)] + [denormal]
+    for net in nets:
+        params = MechanismParams(alpha=2.5, gamma=rng.choice((1e4, 1e-300, 1e300)), price_bound=100.0)
+        profile = {
+            i: Message(_extreme(rng), {l: _extreme(rng) for l in net.route(i)}) for i in net.users()
+        }
+        terms = [own_tax_terms(net, profile, l, u, params) for u in net.users() for l in net.route(u)]
+        stacked = np.array(terms, dtype=float)
+        assert stacked.shape == (len(terms), len(OwnTaxTerms._fields))
+        for column, name in zip(stacked.T, OwnTaxTerms._fields):
+            assert [v.hex() for v in column.tolist()] == [float(getattr(t, name)).hex() for t in terms], name
 
 
 # --- balance terms ----------------------------------------------------------
