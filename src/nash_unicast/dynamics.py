@@ -82,14 +82,12 @@ class Trajectory:
     rounds: int = 0
 
 
-def _quantized_message(u: int, m: Message):
-    # 1e-9 quantization so float drift cannot hide a genuine revisit
-    return (u, round(m.rate, 9), tuple((l, round(p, 9)) for l, p in sorted(m.prices.items())))
-
-
 def _quantized(profile: MessageProfile):
-    """The profile as a tuple of ``_quantized_message`` entries in user order."""
-    return tuple(_quantized_message(u, m) for u, m in sorted(profile.items()))
+    # 1e-9 quantization so float drift cannot hide a genuine revisit
+    return tuple(
+        (u, round(m.rate, 9), tuple((l, round(p, 9)) for l, p in sorted(m.prices.items())))
+        for u, m in sorted(profile.items())
+    )
 
 
 def _colour_classes(neighbours: Mapping[int, Set[int]]) -> List[List[int]]:
@@ -121,17 +119,12 @@ def run_dynamics(
     their own-tax terms at the current profile and the run's one
     ``search_grid``, and each one that gains more than the tolerance moves
     to its winning message. A gain that is not finite (the taxes overflow)
-    raises ``DynamicsError``, naming the user and the round. A round that
-    ends at a profile seen before, quantized to 1e-9, ends play as
-    ``cycled``; each user's quantized entry is kept and renewed only when
-    the user moves."""
+    raises ``DynamicsError``, naming the user and the round."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)  # fail early if subsidies are impossible
     profile: MessageProfile = dict(start)
     rng = random.Random(config.seed)
-    key = _quantized(profile)
-    seen = {key}
-    entries = {entry[0]: entry for entry in key}  # in user order, as _quantized lists them
+    seen = {_quantized(profile)}
     grid = search_grid(net, utilities, config.br_grid)
     steps: List[Step] = []
     # users sharing a link with each user, the user included
@@ -155,14 +148,13 @@ def run_dynamics(
                 if delta > config.stop_tolerance:
                     steps.append(Step(rnd, user, profile[user], message, delta))
                     profile[user] = message
-                    entries[user] = _quantized_message(user, message)
                     worst_delta = max(worst_delta, delta)
                     settled -= neighbours[user]
                 else:
                     settled.add(user)
         if worst_delta <= config.stop_tolerance:
             return Trajectory(steps=steps, verdict="converged", final_profile=profile, rounds=rnd)
-        key = tuple(entries.values())
+        key = _quantized(profile)
         if key in seen:
             return Trajectory(steps=steps, verdict="cycled", final_profile=profile, rounds=rnd)
         seen.add(key)

@@ -50,7 +50,7 @@ from .mechanism import (
     OwnTaxTerms,
     _cyclic_peers,
     eval_own_tax,
-    own_tax_parts,
+    own_tax_and_h,
     own_tax_terms,
     validate_profile,
 )
@@ -59,7 +59,7 @@ from .mechanism import (
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
-from .utilities import UtilitySpec, _rate_grid, demand, family_value, payoff, value
+from .utilities import UtilitySpec, demand, family_value, payoff
 
 
 class PriceBoundExceeded(MechanismError):
@@ -181,16 +181,31 @@ def _vertex_price(t: OwnTaxTerms, load, bound: float) -> np.ndarray:
     pull = t.peer_price_mean * load
     curvature = t.gamma * t.quad_weight
     flat = curvature == 0.0
+    with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
+        shift = pull / np.where(flat, 1.0, curvature)
+        vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
+    # a singleton row is flat with pull 0 (a lone user's peer mean price is
+    # 0), so dividing it by 1 gives it the flat price, 0
     if not np.any(flat & (t.group_size != 1)):
-        # only singleton rows are flat, and their pull is 0 (a lone user's
-        # peer mean price is 0): dividing by 1 gives them the flat price, 0
-        with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
-            shift = pull / np.where(flat, 1.0, curvature)
-        return np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
-    with np.errstate(over="ignore"):
-        shift = np.divide(pull, curvature, out=np.zeros(np.shape(pull)), where=curvature != 0.0)
-    vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
+        return vertex
     return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
+
+
+def _rate_grid(caps: np.ndarray, n: int) -> np.ndarray:
+    """``np.linspace(0.0, cap, n)`` for each of ``caps``, one row each, bit
+    for bit: ``k*step``, or ``(k/(n-1))*cap`` on a row whose step
+    underflows to 0, as linspace computes them, then ``cap`` itself last.
+    (Adding linspace's start 0.0 changes no non-negative rate.)"""
+    if n < 2:
+        return np.zeros((len(caps), n))
+    k = np.arange(n, dtype=float)
+    step = caps / (n - 1)
+    grid = k * step[:, None]
+    tiny = step == 0.0
+    if tiny.any():
+        grid[tiny] = k / (n - 1) * caps[tiny, None]
+    grid[:, -1] = caps
+    return grid
 
 
 class SearchGrid(NamedTuple):
@@ -245,10 +260,11 @@ def best_deviation(
 
     The candidates of all ``users`` form one array, a row per user: their
     grid rows and V on them, copied from ``grid``, and two columns added
-    here, the current and the analytic rate, with V from ``value``. Each
-    pair's tax and coupling coefficient h at the current message, which the
-    current payoff and ``_analytic_rate`` read, come from one scalar
-    ``own_tax_parts`` call, added up as ``eval_own_tax`` adds them. The
+    here, the current and the analytic rate, with V from ``family_value``
+    on each float, which checks no rate: an analytic rate that reads NaN
+    (its slope inf - inf) gives a NaN gain. Each pair's tax and coupling
+    coefficient h at the current message, which the current payoff and
+    ``_analytic_rate`` read, come from one scalar ``own_tax_and_h`` call. The
     (user, route link) pairs are stacked by route position: the first link
     of every route, then the second link of every route that has one, and
     so on, in the order of ``users`` within a position. Their terms become
@@ -284,14 +300,13 @@ def best_deviation(
     for u, m, route in zip(users, cur, routes):
         spec, terms, hs, tax = utilities[u], [table[u, l] for l in route], [], 0.0
         for tl, l in zip(terms, route):
-            load = tl.peer_excess + m.rate
-            price, pen, quad, h = own_tax_parts(tl, m.rate, m.prices[l], load)
-            tax += price + quad + h * load + tl.balance_const + pen  # eval_own_tax's sum
+            tax_l, h = own_tax_and_h(tl, m.rate, m.prices[l])
+            tax += tax_l
             hs.append(h)
-        v_cur.append(value(spec, m.rate))
+        v_cur.append(family_value(spec.family, spec.a, spec.b, m.rate))
         cur_pay.append(v_cur[-1] - tax)
         x_best.append(_analytic_rate(spec, terms, hs, grid.caps[u]))
-        v_best.append(value(spec, x_best[-1]))
+        v_best.append(family_value(spec.family, spec.a, spec.b, x_best[-1]))
 
     n = grid.rates.shape[1]
     rates = np.empty((len(users), n + 2))

@@ -19,7 +19,7 @@ Taxes sum to zero across all users at every feasible rate profile, on or off
 equilibrium. The per-link formula is written out once: ``own_tax_terms``
 gathers the peer statistics of one user on one link in one walk over the
 link's group, and ``own_tax_parts`` turns them into the tax's parts at any
-own rate and price. ``tax_link``, ``link_subsidy`` and ``eval_own_tax`` all
+own rate and price. ``tax_link``, ``link_subsidy`` and ``own_tax_and_h`` all
 assemble those parts. A command builds every (user, link) pair's terms once,
 as a table that ``outcome`` (and through it ``tax_link`` and
 ``link_subsidy``) and the audit share. All functions are
@@ -365,19 +365,18 @@ def own_tax_terms(
     )
 
 
-def own_tax_parts(terms: OwnTaxTerms, x, p, load=None):
+def own_tax_parts(terms: OwnTaxTerms, x, p):
     """One user's link tax at own rate ``x`` and own price ``p``, in parts.
 
     Returns ``(price, penalty, quad, h)``: the price part and the overload
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
-    ``price + quad + h * load + balance_const + penalty``, with ``load``
-    the link's load beyond capacity, ``peer_excess + x``: a caller that has
-    it already passes it. ``x``, ``p`` and ``load`` are floats or
-    broadcasting numpy arrays, and so are the fields of ``terms``: a column
-    per field holds one (user, link) pair per row, and its singleton-link
-    rows take the singleton branch, each row with the bits of its own
-    scalar terms. This is the one place the tax formula is written out.
+    ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
+    ``x`` and ``p`` are floats or broadcasting numpy arrays, and so are the
+    fields of ``terms``: a column per field holds one (user, link) pair per
+    row, and its singleton-link rows take the singleton branch, each row
+    with the bits of its own scalar terms. This is the one place the tax
+    formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev
@@ -385,9 +384,7 @@ def own_tax_parts(terms: OwnTaxTerms, x, p, load=None):
     single = terms.group_size == 1  # a bool, or a bool column
     if single is True:
         return 0.0, terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL), quad, h
-    if load is None:
-        load = terms.peer_excess + x
-    firing = (x > BOUNDARY_TOL) & (load > BOUNDARY_TOL)
+    firing = (x > BOUNDARY_TOL) & (terms.peer_excess + x > BOUNDARY_TOL)
     price, pen = (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing
     if single is False or not single.any():
         return price, pen, quad, h
@@ -395,17 +392,25 @@ def own_tax_parts(terms: OwnTaxTerms, x, p, load=None):
     return np.where(single, 0.0, price), np.where(single, alone, pen), quad, h
 
 
-def eval_own_tax(terms: OwnTaxTerms, x, p, load=None):
+def own_tax_and_h(terms: OwnTaxTerms, x, p, load=None):
     """The user's link tax at own rate ``x`` and own link price ``p``, the
-    sum of its ``own_tax_parts``; ``load`` is as there.
+    sum of its ``own_tax_parts``, and the coupling coefficient ``h`` there.
+    ``load`` is the link's load beyond capacity, ``peer_excess + x``, for a
+    caller that has it already."""
+    price, pen, quad, h = own_tax_parts(terms, x, p)
+    if load is None:
+        load = terms.peer_excess + x
+    return price + quad + h * load + terms.balance_const + pen, h
+
+
+def eval_own_tax(terms: OwnTaxTerms, x, p, load=None):
+    """The user's link tax at own rate ``x`` and own link price ``p``
+    (``own_tax_and_h``'s tax; ``load`` is as there).
 
     Broadcasts over numpy arrays, which is what makes exhaustive deviation
     searches cheap.
     """
-    if load is None:
-        load = terms.peer_excess + x
-    price, pen, quad, h = own_tax_parts(terms, x, p, load)
-    return price + quad + h * load + terms.balance_const + pen
+    return own_tax_and_h(terms, x, p, load)[0]
 
 
 OwnTaxTable = Dict[Tuple[int, int], OwnTaxTerms]  # (user, link) -> that pair's own_tax_terms

@@ -137,23 +137,6 @@ def family_value(family: str, a, b, x):
     return a * x2 / (b + x2)
 
 
-def _rate_grid(caps: np.ndarray, n: int) -> np.ndarray:
-    """``np.linspace(0.0, cap, n)`` for each of ``caps``, one row each, bit
-    for bit: ``k*step``, or ``(k/(n-1))*cap`` on a row whose step
-    underflows to 0, as linspace computes them, then ``cap`` itself last.
-    (Adding linspace's start 0.0 changes no non-negative rate.)"""
-    if n < 2:
-        return np.zeros((len(caps), n))
-    k = np.arange(n, dtype=float)
-    step = caps / (n - 1)
-    grid = k * step[:, None]
-    tiny = step == 0.0
-    if tiny.any():
-        grid[tiny] = k / (n - 1) * caps[tiny, None]
-    grid[:, -1] = caps
-    return grid
-
-
 def derivative(u: UtilitySpec, x):
     """dU/dx, elementwise on arrays; a float in gives a float out, with the
     array path's bits. A negative or NaN rate raises NegativeRate. Power
@@ -247,11 +230,10 @@ def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
         return a * x * x / (s + x * x) - price * x
 
     # Coarse scan locates the best bracket; golden-section refines it. The
-    # scan is f on 65 rates with the bits of np.linspace(0.0, cap, 65)
-    # (``_rate_grid``), and the refinement writes f out inline on
+    # scan is f on the whole grid, and the refinement writes f out inline on
     # Python floats: f's own order of operations, the same IEEE operations
     # as on numpy scalars, without a call per step.
-    grid = _rate_grid(np.array([cap]), 65)[0]
+    grid = np.linspace(0.0, cap, 65)
     vals = a * grid * grid / (s + grid * grid) - price * grid
     k = int(np.argmax(vals))
     lo = float(grid[max(k - 1, 0)])

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, posted_prices
+from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, _rate_grid, posted_prices
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -51,7 +51,7 @@ from nash_unicast.mechanism import (
 )
 from nash_unicast.network import min_route_capacity
 from nash_unicast.solver import SolverError
-from nash_unicast.utilities import _rate_grid, family_value, value
+from nash_unicast.utilities import family_value, value
 
 
 class GridTooLarge(SolverError):

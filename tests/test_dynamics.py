@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -14,12 +15,20 @@ from nash_unicast.dynamics import (
     run_dynamics,
     _quantized,
 )
-from nash_unicast.equilibrium import audit, best_deviation, construct_ne, own_tax_table, search_grid
+from nash_unicast.equilibrium import (
+    _analytic_rate,
+    audit,
+    best_deviation,
+    construct_ne,
+    own_tax_table,
+    search_grid,
+)
 from nash_unicast.mechanism import (
     MechanismParams,
     Message,
     assign_subsidies,
     outcome,
+    own_tax_parts,
     own_tax_terms,
     validate_profile,
 )
@@ -28,7 +37,7 @@ from nash_unicast.scenario import profile_to_labels, random_feasible_profile, ra
 from nash_unicast.utilities import log_utility
 
 from corpus import denormal_net, mixed_market, sigmoid_suite, topology_corpus
-from oracles import best_response_gap_reference, with_rate
+from oracles import best_deviation_per_call_reference, best_response_gap_reference, with_rate
 
 
 @pytest.fixture
@@ -330,6 +339,30 @@ def test_a_nan_gain_raises_naming_the_user_and_the_round():
         assert sum(g != g for g in gains) == 6
         with pytest.raises(DynamicsError, match=r"^user 'u7': best-response gain nan in round 1 is not finite$"):
             run_dynamics(net, uts, start, DynamicsConfig(), extreme)
+
+
+def test_a_nan_analytic_rate_gives_a_nan_gain_not_a_rate_error():
+    # u1 posts above its peer's price on A and below it on B: at gamma =
+    # 1e-300 its h overflows to -inf on A and +inf on B, so the analytic
+    # rate's slope reads inf - inf and the rate NaN; V there is NaN, not a
+    # rejected rate, and play names the user and the round
+    net = build_network({"A": 10.0, "B": 10.0}, {"u1": ["A", "B"], "u2": ["A"], "u3": ["B"]})
+    uts = {u: log_utility(1.0 + u) for u in net.users()}
+    params = MechanismParams(alpha=1e4, gamma=1e-300, price_bound=1e6)
+    start = {0: Message(1.0, {0: 2e5, 1: 0.0}), 1: Message(1.0, {0: 1e5}), 2: Message(1.0, {1: 1e5})}
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = own_tax_table(net, start, params)
+        terms = [table[0, l] for l in net.route(0)]
+        hs = [own_tax_parts(t, 1.0, start[0].prices[l])[3] for t, l in zip(terms, net.route(0))]
+        assert hs == [-math.inf, math.inf]
+        assert math.isnan(_analytic_rate(uts[0], terms, hs, 10.0))
+        messages, gains = best_deviation(net, uts, start, net.users(), params, search_grid(net, uts, 64), table)
+        ref = best_deviation_per_call_reference(net, uts, start, net.users(), params, 64, table)
+        assert math.isnan(gains[0])
+        assert [g.hex() for g in gains] == [g.hex() for g in ref[1]]
+        assert [m.rate.hex() for m in messages] == [m.rate.hex() for m in ref[0]]
+        with pytest.raises(DynamicsError, match=r"^user 'u1': best-response gain nan in round 1 is not finite$"):
+            run_dynamics(net, uts, start, DynamicsConfig(), params)
 
 
 def test_simulate_exits_1_on_a_gain_that_is_not_finite(tmp_path, capsys):

@@ -11,6 +11,7 @@ from nash_unicast.dynamics import DynamicsConfig, _colour_classes, run_dynamics
 from nash_unicast.equilibrium import (
     NonUniformPrices,
     PriceBoundExceeded,
+    _rate_grid,
     audit,
     best_deviation,
     check_optimality,
@@ -36,7 +37,6 @@ from nash_unicast.network import BOUNDARY_TOL, build_network, min_route_capacity
 from nash_unicast.scenario import load_scenario, random_feasible_profile
 from nash_unicast.solver import solve_centralized
 from nash_unicast.utilities import (
-    _rate_grid,
     demand,
     log_utility,
     payoff,
@@ -695,7 +695,7 @@ def test_command_grid_matches_the_per_call_build(shape):
     # (a colour class) or the audit (every user) searches, against the build
     # of each call's own rows; under the default constants and under alpha =
     # 1e300, gamma = 1e-300, where gamma * quad_weight underflows to 0 on
-    # two-user links and the vertex price takes its masked division
+    # two-user links and the vertex price takes its flat branch
     if shape == "denormal":
         net, uts, params = denormal_net()  # rows whose step underflows to 0
     elif shape == "mixed-play":
