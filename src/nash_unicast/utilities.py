@@ -99,25 +99,10 @@ def _check_rate(x) -> None:
 
 
 def value(u: UtilitySpec, x):
-    """U(x), elementwise on arrays; a float in gives a float out. A negative
-    or NaN rate raises NegativeRate.
-
-    A float takes plain float arithmetic and calls the numpy ufunc only for
-    the transcendental step, so it returns exactly the bits of the array
-    path at a fraction of its per-call cost.
-    """
+    """U(x), elementwise on arrays; a float in gives a float out
+    (``family_value`` with the spec's parameters). A negative or NaN rate
+    raises NegativeRate."""
     _check_rate(x)
-    if type(x) is float:
-        if u.family == "log":
-            return u.a * float(np.log1p(x))
-        if u.family == "power":
-            return u.a * float(np.power(x, u.b))
-        if u.family == "quadcap":
-            peak = u.a / (2.0 * u.b)
-            xm = x if x < peak else peak
-            return u.a * xm - u.b * xm * xm
-        x2 = x * x
-        return u.a * x2 / (u.b + x2)
     return family_value(u.family, u.a, u.b, x)
 
 
@@ -125,7 +110,25 @@ def family_value(family: str, a, b, x):
     """U(x) of one family on arrays, its parameters ``a`` and ``b`` as in
     ``UtilitySpec``: scalars, or arrays that broadcast against ``x``, such
     as a column of one user's parameters per row of rates. Each element has
-    the bits of ``value`` on that user's spec. Rates are not checked."""
+    the bits of ``value`` on that user's spec. Rates are not checked: a NaN
+    rate gives NaN.
+
+    A float ``x``, with float parameters, takes plain float arithmetic and
+    calls the numpy ufunc only for the transcendental step, so it returns a
+    float with exactly the bits of the array path at a fraction of its
+    per-call cost.
+    """
+    if type(x) is float:
+        if family == "log":
+            return a * float(np.log1p(x))
+        if family == "power":
+            return a * float(np.power(x, b))
+        if family == "quadcap":
+            peak = a / (2.0 * b)
+            xm = peak if x > peak else x  # a NaN passes, as through np.minimum
+            return a * xm - b * xm * xm
+        x2 = x * x
+        return a * x2 / (b + x2)
     if family == "log":
         return a * np.log1p(x)
     if family == "power":

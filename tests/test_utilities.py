@@ -13,6 +13,7 @@ from nash_unicast.utilities import (
     UtilitySpec,
     demand,
     derivative,
+    family_value,
     initial_slope,
     log_utility,
     payoff,
@@ -80,6 +81,10 @@ def test_float_path_matches_array_path_bit_for_bit():
                 got = fn(u, x)
                 assert type(got) is float, (u, fn.__name__, x)
                 assert np.float64(got).tobytes() == want.tobytes(), (u, fn.__name__, x, got, want)
+        # family_value checks no rate: a NaN passes on both paths
+        on_float = family_value(u.family, u.a, u.b, math.nan)
+        assert type(on_float) is float and math.isnan(on_float), (u, on_float)
+        assert math.isnan(family_value(u.family, u.a, u.b, np.array([math.nan]))[0]), u
 
 
 
