@@ -24,7 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .dynamics import DynamicsConfig, run_dynamics
+from .dynamics import SCHEDULES, DynamicsConfig, run_dynamics
 from .equilibrium import audit, check_optimality, construct_ne, own_tax_table, posted_prices
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
@@ -451,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("construct-ne", "build and audit the equilibrium profile", "--grid", "--seed", "--tolerance")
     command("audit", "audit a given message profile", "--grid", "--seed", "--tolerance", "--profile")
     sim = command("simulate", "run best-response dynamics", "--grid", "--seed", "--profile")
-    sim.add_argument("--rounds", type=int, default=50)
-    sim.add_argument("--schedule", choices=("round_robin", "random"), default="round_robin")
-    sim.add_argument("--stop-tolerance", type=float, default=1e-7, dest="stop_tolerance")
+    sim.add_argument("--rounds", type=int, default=DynamicsConfig.max_rounds)
+    sim.add_argument("--schedule", choices=SCHEDULES, default=DynamicsConfig.schedule)
+    sim.add_argument("--stop-tolerance", type=float, default=DynamicsConfig.stop_tolerance, dest="stop_tolerance")
     command("report", "summarize a directory of scenarios", "--grid", "--seed", "--tolerance")
     return parser
 

@@ -3,14 +3,15 @@
 ``construct_ne`` turns the centralized solution into a message profile: each
 user requests its optimal rate and posts the link multipliers as prices.
 ``audit`` measures every equilibrium property of a candidate profile without
-judging it: price uniformity, complementary slackness, left-sided tax
-derivatives against the link price, a best-response gap, individual
-rationality, budget balance, and agreement of the taxes with their
-equilibrium closed forms (``ne_tax_closed_form``). A link's posted price is
-the least price its users post (``posted_prices``), the common price on a
-uniform profile; the audit computes it once and every price check reads it.
-Every (user, link) pair's ``own_tax_terms`` is built once per command
-(``own_tax_table``) and read by ``outcome`` and ``audit`` alike.
+judging it: price uniformity, complementary slackness, each tax's slope in
+the own rate (linear below the overload walls) against the link price, a
+best-response gap, individual rationality, budget balance, and agreement of
+the taxes with their equilibrium closed forms (``ne_tax_closed_form``). A
+link's posted price is the least price its users post (``posted_prices``),
+the common price on a uniform profile; the audit computes it once and every
+price check reads it. Every (user, link) pair's ``own_tax_terms`` is built
+once per command (``own_tax_table``) and read by ``outcome`` and ``audit``
+alike.
 
 ``best_deviation`` is the one best response, of the audit and of play
 alike. A user's candidate own rates are evenly spaced rates over [0, its
@@ -35,6 +36,7 @@ user's ``demand`` there, not a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -359,49 +361,45 @@ def audit(
     the audit builds one ``search_grid`` of them and searches every user at
     once (``best_deviation``, looked up through this module's global).
     ``table`` is the profile's ``own_tax_table``, which validated the
-    profile, as the command built it for ``outcome``;
-    without it ``audit`` builds its own. The tax derivatives, the best
-    response and the closed forms all read it. The running maxima read a
-    non-finite measurement as inf, so it never passes a bound.
+    profile, as the command built it for ``outcome``; without it ``audit``
+    builds its own. The tax derivatives, the best response and the closed
+    forms all read it. The derivative check reads the tax's slope in the own
+    rate, ``(peer_price_mean + price_adjust) + h``, exact below the overload
+    walls; past one ``feasibility`` fails. The running maxima read a
+    non-finite measurement as inf, the least payoff one as -inf.
     """
     if table is None:
         table = own_tax_table(net, profile, params)
     rates = alloc.rates
 
     posted = posted_prices(net, profile)
-    uniformity = comp_slack = deriv_gap = 0.0
-    for l in net.links():
-        group = net.group(l)
+    uniformity = comp_slack = deriv_gap = corr_gap = 0.0
+    for l, group in enumerate(net.groups):
         if not group:
             continue
         p_link = posted[l]
         excess = link_load(net, rates, l) - net.capacity(l)
         comp_slack = _worse(comp_slack, p_link * abs(excess) / params.gamma)
-        if len(group) < 2:
-            continue
-        uniformity = _worse(uniformity, max(profile[u].prices[l] for u in group) - p_link)
         for user in group:
-            x = profile[user].rate
-            if x <= 1e-12:
-                continue  # no room for a left-sided step
-            h = min(1e-6 * (1.0 + x), x)
-            t = table[(user, l)]
-            p_own = profile[user].prices[l]
-            fd = (float(eval_own_tax(t, x, p_own)) - float(eval_own_tax(t, x - h, p_own))) / h
-            deriv_gap = _worse(deriv_gap, abs(fd - p_link))
+            m, t = profile[user], table[user, l]
+            uniformity = _worse(uniformity, m.prices[l] - p_link)
+            expected = ne_tax_closed_form(net, profile, l, user, t, p_link)
+            corr_gap = _worse(corr_gap, abs(alloc.breakdown.link_taxes[user, l].total - expected))
+            if t.group_size == 1 or m.rate <= 1e-12:
+                # a lone user's tax has no price part; a zero rate has no left
+                # derivative (whether to check such a user is ROADMAP item 1)
+                continue
+            h = own_tax_and_h(t, m.rate, m.prices[l])[1]
+            deriv_gap = _worse(deriv_gap, abs((t.peer_price_mean + t.price_adjust) + h - p_link))
 
     br_gap = 0.0
     grid = search_grid(net, utilities, br_grid)
     for gain in best_deviation(net, utilities, profile, net.users(), params, grid, table)[1]:
         br_gap = _worse(br_gap, gain)
 
-    ir_min = min(payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
+    payoffs = (payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
+    ir_min = min(v if math.isfinite(v) else -math.inf for v in payoffs)
     budget_gap = abs(sum(alloc.taxes.values()))
-
-    corr_gap = 0.0
-    for (user, l), lt in alloc.breakdown.link_taxes.items():
-        expected = ne_tax_closed_form(net, profile, l, user, table[(user, l)], posted[l])
-        corr_gap = _worse(corr_gap, abs(lt.total - expected))
 
     return NeAuditReport(
         feasibility=is_feasible(net, rates),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
@@ -135,11 +135,6 @@ class Message:
 
     rate: float
     prices: Dict[int, float]
-
-    def with_price(self, link: int, price: float) -> "Message":
-        prices = dict(self.prices)
-        prices[link] = price
-        return replace(self, prices=prices)
 
 
 MessageProfile = Dict[int, Message]

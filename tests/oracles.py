@@ -21,10 +21,12 @@ masked ``np.divide``.
 audit's closed-form check did before it read ``peer_rate_sum``.
 ``check_walrasian_grid_reference`` scans each user's rates on a grid, as
 ``check_walrasian`` did before it compared with the user's ``demand``.
+``tax_slope_finite_difference`` is the audit's derivative check as a finite
+difference of the tax, as it ran before it read the slope in closed form.
 
 ``zero_tax_deviation_price`` (the exact exit deviation of the
 individual-rationality checks), ``brute_force_centralized`` (the grid oracle
-for the dual solver) and ``with_rate`` serve the tests only.
+for the dual solver), ``with_rate`` and ``with_price`` serve the tests only.
 """
 
 from __future__ import annotations
@@ -61,6 +63,20 @@ class GridTooLarge(SolverError):
 def with_rate(message, rate):
     """``message`` with its rate request replaced."""
     return replace(message, rate=rate)
+
+
+def with_price(message, link, price):
+    """``message`` with its price on ``link`` replaced."""
+    return replace(message, prices={**message.prices, link: price})
+
+
+def tax_slope_finite_difference(t, x, p):
+    """The left-sided slope of a user's link tax in its own rate ``x`` at
+    own price ``p``, from two ``eval_own_tax`` calls a step h apart, h =
+    min(1e-6*(1 + x), x), as the audit's derivative check measured it before
+    it read the slope in closed form. Returns (slope, h)."""
+    h = min(1e-6 * (1.0 + x), x)
+    return (float(eval_own_tax(t, x, p)) - float(eval_own_tax(t, x - h, p))) / h, h
 
 
 def vertex_price_reference(t, x, bound):

@@ -36,7 +36,7 @@ from nash_unicast.mechanism import (
 from nash_unicast.network import build_network
 from nash_unicast.solver import solve_centralized, welfare
 from nash_unicast.utilities import log_utility, value
-from oracles import brute_force_centralized, with_rate, zero_tax_deviation_price
+from oracles import brute_force_centralized, with_price, with_rate, zero_tax_deviation_price
 
 SWEEPS = ((10.0, 1.0), (0.1, 1.0), (1.0, 10.0), (1.0, 0.1))
 
@@ -113,9 +113,9 @@ def _witness_worst_tax(suite):
                 if len(s.net.group(link)) >= 2:
                     price = zero_tax_deviation_price(s.net, s.profile, link, user, s.params)
                     assert 0.0 <= price <= s.params.price_bound
-                    m = m.with_price(link, price)
+                    m = with_price(m, link, price)
                 else:
-                    m = m.with_price(link, 0.0)
+                    m = with_price(m, link, 0.0)
             deviated[user] = m
             pay = 0.0  # zero rate earns zero utility
             for link in s.net.route(user):

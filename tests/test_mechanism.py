@@ -30,7 +30,7 @@ from nash_unicast.mechanism import (
 from nash_unicast.network import build_network
 
 from corpus import concave_suite, denormal_net
-from oracles import own_tax_terms_reference
+from oracles import own_tax_terms_reference, with_price
 
 PARAMS = MechanismParams(alpha=1e4, gamma=1e4, epsilon=1e-6, price_bound=100.0)
 
@@ -418,7 +418,7 @@ def test_price_part_never_depends_on_own_price():
         base = tax_link(net, profile, 0, PARAMS)[0].price_part
         for _ in range(20):
             tampered = dict(profile)
-            tampered[0] = profile[0].with_price(0, rng.uniform(0, 50))
+            tampered[0] = with_price(profile[0], 0, rng.uniform(0, 50))
             assert tax_link(net, tampered, 0, PARAMS)[0].price_part == base
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "157ecd8e2baf9c8d373202205f7bee84cb4a8376117ece7af1d7389537922cfb"
+DIGEST = "db789cf48fd95c1932b4121126abbaa0bd0f479d2a489c63ca7ad13fc914c27a"
 COMMANDS = 483
 
 
