@@ -19,13 +19,13 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dynamics import SCHEDULES, DynamicsConfig, run_dynamics
-from .equilibrium import audit, check_optimality, construct_ne, own_tax_table, posted_prices
+from .equilibrium import DEFAULT_BR_GRID, audit, check_optimality, construct_ne, own_tax_table, posted_prices
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
     Scenario,
@@ -46,15 +46,15 @@ class UsageError(ValueError):
 
 
 AUDIT_CHECKS = (
-    # (name, kind) where kind describes the comparison in _evaluate_checks
-    ("feasibility", "true"),
-    ("price_uniformity", "max 1e-9"),
-    ("complementary_slackness", "max 1e-6"),
-    ("tax_derivative_gap", "max 1e-5"),
-    ("best_response_gap", "max 1e-4"),
-    ("ir_min_payoff", "min -1e-9"),
-    ("budget_gap", "relative 1e-9"),
-    ("corollary_tax_gap", "max 1e-9"),
+    # (name, kind, bar): _evaluate_checks compares each value with its bar by kind
+    ("feasibility", "true", None),
+    ("price_uniformity", "max", 1e-9),
+    ("complementary_slackness", "max", 1e-6),
+    ("tax_derivative_gap", "max", 1e-5),
+    ("best_response_gap", "max", 1e-4),
+    ("ir_min_payoff", "min", -1e-9),
+    ("budget_gap", "relative", 1e-9),
+    ("corollary_tax_gap", "max", 1e-9),
 )
 
 
@@ -68,85 +68,19 @@ def _fmt(v) -> str:
 
 def _evaluate_checks(report, tax_scale: float):
     checks = []
-    for name, kind in AUDIT_CHECKS:
+    for name, kind, bar in AUDIT_CHECKS:
         val = getattr(report, name)
         if kind == "true":
             ok, bound = bool(val), "true"
-        elif kind.startswith("max"):
-            tol = float(kind.split()[1])
-            ok, bound = val <= tol, f"<= {tol:g}"
-        elif kind.startswith("min"):
-            tol = float(kind.split()[1])
-            ok, bound = val >= tol, f">= {tol:g}"
-        else:  # relative budget tolerance
-            tol = float(kind.split()[1]) * (1.0 + tax_scale)
-            ok, bound = val <= tol, f"<= {tol:.3g}"
+        elif kind == "max":
+            ok, bound = val <= bar, f"<= {bar:g}"
+        elif kind == "min":
+            ok, bound = val >= bar, f">= {bar:g}"
+        else:  # relative bar, inf on a non-finite tax scale; an inf gap fails though inf <= inf
+            tol = bar * (1.0 + tax_scale) if math.isfinite(tax_scale) else math.inf
+            ok, bound = math.isfinite(val) and val <= tol, f"<= {tol:.3g}"
         checks.append({"name": name, "value": val, "bound": bound, "pass": bool(ok)})
     return checks
-
-
-def _report_text(report) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
-
-    With ``indent`` json runs its pure-Python encoder, which walks the
-    report through generators. A report is written here instead by
-    ``_write_json``, as long as it holds only dicts with string keys,
-    lists, strings, ints, finite floats, booleans and None. Any other
-    report goes to ``json.dumps`` itself, so json's own text or error comes
-    out: a NaN or inf raises its ValueError."""
-    out: list = []
-    try:
-        _write_json(report, "\n", out)
-    except (TypeError, ValueError, RecursionError):
-        return json.dumps(report, indent=2, allow_nan=False)
-    return "".join(out)
-
-
-def _write_json(o, indent: str, out: list) -> None:
-    """Append the JSON text of ``o`` to ``out``; ``indent`` is the newline
-    and spaces that open a line at ``o``'s depth. Raises TypeError or
-    ValueError on a value outside ``_report_text``'s subset."""
-    kind = type(o)
-    if kind is float:
-        if o - o != 0.0:  # NaN or inf
-            raise ValueError(o)
-        out.append(float.__repr__(o))
-    elif kind is str:
-        out.append(encode_basestring_ascii(o))
-    elif kind is dict:
-        if not o:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, v in o.items():
-            if type(key) is not str:
-                raise TypeError(key)
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif kind is list:
-        if not o:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for v in o:
-            out.append(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif kind is int:
-        out.append(int.__repr__(o))
-    else:
-        raise TypeError(o)
 
 
 def _emit(report: dict, out_path, lines) -> None:
@@ -154,7 +88,7 @@ def _emit(report: dict, out_path, lines) -> None:
         print(line)
     if out_path:
         # strict JSON: a NaN or inf raises ValueError before the file is opened
-        text = _report_text(report)
+        text = json.dumps(report, allow_nan=False)
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
         print(f"report written to {out_path}")
@@ -270,7 +204,7 @@ def _audit_blocks(net, rep, alloc, checks) -> dict:
             "total": lt.total,
         }
     return {
-        "audit": {k: getattr(rep, k) for k, _ in AUDIT_CHECKS},
+        "audit": {k: getattr(rep, k) for k, *_ in AUDIT_CHECKS},
         "tax_breakdown": {
             "link_taxes": rows,
             "subsidies_received": {
@@ -431,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     options = {
-        "--grid": dict(type=int, default=200, help="rate points per user of the best-response search that"
+        "--grid": dict(type=int, default=DEFAULT_BR_GRID, help="rate points per user of the best-response search that"
                        " the audit measures and simulate moves by"),
         "--seed": dict(type=int, default=None, help="override the scenario rng seed"),
         "--tolerance": dict(type=float, default=None, help="override the solver tolerance"),

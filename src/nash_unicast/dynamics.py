@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Set
 
-from .equilibrium import best_deviation, search_grid
+from .equilibrium import DEFAULT_BR_GRID, best_deviation, search_grid
 from .mechanism import (
     MechanismParams,
     Message,
@@ -51,7 +51,7 @@ class DynamicsConfig:
     schedule: str = "round_robin"
     seed: int = 0
     max_rounds: int = 50
-    br_grid: int = 64
+    br_grid: int = DEFAULT_BR_GRID
     stop_tolerance: float = 1e-7
 
     def __post_init__(self):

@@ -63,6 +63,8 @@ from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
 from .utilities import UtilitySpec, demand, family_value, payoff
 
+DEFAULT_BR_GRID = 200  # grid rates per user of the best response: audit's, play's and --grid's default
+
 
 class PriceBoundExceeded(MechanismError):
     pass
@@ -348,7 +350,7 @@ def audit(
     profile: MessageProfile,
     params: MechanismParams,
     alloc: Allocation,
-    br_grid: int = 200,
+    br_grid: int = DEFAULT_BR_GRID,
     table: OwnTaxTable | None = None,
 ) -> NeAuditReport:
     """Measure every equilibrium diagnostic of a valid profile. Reports only;
@@ -365,8 +367,8 @@ def audit(
     builds its own. The tax derivatives, the best response and the closed
     forms all read it. The derivative check reads the tax's slope in the own
     rate, ``(peer_price_mean + price_adjust) + h``, exact below the overload
-    walls; past one ``feasibility`` fails. The running maxima read a
-    non-finite measurement as inf, the least payoff one as -inf.
+    walls; past one ``feasibility`` fails. The running maxima and the budget
+    gap read a non-finite measurement as inf, the least payoff one as -inf.
     """
     if table is None:
         table = own_tax_table(net, profile, params)
@@ -399,7 +401,7 @@ def audit(
 
     payoffs = (payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
     ir_min = min(v if math.isfinite(v) else -math.inf for v in payoffs)
-    budget_gap = abs(sum(alloc.taxes.values()))
+    budget_gap = _worse(0.0, abs(sum(alloc.taxes.values())))
 
     return NeAuditReport(
         feasibility=is_feasible(net, rates),

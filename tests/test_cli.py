@@ -442,24 +442,25 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     cli._parser.cache_clear()
 
 
-# --- every report is json.dumps' strict, indented JSON ------------------------
+# --- every report is json.dumps' strict, compact JSON --------------------------
 
 
 import tempfile  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nash_unicast.scenario import (  # noqa: E402
+    Scenario,
     profile_to_labels,
     random_feasible_profile,
     random_scenario,
     save_scenario,
 )
 
-from corpus import crowded_scenario, mixed_scenario  # noqa: E402
+from corpus import crowded_scenario, denormal_net, mixed_scenario  # noqa: E402
 
 _SCALARS = st.one_of(
     st.none(),
@@ -483,7 +484,19 @@ _JSON = st.recursive(
 
 
 def _reference_text(report) -> str:
-    return json.dumps(report, indent=2, allow_nan=False)
+    return json.dumps(report, allow_nan=False)
+
+
+def _exact(value):
+    """``value`` with every float as its hex and every scalar tagged with its
+    type, so that == compares bits: -0.0 differs from 0.0, True from 1."""
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
 
 
 def report_json(report) -> str:
@@ -499,7 +512,10 @@ def report_json(report) -> str:
 @given(_JSON)
 @settings(max_examples=300, deadline=None)
 def test_report_json_equals_json_dumps(value):
-    assert report_json(value) == _reference_text(value)
+    # and reads back bit for bit, so a profile round-trips through a report
+    text = report_json(value)
+    assert text == _reference_text(value)
+    assert _exact(json.loads(text)) == _exact(value)
 
 
 @pytest.mark.parametrize(
@@ -522,31 +538,61 @@ def test_report_json_equals_json_dumps_on_edge_shapes(value):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_report_json_raises_as_json_dumps_does(bad):
-    for report in ({"a": {"b": [1.0, bad]}}, {"x": bad}, [bad]):
+def test_report_json_raises_as_json_dumps_does(tmp_path, bad):
+    # the text is built before the file is opened: no file, not an empty one
+    path = tmp_path / "report.json"
+    for report in ({"a": {"b": [1.0, bad]}}, {"x": bad}, [bad], bad):
         with pytest.raises(ValueError) as got:
-            report_json(report)
+            _emit(report, str(path), [])
         with pytest.raises(ValueError) as ref:
             _reference_text(report)
         assert str(got.value) == str(ref.value)
+        assert not path.exists()
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("the report was handed to json.dumps")
+def _overflowing_scenario(tmp_path) -> Path:
+    """``corpus.denormal_net`` at alpha = 1e300 and gamma = 1e-300, with
+    ``random_feasible_profile`` seed 0 embedded: six users' taxes overflow
+    to NaN."""
+    net, uts, params = denormal_net()
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = random_feasible_profile(net, replace(params, alpha=1e300, gamma=1e-300), seed=0)
+    scenario = Scenario(
+        "denormal-overflow",
+        {net.link_labels[l]: net.capacity(l) for l in net.links()},
+        {net.user_labels[u]: [net.link_labels[l] for l in net.route(u)] for u in net.users()},
+        {net.user_labels[u]: uts[u] for u in net.users()},
+        mechanism={"alpha": 1e300, "gamma": 1e-300, "price_bound": params.price_bound},
+        profile=profile_to_labels(profile, net),
+    )
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    return path
 
 
-def _writer_only(monkeypatch):
-    """Make ``cli.json.dumps`` refuse, so a report file can come only from
-    the writer; ``cli.json.load`` still reads profiles."""
-    monkeypatch.setattr(cli, "json", SimpleNamespace(load=json.load, dumps=_refuse))
+def test_budget_check_of_an_overflowing_profile_reads_inf_not_nan(tmp_path, capsys):
+    # the taxes sum to NaN and so does the tax scale: the gap reads inf, the
+    # bound inf, and the check fails though inf <= inf
+    path = str(_overflowing_scenario(tmp_path))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "--scenario", path, "--grid", "8"]) == 2
+    out = capsys.readouterr().out
+    assert "  [FAIL] budget_gap: inf (<= inf)\n" in out
+    assert "nan (" not in out
 
 
-def _assert_writer_wrote_every_report(tmp_path, monkeypatch, path):
+def test_audit_out_on_an_overflowing_profile_exits_1_without_a_file(tmp_path, capsys):
+    path, out = str(_overflowing_scenario(tmp_path)), tmp_path / "audit.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "--scenario", path, "--grid", "8", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Out of range float values are not JSON compliant")
+    assert not out.exists()
+
+
+def _assert_every_report_is_compact_json(tmp_path, path):
     """Run solve, construct-ne, audit and simulate on the scenario file
-    ``path``, with ``cli.json.dumps`` refusing, so that each report file is
-    the writer's own; each must hold the bytes of ``json.dumps(report,
-    indent=2, allow_nan=False)`` and a newline. Returns the files written."""
-    _writer_only(monkeypatch)
+    ``path``; each report file must hold the bytes of ``json.dumps(report,
+    allow_nan=False)`` and a newline. Returns the files written."""
     solve, ne, audit, sim = (tmp_path / f"{name}.json" for name in ("solve", "ne", "audit", "sim"))
     main(["solve", "--scenario", str(path), "--out", str(solve)])
     main(["construct-ne", "--scenario", str(path), "--out", str(ne), "--grid", "24"])
@@ -566,12 +612,12 @@ def _assert_writer_wrote_every_report(tmp_path, monkeypatch, path):
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch, path):
-    _assert_writer_wrote_every_report(tmp_path, monkeypatch, path)
+def test_report_files_equal_json_dumps(tmp_path, capsys, path):
+    _assert_every_report_is_compact_json(tmp_path, path)
 
 
 @pytest.mark.parametrize("shape", ["concave market", "mixed market", "crowded link"])
-def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch, shape):
+def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, shape):
     # the mixed-play benchmark's shape, in a concave market (construct-ne
     # runs) and in the mixed market with a random feasible start, and the
     # crowded-links benchmark's 26 users on one link
@@ -586,13 +632,12 @@ def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, monkeypatch
         scenario.profile = profile_to_labels(random_feasible_profile(net, params, seed=4400), net)
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
-    written = _assert_writer_wrote_every_report(tmp_path, monkeypatch, path)
+    written = _assert_every_report_is_compact_json(tmp_path, path)
     assert len(written) == (2 if shape == "mixed market" else 4)
-    assert (tmp_path / "audit.json").stat().st_size > 10_000
+    assert (tmp_path / "audit.json").stat().st_size > 8_000  # the crowded link's is the least, 8.5 KB
 
 
-def test_report_command_file_is_the_writers_own(tmp_path, capsys, monkeypatch):
-    _writer_only(monkeypatch)
+def test_report_command_file_is_the_writers_own(tmp_path, capsys):
     out = tmp_path / "report.json"
     main(["report", "--scenario", str(SCENARIO_DIR), "--grid", "24", "--out", str(out)])
     text = out.read_text()

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nash_unicast import dynamics
+from nash_unicast import cli, dynamics
 from nash_unicast.cli import main
 from nash_unicast.dynamics import (
     DynamicsConfig,
@@ -50,6 +51,13 @@ def test_config_validation():
         DynamicsConfig(schedule="sideways")
     with pytest.raises(DynamicsError):
         DynamicsConfig(br_grid=1)
+
+
+def test_play_audit_and_cli_default_to_one_grid():
+    # so play at its defaults converges in the sense of the audit's default search
+    audit_default = inspect.signature(audit).parameters["br_grid"].default
+    cli_default = cli.build_parser().parse_args(["audit", "--scenario", "s.json"]).grid
+    assert DynamicsConfig().br_grid == audit_default == cli_default
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])

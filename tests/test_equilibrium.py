@@ -414,7 +414,8 @@ def test_tax_derivative_gap_holds_at_a_million_times_the_utility_scale():
 
 def test_ir_min_payoff_reads_a_nan_payoff_as_minus_inf():
     # alpha = 1e300 and gamma = 1e-300 overflow six users' taxes on the
-    # denormal net to NaN; min() skipped a NaN that was not first
+    # denormal net to NaN; min() skipped a NaN that was not first, and the
+    # budget gap, their sum, read NaN
     net, uts, params = denormal_net()
     extreme = replace(params, alpha=1e300, gamma=1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,6 +426,7 @@ def test_ir_min_payoff_reads_a_nan_payoff_as_minus_inf():
             assert sum(v != v for v in pays) == 6, seed
             rep = audit(net, uts, profile, extreme, alloc, br_grid=8)
             assert rep.ir_min_payoff == -math.inf, (seed, rep.ir_min_payoff)
+            assert rep.budget_gap == math.inf, (seed, rep.budget_gap)
 
 
 # --- a brute-force rate-by-price grid search ---------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "db789cf48fd95c1932b4121126abbaa0bd0f479d2a489c63ca7ad13fc914c27a"
+DIGEST = "02c0aefa9cbc4c735a983849695cc466ad7c2f78b7948b645673309d56751ae9"
 COMMANDS = 483
 
 

@@ -10,8 +10,9 @@ The command set runs in this one process through ``nash_unicast.cli.main``:
 * on the first 20 small-nets scenarios, also ``audit`` of the construct-ne
   profile with every rate and price halved: off equilibrium, so its prices
   fail the KKT certificate and the optimality check solves cold;
-* ``audit --profile <start>``, ``simulate --rounds 20`` and ``audit`` on the
-  final profile, on the first 20 mixed-play scenarios;
+* ``audit --profile <start>``, ``simulate --rounds 20`` and ``audit
+  --profile <simulate report>``, which reads its final profile, on the first
+  20 mixed-play scenarios;
 * ``solve``, ``construct-ne`` and ``simulate`` on each file in ``scenarios/``,
   then ``report`` over the whole directory.
 
@@ -108,11 +109,7 @@ def run_play(runner: Runner, entry, stem: Path) -> None:
     runner.run(["audit", "--scenario", scenario, "--profile", entry["start"]], Path(f"{stem}.audit0.json"))
     sim = Path(f"{stem}.simulate.json")
     runner.run(["simulate", "--scenario", scenario, "--profile", entry["start"], "--rounds", SIMULATE_ROUNDS], sim)
-    final = Path(f"{stem}.final.json")
-    if sim.exists():
-        # audit --profile reads a bare profile, not a simulate report
-        final.write_text(json.dumps(json.loads(sim.read_text())["final_profile"]))
-    runner.run(["audit", "--scenario", scenario, "--profile", str(final)], Path(f"{stem}.audit1.json"))
+    runner.run(["audit", "--scenario", scenario, "--profile", str(sim)], Path(f"{stem}.audit1.json"))
 
 
 def digest(seed: int, work: Path, each: bool = False) -> Runner:
