@@ -11,10 +11,8 @@ profiles, and runs exploratory best-response dynamics.
 from .dynamics import DynamicsConfig, Trajectory, run_dynamics
 from .equilibrium import (
     NeAuditReport,
-    WalrasianCheck,
     audit,
     check_optimality,
-    check_walrasian,
     construct_ne,
     ne_tax_closed_form,
 )

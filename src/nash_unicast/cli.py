@@ -55,6 +55,7 @@ AUDIT_CHECKS = (
     ("ir_min_payoff", "min", -1e-9),
     ("budget_gap", "relative", 1e-9),
     ("corollary_tax_gap", "max", 1e-9),
+    ("competitive_gap", "max", 1e-6),
 )
 
 

@@ -57,12 +57,14 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise DynamicsError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.max_rounds < 1:
-            raise DynamicsError("max_rounds must be at least 1")
-        if self.br_grid < 2:
-            raise DynamicsError("br_grid must be at least 2")
-        if not 0.0 <= self.stop_tolerance < math.inf:  # NaN fails both comparisons
-            raise DynamicsError(f"stop_tolerance must be a finite number >= 0, got {self.stop_tolerance}")
+        for name, least in (("max_rounds", 1), ("br_grid", 2)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < least:
+                raise DynamicsError(f"{name} must be an integer of at least {least}, got {n!r}")
+        tol = self.stop_tolerance
+        number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+        if not (number and 0.0 <= tol < math.inf):  # NaN fails both comparisons
+            raise DynamicsError(f"stop_tolerance must be a finite number >= 0, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ user requests its optimal rate and posts the link multipliers as prices.
 ``audit`` measures every equilibrium property of a candidate profile without
 judging it: price uniformity, complementary slackness, each tax's slope in
 the own rate (linear below the overload walls) against the link price, a
-best-response gap, individual rationality, budget balance, and agreement of
-the taxes with their equilibrium closed forms (``ne_tax_closed_form``). A
+best-response gap, individual rationality, budget balance, agreement of
+the taxes with their equilibrium closed forms (``ne_tax_closed_form``), and
+how far each user's rate falls short of competitive at those prices. A
 link's posted price is the least price its users post (``posted_prices``),
 the common price on a uniform profile; the audit computes it once and every
 price check reads it. Every (user, link) pair's ``own_tax_terms`` is built
@@ -29,9 +30,10 @@ prices and one tax-kernel call on all candidates. It returns each user's
 winning message and gain; ``audit`` reads the largest gain over all users,
 and dynamics moves a colour class of users who share no link by their
 winning messages.
-``check_walrasian`` checks that every user's rate maximizes its payoff at
-the posted prices over the rates the others leave available, against the
-user's ``demand`` there, not a grid.
+The audit's competitive check prices each user's route at the sum of its
+links' posted prices and compares the payoff of the user's rate with that
+of its ``demand`` there over the whole route capacity, whatever room the
+others leave.
 """
 
 from __future__ import annotations
@@ -61,16 +63,12 @@ from .mechanism import (
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
 from .network import Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
-from .utilities import UtilitySpec, demand, family_value, payoff
+from .utilities import UtilitySpec, demand, family_value, payoff, value
 
 DEFAULT_BR_GRID = 200  # grid rates per user of the best response: audit's, play's and --grid's default
 
 
 class PriceBoundExceeded(MechanismError):
-    pass
-
-
-class NonUniformPrices(MechanismError):
     pass
 
 
@@ -87,13 +85,7 @@ class NeAuditReport:
     ir_min_payoff: float
     budget_gap: float
     corollary_tax_gap: float
-
-
-@dataclass(frozen=True)
-class WalrasianCheck:
-    ok: bool
-    argmax_distance: float
-    payoff_gap: float
+    competitive_gap: float
 
 
 def construct_ne(
@@ -367,8 +359,11 @@ def audit(
     builds its own. The tax derivatives, the best response and the closed
     forms all read it. The derivative check reads the tax's slope in the own
     rate, ``(peer_price_mean + price_adjust) + h``, exact below the overload
-    walls; past one ``feasibility`` fails. The running maxima and the budget
-    gap read a non-finite measurement as inf, the least payoff one as -inf.
+    walls; past one ``feasibility`` fails. The competitive gap is the most a
+    user gains by buying its ``demand`` at its route's price, the sum of its
+    links' posted prices, anywhere up to its route capacity, over its own
+    rate at that price. The running maxima and the budget gap read a
+    non-finite measurement as inf, the least payoff one as -inf.
     """
     if table is None:
         table = own_tax_table(net, profile, params)
@@ -399,8 +394,16 @@ def audit(
     for gain in best_deviation(net, utilities, profile, net.users(), params, grid, table)[1]:
         br_gap = _worse(br_gap, gain)
 
-    payoffs = (payoff(utilities[i], rates[i], alloc.taxes[i]) for i in net.users())
-    ir_min = min(v if math.isfinite(v) else -math.inf for v in payoffs)
+    # one walk over users: V at the own rate enters both its payoff after
+    # tax and, less price times rate, its payoff at the route's price
+    comp_gap, ir_min = 0.0, math.inf
+    for u in net.users():
+        spec, x, price = utilities[u], rates[u], sum(posted[l] for l in net.route(u))
+        v = float(value(spec, x))
+        best = demand(spec, max(price, 0.0), grid.caps[u])
+        comp_gap = _worse(comp_gap, payoff(spec, best, price * best) - (v - price * x))
+        own = v - alloc.taxes[u]
+        ir_min = min(ir_min, own if math.isfinite(own) else -math.inf)
     budget_gap = _worse(0.0, abs(sum(alloc.taxes.values())))
 
     return NeAuditReport(
@@ -412,6 +415,7 @@ def audit(
         ir_min_payoff=ir_min,
         budget_gap=budget_gap,
         corollary_tax_gap=corr_gap,
+        competitive_gap=comp_gap,
     )
 
 
@@ -430,34 +434,3 @@ def check_optimality(
     gap = abs(w - solve_result.objective) / max(1.0, abs(solve_result.objective))
     balanced = abs(sum(alloc.taxes.values())) <= 1e-6
     return (gap <= 1e-6 and balanced), gap
-
-
-def check_walrasian(
-    net: Network, utilities: Mapping[int, UtilitySpec], profile: MessageProfile
-) -> Dict[int, WalrasianCheck]:
-    """Check the competitive property of a uniform-price profile.
-
-    For each user, compare its payoff at the posted prices (``posted_prices``)
-    with its payoff at its ``demand`` for the route price over the rate the
-    others leave available on its route. Passes when the gap is within 1e-6;
-    ``argmax_distance`` is how far the user's rate sits from that demand.
-    Raises ``NonUniformPrices`` when a link's prices spread more than 1e-9.
-    """
-    posted = posted_prices(net, profile)
-    for l, group in enumerate(net.groups):
-        spread = max((profile[u].prices[l] for u in group), default=0.0) - posted[l]
-        if spread > 1e-9:
-            raise NonUniformPrices(f"link {net.link_labels[l]!r} prices spread {spread}")
-
-    out: Dict[int, WalrasianCheck] = {}
-    for i in net.users():
-        room = min(
-            net.capacity(l) - sum(profile[j].rate for j in net.group(l) if j != i)
-            for l in net.route(i)
-        )
-        price = sum(posted[l] for l in net.route(i))
-        u, x = utilities[i], profile[i].rate
-        best = demand(u, max(price, 0.0), max(room, 0.0))
-        pay_gap = payoff(u, best, price * best) - payoff(u, x, price * x)
-        out[i] = WalrasianCheck(ok=pay_gap <= 1e-6, argmax_distance=abs(x - best), payoff_gap=pay_gap)
-    return out

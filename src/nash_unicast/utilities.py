@@ -25,6 +25,7 @@ FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
 _PARAM_NAMES = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
 # the smallest normal float; at or above it x**(theta-1) <= 1/x < 4.5e307 cannot overflow
 _MIN_NORMAL = 2.2250738585072014e-308
+_SCAN_POINTS = np.arange(65.0)  # k = 0..64, the sigmoid demand's coarse scan
 
 
 class UtilityError(ValueError):
@@ -224,6 +225,16 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
     return _sigmoid_demand(u, price, cap)
 
 
+def _scan_grid(cap: float) -> np.ndarray:
+    """``np.linspace(0.0, cap, 65)``, bit for bit, without its per-call
+    set-up: ``k*step``, or ``(k/64)*cap`` where the step underflows to 0, as
+    linspace computes them, then ``cap`` itself last."""
+    step = cap / 64
+    grid = _SCAN_POINTS * step if step else _SCAN_POINTS / 64 * cap
+    grid[64] = cap
+    return grid
+
+
 def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
     if price == 0.0:
         return cap
@@ -236,11 +247,11 @@ def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
     # scan is f on the whole grid, and the refinement writes f out inline on
     # Python floats: f's own order of operations, the same IEEE operations
     # as on numpy scalars, without a call per step.
-    grid = np.linspace(0.0, cap, 65)
+    grid = _scan_grid(cap)
     vals = a * grid * grid / (s + grid * grid) - price * grid
     k = int(np.argmax(vals))
     lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
+    hi = float(grid[min(k + 1, 64)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)

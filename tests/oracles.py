@@ -19,8 +19,8 @@ separately for the vertex price and the tax, and divides through numpy's
 masked ``np.divide``.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
-``check_walrasian_grid_reference`` scans each user's rates on a grid, as
-``check_walrasian`` did before it compared with the user's ``demand``.
+``competitive_gap_grid_reference`` is the audit's competitive gap by a scan
+of each user's rates on a grid instead of its ``demand``.
 ``tax_slope_finite_difference`` is the audit's derivative check as a finite
 difference of the tax, as it ran before it read the slope in closed form.
 
@@ -37,7 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from nash_unicast.equilibrium import WalrasianCheck, _analytic_rate, _rate_grid, posted_prices
+from nash_unicast.equilibrium import _analytic_rate, _rate_grid, posted_prices
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -210,36 +210,25 @@ def closed_form_reference(net, profile, link, user, params, p):
     return p * (x - 0.5 * (xj + xk)) + p * p * (xk - xj) / (2.0 * params.gamma)
 
 
-def check_walrasian_grid_reference(net, utilities, profile, grid_step):
-    """The competitive check by grid scan: for each user, rates every
-    ``grid_step`` over the room the others leave on its route (the room
-    itself included), payoffs at the route's ``posted_prices``. A user
-    passes when its rate is within one step of a scanned argmax and its
-    payoff within 1e-6 of the scanned best. Returns ``WalrasianCheck``s."""
+def competitive_gap_grid_reference(net, utilities, profile, grid_step):
+    """The competitive gap by grid scan: for each user, the best payoff over
+    rates every ``grid_step`` on [0, its route capacity] (the capacity
+    itself included) at its route's price, the sum of its links'
+    ``posted_prices``, less the payoff of its own rate at that price.
+    Returns the largest such gap over users, negative where every user's
+    rate beats the whole grid."""
     posted = posted_prices(net, profile)
-    out = {}
+    worst = -math.inf
     for i in net.users():
-        room = min(
-            net.capacity(l) - sum(profile[j].rate for j in net.group(l) if j != i)
-            for l in net.route(i)
-        )
-        room = max(room, 0.0)
-        total_price = sum(posted[l] for l in net.route(i))
-        grid = np.arange(0, int(math.floor(room / grid_step + 1e-9)) + 1) * grid_step
-        if room - grid[-1] > 1e-12:
-            grid = np.append(grid, room)
-        vals = np.asarray(value(utilities[i], grid), dtype=float) - total_price * grid
-        best = float(np.max(vals))
-        argmaxes = grid[vals >= best - 1e-12]
+        cap = min_route_capacity(net, i)
+        price = sum(posted[l] for l in net.route(i))
+        grid = np.arange(0, int(math.floor(cap / grid_step + 1e-9)) + 1) * grid_step
+        if cap - grid[-1] > 1e-12:
+            grid = np.append(grid, cap)
+        best = float(np.max(np.asarray(value(utilities[i], grid), dtype=float) - price * grid))
         x = profile[i].rate
-        dist = float(np.min(np.abs(argmaxes - x)))
-        pay_gap = best - (float(value(utilities[i], x)) - total_price * x)
-        out[i] = WalrasianCheck(
-            ok=(dist <= grid_step + 1e-12 and pay_gap <= 1e-6),
-            argmax_distance=dist,
-            payoff_gap=pay_gap,
-        )
-    return out
+        worst = max(worst, best - (float(value(utilities[i], x)) - price * x))
+    return worst
 
 
 def sigmoid_demand_numpy(u, price, cap):

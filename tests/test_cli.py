@@ -200,16 +200,21 @@ def test_grid_below_two_rejected(tmp_path, capsys, grid):
         assert "--grid" in capsys.readouterr().err, command
 
 
-def test_blocked_user_passes_every_equilibrium_check_but_optimality(tmp_path, capsys):
+def test_blocked_user_fails_only_the_competitive_and_optimality_checks(tmp_path, capsys):
     # u2 values link A most, but A is exactly full, so any positive rate of
-    # its own fires the overload penalty: all eight equilibrium checks pass
-    # at a profile below the optimum, and play settles there at once
+    # its own fires the overload penalty: the eight best-response, price and
+    # tax checks pass at a profile below the optimum, and play settles there
+    # at once; at A's posted price u2 would buy A's whole capacity
     path = str(SCENARIO_DIR / "blocked_user.json")
     audited, simulated = tmp_path / "audit.json", tmp_path / "simulate.json"
     assert main(["audit", "--scenario", path, "--out", str(audited)]) == 2
-    checks = json.loads(audited.read_text())["checks"]
-    assert [c["name"] for c in checks if not c["pass"]] == ["optimality_gap"] and len(checks) == 9
+    report = json.loads(audited.read_text())
+    checks = report["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["competitive_gap", "optimality_gap"]
+    assert len(checks) == 10
+    assert checks[-2]["value"] == report["audit"]["competitive_gap"] == pytest.approx(1.4128, abs=1e-4)
     assert checks[-1]["value"] == pytest.approx(0.4575, abs=1e-4)
+    assert capsys.readouterr().err == "failed checks: competitive_gap, optimality_gap\n"
     assert main(["simulate", "--scenario", path, "--out", str(simulated)]) == 0
     report = json.loads(simulated.read_text())
     assert (report["verdict"], report["rounds"], report["moves"]) == ("converged", 1, [])

@@ -53,6 +53,19 @@ def test_config_validation():
         DynamicsConfig(br_grid=1)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("max_rounds", 2.5), ("max_rounds", True), ("max_rounds", 0), ("br_grid", 2.5), ("br_grid", True),
+     ("br_grid", "64"), ("stop_tolerance", True), ("stop_tolerance", "1e-7")],
+)
+def test_config_rejects_non_integers_and_bools_where_it_counts(field, bad):
+    # each was accepted at construction: 2.5 rounds later failed in range,
+    # True rounds ran one, a 2.5 grid searched 3 points, a True tolerance read 1.0
+    with pytest.raises(DynamicsError, match=f"^{field} must be"):
+        DynamicsConfig(**{field: bad})
+    DynamicsConfig(max_rounds=1, br_grid=2, stop_tolerance=0)  # the least values, an int tolerance
+
+
 def test_play_audit_and_cli_default_to_one_grid():
     # so play at its defaults converges in the sense of the audit's default search
     audit_default = inspect.signature(audit).parameters["br_grid"].default

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "02c0aefa9cbc4c735a983849695cc466ad7c2f78b7948b645673309d56751ae9"
-COMMANDS = 483
+DIGEST = "3dbb6cd3b05226f949da8c9c7e6363f9130f1812fd36bf0f64c1ae966105f3af"
+COMMANDS = 487
 
 
 def _load_tool():

@@ -11,6 +11,7 @@ from nash_unicast.utilities import (
     NegativeRate,
     UtilityError,
     UtilitySpec,
+    _scan_grid,
     demand,
     derivative,
     family_value,
@@ -279,6 +280,37 @@ def test_sigmoid_demand_float_refinement_matches_numpy_scalars_bit_for_bit():
             if price > 0.0 and cap > 0.0:
                 ends.add(_scan_argmax(u, price, cap))
     assert {0, 64} <= ends
+
+
+def test_sigmoid_demand_scan_matches_numpy_linspace_bit_for_bit():
+    # the coarse scan's points against np.linspace's: random cases, caps
+    # whose step cap/64 underflows to 0 (up to 32 smallest subnormals,
+    # 1.58e-322) or sits at the edge, an infinite price (the scan's first
+    # point reads inf*0 = NaN) and caps whose squares overflow (NaN later on)
+    rng = random.Random(53)
+    cases = []
+    for _ in range(4000):
+        u = sigmoid_utility(10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-4, 4))
+        price = rng.choice([10 ** rng.uniform(-8, 4), rng.uniform(0.0, 5.0), math.inf])
+        cap = rng.choice([10 ** rng.uniform(-12, 8), rng.uniform(0.0, 10.0), 10 ** rng.uniform(150, 300)])
+        cases.append((u, price, cap))
+    denormal_caps = (5e-324, 1e-323, 1.58e-322, 1.63e-322, 3.2e-322, 1e-320, 1e-310)
+    for u in (sigmoid_utility(1.0, 1.0), sigmoid_utility(1e300, 1e-300), sigmoid_utility(1e-300, 1e300)):
+        for price in (1e-300, 0.5, 1e300, math.inf):
+            for cap in denormal_caps + (1e155, 1e300):
+                cases.append((u, price, cap))
+    assert 1.58e-322 / 64 == 0.0 and 1.63e-322 / 64 > 0.0
+    # on caps this small every demand is 0, so the points are compared alone
+    for cap in {cap for _, _, cap in cases} | {k * 5e-324 for k in range(1, 200)}:
+        assert np.linspace(0.0, cap, 65).tobytes() == _scan_grid(cap).tobytes(), cap
+    scanned = set()
+    with np.errstate(all="ignore"):
+        for u, price, cap in cases:
+            got, ref = demand(u, price, cap), sigmoid_demand_numpy(u, price, cap)
+            assert type(got) is float, (u, price, cap, type(got))
+            assert float.hex(got) == float.hex(ref), (u, price, cap, got, ref)
+            scanned.add(_scan_argmax(u, price, cap))
+    assert {0, 64} <= scanned and len(scanned) > 10
 
 
 def test_power_demand_is_zero_when_its_ratio_underflows():

@@ -13,8 +13,9 @@ The command set runs in this one process through ``nash_unicast.cli.main``:
 * ``audit --profile <start>``, ``simulate --rounds 20`` and ``audit
   --profile <simulate report>``, which reads its final profile, on the first
   20 mixed-play scenarios;
-* ``solve``, ``construct-ne`` and ``simulate`` on each file in ``scenarios/``,
-  then ``report`` over the whole directory.
+* ``solve``, ``construct-ne``, ``simulate`` and ``audit`` of its embedded
+  profile on each file in ``scenarios/`` (a file without one gives the
+  usage error, exit 1), then ``report`` over the whole directory.
 
 Every command writes its report with ``--out``. The scenario files come from
 the benchmark's own generator (``bench/workloads.py``) for the given seed.
@@ -130,7 +131,9 @@ def digest(seed: int, work: Path, each: bool = False) -> Runner:
                     run_halved(runner, entry["scenario"], stem)
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         (work / "files").mkdir(exist_ok=True)
-        run_concave(runner, str(path), work / "files" / path.stem, ("solve", "construct-ne", "simulate"))
+        stem = work / "files" / path.stem
+        run_concave(runner, str(path), stem, ("solve", "construct-ne", "simulate"))
+        runner.run(["audit", "--scenario", str(path)], Path(f"{stem}.audit.json"))
     runner.run(["report", "--scenario", str(ROOT / "scenarios")], work / "files" / "report.json")
     return runner
 
