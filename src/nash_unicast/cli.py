@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .dynamics import SCHEDULES, DynamicsConfig, run_dynamics
-from .equilibrium import DEFAULT_BR_GRID, audit, check_optimality, construct_ne, own_tax_table, posted_prices
+from .equilibrium import audit, check_optimality, construct_ne, own_tax_table, posted_prices
 from .mechanism import assign_subsidies, outcome
 from .scenario import (
     Scenario,
@@ -171,7 +171,7 @@ def _audited(args, net, utilities, params, solver_config, profile, res=None):
     subsidies = assign_subsidies(net, params.rng_seed)
     table = own_tax_table(net, profile, params)
     alloc = outcome(net, profile, params, subsidies, table)
-    rep = audit(net, utilities, profile, params, alloc, br_grid=args.grid, table=table)
+    rep = audit(net, utilities, profile, params, alloc, table=table)
     checks = _evaluate_checks(rep, sum(abs(t) for t in alloc.taxes.values()))
     if res is None:
         try:
@@ -281,7 +281,6 @@ def cmd_simulate(args) -> int:
         schedule=args.schedule,
         seed=params.rng_seed,
         max_rounds=args.rounds,
-        br_grid=args.grid,
         stop_tolerance=args.stop_tolerance,
     )
     traj = run_dynamics(net, utilities, start, config, params)
@@ -366,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     options = {
-        "--grid": dict(type=int, default=DEFAULT_BR_GRID, help="rate points per user of the best-response search that"
-                       " the audit measures and simulate moves by"),
         "--seed": dict(type=int, default=None, help="override the scenario rng seed"),
         "--tolerance": dict(type=float, default=None, help="override the solver tolerance"),
         "--profile": dict(default=None, help="message profile JSON (bare or prior report)"),
@@ -383,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("solve", "solve the centralized allocation", "--tolerance")
-    command("construct-ne", "build and audit the equilibrium profile", "--grid", "--seed", "--tolerance")
-    command("audit", "audit a given message profile", "--grid", "--seed", "--tolerance", "--profile")
-    sim = command("simulate", "run best-response dynamics", "--grid", "--seed", "--profile")
+    command("construct-ne", "build and audit the equilibrium profile", "--seed", "--tolerance")
+    command("audit", "audit a given message profile", "--seed", "--tolerance", "--profile")
+    sim = command("simulate", "run best-response dynamics", "--seed", "--profile")
     sim.add_argument("--rounds", type=int, default=DynamicsConfig.max_rounds)
     sim.add_argument("--schedule", choices=SCHEDULES, default=DynamicsConfig.schedule)
     sim.add_argument("--stop-tolerance", type=float, default=DynamicsConfig.stop_tolerance, dest="stop_tolerance")
-    command("report", "summarize a directory of scenarios", "--grid", "--seed", "--tolerance")
+    command("report", "summarize a directory of scenarios", "--seed", "--tolerance")
     return parser
 
 
@@ -438,8 +435,6 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, "grid", 2) < 2:  # the same floor as DynamicsConfig.br_grid
-            raise UsageError(f"--grid must be at least 2, got {args.grid}")
         return HANDLERS[args.command](args)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Play moves by the audit's own best response (``equilibrium.best_deviation``),
 so a ``converged`` run ends at a profile where no user gains more than
-``stop_tolerance`` by any of the audit's candidates: its best-response gap
-at the same ``br_grid`` is at most that tolerance. No convergence is
+``stop_tolerance`` by any deviation, up to rounding: its best-response gap
+is at most that tolerance. No convergence is
 claimed: play may just as well cycle or run out of rounds, and the verdict
 vocabulary keeps the three outcomes explicit. Trajectories are fully
 reproducible from the start profile, the config, and the seeds.
@@ -11,9 +11,7 @@ reproducible from the start profile, the config, and the seeds.
 A user's best deviation depends only on the static game, its own message and
 the messages of the users sharing one of its links. So users who share no
 link cannot change each other's search, and one colour class of a greedy
-colouring of the conflict graph is searched and moved in one call. The
-static part of every search, each user's row of grid rates and V on it,
-is built once per run (``equilibrium.search_grid``). A user
+colouring of the conflict graph is searched and moved in one call. A user
 whose last evaluation found no improvement above ``stop_tolerance`` is
 settled, and is skipped until a move unsettles every user sharing a link
 with the mover, the mover included: re-evaluating it before then would find
@@ -27,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Set
 
-from .equilibrium import DEFAULT_BR_GRID, best_deviation, search_grid
+from .equilibrium import best_deviation
 from .mechanism import (
     MechanismParams,
     Message,
@@ -51,16 +49,14 @@ class DynamicsConfig:
     schedule: str = "round_robin"
     seed: int = 0
     max_rounds: int = 50
-    br_grid: int = DEFAULT_BR_GRID
     stop_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise DynamicsError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        for name, least in (("max_rounds", 1), ("br_grid", 2)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, int) or n < least:
-                raise DynamicsError(f"{name} must be an integer of at least {least}, got {n!r}")
+        n = self.max_rounds
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise DynamicsError(f"max_rounds must be an integer of at least 1, got {n!r}")
         tol = self.stop_tolerance
         number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
         if not (number and 0.0 <= tol < math.inf):  # NaN fails both comparisons
@@ -113,13 +109,13 @@ def run_dynamics(
     """Play best responses until a full pass moves nobody, a profile repeats,
     or the round budget runs out. No convergence is guaranteed or claimed:
     ``converged`` means that no user gains more than ``config.stop_tolerance``
-    by ``best_deviation`` at ``config.br_grid``, the audit's own search.
+    by ``best_deviation``, the audit's own search.
 
     Each round visits the ``_colour_classes`` in colour order
     (``round_robin``) or in an order shuffled with ``config.seed``
     (``random``). The class's unsettled users are searched in one call, on
-    their own-tax terms at the current profile and the run's one
-    ``search_grid``, and each one that gains more than the tolerance moves
+    their own-tax terms at the current profile, and each one that gains
+    more than the tolerance moves
     to its winning message. A gain that is not finite (the taxes overflow)
     raises ``DynamicsError``, naming the user and the round."""
     validate_profile(net, start, params)
@@ -127,7 +123,6 @@ def run_dynamics(
     profile: MessageProfile = dict(start)
     rng = random.Random(config.seed)
     seen = {_quantized(profile)}
-    grid = search_grid(net, utilities, config.br_grid)
     steps: List[Step] = []
     # users sharing a link with each user, the user included
     neighbours = {u: {v for l in net.route(u) for v in net.group(l)} for u in net.users()}
@@ -142,7 +137,7 @@ def run_dynamics(
             if not users:
                 continue
             table = {(u, l): own_tax_terms(net, profile, l, u, params) for u in users for l in net.route(u)}
-            messages, gains = best_deviation(net, utilities, profile, users, params, grid, table)
+            messages, gains = best_deviation(net, utilities, profile, users, params, table)
             for user, message, delta in zip(users, messages, gains):
                 if not math.isfinite(delta):  # a NaN would otherwise read as settled
                     name = net.user_labels[user]

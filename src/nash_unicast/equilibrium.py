@@ -15,21 +15,17 @@ once per command (``own_tax_table``) and read by ``outcome`` and ``audit``
 alike.
 
 ``best_deviation`` is the one best response, of the audit and of play
-alike. A user's candidate own rates are evenly spaced rates over [0, its
-route capacity], its current rate and the analytic rate response
-(``_analytic_rate``). No message moves the evenly spaced rows or V on them,
-so a command builds them once for every user (``search_grid``: one rate
-grid, a row per user, and one pass of the value formulas per utility
-family) and each search adds only the two rates that its profile decides.
-At a fixed own rate a link's tax is a convex quadratic in the own price, so
-each link's best price is that quadratic's vertex clipped to the price box
-(``_vertex_price``), and the route's best tax is the sum of the links'. The
-users searched together go in one array pass: the (user, link) pairs are
-stacked by route position, and one array of link loads feeds the vertex
-prices and one tax-kernel call on all candidates. It returns each user's
-winning message and gain; ``audit`` reads the largest gain over all users,
-and dynamics moves a colour class of users who share no link by their
-winning messages.
+alike, searched one user at a time in plain floats. At a fixed own rate a
+link's tax is a convex quadratic in the own price, so each link's best
+price is that quadratic's vertex clipped to the price box
+(``_vertex_price``), and the route's best tax is the sum of the links'.
+Over the own rate that payoff is smooth between a few breakpoints, and on
+each piece it is concave on at most one interval and convex elsewhere; so
+it peaks at a breakpoint, at an end of such an interval or at the one root
+of its slope inside it (``_best_rate``), and the best-response gap is exact
+up to rounding. It returns each user's winning message and gain;
+``audit`` reads the largest gain over all users, and dynamics moves a
+colour class of users who share no link by their winning messages.
 The audit's competitive check prices each user's route at the sum of its
 links' posted prices and compares the payoff of the user's rate with that
 of its ``demand`` there over the whole route capacity, whatever room the
@@ -40,9 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .mechanism import (
     Allocation,
@@ -61,11 +55,9 @@ from .mechanism import (
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .mechanism import balance_term_large_group, balance_term_three_user, outcome  # noqa: F401
-from .network import Network, is_feasible, link_load, min_route_capacity
+from .network import BOUNDARY_TOL, Network, is_feasible, link_load, min_route_capacity
 from .solver import SolveResult, SolverConfig, _worse, solve_centralized, welfare
-from .utilities import UtilitySpec, demand, family_value, payoff, value
-
-DEFAULT_BR_GRID = 200  # grid rates per user of the best response: audit's, play's and --grid's default
+from .utilities import UtilitySpec, demand, family_value, interior_candidates, payoff, value
 
 
 class PriceBoundExceeded(MechanismError):
@@ -150,86 +142,74 @@ def ne_tax_closed_form(net, profile, link, user, terms: OwnTaxTerms, price: floa
     return price * (x - 0.5 * (xj + xk)) + price * price * (xk - xj) / (2.0 * terms.gamma)
 
 
-def _analytic_rate(u: UtilitySpec, terms, hs, room: float) -> float:
-    """The exact rate response at the current prices, given each route link's
-    terms and h at its current price: the tax is linear in the own rate up to
-    the overload wall, so the maximizer is a ``demand`` evaluation at the
-    marginal own cost (each shared link's price coefficient plus its h) below
-    the rate beyond which some link's overload penalty fires."""
-    slope = 0.0
-    for t, h in zip(terms, hs):
-        if t.group_size == 1:
-            continue
-        slope += (t.peer_price_mean + t.price_adjust) + h
-        room = min(room, max(-t.peer_excess, 0.0))
-    return demand(u, max(slope, 0.0), room)
-
-
-def _vertex_price(t: OwnTaxTerms, load, bound: float) -> np.ndarray:
-    """The own price that minimises a shared link's tax at each own rate,
-    given the link's ``load`` there (``peer_excess`` plus the rate), clipped
-    to [0, ``bound``]: the vertex ``p + p*load / (gamma*quad_weight)`` of the
-    tax's quadratic in the price, p the peers' mean price. Where
-    ``gamma*quad_weight`` underflows to 0 the tax is linear in the price, so
-    the best price is an end, or p at slope 0 (no 0/0). A singleton link's
-    tax ignores the price; its row reads 0 at a finite load. The fields of
-    ``t`` may be columns, one (user, link) pair per row."""
-    pull = t.peer_price_mean * load
+def _vertex_price(t: OwnTaxTerms, x: float, bound: float) -> float:
+    """The own price that minimises a shared link's tax at own rate ``x``,
+    clipped to [0, ``bound``]: the vertex ``p + p*load/(gamma*quad_weight)``
+    of the tax's quadratic in the price, p the peers' mean price and load
+    ``peer_excess + x``. Where ``gamma*quad_weight`` underflows to 0 the
+    tax is linear in the price, so the best price is an end, or p at slope
+    0 (no 0/0)."""
+    pull = t.peer_price_mean * (t.peer_excess + x)
     curvature = t.gamma * t.quad_weight
-    flat = curvature == 0.0
-    with np.errstate(over="ignore"):  # an overflowing quotient clips to an end
-        shift = pull / np.where(flat, 1.0, curvature)
-        vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
-    # a singleton row is flat with pull 0 (a lone user's peer mean price is
-    # 0), so dividing it by 1 gives it the flat price, 0
-    if not np.any(flat & (t.group_size != 1)):
-        return vertex
-    return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
+    if curvature == 0.0:
+        return bound if pull > 0.0 else 0.0 if pull < 0.0 else t.peer_price_mean
+    return min(max(t.peer_price_mean + pull / curvature, 0.0), bound)
 
 
-def _rate_grid(caps: np.ndarray, n: int) -> np.ndarray:
-    """``np.linspace(0.0, cap, n)`` for each of ``caps``, one row each, bit
-    for bit: ``k*step``, or ``(k/(n-1))*cap`` on a row whose step
-    underflows to 0, as linspace computes them, then ``cap`` itself last.
-    (Adding linspace's start 0.0 changes no non-negative rate.)"""
-    if n < 2:
-        return np.zeros((len(caps), n))
-    k = np.arange(n, dtype=float)
-    step = caps / (n - 1)
-    grid = k * step[:, None]
-    tiny = step == 0.0
-    if tiny.any():
-        grid[tiny] = k / (n - 1) * caps[tiny, None]
-    grid[:, -1] = caps
-    return grid
+def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: float, bound: float):
+    """The first best own rate, in ascending order, and its payoff, with
+    every ``shared`` link at its ``_vertex_price``, over [0, ``cap``] and
+    the current ``rate``.
 
+    The payoff there is phi(x) = V(x) - sum of the taxes, and by the
+    envelope theorem phi'(x) = V'(x) - sum of ((peer_price_mean +
+    price_adjust) + h), h at the vertex price. Its breakpoints are 0, the
+    cap, the current rate, quadcap's peak and, per link, its overload wall
+    (beyond which the penalty fires), its zero load and the rates where the
+    vertex price clips to 0 or to the bound. Between two of them phi'' =
+    V'' + beta, beta the sum of 2*p^2/(gamma^2*quad_weight) over the
+    unclipped links, so phi peaks at a breakpoint or at one of the piece's
+    ``interior_candidates``. Each candidate is scored with ``eval_own_tax``;
+    a NaN score makes the payoff NaN.
+    """
+    points = {0.0, cap, rate}
+    if spec.family == "quadcap":
+        points.add(spec.a / (2.0 * spec.b))
+    for t in shared:
+        e, p, c = t.peer_excess, t.peer_price_mean, t.gamma * t.quad_weight
+        # the penalty fires where x > BOUNDARY_TOL and e + x > BOUNDARY_TOL
+        points.update((max(BOUNDARY_TOL, BOUNDARY_TOL - e), -e))
+        if c != 0.0 and p != 0.0:  # the vertex p + p*(e + x)/c reaches 0 and the bound
+            points.update((-e - c, -e + (bound - p) * c / p))
+    points = sorted(x for x in points if 0.0 <= x <= max(cap, rate))  # NaN drops out
 
-class SearchGrid(NamedTuple):
-    """The part of every user's best-response search that no message moves,
-    built once per command by ``search_grid`` and only read after: a row of
-    evenly spaced rates per user, V on each row and each route capacity.
-    Row ``u`` belongs to user ``u``."""
+    def marginal(x):
+        total = 0.0
+        for t in shared:
+            h = own_tax_and_h(t, x, _vertex_price(t, x, bound))[1]
+            total += (t.peer_price_mean + t.price_adjust) + h
+        return total
 
-    rates: np.ndarray  # (users, br_grid): np.linspace(0.0, cap, br_grid) per row, bit for bit
-    values: np.ndarray  # V on rates, each row with its user's parameters
-    caps: List[float]  # min_route_capacity per user
+    candidates = set(points)
+    for lo, hi in zip(points, points[1:]):
+        mid, beta = lo + 0.5 * (hi - lo), 0.0
+        for t in shared:
+            c = t.gamma * t.quad_weight
+            if c != 0.0 and 0.0 < _vertex_price(t, mid, bound) < bound:
+                beta += 2.0 * (t.peer_price_mean / t.gamma) * (t.peer_price_mean / c)
+        candidates.update(interior_candidates(spec, marginal, beta, lo, hi))
 
-
-def search_grid(net: Network, utilities: Mapping[int, UtilitySpec], br_grid: int) -> SearchGrid:
-    """Every user's ``br_grid`` rates spaced evenly over [0, its route
-    capacity], with the bits of ``np.linspace(0.0, cap, br_grid)``, from one
-    ``_rate_grid`` call, and V on them from one ``family_value`` pass per
-    utility family, a column of each user's parameters against its row."""
-    caps = [min_route_capacity(net, u) for u in net.users()]
-    rates = _rate_grid(np.array(caps), br_grid)
-    families: Dict[str, List[int]] = {}
-    for u in net.users():
-        families.setdefault(utilities[u].family, []).append(u)
-    values = np.empty_like(rates)
-    for family, rows in families.items():
-        ab = np.array([(utilities[u].a, utilities[u].b) for u in rows])
-        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
-    return SearchGrid(rates, values, caps)
+    best, best_pay = rate, -math.inf
+    for x in sorted(candidates):
+        tax = 0.0
+        for t in shared:
+            tax += eval_own_tax(t, x, _vertex_price(t, x, bound))
+        pay = family_value(spec.family, spec.a, spec.b, x) - tax
+        if pay != pay:
+            return x, pay
+        if pay > best_pay:
+            best, best_pay = x, pay
+    return best, best_pay
 
 
 def best_deviation(
@@ -238,102 +218,35 @@ def best_deviation(
     profile: MessageProfile,
     users: Sequence[int],
     params: MechanismParams,
-    grid: SearchGrid,
     table: OwnTaxTable,
 ) -> Tuple[List[Message], List[float]]:
     """Each of ``users``' best own message and how much it gains (subsidies
     aside) over the current one: the best response of the audit and of play.
 
-    ``grid`` is the command's ``search_grid`` and ``table`` holds the
-    ``own_tax_terms`` of every (user, route link) pair of ``users`` at
-    ``profile``. A user's candidate rates are its grid row, its current
-    rate and the analytic rate response at the current prices
-    (``_analytic_rate``). At each of them every shared link takes its
-    ``_vertex_price``; a singleton link's tax does not depend on the price.
-    The winner is the first best candidate rate, with each shared link at
-    its vertex price there and each singleton link at price 0, the least of
-    the tied prices.
-
-    The candidates of all ``users`` form one array, a row per user: their
-    grid rows and V on them, copied from ``grid``, and two columns added
-    here, the current and the analytic rate, with V from ``family_value``
-    on each float, which checks no rate: an analytic rate that reads NaN
-    (its slope inf - inf) gives a NaN gain. Each pair's tax and coupling
-    coefficient h at the current message, which the current payoff and
-    ``_analytic_rate`` read, come from one scalar ``own_tax_and_h`` call. The
-    (user, route link) pairs are stacked by route position: the first link
-    of every route, then the second link of every route that has one, and
-    so on, in the order of ``users`` within a position. Their terms become
-    one ``OwnTaxTerms`` of (pairs, 1) columns, so the vertex prices and
-    ``eval_own_tax`` run once on all (pairs x candidates) rates, on one
-    array of link loads. Each user's link taxes are summed from 0.0 one
-    position at a time, in route order as builtin ``sum`` adds them, and
-    each row is reduced by its own argmax, so every gain has the bits of a
-    search run one user at a time, whichever users are searched together.
+    ``table`` holds the ``own_tax_terms`` of every (user, route link) pair
+    of ``users`` at ``profile``. A user's best rate is ``_best_rate``'s,
+    with each shared link at its ``_vertex_price`` there and each singleton
+    link at price 0, the least of the tied prices: on [0, route capacity] a
+    singleton link's tax is 0 at every price. The gain is measured against
+    the current message's payoff, its route taxes summed from 0.0 in route
+    order; a tax that overflows gives a NaN or infinite gain.
 
     Returns (messages, gains), both in the order of ``users``.
     """
-    routes = [net.route(u) for u in users]
-    cur = [profile[u] for u in users]
-    pairs, ends, slots = [], [], [[] for _ in users]  # slots[i]: users[i]'s pairs in route order
-    for s in range(max(map(len, routes))):
-        for i, route in enumerate(routes):
-            if len(route) > s:
-                slots[i].append(len(pairs))
-                pairs.append((i, route[s]))
-        ends.append(len(pairs))
-    owner = np.array([i for i, _ in pairs])
-    t = OwnTaxTerms(*np.array([table[users[i], l] for i, l in pairs], dtype=float).T[:, :, None])
-
-    def route_sums(a):
-        total = 0.0 + a[: ends[0]]  # position 0 holds every user, in order
-        for start, end in zip(ends, ends[1:]):
-            total[owner[start:end]] += a[start:end]
-        return total
-
-    # the current message's payoff and analytic rate, in Python floats
-    v_cur, cur_pay, x_best, v_best = [], [], [], []
-    for u, m, route in zip(users, cur, routes):
-        spec, terms, hs, tax = utilities[u], [table[u, l] for l in route], [], 0.0
-        for tl, l in zip(terms, route):
-            tax_l, h = own_tax_and_h(tl, m.rate, m.prices[l])
-            tax += tax_l
-            hs.append(h)
-        v_cur.append(family_value(spec.family, spec.a, spec.b, m.rate))
-        cur_pay.append(v_cur[-1] - tax)
-        x_best.append(_analytic_rate(spec, terms, hs, grid.caps[u]))
-        v_best.append(family_value(spec.family, spec.a, spec.b, x_best[-1]))
-
-    n = grid.rates.shape[1]
-    rates = np.empty((len(users), n + 2))
-    values = np.empty_like(rates)
-    rates[:, :n] = grid.rates[users]
-    values[:, :n] = grid.values[users]
-    rates[:, n] = [m.rate for m in cur]
-    rates[:, n + 1] = x_best
-    values[:, n] = v_cur
-    values[:, n + 1] = v_best
-
-    x = rates[owner]
-    load = t.peer_excess + x
-    vertex = _vertex_price(t, load, params.price_bound)
-    single = t.group_size == 1
-    own = vertex
-    if single.any():  # a singleton link's tax reads the current price
-        p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
-        own = np.where(single, p, vertex)
-    pays = values - route_sums(eval_own_tax(t, x, own, load))
-    best = pays.argmax(axis=1)
-    each = np.arange(len(users))
-    gains = pays[each, best] - np.array(cur_pay)
-    won_rates = rates[each, best].tolist()
-    won = vertex[np.arange(len(pairs)), best[owner]]
-    won_prices = (np.where(single[:, 0], 0.0, won) if single.any() else won).tolist()
-    messages = [
-        Message(rate=r, prices={l: won_prices[k] for k, l in zip(slot, route)})
-        for r, slot, route in zip(won_rates, slots, routes)
-    ]
-    return messages, gains.tolist()
+    bound = params.price_bound
+    messages, gains = [], []
+    for u in users:
+        spec, cur, route = utilities[u], profile[u], net.route(u)
+        terms = [table[u, l] for l in route]
+        tax = 0.0
+        for t, l in zip(terms, route):
+            tax += eval_own_tax(t, cur.rate, cur.prices[l])
+        shared = [t for t in terms if t.group_size > 1]
+        rate, pay = _best_rate(spec, shared, min_route_capacity(net, u), cur.rate, bound)
+        prices = {l: _vertex_price(t, rate, bound) if t.group_size > 1 else 0.0 for l, t in zip(route, terms)}
+        messages.append(Message(rate=rate, prices=prices))
+        gains.append(pay - (family_value(spec.family, spec.a, spec.b, cur.rate) - tax))
+    return messages, gains
 
 
 def audit(
@@ -342,7 +255,6 @@ def audit(
     profile: MessageProfile,
     params: MechanismParams,
     alloc: Allocation,
-    br_grid: int = DEFAULT_BR_GRID,
     table: OwnTaxTable | None = None,
 ) -> NeAuditReport:
     """Measure every equilibrium diagnostic of a valid profile. Reports only;
@@ -351,13 +263,12 @@ def audit(
     ``alloc`` is the profile's ``outcome`` under the scenario's subsidy
     assignment; its rates, taxes and per-link breakdown feed the
     feasibility, individual-rationality, budget and closed-form checks.
-    ``br_grid`` is the number of grid rates each user's best response tries:
-    the audit builds one ``search_grid`` of them and searches every user at
-    once (``best_deviation``, looked up through this module's global).
-    ``table`` is the profile's ``own_tax_table``, which validated the
-    profile, as the command built it for ``outcome``; without it ``audit``
-    builds its own. The tax derivatives, the best response and the closed
-    forms all read it. The derivative check reads the tax's slope in the own
+    The best-response gap is the largest gain of ``best_deviation`` (looked
+    up through this module's global) over all users. ``table`` is the
+    profile's ``own_tax_table``, which validated the profile, as the
+    command built it for ``outcome``; without it ``audit`` builds its own.
+    The tax derivatives, the best response and the closed forms all read
+    it. The derivative check reads the tax's slope in the own
     rate, ``(peer_price_mean + price_adjust) + h``, exact below the overload
     walls; past one ``feasibility`` fails. The competitive gap is the most a
     user gains by buying its ``demand`` at its route's price, the sum of its
@@ -390,8 +301,7 @@ def audit(
             deriv_gap = _worse(deriv_gap, abs((t.peer_price_mean + t.price_adjust) + h - p_link))
 
     br_gap = 0.0
-    grid = search_grid(net, utilities, br_grid)
-    for gain in best_deviation(net, utilities, profile, net.users(), params, grid, table)[1]:
+    for gain in best_deviation(net, utilities, profile, net.users(), params, table)[1]:
         br_gap = _worse(br_gap, gain)
 
     # one walk over users: V at the own rate enters both its payoff after
@@ -400,7 +310,7 @@ def audit(
     for u in net.users():
         spec, x, price = utilities[u], rates[u], sum(posted[l] for l in net.route(u))
         v = float(value(spec, x))
-        best = demand(spec, max(price, 0.0), grid.caps[u])
+        best = demand(spec, max(price, 0.0), min_route_capacity(net, u))
         comp_gap = _worse(comp_gap, payoff(spec, best, price * best) - (v - price * x))
         own = v - alloc.taxes[u]
         ir_min = min(ir_min, own if math.isfinite(own) else -math.inf)

@@ -33,8 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-import numpy as np
-
 from .network import BOUNDARY_TOL, Network, min_route_capacity
 from .utilities import UtilitySpec, initial_slope
 
@@ -293,8 +291,6 @@ class OwnTaxTerms(NamedTuple):
     the peers' mean price, their total rate (and that less the capacity),
     and the balance part. ``own_tax_parts`` turns them into the tax at any
     own (rate, price), for the outcome function and deviation searches alike.
-    A tuple, so ``np.array(terms_list, dtype=float)`` stacks the fields of
-    many pairs as columns, in field order.
     """
 
     group_size: int
@@ -367,24 +363,16 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     penalty depend on ``x`` alone, the quadratic charge and the coupling
     coefficient ``h`` on ``p`` alone, and the tax is
     ``price + quad + h * (peer_excess + x) + balance_const + penalty``.
-    ``x`` and ``p`` are floats or broadcasting numpy arrays, and so are the
-    fields of ``terms``: a column per field holds one (user, link) pair per
-    row, and its singleton-link rows take the singleton branch, each row
-    with the bits of its own scalar terms. This is the one place the tax
-    formula is written out.
+    ``x`` and ``p`` are floats or broadcasting numpy arrays. This is the
+    one place the tax formula is written out.
     """
     dev = p - terms.peer_price_mean
     quad = terms.quad_weight * dev * dev
     h = -(2.0 / terms.gamma) * terms.peer_price_mean * dev
-    single = terms.group_size == 1  # a bool, or a bool column
-    if single is True:
+    if terms.group_size == 1:
         return 0.0, terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL), quad, h
     firing = (x > BOUNDARY_TOL) & (terms.peer_excess + x > BOUNDARY_TOL)
-    price, pen = (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing
-    if single is False or not single.any():
-        return price, pen, quad, h
-    alone = terms.penalty_single * (x > terms.capacity + BOUNDARY_TOL)
-    return np.where(single, 0.0, price), np.where(single, alone, pen), quad, h
+    return (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing, quad, h
 
 
 def own_tax_and_h(terms: OwnTaxTerms, x, p, load=None):
@@ -402,8 +390,7 @@ def eval_own_tax(terms: OwnTaxTerms, x, p, load=None):
     """The user's link tax at own rate ``x`` and own link price ``p``
     (``own_tax_and_h``'s tax; ``load`` is as there).
 
-    Broadcasts over numpy arrays, which is what makes exhaustive deviation
-    searches cheap.
+    Broadcasts over numpy arrays of rates and prices.
     """
     return own_tax_and_h(terms, x, p, load)[0]
 

@@ -25,7 +25,7 @@ FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
 _PARAM_NAMES = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
 # the smallest normal float; at or above it x**(theta-1) <= 1/x < 4.5e307 cannot overflow
 _MIN_NORMAL = 2.2250738585072014e-308
-_SCAN_POINTS = np.arange(65.0)  # k = 0..64, the sigmoid demand's coarse scan
+_NEWTON_STEPS = 200  # a bound on _newton's steps; its Newton steps settle within a handful
 
 
 class UtilityError(ValueError):
@@ -198,8 +198,8 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
 
     Closed form for the concave families; plateau ties (quadcap at price 0)
     resolve to the smallest maximizer. The sigmoid objective can be bimodal,
-    so it is solved by a coarse scan plus golden-section refinement and an
-    endpoint comparison. Returns a Python float for every family.
+    so it takes the best of its ends and its ``interior_candidates``, the
+    least rate on a tie. Returns a Python float for every family.
     """
     if cap < 0:
         raise UtilityError(f"cap must be non-negative, got {cap}")
@@ -225,49 +225,147 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
     return _sigmoid_demand(u, price, cap)
 
 
-def _scan_grid(cap: float) -> np.ndarray:
-    """``np.linspace(0.0, cap, 65)``, bit for bit, without its per-call
-    set-up: ``k*step``, or ``(k/64)*cap`` where the step underflows to 0, as
-    linspace computes them, then ``cap`` itself last."""
-    step = cap / 64
-    grid = _SCAN_POINTS * step if step else _SCAN_POINTS / 64 * cap
-    grid[64] = cap
-    return grid
+def _slope(u: UtilitySpec, x: float) -> float:
+    """dU/dx at a float rate in plain floats: ``derivative``, except that
+    sigmoid reads it through t = x/sqrt(s), as 2*(a/sqrt(s))*(t/w)/w with
+    w = 1 + t*t, which never squares s + x*x."""
+    if u.family != "sigmoid":
+        return derivative(u, x)
+    root_s = math.sqrt(u.b)
+    t = x / root_s
+    w = 1.0 + t * t
+    return 2.0 * (u.a / root_s) * (t / w) / w
+
+
+def _curvature(u: UtilitySpec, x: float) -> float:
+    """d2U/dx2 at a float rate, in plain floats: -inf at 0 for power, 0 on
+    quadcap's plateau. Sigmoid reads it through t = x/sqrt(s), as
+    -(a/s)*2*(3 - 4/w)/w**2 with w = 1 + t*t, which neither squares nor
+    cubes s + x*x."""
+    a, b = u.a, u.b
+    if u.family == "log":
+        return -a / ((1.0 + x) * (1.0 + x))
+    if u.family == "power":
+        return (b - 1.0) * derivative(u, x) / x if x > 0.0 else -math.inf
+    if u.family == "quadcap":
+        return -2.0 * b if x < a / (2.0 * b) else 0.0
+    return -(a / b) * _sigmoid_g(x / math.sqrt(b))
+
+
+def _sigmoid_g(t: float) -> float:
+    """A sigmoid user's -U''(x)*s/a at t = x/sqrt(s), 2*(3t^2 - 1)/(1 + t^2)^3:
+    it rises from -2 at 0 through 0 at 1/sqrt(3) to its peak 1/2 at 1, then
+    falls towards 0."""
+    w = 1.0 + t * t
+    return 2.0 * (3.0 - 4.0 / w) / (w * w)
+
+
+def _sigmoid_dg(t: float) -> float:
+    """The slope of ``_sigmoid_g`` in t, 24t(1 - t^2)/(1 + t^2)^4."""
+    w = 1.0 + t * t
+    return 24.0 * (t / w) * (2.0 / w - 1.0) / (w * w)
+
+
+def _newton(f, df, lo: float, hi: float, x: float) -> float:
+    """A root of ``f``, which falls from f(lo) > 0 to f(hi) < 0, by Newton
+    steps from ``x`` in [lo, hi]. Each value of f shrinks the bracket, and
+    a step that would leave it, or a slope ``df`` that is not negative,
+    bisects it instead. Stops where a step no longer moves the rate."""
+    for _ in range(_NEWTON_STEPS):
+        fx = f(x)
+        if fx > 0.0:
+            lo = x
+        elif fx < 0.0:
+            hi = x
+        else:
+            return x
+        d = df(x)
+        nxt = x - fx / d if d < 0.0 else math.nan
+        if nxt == x:
+            return x
+        if not lo < nxt < hi:  # a NaN step fails too
+            nxt = lo + 0.5 * (hi - lo)
+            if nxt == lo or nxt == hi:
+                return x
+        x = nxt
+    return x
+
+
+def _concave_band(u: UtilitySpec, beta: float, lo: float, hi: float):
+    """The part (L, R) of [lo, hi] where U'' <= -``beta``, or None: where U
+    less a cost whose slope falls at rate ``beta`` >= 0 is concave. It is
+    one interval for every family: up to a closed-form edge for log and
+    power, all or nothing on either side of quadcap's peak, and for sigmoid
+    an interval of [sqrt(s/3), inf) around sqrt(s), where U'' is least,
+    whose edges come from ``_newton`` on U''' (through ``_sigmoid_g``)."""
+    a, b = u.a, u.b
+    if u.family == "quadcap":
+        below = lo + 0.5 * (hi - lo) < a / (2.0 * b)
+        return (lo, hi) if (2.0 * b >= beta if below else beta == 0.0) else None
+    if u.family == "sigmoid":
+        c = beta * b / a  # the band is where _sigmoid_g(t) >= c
+        if c == 0.0:
+            edge = math.sqrt(b / 3.0)
+            return (max(lo, edge), hi) if edge <= hi else None
+        if not c <= 0.5:
+            return None
+        root_s = math.sqrt(b)
+        t_lo, t_hi = lo / root_s, hi / root_s
+        left, right = lo, hi
+        if _sigmoid_g(t_lo) < c:
+            top = min(1.0, t_hi)
+            if t_lo >= 1.0 or _sigmoid_g(top) < c:
+                return None
+            left = root_s * _newton(lambda t: c - _sigmoid_g(t), lambda t: -_sigmoid_dg(t), t_lo, top, top)
+        if _sigmoid_g(t_hi) < c:
+            bottom = max(1.0, t_lo)
+            right = root_s * _newton(lambda t: _sigmoid_g(t) - c, _sigmoid_dg, bottom, t_hi, bottom)
+        return (max(lo, left), min(hi, right))
+    if beta == 0.0:
+        return (lo, hi)
+    if u.family == "log":
+        edge = math.sqrt(a / beta) - 1.0
+    else:  # the exponent lies in (1/2, 1), so the power cannot overflow
+        edge = (a * b * (1.0 - b) / beta) ** (1.0 / (2.0 - b))
+    return (lo, min(hi, edge)) if edge >= lo else None
+
+
+def interior_candidates(u: UtilitySpec, marginal, beta: float, lo: float, hi: float) -> list:
+    """The rates of [lo, hi] besides its ends at which U(x) - C(x) may
+    peak, given its marginal cost ``marginal(x)`` = C'(x), which falls at
+    rate ``beta`` >= 0 there: the ends of the ``_concave_band`` (beyond them
+    the objective is convex, so it peaks at an end) and the root of
+    U' - C' inside the band, by ``_newton`` from sqrt(s) for sigmoid and
+    from the ``demand`` at the band's left marginal cost for the rest."""
+    band = _concave_band(u, beta, lo, hi)
+    if band is None:
+        return []
+    left, right = band
+
+    def slope(x):
+        return _slope(u, x) - marginal(x)
+
+    if not (left < right and slope(left) > 0.0 and slope(right) < 0.0):
+        return [left, right]
+    start = math.sqrt(u.b) if u.family == "sigmoid" else demand(u, max(marginal(left), 0.0), right)
+    root = _newton(slope, lambda x: _curvature(u, x) + beta, left, right, min(max(start, left), right))
+    return [left, right, root]
 
 
 def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
+    """The first best of 0, ``cap`` and the ``interior_candidates`` of
+    U(x) - price*x on [0, cap], in ascending order, U read in a form
+    whose parts neither overflow nor underflow where U does not."""
     if price == 0.0:
         return cap
-    a, s = u.a, u.b
-
-    def f(x):
-        return a * x * x / (s + x * x) - price * x
-
-    # Coarse scan locates the best bracket; golden-section refines it. The
-    # scan is f on the whole grid, and the refinement writes f out inline on
-    # Python floats: f's own order of operations, the same IEEE operations
-    # as on numpy scalars, without a call per step.
-    grid = _scan_grid(cap)
-    vals = a * grid * grid / (s + grid * grid) - price * grid
-    k = int(np.argmax(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, 64)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 1e-10:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = a * c * c / (s + c * c) - price * c
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = a * d * d / (s + d * d) - price * d
-    best = 0.5 * (lo + hi)
-    candidates = [0.0, cap, best]
-    return min(candidates, key=lambda x: (-f(x), x))
+    root_s = math.sqrt(u.b)
+    best, best_pay = 0.0, 0.0  # the payoff at 0, without inf*0 = NaN
+    for x in sorted((cap, *interior_candidates(u, lambda x: price, 0.0, 0.0, cap))):
+        t = x / root_s  # U = a*t^2/(1 + t^2), in a form for each side of t = 1
+        pay = (u.a * (t / (1.0 + t * t)) * t if t < 1.0 else u.a / (1.0 + (1.0 / t) * (1.0 / t))) - price * x
+        if pay > best_pay:
+            best, best_pay = x, pay
+    return best
 
 
 def payoff(u: UtilitySpec, x: float, tax: float) -> float:

@@ -1,22 +1,16 @@
 """Former implementations kept as oracles for the tests that pin their
 replacements bit for bit, and functions only the tests use.
 
-``sigmoid_demand_numpy`` runs the golden-section refinement of the sigmoid
-demand on numpy scalars, as ``demand`` did before it refined on Python
-floats. ``own_tax_terms_reference`` walks a link's group once per peer
-statistic and once more for the large-group balance term, as
-``own_tax_terms`` did before it walked the group once.
-``best_response_gap_reference`` is the best response run one user at a time,
-with ``vertex_price_reference`` on scalar terms, as ``audit`` ran it before
-``best_deviation`` stacked the pairs of every user searched by route
-position, and with one ``np.linspace`` and one ``value`` call per user, as
-``best_deviation`` ran before its one rate grid and per-family value pass.
-``best_deviation_per_call_reference`` is ``best_deviation`` as it ran
-before the command-wide ``search_grid``: every call builds its users' rate
-rows, route capacities and V on them, takes one ``eval_own_tax`` and one
-``own_tax_parts`` call per pair at the current message, adds rate and load
-separately for the vertex price and the tax, and divides through numpy's
-masked ``np.divide``.
+``sigmoid_demand_numpy`` is the sigmoid demand as it ran before it took
+the best of its ends and its interior candidates: a 65-point scan, then a
+golden-section refinement on numpy scalars. ``own_tax_terms_reference``
+walks a link's group once per peer statistic and once more for the
+large-group balance term, as ``own_tax_terms`` did before it walked the
+group once. ``best_response_gap_reference`` is the best response as a
+grid search, one user at a time: ``br_grid`` evenly spaced rates, the
+current rate and the ``analytic_rate``, each shared link at
+``vertex_price_reference``, as the audit searched before its search
+became exact; at 20001 rates it is the lower bound that search must meet.
 ``closed_form_reference`` walks the peers for their mean rate, as the
 audit's closed-form check did before it read ``peer_rate_sum``.
 ``competitive_gap_grid_reference`` is the audit's competitive gap by a scan
@@ -33,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 
-from nash_unicast.equilibrium import _analytic_rate, _rate_grid, posted_prices
+from nash_unicast.equilibrium import posted_prices
 from nash_unicast.mechanism import (
     MechanismError,
     Message,
@@ -53,7 +46,7 @@ from nash_unicast.mechanism import (
 )
 from nash_unicast.network import min_route_capacity
 from nash_unicast.solver import SolverError
-from nash_unicast.utilities import family_value, value
+from nash_unicast.utilities import demand, value
 
 
 class GridTooLarge(SolverError):
@@ -89,6 +82,22 @@ def vertex_price_reference(t, x, bound):
         return np.minimum(np.maximum(t.peer_price_mean + pull / curvature, 0.0), bound)
 
 
+def analytic_rate(u, terms, hs, room):
+    """The rate response at the current prices, given each route link's
+    terms and h at its current price: a ``demand`` evaluation at the
+    marginal own cost (each shared link's price coefficient plus its h)
+    below the rate beyond which some link's overload penalty fires. The
+    grid search's added candidate, as ``equilibrium`` read it before its
+    search became exact."""
+    slope = 0.0
+    for t, h in zip(terms, hs):
+        if t.group_size == 1:
+            continue
+        slope += (t.peer_price_mean + t.price_adjust) + h
+        room = min(room, max(-t.peer_excess, 0.0))
+    return demand(u, max(slope, 0.0), room)
+
+
 def best_response_gap_reference(net, utilities, profile, user, params, br_grid, table):
     """One user's best message and gain: its ``br_grid`` rates over [0, route
     capacity], its current rate and the analytic rate, each shared link at
@@ -101,7 +110,7 @@ def best_response_gap_reference(net, utilities, profile, user, params, br_grid, 
     cur_pay = v_cur - sum(float(eval_own_tax(t, cur.rate, cur.prices[l])) for l, t in zip(route, ts))
     hs = [own_tax_parts(t, cur.rate, cur.prices[l])[3] for l, t in zip(route, ts)]
     cap = min_route_capacity(net, user)
-    x_best = _analytic_rate(u, ts, hs, cap)
+    x_best = analytic_rate(u, ts, hs, cap)
     rates = np.append(np.linspace(0.0, cap, br_grid), (cur.rate, x_best))
     vertices = [vertex_price_reference(t, rates, params.price_bound) for t in ts]
     tax = sum(
@@ -112,83 +121,6 @@ def best_response_gap_reference(net, utilities, profile, user, params, br_grid, 
     k = int(np.argmax(pays))
     prices = {l: 0.0 if t.group_size == 1 else float(v[k]) for l, t, v in zip(route, ts, vertices)}
     return Message(rate=float(rates[k]), prices=prices), float(pays[k]) - cur_pay
-
-
-_term_row = attrgetter(*OwnTaxTerms._fields)
-
-
-def _vertex_price_masked(t, x, bound):
-    """The vertex price of stacked terms through the masked division."""
-    pull = t.peer_price_mean * (t.peer_excess + x)
-    curvature = t.gamma * t.quad_weight
-    with np.errstate(over="ignore"):
-        shift = np.divide(pull, curvature, out=np.zeros(np.shape(pull)), where=curvature != 0.0)
-    vertex = np.minimum(np.maximum(t.peer_price_mean + shift, 0.0), bound)
-    flat = curvature == 0.0
-    if not np.any(flat):
-        return vertex
-    return np.where(flat, np.where(pull > 0.0, bound, np.where(pull < 0.0, 0.0, t.peer_price_mean)), vertex)
-
-
-def best_deviation_per_call_reference(net, utilities, profile, users, params, br_grid, table):
-    """``best_deviation`` with its rate rows, route capacities and V built
-    in the call, for ``users`` only. Returns (messages, gains)."""
-    routes = [net.route(u) for u in users]
-    cur = [profile[u] for u in users]
-    pairs, ends, slots = [], [], [[] for _ in users]
-    for s in range(max(map(len, routes))):
-        for i, route in enumerate(routes):
-            if len(route) > s:
-                slots[i].append(len(pairs))
-                pairs.append((i, route[s]))
-        ends.append(len(pairs))
-    owner = np.array([i for i, _ in pairs])
-    t = OwnTaxTerms(*np.array([_term_row(table[users[i], l]) for i, l in pairs], dtype=float).T[:, :, None])
-    p = np.array([[cur[i].prices[l]] for i, l in pairs], dtype=float)
-
-    def route_sums(a):
-        total = 0.0 + a[: ends[0]]
-        for start, end in zip(ends, ends[1:]):
-            total[owner[start:end]] += a[start:end]
-        return total
-
-    caps = [min_route_capacity(net, u) for u in users]
-    cur_tax, x_best = [], []
-    for u, m, route, cap in zip(users, cur, routes, caps):
-        terms, hs, tax = [table[u, l] for l in route], [], 0.0
-        for tl, l in zip(terms, route):
-            tax += eval_own_tax(tl, m.rate, m.prices[l])
-            hs.append(own_tax_parts(tl, m.rate, m.prices[l])[3])
-        cur_tax.append(tax)
-        x_best.append(_analytic_rate(utilities[u], terms, hs, cap))
-
-    rates = np.empty((len(users), br_grid + 2))
-    rates[:, :br_grid] = _rate_grid(np.array(caps), br_grid)
-    rates[:, br_grid] = [m.rate for m in cur]
-    rates[:, br_grid + 1] = x_best
-    families = {}
-    for i, u in enumerate(users):
-        families.setdefault(utilities[u].family, []).append(i)
-    values = np.empty_like(rates)
-    for family, rows in families.items():
-        ab = np.array([(utilities[users[i]].a, utilities[users[i]].b) for i in rows])
-        values[rows] = family_value(family, ab[:, :1], ab[:, 1:], rates[rows])
-    v_cur = values[:, br_grid]
-
-    x = rates[owner]
-    single = t.group_size == 1
-    vertex = _vertex_price_masked(t, x, params.price_bound)
-    pays = values - route_sums(eval_own_tax(t, x, np.where(single, p, vertex)))
-    best = pays.argmax(axis=1)
-    each = np.arange(len(users))
-    gains = pays[each, best] - (v_cur - np.array(cur_tax))
-    won_rates = rates[each, best].tolist()
-    won_prices = np.where(single[:, 0], 0.0, vertex[np.arange(len(pairs)), best[owner]]).tolist()
-    messages = [
-        Message(rate=r, prices={l: won_prices[k] for k, l in zip(slot, route)})
-        for r, slot, route in zip(won_rates, slots, routes)
-    ]
-    return messages, gains.tolist()
 
 
 def closed_form_reference(net, profile, link, user, params, p):

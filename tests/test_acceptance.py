@@ -128,7 +128,7 @@ def _witness_worst_tax(suite):
     return worst
 
 
-def _audit_fields(suite, br_grid=200):
+def _audit_fields(suite):
     fields = {
         "uniformity": 0.0,
         "slackness": 0.0,
@@ -140,7 +140,7 @@ def _audit_fields(suite, br_grid=200):
     }
     for s in suite:
         alloc = outcome(s.net, s.profile, s.params, s.subsidies)
-        rep = audit(s.net, s.utilities, s.profile, s.params, alloc, br_grid=br_grid)
+        rep = audit(s.net, s.utilities, s.profile, s.params, alloc)
         assert rep.feasibility, s.name
         fields["uniformity"] = max(fields["uniformity"], rep.price_uniformity)
         fields["slackness"] = max(fields["slackness"], rep.complementary_slackness)
@@ -184,7 +184,7 @@ def test_criterion_03_ne_construction():
         res = solve_centralized(s.net, s.utilities, s.solver_config)
         profile = construct_ne(s.net, s.utilities, s.params, solve_result=res)
         alloc = outcome(s.net, profile, s.params, s.subsidies)
-        rep = audit(s.net, s.utilities, profile, s.params, alloc, br_grid=200)
+        rep = audit(s.net, s.utilities, profile, s.params, alloc)
         fields.setdefault("uniformity", []).append(rep.price_uniformity)
         fields.setdefault("slackness", []).append(rep.complementary_slackness)
         fields.setdefault("derivative", []).append(rep.tax_derivative_gap)
@@ -199,7 +199,7 @@ def test_criterion_03_ne_construction():
     )
     _criterion(
         3,
-        "constructed equilibria: uniform prices, slackness, derivatives, grid gap",
+        "constructed equilibria: uniform prices, slackness, derivatives, best-response gap",
         ok,
         f"50 scenarios in {elapsed:.1f}s; worst slack {max(fields['slackness']):.1e}, "
         f"deriv {max(fields['derivative']):.1e}, br {max(fields['br_gap']):.1e}",
@@ -287,11 +287,11 @@ def test_criterion_07_walrasian():
         nudged[first] = with_rate(start_profile[first], start_profile[first].rate * 0.7)
         starts.append(nudged)
         for start in starts:
-            config = DynamicsConfig(max_rounds=12, br_grid=120, stop_tolerance=1e-7)
+            config = DynamicsConfig(max_rounds=12, stop_tolerance=1e-7)
             traj = run_dynamics(b.net, b.utilities, start, config, b.params)
             subs = assign_subsidies(b.net, b.params.rng_seed)
             alloc = outcome(b.net, traj.final_profile, b.params, subs)
-            rep = audit(b.net, b.utilities, traj.final_profile, b.params, alloc, br_grid=200)
+            rep = audit(b.net, b.utilities, traj.final_profile, b.params, alloc)
             # the competitive check tolerates 1e-6 in payoffs, so only
             # endpoints equilibrated to that resolution qualify; a 1e-4-level
             # approximate equilibrium can sit far from the user's demand
@@ -309,7 +309,7 @@ def test_criterion_07_walrasian():
     concave_ok = True
     for s in concave_suite():
         alloc = outcome(s.net, s.profile, s.params, s.subsidies)
-        rep = audit(s.net, s.utilities, s.profile, s.params, alloc, br_grid=2)
+        rep = audit(s.net, s.utilities, s.profile, s.params, alloc)
         concave_ok = concave_ok and rep.competitive_gap <= 1e-6
     _criterion(
         7,
@@ -340,7 +340,7 @@ def test_criterion_09_parameter_robustness():
         budget = _budget_gaps((alpha_scale, gamma_scale))
         link = _link_balance_gaps((alpha_scale, gamma_scale))
         swept = [with_params(s, alpha_scale, gamma_scale) for s in suite]
-        fields = _audit_fields(swept, br_grid=200)
+        fields = _audit_fields(swept)
         witness = _witness_worst_tax(swept)
         worst_corr = 0.0
         for s in swept:

@@ -46,7 +46,7 @@ def test_traced_layers_see_calls():
     assert tracer.counts["utilities.demand"] > 0
 
     with tracer.installed():
-        equilibrium.audit(net, uts, profile, params, alloc, br_grid=16)
+        equilibrium.audit(net, uts, profile, params, alloc)
     calls, _, _ = tracer.summarize()
     assert calls["mechanism.own_tax_terms"] > 0
     assert calls["mechanism.eval_own_tax"] > 0

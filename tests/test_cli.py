@@ -81,8 +81,6 @@ def test_simulate_from_construct_output(tmp_path, capsys):
             GOLDEN,
             "--profile",
             str(ne_path),
-            "--grid",
-            "64",
             "--rounds",
             "5",
         ]
@@ -95,7 +93,7 @@ def test_simulate_from_construct_output(tmp_path, capsys):
 def test_audit_reads_final_profile_of_simulate_report(tmp_path, capsys):
     ne_path, sim_path = tmp_path / "ne.json", tmp_path / "sim.json"
     main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne_path)])
-    sim_args = ["--grid", "64", "--rounds", "5", "--out", str(sim_path)]
+    sim_args = ["--rounds", "5", "--out", str(sim_path)]
     assert main(["simulate", "--scenario", GOLDEN, "--profile", str(ne_path), *sim_args]) == 0
     capsys.readouterr()
     audit_path = tmp_path / "audit.json"
@@ -189,6 +187,8 @@ def test_an_overflowing_default_is_a_mechanism_error(tmp_path, capsys, mechanism
 
 @pytest.mark.parametrize("grid", [0, 1])
 def test_grid_below_two_rejected(tmp_path, capsys, grid):
+    # the best response is exact and --grid is gone: any value of it, the
+    # ones once refused as below two included, is an unrecognized argument
     ne = tmp_path / "ne.json"
     assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne)]) == 0
     capsys.readouterr()
@@ -197,7 +197,7 @@ def test_grid_below_two_rejected(tmp_path, capsys, grid):
         if command != "construct-ne":
             argv += ["--profile", str(ne)]
         assert main(argv) == 1, command
-        assert "--grid" in capsys.readouterr().err, command
+        assert f"unrecognized arguments: --grid {grid}" in capsys.readouterr().err, command
 
 
 def test_blocked_user_fails_only_the_competitive_and_optimality_checks(tmp_path, capsys):
@@ -234,8 +234,6 @@ def test_simulate_sigmoid_market(capsys):
             "simulate",
             "--scenario",
             str(SCENARIO_DIR / "sigmoid_market.json"),
-            "--grid",
-            "64",
             "--rounds",
             "5",
         ]
@@ -254,7 +252,7 @@ def test_simulate_rejects_a_stop_tolerance_that_is_not_finite_and_nonnegative(ca
 
 
 def test_report_over_directory(tmp_path, capsys):
-    code = main(["report", "--scenario", str(SCENARIO_DIR), "--grid", "80"])
+    code = main(["report", "--scenario", str(SCENARIO_DIR)])
     out = capsys.readouterr().out
     assert code == 0
     for name in ("two_users_one_link", "shared_backbone", "sigmoid_market"):
@@ -316,8 +314,6 @@ def test_seed_override_changes_recipient(tmp_path, capsys):
                 str(path),
                 "--seed",
                 str(seed),
-                "--grid",
-                "40",
                 "--out",
                 str(out),
             ]
@@ -351,7 +347,7 @@ def test_bad_profile_value_rejected_by_label(tmp_path, capsys, command, user, fi
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(profile))  # NaN and Infinity as JSON tokens
     capsys.readouterr()
-    code = main([command, "--scenario", scenario, "--profile", str(bad), "--grid", "16"])
+    code = main([command, "--scenario", scenario, "--profile", str(bad)])
     captured = capsys.readouterr()
     assert code == 1
     assert expected in captured.err, captured.err
@@ -375,7 +371,7 @@ def test_audit_validates_its_profile_once(tmp_path, capsys, monkeypatch):
     # outcome looks the name up on mechanism, own_tax_table on equilibrium
     monkeypatch.setattr(equilibrium, "validate_profile", counted)
     monkeypatch.setattr(mechanism, "validate_profile", counted)
-    assert main(["audit", "--scenario", scenario, "--profile", str(ne_path), "--grid", "16"]) == 0
+    assert main(["audit", "--scenario", scenario, "--profile", str(ne_path)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
 
@@ -388,7 +384,7 @@ def test_audit_validates_its_profile_once(tmp_path, capsys, monkeypatch):
         (["solve", "--scenario", GOLDEN, "--grid", "5"], "unrecognized arguments: --grid 5"),
         (["solve", "--scenario", GOLDEN, "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["simulate", "--scenario", GOLDEN, "--tolerance", "inf"], "unrecognized arguments: --tolerance inf"),
-        (["construct-ne", "--scenario", GOLDEN, "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["simulate", "--scenario", GOLDEN, "--rounds", "abc"], "argument --rounds: invalid int value: 'abc'"),
         (["audit"], "the following arguments are required: --scenario"),
         ([], "the following arguments are required: command"),
         # a missing input is a usage error too
@@ -433,7 +429,7 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "build_parser", counting)
     cli._parser.cache_clear()
     a, b, fresh = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "fresh.json"
-    argv = ["construct-ne", "--scenario", GOLDEN, "--seed", "3", "--tolerance", "1e-9", "--grid", "50"]
+    argv = ["construct-ne", "--scenario", GOLDEN, "--seed", "3", "--tolerance", "1e-9"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(["construct-ne", "--scenario", GOLDEN, "--no-such-flag"]) == 1
     assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(b)]) == 0
@@ -580,7 +576,7 @@ def test_budget_check_of_an_overflowing_profile_reads_inf_not_nan(tmp_path, caps
     # bound inf, and the check fails though inf <= inf
     path = str(_overflowing_scenario(tmp_path))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["audit", "--scenario", path, "--grid", "8"]) == 2
+        assert main(["audit", "--scenario", path]) == 2
     out = capsys.readouterr().out
     assert "  [FAIL] budget_gap: inf (<= inf)\n" in out
     assert "nan (" not in out
@@ -589,7 +585,7 @@ def test_budget_check_of_an_overflowing_profile_reads_inf_not_nan(tmp_path, caps
 def test_audit_out_on_an_overflowing_profile_exits_1_without_a_file(tmp_path, capsys):
     path, out = str(_overflowing_scenario(tmp_path)), tmp_path / "audit.json"
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["audit", "--scenario", path, "--grid", "8", "--out", str(out)]) == 1
+        assert main(["audit", "--scenario", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: Out of range float values are not JSON compliant")
     assert not out.exists()
 
@@ -600,13 +596,13 @@ def _assert_every_report_is_compact_json(tmp_path, path):
     allow_nan=False)`` and a newline. Returns the files written."""
     solve, ne, audit, sim = (tmp_path / f"{name}.json" for name in ("solve", "ne", "audit", "sim"))
     main(["solve", "--scenario", str(path), "--out", str(solve)])
-    main(["construct-ne", "--scenario", str(path), "--out", str(ne), "--grid", "24"])
+    main(["construct-ne", "--scenario", str(path), "--out", str(ne)])
     profile = ne if ne.exists() else None
     if profile is None:  # non-concave: the scenario embeds its profile
-        main(["audit", "--scenario", str(path), "--out", str(audit), "--grid", "24"])
+        main(["audit", "--scenario", str(path), "--out", str(audit)])
     else:
-        main(["audit", "--scenario", str(path), "--profile", str(ne), "--out", str(audit), "--grid", "24"])
-    main(["simulate", "--scenario", str(path), "--rounds", "3", "--grid", "24", "--out", str(sim)]
+        main(["audit", "--scenario", str(path), "--profile", str(ne), "--out", str(audit)])
+    main(["simulate", "--scenario", str(path), "--rounds", "3", "--out", str(sim)]
          + (["--profile", str(ne)] if profile else []))
     written = [p for p in (solve, ne, audit, sim) if p.exists()]
     assert audit in written and sim in written
@@ -644,7 +640,7 @@ def test_audit_sized_report_files_equal_json_dumps(tmp_path, capsys, shape):
 
 def test_report_command_file_is_the_writers_own(tmp_path, capsys):
     out = tmp_path / "report.json"
-    main(["report", "--scenario", str(SCENARIO_DIR), "--grid", "24", "--out", str(out)])
+    main(["report", "--scenario", str(SCENARIO_DIR), "--out", str(out)])
     text = out.read_text()
     assert text == _reference_text(json.loads(text)) + "\n"
 
@@ -662,12 +658,12 @@ def test_log_lines_go_to_the_stderr_of_each_call(monkeypatch):
     for _ in range(2):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            assert main(["audit", "--scenario", scenario, "--grid", "16"]) == 0
+            assert main(["audit", "--scenario", scenario]) == 0
         buffers.append(err.getvalue())
     monkeypatch.setenv("NASH_UNICAST_LOG", "warning")
     quiet = io.StringIO()
     with contextlib.redirect_stderr(quiet), contextlib.redirect_stdout(io.StringIO()):
-        main(["audit", "--scenario", scenario, "--grid", "16"])
+        main(["audit", "--scenario", scenario])
     line = "INFO:nash_unicast:optimality check skipped: non-concave utilities\n"
     assert buffers == [line, line]
     assert quiet.getvalue() == ""
@@ -724,11 +720,11 @@ def test_malformed_embedded_profile_is_a_named_error(tmp_path, capsys, kind, mes
     directory.mkdir()
     (directory / "bad.json").write_text(json.dumps(_malformed(kind)))
     (directory / "good.json").write_text(SIGMOID.read_text())
-    assert main(["audit", "--scenario", str(directory / "bad.json"), "--grid", "16"]) == 1
+    assert main(["audit", "--scenario", str(directory / "bad.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     out = tmp_path / "report.json"
-    assert main(["report", "--scenario", str(directory), "--grid", "16", "--out", str(out)]) == 2
+    assert main(["report", "--scenario", str(directory), "--out", str(out)]) == 2
     rows = {r["file"]: r for r in json.loads(out.read_text())["scenarios"]}
     assert rows["bad.json"]["verdict"] == "error" and message in rows["bad.json"]["error"]
     assert rows["good.json"]["verdict"] == "pass"
@@ -816,7 +812,7 @@ def test_audit_logs_its_optimality_reference(tmp_path, monkeypatch):
     rounds = report["solve"]["iterations"]
     assert lines == [f"DEBUG:nash_unicast:optimality reference: solved in {rounds} clearing rounds"]
 
-    lines = _audit_log(monkeypatch, ["audit", "--scenario", str(SCENARIO_DIR / "sigmoid_market.json"), "--grid", "16"])
+    lines = _audit_log(monkeypatch, ["audit", "--scenario", str(SCENARIO_DIR / "sigmoid_market.json")])
     assert lines == [
         "INFO:nash_unicast:optimality check skipped: non-concave utilities",
         "DEBUG:nash_unicast:optimality reference: skipped: non-concave",

@@ -1,4 +1,3 @@
-import inspect
 import math
 import random
 from dataclasses import replace
@@ -6,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nash_unicast import cli, dynamics
+from nash_unicast import dynamics
 from nash_unicast.cli import main
 from nash_unicast.dynamics import (
     DynamicsConfig,
@@ -16,29 +15,23 @@ from nash_unicast.dynamics import (
     run_dynamics,
     _quantized,
 )
-from nash_unicast.equilibrium import (
-    _analytic_rate,
-    audit,
-    best_deviation,
-    construct_ne,
-    own_tax_table,
-    search_grid,
-)
+from nash_unicast.equilibrium import _best_rate, audit, best_deviation, construct_ne, own_tax_table
 from nash_unicast.mechanism import (
     MechanismParams,
     Message,
     assign_subsidies,
+    eval_own_tax,
     outcome,
     own_tax_parts,
     own_tax_terms,
     validate_profile,
 )
-from nash_unicast.network import build_network
+from nash_unicast.network import build_network, min_route_capacity
 from nash_unicast.scenario import profile_to_labels, random_feasible_profile, random_scenario, save_scenario
-from nash_unicast.utilities import log_utility
+from nash_unicast.utilities import log_utility, payoff
 
 from corpus import denormal_net, mixed_market, sigmoid_suite, topology_corpus
-from oracles import best_deviation_per_call_reference, best_response_gap_reference, with_rate
+from oracles import analytic_rate, best_response_gap_reference, with_rate
 
 
 @pytest.fixture
@@ -49,28 +42,20 @@ def golden_ne(golden_net, golden_utilities, golden_params):
 def test_config_validation():
     with pytest.raises(DynamicsError):
         DynamicsConfig(schedule="sideways")
-    with pytest.raises(DynamicsError):
-        DynamicsConfig(br_grid=1)
+    with pytest.raises(TypeError):  # the best response is exact: no grid to size
+        DynamicsConfig(br_grid=200)
 
 
 @pytest.mark.parametrize(
     "field, bad",
-    [("max_rounds", 2.5), ("max_rounds", True), ("max_rounds", 0), ("br_grid", 2.5), ("br_grid", True),
-     ("br_grid", "64"), ("stop_tolerance", True), ("stop_tolerance", "1e-7")],
+    [("max_rounds", 2.5), ("max_rounds", True), ("max_rounds", 0), ("stop_tolerance", True), ("stop_tolerance", "1e-7")],
 )
 def test_config_rejects_non_integers_and_bools_where_it_counts(field, bad):
     # each was accepted at construction: 2.5 rounds later failed in range,
-    # True rounds ran one, a 2.5 grid searched 3 points, a True tolerance read 1.0
+    # True rounds ran one, a True tolerance read 1.0
     with pytest.raises(DynamicsError, match=f"^{field} must be"):
         DynamicsConfig(**{field: bad})
-    DynamicsConfig(max_rounds=1, br_grid=2, stop_tolerance=0)  # the least values, an int tolerance
-
-
-def test_play_audit_and_cli_default_to_one_grid():
-    # so play at its defaults converges in the sense of the audit's default search
-    audit_default = inspect.signature(audit).parameters["br_grid"].default
-    cli_default = cli.build_parser().parse_args(["audit", "--scenario", "s.json"]).grid
-    assert DynamicsConfig().br_grid == audit_default == cli_default
+    DynamicsConfig(max_rounds=1, stop_tolerance=0)  # the least values, an int tolerance
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
@@ -80,7 +65,7 @@ def test_stop_tolerance_must_be_finite_and_nonnegative(tolerance):
 
 
 def test_ne_is_stationary(golden_net, golden_utilities, golden_params, golden_ne):
-    config = DynamicsConfig(max_rounds=5, br_grid=64)
+    config = DynamicsConfig(max_rounds=5)
     traj = run_dynamics(golden_net, golden_utilities, golden_ne, config, golden_params)
     assert traj.verdict == "converged"
     assert traj.rounds == 1
@@ -95,7 +80,7 @@ def test_solo_user_walks_to_its_capacity():
     uts = {0: log_utility(1.0), 1: log_utility(1.0)}
     params = MechanismParams.defaults(net, uts)
     start = {0: Message(0.0, {0: 3.0}), 1: Message(0.0, {1: 0.0})}
-    config = DynamicsConfig(max_rounds=5, br_grid=51)
+    config = DynamicsConfig(max_rounds=5)
     traj = run_dynamics(net, uts, start, config, params)
     assert traj.final_profile[0].rate == pytest.approx(5.0)
     assert traj.final_profile[0].prices[0] == 0.0
@@ -106,7 +91,7 @@ def test_best_response_deterministic(golden_net, golden_utilities, golden_params
     messy[0] = Message(0.1, {0: 0.2})
     table = own_tax_table(golden_net, messy, golden_params)
     found = [
-        best_deviation(golden_net, golden_utilities, messy, golden_net.users(), golden_params, search_grid(golden_net, golden_utilities, 64), table)
+        best_deviation(golden_net, golden_utilities, messy, golden_net.users(), golden_params, table)
         for _ in range(2)
     ]
     assert found[0] == found[1]
@@ -118,7 +103,7 @@ def test_steps_record_positive_improvements(golden_net, golden_utilities, golden
         1: Message(0.0, {0: 0.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    config = DynamicsConfig(max_rounds=10, br_grid=41)
+    config = DynamicsConfig(max_rounds=10)
     traj = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
     assert traj.steps, "someone must find an improving move from silence"
     assert all(s.payoff_delta > 0 for s in traj.steps)
@@ -130,7 +115,7 @@ def test_trajectory_reproducible(golden_net, golden_utilities, golden_params):
         1: Message(0.0, {0: 0.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    config = DynamicsConfig(schedule="random", seed=5, max_rounds=6, br_grid=31)
+    config = DynamicsConfig(schedule="random", seed=5, max_rounds=6)
     t1 = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
     t2 = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
     assert t1.verdict == t2.verdict and t1.steps == t2.steps
@@ -142,7 +127,7 @@ def test_exhausted_verdict(golden_net, golden_utilities, golden_params):
         1: Message(0.0, {0: 0.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    config = DynamicsConfig(max_rounds=1, br_grid=21)
+    config = DynamicsConfig(max_rounds=1)
     traj = run_dynamics(golden_net, golden_utilities, start, config, golden_params)
     assert traj.verdict in ("exhausted", "cycled")
     assert traj.rounds == 1
@@ -158,20 +143,20 @@ def _mixed_play_shape(seed):
 
 def test_converged_endpoint_passes_grid_audit(golden_net, golden_utilities, golden_params):
     # play moves by the audit's own search, so a converged endpoint's
-    # best-response gap at the same grid is at most the stop tolerance
+    # best-response gap is at most the stop tolerance
     silence = {
         0: Message(0.0, {0: 0.0}),
         1: Message(0.0, {0: 0.0}),
         2: Message(0.0, {1: 0.0}),
     }
-    cases = [(golden_net, golden_utilities, silence, golden_params, DynamicsConfig(max_rounds=40, br_grid=41))]
+    cases = [(golden_net, golden_utilities, silence, golden_params, DynamicsConfig(max_rounds=40))]
     for seed in (4300, 4301, 4302):
-        cases.append((*_mixed_play_shape(seed), DynamicsConfig(max_rounds=20, br_grid=200)))
+        cases.append((*_mixed_play_shape(seed), DynamicsConfig(max_rounds=20)))
     for net, uts, start, params, config in cases:
         traj = run_dynamics(net, uts, start, config, params)
         assert traj.verdict == "converged" and traj.steps, (net.user_labels, traj.verdict)
         alloc = outcome(net, traj.final_profile, params, assign_subsidies(net, params.rng_seed))
-        rep = audit(net, uts, traj.final_profile, params, alloc, br_grid=config.br_grid)
+        rep = audit(net, uts, traj.final_profile, params, alloc)
         assert rep.best_response_gap <= config.stop_tolerance, rep.best_response_gap
 
 
@@ -180,7 +165,7 @@ def test_cycled_verdict_when_two_messages_alternate(monkeypatch, golden_net, gol
     # the second round brings back the start profile
     other = {u: with_rate(m, 0.5 * m.rate) for u, m in golden_ne.items()}
 
-    def alternating(net, utilities, profile, users, params, grid, table):
+    def alternating(net, utilities, profile, users, params, table):
         return [other[u] if profile[u] == golden_ne[u] else golden_ne[u] for u in users], [1.0] * len(users)
 
     monkeypatch.setattr(dynamics, "best_deviation", alternating)
@@ -214,11 +199,11 @@ def colour_order(net):
 
 
 def run_dynamics_reference(net, utilities, start, config, params):
-    """The dynamics loop that searches one user at a time with the per-user
-    oracle, in colour order, and evaluates every user in every round; kept
-    as the oracle of ``run_dynamics``, which searches a colour class in one
-    call and skips users whose neighbourhood has not moved since they last
-    found no improvement."""
+    """The dynamics loop that searches one user at a time, in colour order,
+    and evaluates every user in every round; kept as the oracle of
+    ``run_dynamics``, which searches a colour class in one call and skips
+    users whose neighbourhood has not moved since they last found no
+    improvement."""
     validate_profile(net, start, params)
     assign_subsidies(net, params.rng_seed)
     profile = dict(start)
@@ -231,7 +216,7 @@ def run_dynamics_reference(net, utilities, start, config, params):
         worst_delta = 0.0
         for user in (u for members in order for u in members):
             table = {(user, l): own_tax_terms(net, profile, l, user, params) for l in net.route(user)}
-            message, delta = best_response_gap_reference(net, utilities, profile, user, params, config.br_grid, table)
+            (message,), (delta,) = best_deviation(net, utilities, profile, [user], params, table)
             if delta > config.stop_tolerance:
                 steps.append(Step(rnd, user, profile[user], message, delta))
                 profile[user] = message
@@ -265,33 +250,6 @@ def _golden_dynamics_cases(golden_net, golden_utilities, golden_params):
     return cases
 
 
-def test_play_builds_its_search_grid_once_per_run(monkeypatch, golden_net, golden_utilities, golden_params):
-    # every colour class of every round searches on the one grid of the run
-    built, searched = [], []
-
-    def counted_grid(net, utilities, br_grid):
-        built.append(search_grid(net, utilities, br_grid))
-        return built[-1]
-
-    def recorded(net, utilities, profile, users, params, grid, table):
-        searched.append(grid)
-        return best_deviation(net, utilities, profile, users, params, grid, table)
-
-    monkeypatch.setattr(dynamics, "search_grid", counted_grid)
-    monkeypatch.setattr(dynamics, "best_deviation", recorded)
-    cases = _golden_dynamics_cases(golden_net, golden_utilities, golden_params)
-    cases.append(_mixed_play_shape(4301))
-    for net, uts, start, params in cases:
-        for schedule in ("round_robin", "random"):
-            built.clear()
-            searched.clear()
-            config = DynamicsConfig(schedule=schedule, seed=3, max_rounds=6, br_grid=31)
-            traj = run_dynamics(net, uts, start, config, params)
-            assert len(built) == 1, (net.user_labels, schedule, len(built))
-            assert len(searched) >= traj.rounds and all(grid is built[0] for grid in searched)
-            assert built[0].rates.shape == (net.num_users, config.br_grid)
-
-
 def test_settled_users_keep_trajectories_identical(
     monkeypatch, golden_net, golden_utilities, golden_params
 ):
@@ -318,13 +276,11 @@ def test_settled_users_keep_trajectories_identical(
     verdicts = set()
     for net, uts, start, params in cases:
         for schedule in ("round_robin", "random"):
-            for br_grid, max_rounds in ((7, 8), (31, 8), (64, 3)):
-                config = DynamicsConfig(
-                    schedule=schedule, seed=3, max_rounds=max_rounds, br_grid=br_grid
-                )
+            for max_rounds in (8, 3):
+                config = DynamicsConfig(schedule=schedule, seed=3, max_rounds=max_rounds)
                 before = dict(searched)
                 traj = run_dynamics(net, uts, start, config, params)
-                assert traj == run_dynamics_reference(net, uts, start, config, params), (net.user_labels, schedule, br_grid)
+                assert traj == run_dynamics_reference(net, uts, start, config, params), (net.user_labels, schedule)
                 users = searched["users"] - before["users"]
                 assert users <= traj.rounds * net.num_users
                 skipped += users < traj.rounds * net.num_users
@@ -336,11 +292,11 @@ def test_settled_users_keep_trajectories_identical(
 
 @pytest.mark.parametrize("seed", [4300, 4301, 4302])
 def test_play_at_the_mixed_play_shape_keeps_the_reference_trajectory(seed):
-    # the shape that simulate meets in the mixed-play benchmark, with
-    # 200-point rate rows and 20 rounds
+    # the shape that simulate meets in the mixed-play benchmark, with 20
+    # rounds
     net, uts, start, params = _mixed_play_shape(seed)
     for schedule in ("round_robin", "random"):
-        config = DynamicsConfig(schedule=schedule, seed=seed, max_rounds=20, br_grid=200)
+        config = DynamicsConfig(schedule=schedule, seed=seed, max_rounds=20)
         traj = run_dynamics(net, uts, start, config, params)
         assert traj.steps, (seed, schedule)
         assert traj == run_dynamics_reference(net, uts, start, config, params), (seed, schedule)
@@ -356,7 +312,7 @@ def test_a_nan_gain_raises_naming_the_user_and_the_round():
     extreme = replace(params, alpha=1e300, gamma=1e-300)
     start = random_feasible_profile(net, params, seed=5)
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = best_deviation(net, uts, start, net.users(), extreme, search_grid(net, uts, 64), own_tax_table(net, start, extreme))[1]
+        gains = best_deviation(net, uts, start, net.users(), extreme, own_tax_table(net, start, extreme))[1]
         assert sum(g != g for g in gains) == 6
         with pytest.raises(DynamicsError, match=r"^user 'u7': best-response gain nan in round 1 is not finite$"):
             run_dynamics(net, uts, start, DynamicsConfig(), extreme)
@@ -364,8 +320,9 @@ def test_a_nan_gain_raises_naming_the_user_and_the_round():
 
 def test_a_nan_analytic_rate_gives_a_nan_gain_not_a_rate_error():
     # u1 posts above its peer's price on A and below it on B: at gamma =
-    # 1e-300 its h overflows to -inf on A and +inf on B, so the analytic
-    # rate's slope reads inf - inf and the rate NaN; V there is NaN, not a
+    # 1e-300 its h overflows to -inf on A and +inf on B, so the grid
+    # search's analytic rate reads inf - inf and NaN; the exact search
+    # reads a NaN gain for u1 (and for u2, whose own tax overflows), not a
     # rejected rate, and play names the user and the round
     net = build_network({"A": 10.0, "B": 10.0}, {"u1": ["A", "B"], "u2": ["A"], "u3": ["B"]})
     uts = {u: log_utility(1.0 + u) for u in net.users()}
@@ -376,14 +333,38 @@ def test_a_nan_analytic_rate_gives_a_nan_gain_not_a_rate_error():
         terms = [table[0, l] for l in net.route(0)]
         hs = [own_tax_parts(t, 1.0, start[0].prices[l])[3] for t, l in zip(terms, net.route(0))]
         assert hs == [-math.inf, math.inf]
-        assert math.isnan(_analytic_rate(uts[0], terms, hs, 10.0))
-        messages, gains = best_deviation(net, uts, start, net.users(), params, search_grid(net, uts, 64), table)
-        ref = best_deviation_per_call_reference(net, uts, start, net.users(), params, 64, table)
-        assert math.isnan(gains[0])
-        assert [g.hex() for g in gains] == [g.hex() for g in ref[1]]
-        assert [m.rate.hex() for m in messages] == [m.rate.hex() for m in ref[0]]
+        assert math.isnan(analytic_rate(uts[0], terms, hs, 10.0))
+        messages, gains = best_deviation(net, uts, start, net.users(), params, table)
+        assert math.isnan(gains[0]) and math.isnan(gains[1])
+        assert gains[2] == best_response_gap_reference(net, uts, start, 2, params, 64, table)[1]
         with pytest.raises(DynamicsError, match=r"^user 'u1': best-response gain nan in round 1 is not finite$"):
             run_dynamics(net, uts, start, DynamicsConfig(), params)
+
+
+def test_the_exact_search_reads_overflowing_taxes_as_non_finite_gains():
+    # alpha = 1e300 and gamma = 1e-300 on the denormal net, where gamma *
+    # quad_weight underflows to 0 and the taxes overflow: the plain-float
+    # search raises neither ZeroDivisionError nor OverflowError, its rate
+    # stays in the route's box, its gain is not finite exactly where the
+    # current payoff is not, and the audit reads its gap as inf
+    net, uts, params = denormal_net()
+    extreme = replace(params, alpha=1e300, gamma=1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(20):
+            profile = random_feasible_profile(net, extreme, seed=seed)
+            table = own_tax_table(net, profile, extreme)
+            alloc = outcome(net, profile, extreme, assign_subsidies(net, extreme.rng_seed), table)
+            gains = best_deviation(net, uts, profile, net.users(), extreme, table)[1]
+            for u in net.users():
+                cur, cap = profile[u], min_route_capacity(net, u)
+                shared = [table[u, l] for l in net.route(u) if len(net.group(l)) > 1]
+                rate, pay = _best_rate(uts[u], shared, cap, cur.rate, extreme.price_bound)
+                assert 0.0 <= rate <= max(cap, cur.rate), (seed, u, rate)
+                tax = sum(eval_own_tax(table[u, l], cur.rate, cur.prices[l]) for l in net.route(u))
+                finite = math.isfinite(payoff(uts[u], cur.rate, tax))
+                assert math.isfinite(gains[u]) == finite, (seed, u, gains[u])
+            assert sum(not math.isfinite(g) for g in gains) == 6, seed
+            assert audit(net, uts, profile, extreme, alloc, table).best_response_gap == math.inf
 
 
 def test_simulate_exits_1_on_a_gain_that_is_not_finite(tmp_path, capsys):

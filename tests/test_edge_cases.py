@@ -33,7 +33,7 @@ def test_single_user_network_end_to_end():
     profile = construct_ne(net, uts, params, solve_result=res)
     subs = assign_subsidies(net, params.rng_seed)
     assert subs == {}
-    rep = audit(net, uts, profile, params, outcome(net, profile, params, subs), br_grid=50)
+    rep = audit(net, uts, profile, params, outcome(net, profile, params, subs))
     assert rep.budget_gap == 0.0 and rep.best_response_gap <= 1e-9
     assert rep.competitive_gap <= 1e-6
 
@@ -47,7 +47,7 @@ def test_unused_link_is_free_and_absent_from_messages():
     profile = construct_ne(net, uts, params, solve_result=res)
     assert all(1 not in m.prices for m in profile.values())
     alloc = outcome(net, profile, params, assign_subsidies(net, 0))
-    rep = audit(net, uts, profile, params, alloc, br_grid=50)
+    rep = audit(net, uts, profile, params, alloc)
     assert rep.feasibility and rep.budget_gap <= 1e-12
 
 
@@ -77,7 +77,7 @@ def test_wildly_asymmetric_capacities():
     assert res.rates[0] == pytest.approx(0.01, abs=1e-9)  # pinched by the tiny link
     profile = construct_ne(net, uts, params, solve_result=res)
     alloc = outcome(net, profile, params, assign_subsidies(net, 0))
-    rep = audit(net, uts, profile, params, alloc, br_grid=100)
+    rep = audit(net, uts, profile, params, alloc)
     assert rep.feasibility
     assert rep.best_response_gap <= 1e-4
     assert rep.corollary_tax_gap <= 1e-9
@@ -107,7 +107,7 @@ def test_triangle_topology_full_stack():
     assert res.kkt_residual <= 1e-8
     profile = construct_ne(net, uts, params, solve_result=res)
     alloc = outcome(net, profile, params, assign_subsidies(net, 1))
-    rep = audit(net, uts, profile, params, alloc, br_grid=100)
+    rep = audit(net, uts, profile, params, alloc)
     assert rep.feasibility
     assert rep.price_uniformity == 0.0
     assert rep.best_response_gap <= 1e-4

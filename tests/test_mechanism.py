@@ -159,8 +159,9 @@ def test_own_tax_terms_match_former_walks_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stacked_terms_columns_are_the_fields(n):
-    # best_deviation stacks every searched pair's terms with one np.array
-    # call; each column holds one field, row by row, with the field's bits
+    # a table's terms are a flat tuple of numbers each: stacked with one
+    # np.array call, each column holds one field, row by row, with the
+    # field's bits, at extreme messages and constants
     rng = random.Random(7100 + n)
     denormal, _, _ = denormal_net()
     nets = [shared_link_net(n, cap=cap) for cap in (10.0, *denormal.capacities)] + [denormal]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "3dbb6cd3b05226f949da8c9c7e6363f9130f1812fd36bf0f64c1ae966105f3af"
+DIGEST = "ed6d11c17712fbfea929a59a81b3e4c6c68e0976d372aa07ae645c46a99ab60e"
 COMMANDS = 487
 
 
