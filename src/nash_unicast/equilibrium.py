@@ -49,6 +49,7 @@ from .mechanism import (
     _cyclic_peers,
     eval_own_tax,
     own_tax_and_h,
+    own_tax_parts,
     own_tax_terms,
     validate_profile,
 )
@@ -164,33 +165,40 @@ def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: f
     The payoff there is phi(x) = V(x) - sum of the taxes, and by the
     envelope theorem phi'(x) = V'(x) - sum of ((peer_price_mean +
     price_adjust) + h), h at the vertex price. Its breakpoints are 0, the
-    cap, the current rate, quadcap's peak and, per link, its overload wall
-    (beyond which the penalty fires), its zero load and the rates where the
-    vertex price clips to 0 or to the bound. Between two of them phi'' =
-    V'' + beta, beta the sum of 2*p^2/(gamma^2*quad_weight) over the
-    unclipped links, so phi peaks at a breakpoint or at one of the piece's
-    ``interior_candidates``. Each candidate is scored with ``eval_own_tax``;
-    a NaN score makes the payoff NaN.
+    cap, quadcap's peak and, per link, its overload wall (beyond which the
+    penalty fires) and the rates where the vertex price clips to 0 or to
+    the bound, or, where gamma*quad_weight underflows to 0, its zero load.
+    Between two of them phi'' = V'' + beta, beta the sum of
+    2*p^2/(gamma^2*quad_weight) over the unclipped links, so phi peaks at a
+    breakpoint or at one of the piece's ``interior_candidates``. Those
+    candidates, each link's zero load -e, which rounding cannot push into
+    the penalty as it may the wall, and the current rate, which keeps the
+    gain from reading below 0 on rounding, are scored with
+    ``eval_own_tax``; a NaN score makes the payoff NaN.
     """
-    points = {0.0, cap, rate}
+    points, zero_loads = {0.0, cap}, set()
     if spec.family == "quadcap":
         points.add(spec.a / (2.0 * spec.b))
     for t in shared:
         e, p, c = t.peer_excess, t.peer_price_mean, t.gamma * t.quad_weight
         # the penalty fires where x > BOUNDARY_TOL and e + x > BOUNDARY_TOL
-        points.update((max(BOUNDARY_TOL, BOUNDARY_TOL - e), -e))
-        if c != 0.0 and p != 0.0:  # the vertex p + p*(e + x)/c reaches 0 and the bound
-            points.update((-e - c, -e + (bound - p) * c / p))
-    points = sorted(x for x in points if 0.0 <= x <= max(cap, rate))  # NaN drops out
+        points.add(max(BOUNDARY_TOL, BOUNDARY_TOL - e))
+        if c == 0.0:  # the flat vertex price jumps where the load changes sign
+            points.add(-e)
+        else:  # smooth at -e, but there e + x cannot round past the wall
+            zero_loads.add(-e)
+            if p != 0.0:  # the vertex p + p*(e + x)/c reaches 0 and the bound
+                points.update((-e - c, -e + (bound - p) * c / p))
+    points = sorted(x for x in points if 0.0 <= x <= cap)  # NaN drops out
 
     def marginal(x):
         total = 0.0
         for t in shared:
-            h = own_tax_and_h(t, x, _vertex_price(t, x, bound))[1]
+            h = own_tax_parts(t, x, _vertex_price(t, x, bound))[3]
             total += (t.peer_price_mean + t.price_adjust) + h
         return total
 
-    candidates = set(points)
+    candidates = {rate, *points, *(x for x in zero_loads if 0.0 <= x <= cap)}
     for lo, hi in zip(points, points[1:]):
         mid, beta = lo + 0.5 * (hi - lo), 0.0
         for t in shared:

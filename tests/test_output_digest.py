@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "ed6d11c17712fbfea929a59a81b3e4c6c68e0976d372aa07ae645c46a99ab60e"
+DIGEST = "2035d7a7dc2cb25d0ad2bc38f4034ce17da193349aa552cc5da7d64eb4d37a78"
 COMMANDS = 487
 
 
