@@ -162,33 +162,35 @@ def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: f
     every ``shared`` link at its ``_vertex_price``, over [0, ``cap``] and
     the current ``rate``.
 
-    The payoff there is phi(x) = V(x) - sum of the taxes, and by the
-    envelope theorem phi'(x) = V'(x) - sum of ((peer_price_mean +
-    price_adjust) + h), h at the vertex price. Its breakpoints are 0, the
-    cap, quadcap's peak and, per link, its overload wall (beyond which the
-    penalty fires) and the rates where the vertex price clips to 0 or to
-    the bound, or, where gamma*quad_weight underflows to 0, its zero load.
-    Between two of them phi'' = V'' + beta, beta the sum of
-    2*p^2/(gamma^2*quad_weight) over the unclipped links, so phi peaks at a
-    breakpoint or at one of the piece's ``interior_candidates``. Those
-    candidates, each link's zero load -e, which rounding cannot push into
-    the penalty as it may the wall, and the current rate, which keeps the
-    gain from reading below 0 on rounding, are scored with
-    ``eval_own_tax``; a NaN score makes the payoff NaN.
+    The payoff is phi(x) = V(x) - sum of the taxes; by the envelope theorem
+    phi'(x) = V'(x) - sum of ((peer_price_mean + price_adjust) + h), h at
+    the vertex price. Its breakpoints are 0, the cap, quadcap's peak and,
+    per link, its overload wall (beyond which the penalty fires), the rates
+    where the vertex price clips to 0 or to the bound, and, where
+    gamma*quad_weight underflows to 0, its zero load. Between two of them
+    phi'' = V'' + beta, beta the sum of 2*p^2/(gamma^2*quad_weight) over
+    the unclipped links, so phi peaks at a breakpoint or at one of the
+    piece's ``interior_candidates``. Those, each link's zero load -e and
+    the current rate (so the gain cannot read below 0 on rounding) are
+    scored with ``eval_own_tax``, but not a rate above 0 that loads a link
+    past its capacity short of its wall: that stretch is the penalty's
+    rounding slack, where a peer's sum or the feasibility check may read
+    the load past the wall, so the search stops at -e, at most
+    BOUNDARY_TOL times the slope short. A NaN score makes the payoff NaN.
     """
-    points, zero_loads = {0.0, cap}, set()
+    points, slack = {0.0, cap}, []
     if spec.family == "quadcap":
         points.add(spec.a / (2.0 * spec.b))
     for t in shared:
         e, p, c = t.peer_excess, t.peer_price_mean, t.gamma * t.quad_weight
         # the penalty fires where x > BOUNDARY_TOL and e + x > BOUNDARY_TOL
-        points.add(max(BOUNDARY_TOL, BOUNDARY_TOL - e))
+        wall = max(BOUNDARY_TOL, BOUNDARY_TOL - e)
+        points.add(wall)
+        slack.append((-e, wall))
         if c == 0.0:  # the flat vertex price jumps where the load changes sign
             points.add(-e)
-        else:  # smooth at -e, but there e + x cannot round past the wall
-            zero_loads.add(-e)
-            if p != 0.0:  # the vertex p + p*(e + x)/c reaches 0 and the bound
-                points.update((-e - c, -e + (bound - p) * c / p))
+        elif p != 0.0:  # the vertex p + p*(e + x)/c reaches 0 and the bound
+            points.update((-e - c, -e + (bound - p) * c / p))
     points = sorted(x for x in points if 0.0 <= x <= cap)  # NaN drops out
 
     def marginal(x):
@@ -198,7 +200,7 @@ def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: f
             total += (t.peer_price_mean + t.price_adjust) + h
         return total
 
-    candidates = {rate, *points, *(x for x in zero_loads if 0.0 <= x <= cap)}
+    candidates = set(points).union(x for x, _ in slack if 0.0 <= x <= cap)
     for lo, hi in zip(points, points[1:]):
         mid, beta = lo + 0.5 * (hi - lo), 0.0
         for t in shared:
@@ -207,8 +209,9 @@ def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: f
                 beta += 2.0 * (t.peer_price_mean / t.gamma) * (t.peer_price_mean / c)
         candidates.update(interior_candidates(spec, marginal, beta, lo, hi))
 
+    candidates = {x for x in candidates if x == 0.0 or not any(lo < x <= hi for lo, hi in slack)}
     best, best_pay = rate, -math.inf
-    for x in sorted(candidates):
+    for x in sorted(candidates | {rate}):
         tax = 0.0
         for t in shared:
             tax += eval_own_tax(t, x, _vertex_price(t, x, bound))

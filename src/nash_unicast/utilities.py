@@ -238,10 +238,8 @@ def _slope(u: UtilitySpec, x: float) -> float:
 
 
 def _curvature(u: UtilitySpec, x: float) -> float:
-    """d2U/dx2 at a float rate, in plain floats: -inf at 0 for power, 0 on
-    quadcap's plateau. Sigmoid reads it through t = x/sqrt(s), as
-    -(a/s)*2*(3 - 4/w)/w**2 with w = 1 + t*t, which neither squares nor
-    cubes s + x*x."""
+    """d2U/dx2 at a float rate in plain floats, -inf at 0 for power; for
+    sigmoid through ``_sigmoid_g``, which never cubes s + x*x."""
     a, b = u.a, u.b
     if u.family == "log":
         return -a / ((1.0 + x) * (1.0 + x))
@@ -253,9 +251,8 @@ def _curvature(u: UtilitySpec, x: float) -> float:
 
 
 def _sigmoid_g(t: float) -> float:
-    """A sigmoid user's -U''(x)*s/a at t = x/sqrt(s), 2*(3t^2 - 1)/(1 + t^2)^3:
-    it rises from -2 at 0 through 0 at 1/sqrt(3) to its peak 1/2 at 1, then
-    falls towards 0."""
+    """Sigmoid's -U''(x)*s/a at t = x/sqrt(s), 2*(3t^2 - 1)/(1 + t^2)^3: from
+    -2 at 0 through 0 at 1/sqrt(3) up to 1/2 at 1, then down towards 0."""
     w = 1.0 + t * t
     return 2.0 * (3.0 - 4.0 / w) / (w * w)
 

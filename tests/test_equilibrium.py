@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "2035d7a7dc2cb25d0ad2bc38f4034ce17da193349aa552cc5da7d64eb4d37a78"
+DIGEST = "7fa98cf007d2fc47a34cde7befa8929e4153cb6baa63f84edcf4c50e1821696f"
 COMMANDS = 487
 
 
