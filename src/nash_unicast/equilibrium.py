@@ -154,7 +154,8 @@ def _vertex_price(t: OwnTaxTerms, x: float, bound: float) -> float:
     curvature = t.gamma * t.quad_weight
     if curvature == 0.0:
         return bound if pull > 0.0 else 0.0 if pull < 0.0 else t.peer_price_mean
-    return min(max(t.peer_price_mean + pull / curvature, 0.0), bound)
+    vertex = t.peer_price_mean + pull / curvature
+    return 0.0 if vertex < 0.0 else bound if vertex > bound else vertex  # a NaN stays
 
 
 def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: float, bound: float):
@@ -193,21 +194,17 @@ def _best_rate(spec: UtilitySpec, shared: List[OwnTaxTerms], cap: float, rate: f
             points.update((-e - c, -e + (bound - p) * c / p))
     points = sorted(x for x in points if 0.0 <= x <= cap)  # NaN drops out
 
-    def marginal(x):
-        total = 0.0
-        for t in shared:
-            h = own_tax_parts(t, x, _vertex_price(t, x, bound))[3]
-            total += (t.peer_price_mean + t.price_adjust) + h
-        return total
-
     candidates = set(points).union(x for x, _ in slack if 0.0 <= x <= cap)
     for lo, hi in zip(points, points[1:]):
-        mid, beta = lo + 0.5 * (hi - lo), 0.0
+        mid, beta, at_lo = lo + 0.5 * (hi - lo), 0.0, 0.0
         for t in shared:
             c = t.gamma * t.quad_weight
             if c != 0.0 and 0.0 < _vertex_price(t, mid, bound) < bound:
                 beta += 2.0 * (t.peer_price_mean / t.gamma) * (t.peer_price_mean / c)
-        candidates.update(interior_candidates(spec, marginal, beta, lo, hi))
+            h = own_tax_parts(t, lo, _vertex_price(t, lo, bound))[3]
+            at_lo += (t.peer_price_mean + t.price_adjust) + h
+        # the marginal cost falls at rate beta across the piece
+        candidates.update(interior_candidates(spec, lambda x: at_lo - beta * (x - lo), beta, lo, hi))
 
     candidates = {x for x in candidates if x == 0.0 or not any(lo < x <= hi for lo, hi in slack)}
     best, best_pay = rate, -math.inf

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "7fa98cf007d2fc47a34cde7befa8929e4153cb6baa63f84edcf4c50e1821696f"
+DIGEST = "af2456eb0cd9df0c0b4f3808f1b73a586a67fa3b9d15fd13326525d4bb07c8cf"
 COMMANDS = 487
 
 
