@@ -48,7 +48,6 @@ from .mechanism import (
     OwnTaxTerms,
     _cyclic_peers,
     eval_own_tax,
-    own_tax_and_h,
     own_tax_parts,
     own_tax_terms,
     validate_profile,
@@ -305,7 +304,7 @@ def audit(
                 # a lone user's tax has no price part; a zero rate has no left
                 # derivative (whether to check such a user is ROADMAP item 1)
                 continue
-            h = own_tax_and_h(t, m.rate, m.prices[l])[1]
+            h = own_tax_parts(t, m.rate, m.prices[l])[3]
             deriv_gap = _worse(deriv_gap, abs((t.peer_price_mean + t.price_adjust) + h - p_link))
 
     br_gap = 0.0

@@ -19,7 +19,7 @@ Taxes sum to zero across all users at every feasible rate profile, on or off
 equilibrium. The per-link formula is written out once: ``own_tax_terms``
 gathers the peer statistics of one user on one link in one walk over the
 link's group, and ``own_tax_parts`` turns them into the tax's parts at any
-own rate and price. ``tax_link``, ``link_subsidy`` and ``own_tax_and_h`` all
+own rate and price. ``tax_link``, ``link_subsidy`` and ``eval_own_tax`` all
 assemble those parts. A command builds every (user, link) pair's terms once,
 as a table that ``outcome`` (and through it ``tax_link`` and
 ``link_subsidy``) and the audit share. All functions are
@@ -375,24 +375,12 @@ def own_tax_parts(terms: OwnTaxTerms, x, p):
     return (terms.peer_price_mean + terms.price_adjust) * x, terms.penalty_both * firing, quad, h
 
 
-def own_tax_and_h(terms: OwnTaxTerms, x, p, load=None):
+def eval_own_tax(terms: OwnTaxTerms, x, p):
     """The user's link tax at own rate ``x`` and own link price ``p``, the
-    sum of its ``own_tax_parts``, and the coupling coefficient ``h`` there.
-    ``load`` is the link's load beyond capacity, ``peer_excess + x``, for a
-    caller that has it already."""
+    sum of its ``own_tax_parts``. Broadcasts over numpy arrays of rates and
+    prices, as ``own_tax_parts`` does."""
     price, pen, quad, h = own_tax_parts(terms, x, p)
-    if load is None:
-        load = terms.peer_excess + x
-    return price + quad + h * load + terms.balance_const + pen, h
-
-
-def eval_own_tax(terms: OwnTaxTerms, x, p, load=None):
-    """The user's link tax at own rate ``x`` and own link price ``p``
-    (``own_tax_and_h``'s tax; ``load`` is as there).
-
-    Broadcasts over numpy arrays of rates and prices.
-    """
-    return own_tax_and_h(terms, x, p, load)[0]
+    return price + quad + h * (terms.peer_excess + x) + terms.balance_const + pen
 
 
 OwnTaxTable = Dict[Tuple[int, int], OwnTaxTerms]  # (user, link) -> that pair's own_tax_terms

@@ -177,8 +177,7 @@ def is_feasible(net: Network, rates: Mapping[int, float]) -> bool:
         if rates[user] < -BOUNDARY_TOL:
             return False
     for link in net.links():
-        load = sum(rates[u] for u in net.groups[link])
-        if load > net.capacities[link] + BOUNDARY_TOL:
+        if link_load(net, rates, link) > net.capacities[link] + BOUNDARY_TOL:
             return False
     return True
 

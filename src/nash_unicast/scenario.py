@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from .mechanism import MechanismError, MechanismParams, Message, MessageProfile
-from .network import Network, build_network, min_route_capacity, NetworkError
+from .network import Network, build_network, link_load, min_route_capacity, NetworkError
 from .solver import SolverConfig, SolverError
 from .utilities import UtilitySpec, demand, initial_slope, sigmoid_utility
 
@@ -94,6 +94,17 @@ class Scenario:
         return parse_profile(self.profile, net)
 
 
+def _number(value, what: str) -> float:
+    """A JSON int or float as a float. Anything else, a bool or a numeric
+    string included, raises ``ParseError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a JSON number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ParseError(f"{what} must be a JSON number in the float range") from None
+
+
 def parse_profile(data: Mapping[str, dict], net: Network) -> MessageProfile:
     """Profile from label-keyed data: {user: {rate, prices{link: price}}}.
     Data of another shape raises ``ParseError``, naming the user if any."""
@@ -102,13 +113,15 @@ def parse_profile(data: Mapping[str, dict], net: Network) -> MessageProfile:
     profile: MessageProfile = {}
     for label, entry in data.items():
         uid = net.user_id(label)
+        malformed = f"profile entry for user {label!r} is malformed:"
         try:
             rate, prices = entry["rate"], entry["prices"]
             if not isinstance(prices, Mapping):
                 raise TypeError(f"prices must be a JSON object, not {type(prices).__name__}")
-            rate, prices = float(rate), {l: float(p) for l, p in prices.items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"profile entry for user {label!r} is malformed: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{malformed} {exc}") from exc
+        rate = _number(rate, f"{malformed} rate")
+        prices = {l: _number(p, f"{malformed} price on link {l!r}") for l, p in prices.items()}
         profile[uid] = Message(rate=rate, prices={net.link_id(l): p for l, p in prices.items()})
     missing = [net.user_labels[u] for u in net.users() if u not in profile]
     if missing:
@@ -162,10 +175,9 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
             raise ParseError(f"{source}: missing required field {key!r}")
     if data.get("profile") is not None and not isinstance(data["profile"], Mapping):
         raise ParseError(f"{source}: profile must be a JSON object of user messages")
-    try:
-        links = {str(k): float(v) for k, v in data["links"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: links must map labels to capacities: {exc}") from exc
+    if not isinstance(data["links"], Mapping):
+        raise ParseError(f"{source}: links must map labels to capacities")
+    links = {str(k): _number(v, f"{source}: capacity of link {k!r}") for k, v in data["links"].items()}
     routes = {}
     for user, route in data["routes"].items():
         if not isinstance(route, (list, tuple)):
@@ -173,6 +185,9 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
         routes[str(user)] = [str(l) for l in route]
     utilities = {}
     for user, spec in data["utilities"].items():
+        params = spec.get("params") if isinstance(spec, Mapping) else None
+        for name, v in params.items() if isinstance(params, Mapping) else ():
+            _number(v, f"{source}: utility of user {user!r}: parameter {name!r}")
         try:
             utilities[str(user)] = UtilitySpec.from_dict(spec)
         except (KeyError, TypeError) as exc:
@@ -308,7 +323,7 @@ def random_feasible_profile(net: Network, params: MechanismParams, seed: int) ->
     raw = {i: rng.uniform(0.0, min_route_capacity(net, i)) for i in net.users()}
     shrink = 1.0
     for l in net.links():
-        load = sum(raw[u] for u in net.group(l))
+        load = link_load(net, raw, l)
         if load > 0.0:
             shrink = min(shrink, net.capacity(l) / load)
     if rng.random() < 0.3:

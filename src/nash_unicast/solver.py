@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-from .network import BOUNDARY_TOL, Network, min_route_capacity
+from .network import BOUNDARY_TOL, Network, link_load, min_route_capacity
 from .utilities import UtilitySpec, demand, derivative, value
 
 
@@ -111,9 +111,9 @@ def kkt_residuals(
         primal = _worse(primal, -x)
         dual = _worse(dual, -nu)
         slack_users = _worse(slack_users, abs(nu * x))
-    for l, (group, cap) in enumerate(zip(net.groups, net.capacities)):
+    for l, cap in enumerate(net.capacities):
         lam = lambdas[l]
-        excess = sum(rates[u] for u in group) - cap
+        excess = link_load(net, rates, l) - cap
         primal = _worse(primal, excess)
         dual = _worse(dual, -lam)
         slack_links = _worse(slack_links, abs(lam * excess))

@@ -7,15 +7,17 @@ Four families, all with U(0) = 0 and U increasing:
 * ``quadcap``  U(x) = a*x - b*x**2 up to its peak at a/(2b), constant beyond
 * ``sigmoid``  U(x) = a*x**2/(s + x**2)              quasi-concave, not concave
 
-Value and derivative accept scalars or numpy arrays elementwise; a Python
-float in gives a Python float out, bit for bit the array path's result, and
-a negative or NaN rate raises NegativeRate.
+Value accepts scalars or numpy arrays elementwise; a Python float in gives
+a Python float out, bit for bit the array path's result. Derivative takes
+one rate and returns a float. Both read sigmoid through t = x/sqrt(s), and
+both raise NegativeRate on a negative or NaN rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +27,8 @@ FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
 _PARAM_NAMES = {"log": ("a",), "power": ("a", "theta"), "quadcap": ("a", "b"), "sigmoid": ("a", "s")}
 # the smallest normal float; at or above it x**(theta-1) <= 1/x < 4.5e307 cannot overflow
 _MIN_NORMAL = 2.2250738585072014e-308
+# where a/sqrt(s) <= _K_MAX and _T_MIN <= x/sqrt(s) <= _T_MAX, no part of sigmoid's float slope leaves the range
+_K_MAX, _T_MIN, _T_MAX = 2.0**1000, 2.0**-1000, 2.0**500
 _NEWTON_STEPS = 200  # a bound on _newton's steps; its Newton steps settle within a handful
 
 
@@ -118,6 +122,10 @@ def family_value(family: str, a, b, x):
     calls the numpy ufunc only for the transcendental step, so it returns a
     float with exactly the bits of the array path at a fraction of its
     per-call cost.
+
+    Sigmoid reads U = a*t^2/(1 + t^2) at t = x/sqrt(s), as a*(t/(1 + t^2))*t
+    below t = 1 and a/(1 + (1/t)^2) from there, so no part overflows or
+    underflows where U does not.
     """
     if type(x) is float:
         if family == "log":
@@ -128,8 +136,8 @@ def family_value(family: str, a, b, x):
             peak = a / (2.0 * b)
             xm = peak if x > peak else x  # a NaN passes, as through np.minimum
             return a * xm - b * xm * xm
-        x2 = x * x
-        return a * x2 / (b + x2)
+        t = x / math.sqrt(b)
+        return a * (t / (1.0 + t * t)) * t if t < 1.0 else a / (1.0 + (1.0 / t) * (1.0 / t))
     if family == "log":
         return a * np.log1p(x)
     if family == "power":
@@ -137,40 +145,43 @@ def family_value(family: str, a, b, x):
     if family == "quadcap":
         xm = np.minimum(x, a / (2.0 * b))
         return a * xm - b * xm * xm
-    x2 = np.square(x)
-    return a * x2 / (b + x2)
+    with np.errstate(over="ignore"):  # an infinite t reads V = a, as on a float
+        t = x / np.sqrt(b)
+    low = t < 1.0  # each side's form sees only its own rates: no overflow, no 1/0
+    below, above = np.where(low, t, 0.0), 1.0 / np.where(low, 1.0, t)
+    return np.where(low, a * (below / (1.0 + below * below)) * below, a / (1.0 + above * above))[()]
 
 
-def derivative(u: UtilitySpec, x):
-    """dU/dx, elementwise on arrays; a float in gives a float out, with the
-    array path's bits. A negative or NaN rate raises NegativeRate. Power
-    utilities have infinite slope at 0."""
+def derivative(u: UtilitySpec, x: float) -> float:
+    """dU/dx at one rate, in plain floats; a negative or NaN rate raises
+    NegativeRate. Power utilities have infinite slope at 0. Sigmoid reads
+    it through t = x/sqrt(s) as 2*(a/sqrt(s))*(t/w)/w, w = 1 + t*t, which
+    never squares s + x*x; outside ``_K_MAX``, ``_T_MIN`` and ``_T_MAX``, where
+    a part of that may overflow or underflow though U' does not, it reads
+    U' exactly in rationals and rounds once."""
     _check_rate(x)
-    if type(x) is float:
-        if u.family == "log":
-            return u.a / (1.0 + x)
-        if u.family == "power":
-            if x < _MIN_NORMAL:  # zero or subnormal, where the power may overflow to inf
-                if x == 0.0:
-                    return math.inf
-                with np.errstate(over="ignore"):
-                    return u.a * u.b * float(np.power(x, u.b - 1.0))
-            return u.a * u.b * float(np.power(x, u.b - 1.0))
-        if u.family == "quadcap":
-            return u.a - 2.0 * u.b * x if x < u.a / (2.0 * u.b) else 0.0
-        den = u.b + x * x
-        if den * den > 0.0:
-            return 2.0 * u.a * u.b * x / (den * den)
-        return float(derivative(u, np.float64(x)))  # the array path's 0/0 or x/0
-    xa = np.asarray(x, dtype=float)
+    a, b = u.a, u.b
     if u.family == "log":
-        return (u.a / (1.0 + xa))[()]
+        return a / (1.0 + x)
     if u.family == "power":
-        with np.errstate(divide="ignore", over="ignore"):
-            return (u.a * u.b * np.power(xa, u.b - 1.0))[()]
+        if x < _MIN_NORMAL:  # zero or subnormal, where the power may overflow to inf
+            if x == 0.0:
+                return math.inf
+            with np.errstate(over="ignore"):
+                return a * b * float(np.power(x, b - 1.0))
+        return a * b * float(np.power(x, b - 1.0))
     if u.family == "quadcap":
-        return np.where(xa < u.a / (2.0 * u.b), u.a - 2.0 * u.b * xa, 0.0)[()]
-    return (2.0 * u.a * u.b * xa / np.square(u.b + xa * xa))[()]
+        return a - 2.0 * b * x if x < a / (2.0 * b) else 0.0
+    root_s = math.sqrt(b)
+    k, t = a / root_s, x / root_s
+    if k <= _K_MAX and (x == 0.0 or _T_MIN <= t <= _T_MAX):
+        w = 1.0 + t * t
+        return 2.0 * k * (t / w) / w
+    a, s, x = Fraction(a), Fraction(b), Fraction(x)
+    try:
+        return float(2 * a * s * x / (s + x * x) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def initial_slope(u: UtilitySpec) -> float:
@@ -179,18 +190,19 @@ def initial_slope(u: UtilitySpec) -> float:
     At zero for the concave families, except that power utilities (infinite
     slope at 0) report the slope at rate 1e-3. Sigmoid marginals peak
     at the inflection point sqrt(s/3) rather than at zero, at
-    (3*sqrt(3)/8)*a/sqrt(s); that closed form serves where s is so small
-    that (s + x**2)**2 underflows to 0 and the slope formula would read 0/0.
+    (3*sqrt(3)/8)*a/sqrt(s). ``derivative`` reads it at that rate while
+    (s + x**2)**2 stays above 0, for s above about 1e-162, and the closed
+    form serves below.
     """
     if u.family == "power":
-        return float(derivative(u, 1e-3))
+        return derivative(u, 1e-3)
     if u.family == "sigmoid":
         x = math.sqrt(u.b / 3.0)
         den = u.b + x * x
         if den * den > 0.0:
-            return float(derivative(u, x))
+            return derivative(u, x)
         return 3.0 * math.sqrt(3.0) / 8.0 * u.a / math.sqrt(u.b)
-    return float(derivative(u, 0.0))
+    return derivative(u, 0.0)
 
 
 def demand(u: UtilitySpec, price: float, cap: float) -> float:
@@ -223,18 +235,6 @@ def demand(u: UtilitySpec, price: float, cap: float) -> float:
             return 0.0
         return min((u.a - price) / (2.0 * u.b), cap)
     return _sigmoid_demand(u, price, cap)
-
-
-def _slope(u: UtilitySpec, x: float) -> float:
-    """dU/dx at a float rate in plain floats: ``derivative``, except that
-    sigmoid reads it through t = x/sqrt(s), as 2*(a/sqrt(s))*(t/w)/w with
-    w = 1 + t*t, which never squares s + x*x."""
-    if u.family != "sigmoid":
-        return derivative(u, x)
-    root_s = math.sqrt(u.b)
-    t = x / root_s
-    w = 1.0 + t * t
-    return 2.0 * (u.a / root_s) * (t / w) / w
 
 
 def _curvature(u: UtilitySpec, x: float) -> float:
@@ -340,7 +340,7 @@ def interior_candidates(u: UtilitySpec, marginal, beta: float, lo: float, hi: fl
     left, right = band
 
     def slope(x):
-        return _slope(u, x) - marginal(x)
+        return derivative(u, x) - marginal(x)
 
     if not (left < right and slope(left) > 0.0 and slope(right) < 0.0):
         return [left, right]
@@ -351,15 +351,12 @@ def interior_candidates(u: UtilitySpec, marginal, beta: float, lo: float, hi: fl
 
 def _sigmoid_demand(u: UtilitySpec, price: float, cap: float) -> float:
     """The first best of 0, ``cap`` and the ``interior_candidates`` of
-    U(x) - price*x on [0, cap], in ascending order, U read in a form
-    whose parts neither overflow nor underflow where U does not."""
+    U(x) - price*x on [0, cap], in ascending order."""
     if price == 0.0:
         return cap
-    root_s = math.sqrt(u.b)
     best, best_pay = 0.0, 0.0  # the payoff at 0, without inf*0 = NaN
     for x in sorted((cap, *interior_candidates(u, lambda x: price, 0.0, 0.0, cap))):
-        t = x / root_s  # U = a*t^2/(1 + t^2), in a form for each side of t = 1
-        pay = (u.a * (t / (1.0 + t * t)) * t if t < 1.0 else u.a / (1.0 + (1.0 / t) * (1.0 / t))) - price * x
+        pay = family_value("sigmoid", u.a, u.b, x) - price * x
         if pay > best_pay:
             best, best_pay = x, pay
     return best

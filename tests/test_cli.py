@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 from nash_unicast import cli
@@ -712,7 +713,7 @@ def _malformed(kind: str) -> dict:
     [
         ("profile list", "profile must be a JSON object of user messages"),
         ("prices list", "profile entry for user 'u1' is malformed: prices must be a JSON object, not list"),
-        ("rate abc", "profile entry for user 'u1' is malformed: could not convert string to float: 'abc'"),
+        ("rate abc", "profile entry for user 'u1' is malformed: rate must be a JSON number, not 'abc'"),
     ],
 )
 def test_malformed_embedded_profile_is_a_named_error(tmp_path, capsys, kind, message):
@@ -817,3 +818,34 @@ def test_audit_logs_its_optimality_reference(tmp_path, monkeypatch):
         "INFO:nash_unicast:optimality check skipped: non-concave utilities",
         "DEBUG:nash_unicast:optimality reference: skipped: non-concave",
     ]
+
+
+def test_sigmoid_users_on_a_1e200_link_play_and_audit_to_finite_gains(tmp_path, capsys):
+    # sigmoid's V read straight from a*x^2/(s + x^2) is NaN from x of about
+    # 1.34e154 on, where x^2 overflows; the best response scores rates up
+    # to the route capacity
+    sigmoid = lambda a: {"family": "sigmoid", "params": {"a": a, "s": 1.0}}  # noqa: E731
+    scenario = {
+        "schema": "nash-unicast/scenario-v1",
+        "name": "huge_link",
+        "links": {"A": 1e200, "B": 1.0},
+        "routes": {"u0": ["A"], "u1": ["A"], "u2": ["A"], "u3": ["B"]},
+        "utilities": {
+            "u0": sigmoid(1.0),
+            "u1": sigmoid(2.0),
+            "u2": {"family": "log", "params": {"a": 1.0}},
+            "u3": {"family": "log", "params": {"a": 1.0}},
+        },
+        "mechanism": {"alpha": 1e4, "gamma": 1e4},
+        "profile": {
+            u: {"rate": 0.5 if u == "u3" else 1.0, "prices": {"B" if u == "u3" else "A": 0.1}}
+            for u in ("u0", "u1", "u2", "u3")
+        },
+    }
+    path = tmp_path / "huge_link.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(path), "--rounds", "3"]) == 0
+    out = tmp_path / "audit.json"
+    main(["audit", "--scenario", str(path), "--out", str(out)])
+    assert math.isfinite(json.loads(out.read_text())["audit"]["best_response_gap"])
+    assert "nan" not in capsys.readouterr().err

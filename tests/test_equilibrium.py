@@ -25,7 +25,6 @@ from nash_unicast.mechanism import (
     assign_subsidies,
     eval_own_tax,
     outcome,
-    own_tax_and_h,
     own_tax_parts,
     own_tax_terms,
     tax_link,
@@ -365,7 +364,7 @@ def test_audit_reads_each_link_at_its_least_posted_price():
     slopes = []
     for u in net.group(0):
         x, p, t = profile[u].rate, profile[u].prices[0], table[(u, 0)]
-        slopes.append((t.peer_price_mean + t.price_adjust) + own_tax_and_h(t, x, p)[1])
+        slopes.append((t.peer_price_mean + t.price_adjust) + own_tax_parts(t, x, p)[3])
     assert rep.tax_derivative_gap == max(abs(s - 0.3) for s in slopes)
     assert rep.tax_derivative_gap != max(abs(s - 0.4) for s in slopes)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "af2456eb0cd9df0c0b4f3808f1b73a586a67fa3b9d15fd13326525d4bb07c8cf"
+DIGEST = "b50e978624aa69a4013573c469385140c29298225fc5f618a4acc2d4586320d8"
 COMMANDS = 487
 
 

