@@ -173,10 +173,10 @@ def parse_scenario(data: Mapping, source: str = "<memory>") -> Scenario:
     for key in ("links", "routes", "utilities"):
         if key not in data:
             raise ParseError(f"{source}: missing required field {key!r}")
+        if not isinstance(data[key], Mapping):
+            raise ParseError(f"{source}: {key} must be a JSON object keyed by label")
     if data.get("profile") is not None and not isinstance(data["profile"], Mapping):
         raise ParseError(f"{source}: profile must be a JSON object of user messages")
-    if not isinstance(data["links"], Mapping):
-        raise ParseError(f"{source}: links must map labels to capacities")
     links = {str(k): _number(v, f"{source}: capacity of link {k!r}") for k, v in data["links"].items()}
     routes = {}
     for user, route in data["routes"].items():

@@ -209,6 +209,18 @@ def test_numbers_must_be_json_numbers(tmp_path, capsys, place, value):
     parse()
 
 
+@pytest.mark.parametrize("key", ["links", "routes", "utilities"])
+def test_blocks_that_are_not_json_objects_rejected(tmp_path, capsys, key):
+    data = json.load(open(GOLDEN))
+    data[key] = list(data[key].items())
+    with pytest.raises(ParseError, match=f"{key} must be a JSON object"):
+        parse_scenario(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"{key} must be a JSON object" in capsys.readouterr().err
+
+
 def test_save_load_round_trip(tmp_path):
     s = random_scenario(99)
     path = tmp_path / "s.json"
