@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -177,9 +176,10 @@ def derivative(u: UtilitySpec, x: float) -> float:
     if k <= _K_MAX and (x == 0.0 or _T_MIN <= t <= _T_MAX):
         w = 1.0 + t * t
         return 2.0 * k * (t / w) / w
-    a, s, x = Fraction(a), Fraction(b), Fraction(x)
+    # U' = 2*a*s*x/(s + x^2)^2 over the integer ratios of a, s and x; int / int rounds once
+    (na, da), (ns, ds), (nx, dx) = a.as_integer_ratio(), b.as_integer_ratio(), x.as_integer_ratio()
     try:
-        return float(2 * a * s * x / (s + x * x) ** 2)
+        return 2 * na * ns * nx * ds * dx**3 / (da * (ns * dx * dx + nx * nx * ds) ** 2)
     except OverflowError:
         return math.inf
 
