@@ -88,8 +88,10 @@ def _emit(report: dict, out_path, lines) -> None:
     for line in lines:
         print(line)
     if out_path:
-        # strict JSON: a NaN or inf raises ValueError before the file is opened
-        text = json.dumps(report, allow_nan=False)
+        try:
+            text = json.dumps(report, allow_nan=False)
+        except ValueError:  # strict JSON: a NaN or inf goes in as the string "nan", "inf" or "-inf"
+            text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda c: str(float(c))))
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
         print(f"report written to {out_path}")

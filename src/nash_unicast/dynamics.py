@@ -67,7 +67,6 @@ class DynamicsConfig:
 class Step:
     round: int
     user: int
-    old: Message
     new: Message
     payoff_delta: float
 
@@ -143,7 +142,7 @@ def run_dynamics(
                     name = net.user_labels[user]
                     raise DynamicsError(f"user {name!r}: best-response gain {delta} in round {rnd} is not finite")
                 if delta > config.stop_tolerance:
-                    steps.append(Step(rnd, user, profile[user], message, delta))
+                    steps.append(Step(rnd, user, message, delta))
                     profile[user] = message
                     worst_delta = max(worst_delta, delta)
                     settled -= neighbours[user]

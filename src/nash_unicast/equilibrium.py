@@ -92,7 +92,7 @@ def construct_ne(
     under the price bound (enlarge it) rather than clamping silently."""
     res = solve_result if solve_result is not None else solve_centralized(net, utilities, solver_config)
     for l, lam in res.lambdas.items():
-        if lam > params.price_bound + 1e-12:
+        if lam > params.price_bound + BOUNDARY_TOL:
             raise PriceBoundExceeded(
                 f"multiplier {lam} on link {net.link_labels[l]!r} exceeds the price bound"
                 f" {params.price_bound}"
@@ -300,7 +300,7 @@ def audit(
             uniformity = _worse(uniformity, m.prices[l] - p_link)
             expected = ne_tax_closed_form(net, profile, l, user, t, p_link)
             corr_gap = _worse(corr_gap, abs(alloc.breakdown.link_taxes[user, l].total - expected))
-            if t.group_size == 1 or m.rate <= 1e-12:
+            if t.group_size == 1 or m.rate <= BOUNDARY_TOL:
                 # a lone user's tax has no price part; a zero rate has no left
                 # derivative (whether to check such a user is ROADMAP item 1)
                 continue

@@ -129,7 +129,7 @@ def _recover_nus(net, utilities, rates, prices) -> Dict[int, float]:
     """Non-negativity multipliers: the price gap at users stuck at zero."""
     nus = {}
     for i in net.users():
-        if rates[i] <= 1e-12:
+        if rates[i] <= BOUNDARY_TOL:
             slope = derivative(utilities[i], 0.0)
             gap = prices[i] - slope if math.isfinite(slope) else 0.0
             nus[i] = max(0.0, gap)

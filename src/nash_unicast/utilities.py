@@ -16,8 +16,8 @@ or NaN rate.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 CONCAVE_FAMILIES = ("log", "power", "quadcap")
 FAMILIES = CONCAVE_FAMILIES + ("sigmoid",)
@@ -64,17 +64,14 @@ class UtilitySpec:
 
     @staticmethod
     def from_dict(data: Mapping) -> "UtilitySpec":
-        family = data["family"]
-        params = dict(data["params"])
-        if family == "log":
-            return log_utility(**params)
-        if family == "power":
-            return power_utility(**params)
-        if family == "quadcap":
-            return quad_cap_utility(**params)
-        if family == "sigmoid":
-            return sigmoid_utility(**params)
-        raise UtilityError(f"unknown utility family {family!r}")
+        """An unknown family raises UtilityError; data of another shape, KeyError or TypeError."""
+        family, params = data["family"], data["params"]
+        if family not in FAMILIES:
+            raise UtilityError(f"unknown utility family {family!r}")
+        names = _PARAM_NAMES[family]
+        if not isinstance(params, Mapping) or set(params) != set(names):
+            raise TypeError(f"{family} params must be a JSON object of {list(names)}, not {params!r}")
+        return UtilitySpec(family, *(float(params[name]) for name in names))
 
 
 def log_utility(a: float) -> UtilitySpec:

@@ -3,8 +3,14 @@ names must keep resolving, and the library must keep calling through them,
 or a per-layer metric reads zero. ``bench/spans.py`` is only imported here,
 never changed."""
 
+import contextlib
 import importlib.util
+import io
+import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from nash_unicast import cli, equilibrium, mechanism, solver
 from nash_unicast.scenario import load_scenario
@@ -67,3 +73,33 @@ def test_traced_cli_commands_see_the_tax_layers(tmp_path, capsys):
     for calls in (construct_calls, audit_calls):
         for name in ("mechanism.outcome", "mechanism.own_tax_terms", "mechanism.eval_own_tax"):
             assert calls[name] > 0, (name, calls)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look up their module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _call(command, argv):
+    """What ``bench/run.py`` hands ``run_scenario``: one in-process CLI call,
+    returning (exit code, timing, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, {}, err.getvalue()
+
+
+@pytest.mark.parametrize("name", ["small-nets", "crowded-links", "mixed-play"])
+def test_workload_sequences_pass_their_checks(tmp_path, name):
+    # the benchmark's own output checks on the first two scenarios of each
+    # workload: a report change that they would mark wrong fails here first
+    workloads = _load_workloads()
+    workload = replace(workloads.WORKLOADS[name], pool=2)
+    pool = workloads.generate(workload, 1, tmp_path / "pool")
+    assert len(pool) == 2
+    for entry in pool:
+        ops = workloads.run_scenario(workload, entry, tmp_path, _call)
+        assert ops and all(op.status == "ok" for op in ops), [(op.command, op.status, op.detail) for op in ops]

@@ -182,7 +182,7 @@ def test_an_overflowing_default_is_a_mechanism_error(tmp_path, capsys, mechanism
     path = _huge_link_scenario(tmp_path, mechanism)
     assert main(["solve", "--scenario", path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: mechanism {field} must be a finite positive number"), err
+    assert err.startswith(f"error: {path}: mechanism {field} must be a finite positive number"), err
     assert "1e+200" in err and "Traceback" not in err
 
 
@@ -220,13 +220,6 @@ def test_blocked_user_fails_only_the_competitive_and_optimality_checks(tmp_path,
     report = json.loads(simulated.read_text())
     assert (report["verdict"], report["rounds"], report["moves"]) == ("converged", 1, [])
     assert report["final_profile"] == json.loads(Path(path).read_text())["profile"]
-
-
-def test_emit_rejects_nan_without_writing(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    with pytest.raises(ValueError):
-        _emit({"objective": float("nan")}, str(path), [])
-    assert not path.exists()
 
 
 def test_simulate_sigmoid_market(capsys):
@@ -539,17 +532,21 @@ def test_report_json_equals_json_dumps_on_edge_shapes(value):
     assert report_json(value) == _reference_text(value)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_report_json_raises_as_json_dumps_does(tmp_path, bad):
-    # the text is built before the file is opened: no file, not an empty one
-    path = tmp_path / "report.json"
-    for report in ({"a": {"b": [1.0, bad]}}, {"x": bad}, [bad], bad):
-        with pytest.raises(ValueError) as got:
-            _emit(report, str(path), [])
-        with pytest.raises(ValueError) as ref:
-            _reference_text(report)
-        assert str(got.value) == str(ref.value)
-        assert not path.exists()
+@pytest.mark.parametrize(
+    "bad, spelled", [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")], ids=["nan", "inf", "-inf"]
+)
+def test_report_json_spells_non_finite_floats_as_strings(bad, spelled):
+    # the file stays strict JSON: a NaN or inf goes in as a string, and every
+    # other value as json.dumps writes it
+    for report, expected in (
+        ({"a": {"b": [1.0, bad]}, "c": 0.1}, {"a": {"b": [1.0, spelled]}, "c": 0.1}),
+        ({"x": bad, "n": [2, -0.0, 5e-324]}, {"x": spelled, "n": [2, -0.0, 5e-324]}),
+        ([bad, ("t", bad)], [spelled, ["t", spelled]]),
+        (bad, spelled),
+    ):
+        text = report_json(report)
+        assert text == _reference_text(expected)
+        assert _exact(json.loads(text)) == _exact(expected)
 
 
 def _overflowing_scenario(tmp_path) -> Path:
@@ -583,12 +580,44 @@ def test_budget_check_of_an_overflowing_profile_reads_inf_not_nan(tmp_path, caps
     assert "nan (" not in out
 
 
-def test_audit_out_on_an_overflowing_profile_exits_1_without_a_file(tmp_path, capsys):
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_audit_out_on_an_overflowing_profile_exits_2_with_a_file(tmp_path, capsys):
+    # the exit of the same audit without --out; the report's inf and NaN are
+    # strings, and its profile, all finite, audits the same way again
     path, out = str(_overflowing_scenario(tmp_path)), tmp_path / "audit.json"
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["audit", "--scenario", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: Out of range float values are not JSON compliant")
-    assert not out.exists()
+        assert main(["audit", "--scenario", path, "--out", str(out)]) == 2
+    first = capsys.readouterr()
+    assert "[FAIL] budget_gap: inf (<= inf)" in first.out and "error" not in first.err
+    report = json.loads(out.read_text(), parse_constant=_strict)
+    assert report["audit"]["budget_gap"] == "inf"
+    again = tmp_path / "again.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "--scenario", path, "--profile", str(out), "--out", str(again)]) == 2
+    assert again.read_text() == out.read_text()
+    # a spelled non-finite value is not a number to --profile
+    user = next(iter(report["profile"]))
+    report["profile"][user]["rate"] = "inf"
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["audit", "--scenario", path, "--profile", str(out)]) == 1
+    message = f"profile entry for user {user!r} is malformed: rate must be a JSON number, not 'inf'"
+    assert message in capsys.readouterr().err
+
+
+def test_audit_of_a_profile_that_lacks_a_user_names_the_user(tmp_path, capsys):
+    ne = tmp_path / "ne.json"
+    assert main(["construct-ne", "--scenario", GOLDEN, "--out", str(ne)]) == 0
+    profile = json.loads(ne.read_text())["profile"]
+    del profile["u2"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(profile))
+    capsys.readouterr()
+    assert main(["audit", "--scenario", GOLDEN, "--profile", str(bare)]) == 1
+    assert capsys.readouterr().err == "error: profile lacks messages for users ['u2']\n"
 
 
 def _assert_every_report_is_compact_json(tmp_path, path):

@@ -218,7 +218,7 @@ def run_dynamics_reference(net, utilities, start, config, params):
             table = {(user, l): own_tax_terms(net, profile, l, user, params) for l in net.route(user)}
             (message,), (delta,) = best_deviation(net, utilities, profile, [user], params, table)
             if delta > config.stop_tolerance:
-                steps.append(Step(rnd, user, profile[user], message, delta))
+                steps.append(Step(rnd, user, message, delta))
                 profile[user] = message
                 worst_delta = max(worst_delta, delta)
         if worst_delta <= config.stop_tolerance:

@@ -174,6 +174,36 @@ def test_infinite_utility_parameters_rejected(tmp_path, capsys, family, params, 
     assert f"user 'u1': {family}: parameter {field} must be finite, got inf" in err
 
 
+MALFORMED_UTILITIES = {
+    "unknown family": {"family": "cubic", "params": {"a": 1.0}},
+    "wrong parameter name": {"family": "log", "params": {"b": 1.0}},
+    "missing parameter": {"family": "power", "params": {"a": 1.0}},
+    "extra parameter": {"family": "log", "params": {"a": 1.0, "b": 2.0}},
+    "params a number": {"family": "log", "params": 2.0},
+    "params null": {"family": "log", "params": None},
+    "params a list": {"family": "log", "params": [1.0]},
+    "params a list of pairs": {"family": "log", "params": [["a", "2"]]},  # dict() of it passed, unchecked
+    "no params": {"family": "log"},
+    "no family": {"params": {"a": 1.0}},
+    "spec a string": "log",
+    "spec a number": 2.0,
+    "spec null": None,
+    "spec a list": ["log", {"a": 1.0}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_UTILITIES))
+def test_malformed_utility_blocks_name_the_user(tmp_path, capsys, kind):
+    data = json.load(open(GOLDEN))
+    data["utilities"]["u1"] = MALFORMED_UTILITIES[kind]
+    with pytest.raises(ParseError, match="utility of user 'u1'"):
+        parse_scenario(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert "utility of user 'u1'" in capsys.readouterr().err
+
+
 SIGMOID = SCENARIO_DIR / "sigmoid_market.json"
 MALFORMED = "profile entry for user 'u1' is malformed:"
 NUMBER_PLACES = {  # where a number sits in the file, and how its error names it
@@ -196,7 +226,7 @@ def test_numbers_must_be_json_numbers(tmp_path, capsys, place, value):
 
     def parse():
         scenario = parse_scenario(data)
-        return scenario.profile_messages(scenario.build_network())
+        return scenario.profile_messages(scenario.build()[0])
 
     message = f"{what} must be a JSON number, not {value!r}"
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -237,14 +267,6 @@ def test_random_scenario_deterministic_and_valid():
     net, utilities, params, _ = a.build()
     assert net.num_users >= 3
     assert all(params.alpha > 0 for _ in [0])
-
-
-def test_random_scenario_rejects_unknown_family():
-    with pytest.raises(ValueError, match="sigmoid"):
-        random_scenario(7, families=("sigmoid",))
-    with pytest.raises(ValueError, match="cubic"):
-        random_scenario(7, families=("log", "cubic"))
-    assert {u.family for u in random_scenario(7, families=("power",)).utilities.values()} == {"power"}
 
 
 def test_random_scenarios_cover_group_sizes():
