@@ -1,7 +1,8 @@
 """The benchmark traces the library by wrapping names on its modules; those
 names must keep resolving, and the library must keep calling through them,
-or a per-layer metric reads zero. ``bench/spans.py`` is only imported here,
-never changed."""
+or a per-layer metric reads zero. Its workloads check every report the CLI
+writes, and those checks must keep passing. ``bench/spans.py`` and
+``bench/workloads.py`` are only imported here, never changed."""
 
 import contextlib
 import importlib.util
