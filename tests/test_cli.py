@@ -222,6 +222,13 @@ def test_blocked_user_fails_only_the_competitive_and_optimality_checks(tmp_path,
     assert report["final_profile"] == json.loads(Path(path).read_text())["profile"]
 
 
+def test_emit_writes_nan_as_a_string(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    _emit({"objective": float("nan")}, str(path), [])
+    assert path.read_text() == '{"objective": "nan"}\n'
+    assert capsys.readouterr().out == f"report written to {path}\n"
+
+
 def test_simulate_sigmoid_market(capsys):
     code = main(
         [
